@@ -64,7 +64,7 @@ def _parse_level(category, text):
 
 def cmd_topologies(args, out):
     category = _category(args)
-    topologies = enumerate_topologies(category, method=args.method, budget=args.budget)
+    topologies = enumerate_topologies(category, method=args.method)
     label = "label" if category.family == FAMILY_BICOLOR else "bits"
     out.write(f"{len(topologies)} topologies on {category.kind}\n")
     for j in sorted(topologies, key=lambda j: j.tag):
@@ -73,10 +73,6 @@ def cmd_topologies(args, out):
         )
         out.write(f"  {label} {j.tag}  maps {maps}\n")
     return OK
-
-
-def _load_topology(args, category, omega=None):
-    return topology_by_tag(category, args.topology, omega=omega)
 
 
 def cmd_closure(args, out):
@@ -103,11 +99,7 @@ def cmd_classify(args, out):
     if args.nucleus is not None:
         return _classify_fuzzy(args, out)
     P = docio.presheaf_from_doc(docio.load_json(args.input))
-    category = P.category
-    if category.family == FAMILY_BICOLOR:
-        raise docio.DocumentError("classification by bit string needs a simplex category")
-    word = args.topology
-    report = closure_mod.classify(P, word)
+    report = closure_mod.classify(P, args.topology)
     out.write(f"separated: {report.separated}\n")
     out.write(f"complete: {report.complete}\n")
     out.write(f"sheaf: {report.sheaf}\n")
@@ -152,10 +144,7 @@ def _suite_counts(out):
     for kind, want in expected.items():
         category = build_index_category(kind)
         omega = classifying_object(category)
-        methods = ["brute"] if category.family == FAMILY_BICOLOR else ["constrained"]
-        if all(a.size**a.size <= 10**7 for a in omega.algebras):
-            if category.family != FAMILY_BICOLOR:
-                methods.append("brute")
+        methods = ["brute"] if category.family == FAMILY_BICOLOR else ["constrained", "brute"]
         found = {}
         for method in methods:
             found[method] = enumerate_topologies(category, method=method, omega=omega)
@@ -301,12 +290,6 @@ def build_parser():
     p = sub.add_parser("topologies", help="enumerate all topologies")
     p.add_argument("--category", required=True)
     p.add_argument("--method", default="auto", choices=["auto", "brute", "constrained"])
-    p.add_argument(
-        "--budget",
-        type=int,
-        default=10_000_000,
-        help="cap on per-level function spaces for the brute method",
-    )
     p.set_defaults(func=cmd_topologies)
 
     p = sub.add_parser("closure", help="close a subobject under a topology")

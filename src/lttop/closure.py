@@ -29,6 +29,7 @@ from .presheaf import (
     sub_as_presheaf,
     yoneda,
 )
+from .topology import DegeneracyIncompatible, _check_word
 
 DEFAULT_CORPUS_BOUND = 6
 DEFAULT_AMBIENT_BOUND = 3
@@ -217,8 +218,9 @@ class ClassifyReport:
 def classify(B, word):
     """Separated/complete/sheaf flags for the bit-string topology."""
     cat = B.category
-    if len(word) != cat.dim + 1:
-        raise ValueError(f"bit string {word!r} does not match dimension {cat.dim}")
+    _check_word(cat, word)
+    if cat.family == FAMILY_FULL and "10" in word:
+        raise DegeneracyIncompatible(word)  # rejected without building Omega
     separated = True
     complete = True
     witnesses = []

@@ -217,13 +217,15 @@ def verify_qclosure(op, L, max_carrier=DEFAULT_FUZZY_CARRIER, square_carrier=2):
 # -- separated / sheaf ------------------------------------------------------
 
 
-def classify_fuzzy(B, op, ambients=None):
+def classify_fuzzy(B, op):
     """Separated/sheaf flags for a fuzzy set under a closure operator.
 
-    Nucleus-induced operators admit a closed form: everything is separated,
-    and sheaves are exactly the fuzzy sets whose memberships land in the
-    image of the nucleus.  The trivial operator has no closed form here and
-    is decided by the factorization oracle over ``ambients``.
+    Both operator kinds admit a closed form.  Under a nucleus everything is
+    separated, and sheaves are exactly the fuzzy sets whose memberships
+    land in the image of the nucleus.  Under the trivial operator every
+    subobject is dense, so the separated sets are those with at most one
+    element and the only sheaf is the one-element set at top.
+    ``fuzzy_factorization_check`` is the brute-force reference for both.
     """
     if op.kind == "nucleus":
         image = set(op.nucleus.mapping)
@@ -231,10 +233,10 @@ def classify_fuzzy(B, op, ambients=None):
             "separated": True,
             "sheaf": all(m in image for m in B.membership),
         }
-    if ambients is None:
-        ambients = fuzzy_corpus(B.algebra, 2)
-    separated, complete = fuzzy_factorization_check(B, op, ambients)
-    return {"separated": separated, "sheaf": separated and complete}
+    return {
+        "separated": B.size <= 1,
+        "sheaf": B.membership == (B.algebra.top,),
+    }
 
 
 def fuzzy_factorization_check(B, op, ambients):

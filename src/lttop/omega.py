@@ -2,18 +2,21 @@
 
 Each level is the Heyting algebra of subpresheaves of the Yoneda object at
 that level, ordered by inclusion; the lattice structure is recomputed from
-inclusion rather than hard-coded.  Actions between levels are sieve
+inclusion rather than hard-coded.  Sieves are the action-closed sets of
+cells, so each level is Heyting by construction and the laws are checked
+in the tests, not on every build.  Actions between levels are sieve
 pullbacks.  Incidence tuples (the ordered tuple of face pullbacks) drive
 both the constructive topology family and the constrained enumerator.
 """
 
 from .fincat import FAMILY_BICOLOR, face
-from .lattice import FiniteHeytingAlgebra, verify_heyting
+from .lattice import FiniteHeytingAlgebra
 from .presheaf import (
     DEFAULT_ENUMERATION_BOUND,
     FinitePresheaf,
     PresheafMorphism,
     Subpresheaf,
+    _yoneda_dimension,
     boundary,
     enumerate_subpresheaves,
     yoneda,
@@ -71,10 +74,6 @@ class OmegaObject:
             )
             for level in self.sieves
         )
-        for c, alg in zip(category.objects, self.algebras):
-            problem = verify_heyting(alg)
-            if problem is not None:
-                raise RuntimeError(f"sieve lattice at {c} is not Heyting: {problem}")
         self.top = tuple(alg.top for alg in self.algebras)
         self.bottom = tuple(alg.bottom for alg in self.algebras)
         self._actions = {}
@@ -119,7 +118,7 @@ class OmegaObject:
         return self.sieves[self.category.obj_index(c)][i]
 
     def sieve_index(self, sub):
-        pos = sub.presheaf.category.obj_index(_yoneda_level(sub.presheaf))
+        pos = sub.presheaf.category.obj_index(_yoneda_dimension(sub.presheaf))
         return self._index[pos][sub.masks]
 
     def index_of_masks(self, c, masks):
@@ -199,14 +198,6 @@ class OmegaObject:
         if len(matches) == 1:
             return ("unique", matches[0])
         return ("ambiguous", (self.boundary_index(k), self.top[self.category.obj_index(k)]))
-
-
-def _yoneda_level(yk):
-    for c in reversed(yk.category.objects):
-        for label in yk.carrier(c):
-            if getattr(label, "is_identity", False):
-                return c
-    raise ValueError("not a Yoneda object")
 
 
 def classifying_object(category, sieve_bound=DEFAULT_SIEVE_BOUND):

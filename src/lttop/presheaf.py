@@ -431,7 +431,7 @@ def strip_degeneracies(sub, semi_category=None, y_semi=None):
 
 
 def _yoneda_dimension(yk):
-    # a Yoneda object of a simplex category carries the identity at its dimension
+    # a Yoneda object y(k) carries the identity at its own level k
     for c in reversed(yk.category.objects):
         for label in yk.carrier(c):
             if label.is_identity:

@@ -2,9 +2,12 @@
 
 Two independent routes produce them:
 
-* ``enumerate_topologies(..., method="brute")`` filters raw per-level
-  endomaps of the sieve lattices by the three axioms and naturality; it
-  knows nothing about the constructive family and serves as the oracle.
+* ``enumerate_topologies(..., method="brute")`` searches exhaustively over
+  least covering sieves: J(c) = j^-1(top) is a principal filter up(m_c) of
+  Omega(c), so a topology is a stable, transitive choice of one sieve per
+  level (Mac Lane and Moerdijk, Sheaves in Geometry and Logic, III and V).
+  It runs on every category at every dimension, knows nothing about the
+  constructive family, and serves as the oracle.
 * ``construct_bitstring_topology`` / ``method="constrained"`` build the
   per-dimension family indexed by a bit string: level 0 is the identity or
   the constant-top map, and each higher level is forced by the incidence
@@ -17,35 +20,25 @@ tag is metadata only.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .fincat import FAMILY_BICOLOR, FAMILY_FULL, FAMILY_SEMI, build_index_category, face
 from .omega import OmegaObject, classifying_object
 from .presheaf import add_degeneracies
 
-DEFAULT_BRUTE_BUDGET = 10_000_000
-
 BICOLOR_LABELS = ("00", "01", "02", "03", "10", "11", "12", "13")
-
-
-class BruteBudgetExceeded(RuntimeError):
-    def __init__(self, level, space, budget):
-        super().__init__(
-            f"level {level} has a function space of {space} candidates "
-            f"(budget {budget}); use the constrained method"
-        )
 
 
 class DegeneracyIncompatible(ValueError):
     """A bit string whose topology cannot commute with the degeneracies."""
 
-    def __init__(self, word, witness):
+    def __init__(self, word, witness=None):
         self.word = word
         self.witness = witness
         super().__init__(
             f"bit string {word!r} contains '10'; no topology with this closure "
-            f"pattern commutes with the degeneracy actions ({witness})"
+            f"pattern commutes with the degeneracy actions"
+            + (f" ({witness})" if witness is not None else "")
         )
 
 
@@ -185,9 +178,6 @@ def construct_bitstring_topology(category, word, omega=None):
     raise RuntimeError(f"constructed map is not a topology: {problem}")
 
 
-construct_jw = construct_bitstring_topology
-
-
 def _describe_violation(omega, violation):
     if violation.kind != "naturality":
         return str(violation)
@@ -240,61 +230,58 @@ def tag_topology(j):
 # -- enumeration ---------------------------------------------------------
 
 
-def _level_candidates(algebra):
-    """All endomaps satisfying the per-level parts of the axioms."""
-    size = algebra.size
-    out = []
-    for mapping in itertools.product(range(size), repeat=size):
-        if mapping[algebra.top] != algebra.top:
-            continue
-        if any(mapping[mapping[x]] != mapping[x] for x in range(size)):
-            continue
-        ok = True
-        for x in range(size):
-            for y in range(x, size):
-                if mapping[algebra.meet(x, y)] != algebra.meet(mapping[x], mapping[y]):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(mapping)
-    return out
+def _enumerate_covering(omega):
+    """Topologies from their least covering sieves (the Grothendieck route).
 
-
-def _enumerate_brute(omega, budget):
+    J(c) = j^-1(top) is a filter in the finite lattice Omega(c), hence
+    principal: J(c) = up(m_c).  Choose m_c level by level, keep a choice
+    only if f*m_c >= m_d for every generator f: d -> c (stability), and
+    read the topology back as j_c(S) = {f: l -> c | f*S >= m_l}; that map
+    must be idempotent (transitivity).  Knows nothing of the bit strings.
+    """
     cat = omega.category
-    for c, algebra in zip(cat.objects, omega.algebras):
-        space = algebra.size**algebra.size
-        if space > budget:
-            raise BruteBudgetExceeded(c, space, budget)
-    per_level = [_level_candidates(algebra) for algebra in omega.algebras]
+    n = len(cat.objects)
+    leq = [a.leq for a in omega.algebras]
+    # per level c and level l: pullback tables of the cells l -> c of y(c)
+    cells = [
+        [[omega.action_table(f) for f in y.carrier(l)] for l in cat.objects] for y in omega.yonedas
+    ]
+    # j_c can be built once the highest level l with a cell l -> c is chosen
+    ready_at = [max(l for l in range(n) if row[l]) for row in cells]
+    gens = [(cat.obj_index(g.source), cat.obj_index(g.target), omega.action_table(g)) for g in cat.generators]
+    m = [None] * n
+    maps = [None] * n
     results = []
-    chosen = [None] * len(cat.objects)
 
-    def natural_so_far(upto):
-        for g in cat.generators:
-            src = cat.obj_index(g.source)
-            tgt = cat.obj_index(g.target)
-            if src > upto or tgt > upto:
-                continue
-            table = omega.action_table(g)
-            for x in range(len(table)):
-                if chosen[src][table[x]] != table[chosen[tgt][x]]:
-                    return False
-        return True
+    def level_map(c):
+        out = []
+        for s in range(len(omega.sieves[c])):
+            masks = tuple(
+                sum(1 << bit for bit, t in enumerate(tables) if leq[l](m[l], t[s]))
+                for l, tables in enumerate(cells[c])
+            )
+            out.append(omega.index_of_masks(cat.objects[c], masks))
+        return tuple(out)
 
-    def assign(pos):
-        if pos == len(cat.objects):
-            results.append(LTTopology(omega, tuple(chosen)))
+    def choose(pos):
+        if pos == n:
+            j = LTTopology(omega, tuple(maps))
+            if verify_topology(j) is None:
+                results.append(j)
             return
-        for candidate in per_level[pos]:
-            chosen[pos] = candidate
-            if natural_so_far(pos):
-                assign(pos + 1)
-            chosen[pos] = None
+        stability = [(d, c, t) for d, c, t in gens if max(d, c) == pos]
+        ready = [c for c in range(n) if ready_at[c] == pos]
+        for least in range(len(omega.sieves[pos])):
+            m[pos] = least
+            if any(not leq[d](m[d], t[m[c]]) for d, c, t in stability):
+                continue
+            for c in ready:
+                maps[c] = level_map(c)
+            # idempotent: each level map fixes its own image
+            if all(maps[c][y] == y for c in ready for y in maps[c]):
+                choose(pos + 1)
 
-    assign(0)
+    choose(0)
     return results
 
 
@@ -319,34 +306,24 @@ def _enumerate_constrained(omega):
     return results
 
 
-def enumerate_topologies(category, method="auto", budget=DEFAULT_BRUTE_BUDGET, omega=None):
+def enumerate_topologies(category, method="auto", omega=None):
     """All topologies on the category, complete and duplicate-free.
 
-    ``method`` is "brute" (axiom filtering over raw function spaces; the
-    independent oracle), "constrained" (incidence propagation; simplex
-    categories only), or "auto".
+    ``method`` is "brute" (least covering sieves; every category, and
+    independent of the bit-string family), "constrained" (incidence
+    propagation; simplex categories only), or "auto" (constrained on
+    simplex categories, brute on bicolored graphs).
     """
     omega = omega if omega is not None else classifying_object(category)
     if method == "auto":
-        if category.family == FAMILY_BICOLOR:
-            method = "brute"
-        else:
-            feasible = all(a.size**a.size <= budget for a in omega.algebras)
-            method = "brute" if feasible else "constrained"
+        method = "brute" if category.family == FAMILY_BICOLOR else "constrained"
     if method == "brute":
-        found = _enumerate_brute(omega, budget)
+        found = _enumerate_covering(omega)
     elif method == "constrained":
         found = _enumerate_constrained(omega)
     else:
         raise ValueError(f"unknown enumeration method {method!r}")
-    unique = {}
-    for j in found:
-        unique.setdefault(j.levels, j)
-    tagged = [tag_topology(j) if j.tag is None else j for j in unique.values()]
-    for j in tagged:
-        problem = verify_topology(j)
-        if problem is not None:
-            raise RuntimeError(f"enumeration produced a non-topology: {problem}")
+    tagged = [tag_topology(j) if j.tag is None else j for j in found]
     tagged.sort(key=lambda j: j.levels)
     return tuple(tagged)
 

@@ -73,9 +73,7 @@ def test_criterion_1_topology_counts():
         category = CATEGORIES[kind]
         omega = OMEGAS[kind]
         assert len(TOPOLOGIES[kind]) == want, kind
-        methods = []
-        if all(a.size**a.size <= 10**7 for a in omega.algebras):
-            methods.append("brute")
+        methods = ["brute"]
         if category.family != "bicolgraph":
             methods.append("constrained")
         found = {

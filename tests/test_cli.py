@@ -85,6 +85,13 @@ def test_topologies_tables():
         assert f"label {tag}" in text
 
 
+def test_brute_method_runs_at_dimension_two():
+    code, text = run(["topologies", "--category", "semisimplex:2", "--method", "brute"])
+    assert code == 0
+    assert text.splitlines()[0] == "8 topologies on semisimplex:2"
+    assert text.count("  bits ") == 8
+
+
 def test_closure_command(tmp_path):
     graph = write(tmp_path, "path.json", PATH_GRAPH)
     sub = write(tmp_path, "sub.json", VERTICES_ONLY_SUB)
@@ -160,6 +167,18 @@ def test_degenerate_word_is_an_input_error(tmp_path):
         ["closure", "--topology", "10", "--input", "missing.json", "--sub", "missing.json"]
     )
     assert code == 2  # file errors also land on exit 2
+
+
+def test_classify_validates_its_word_like_closure(tmp_path):
+    point = write(tmp_path, "point.json", REFL_POINT)
+    for word in ("0x", "10", "011"):
+        code, text = run(["classify", "--topology", word, "--input", point])
+        assert code == 2 and text.startswith("error:"), word
+        assert "separated" not in text
+    code, text = run(["classify", "--topology", "10", "--input", point])
+    assert "'10'" in text
+    code, text = run(["classify", "--topology", "01", "--input", point])
+    assert code == 0 and "separated: True" in text
 
 
 def test_non_nucleus_map_is_an_input_error(tmp_path):

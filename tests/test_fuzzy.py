@@ -3,6 +3,7 @@ criterion, and the operator/nucleus correspondence."""
 
 import pytest
 
+from lttop.docio import NAMED_ALGEBRAS
 from lttop.lattice import Nucleus, chain, diamond, enumerate_nuclei
 from lttop.fuzzy import (
     FuzzySet,
@@ -119,15 +120,21 @@ def test_identity_nucleus_makes_everything_a_sheaf():
 
 
 def test_trivial_topology_sheaves_are_the_top_singletons():
+    # the closed form against the brute factorization oracle: separated
+    # objects are the subterminal ones (at most one element, any
+    # membership), and the only sheaf is the singleton at top
     op = QClosureOperator.trivial()
-    corpus = fuzzy_corpus(CHAIN3, 2)
-    for B in corpus:
-        flags = classify_fuzzy(B, op, ambients=corpus)
-        is_top_singleton = B.size == 1 and B.membership == (CHAIN3.top,)
-        assert flags["sheaf"] == is_top_singleton
-        # separated objects are the subterminal ones: at most one element,
-        # with any membership (the map into a singleton carrier is unique)
-        assert flags["separated"] == (B.size <= 1)
+    for make in NAMED_ALGEBRAS.values():
+        L = make()
+        corpus = fuzzy_corpus(L, 2)
+        for B in corpus:
+            separated, complete = fuzzy_factorization_check(B, op, corpus)
+            assert classify_fuzzy(B, op) == {
+                "separated": separated,
+                "sheaf": separated and complete,
+            }
+            assert separated == (B.size <= 1)
+            assert (separated and complete) == (B.membership == (L.top,))
 
 
 def test_dense_fuzzy_subsets_keep_the_carrier():

@@ -267,9 +267,9 @@ def test_unique_with_incidence(omega_semi2):
         omega_semi2.unique_with_incidence(2, (vertex,) * 3)
 
 
-def test_face_downset_isomorphism_at_the_third_level():
+def test_face_downset_isomorphism_at_the_third_level(dim3_omega):
     semi3 = build_index_category("semisimplex", 3)
-    omega = classifying_object(semi3)
+    omega = dim3_omega("semisimplex")
     k = 2
     below = omega.algebras[k]
     for i in range(k + 2):
@@ -283,3 +283,17 @@ def test_face_downset_isomorphism_at_the_third_level():
         for a in downset:
             for b in downset:
                 assert above.leq(a, b) == below.leq(table[a], table[b])
+
+
+def test_every_builtin_omega_level_is_heyting(dim3_omega):
+    # Omega does not re-prove the Heyting laws when it is built
+    omegas = [
+        classifying_object(build_index_category(kind))
+        for kind in ("set", "graph", "reflgraph", "bicolgraph")
+    ]
+    for family in ("semisimplex", "simplex"):
+        omegas += [classifying_object(build_index_category(family, d)) for d in (1, 2)]
+        omegas.append(dim3_omega(family))
+    for omega in omegas:
+        for algebra in omega.algebras:
+            assert verify_heyting(algebra) is None

@@ -8,7 +8,6 @@ import pytest
 from lttop.fincat import build_index_category, degeneracy
 from lttop.omega import classifying_object
 from lttop.topology import (
-    BruteBudgetExceeded,
     DegeneracyIncompatible,
     LTTopology,
     construct_bitstring_topology,
@@ -127,11 +126,45 @@ def test_simplex_counts():
     assert tags == ["000", "001", "011", "111"]
 
 
-def test_brute_budget_guard():
-    semi2 = build_index_category("semisimplex", 2)
-    with pytest.raises(BruteBudgetExceeded) as err:
-        enumerate_topologies(semi2, method="brute")
-    assert "constrained" in str(err.value)
+def raw_endomap_topologies(omega):
+    """Reference oracle: filter every tuple of per-level endomaps."""
+    levels = [
+        [
+            mapping
+            for mapping in itertools.product(range(a.size), repeat=a.size)
+            if mapping[a.top] == a.top
+            and all(mapping[mapping[x]] == mapping[x] for x in range(a.size))
+            and all(
+                mapping[a.meet(x, y)] == a.meet(mapping[x], mapping[y])
+                for x in range(a.size)
+                for y in range(a.size)
+            )
+        ]
+        for a in omega.algebras
+    ]
+    candidates = (LTTopology(omega, choice) for choice in itertools.product(*levels))
+    return {j.levels for j in candidates if verify_topology(j) is None}
+
+
+@pytest.mark.parametrize(
+    "kind", ["set", "graph", "reflgraph", "bicolgraph", "semisimplex:1", "simplex:1"]
+)
+def test_brute_matches_the_raw_endomap_filter(kind):
+    category = build_index_category(kind)
+    omega = classifying_object(category)
+    assert max(omega.level_sizes()) <= 5
+    brute = enumerate_topologies(category, method="brute", omega=omega)
+    assert {j.levels for j in brute} == raw_endomap_topologies(omega)
+
+
+@pytest.mark.parametrize("family, count", [("semisimplex", 16), ("simplex", 5)])
+def test_brute_matches_constrained_in_dimension_three(dim3_omega, family, count):
+    category = build_index_category(family, 3)
+    omega = dim3_omega(family)
+    brute = enumerate_topologies(category, method="brute", omega=omega)
+    constrained = enumerate_topologies(category, method="constrained", omega=omega)
+    assert len(brute) == count
+    assert [(j.levels, j.tag) for j in brute] == [(j.levels, j.tag) for j in constrained]
 
 
 def test_reflgraph_word_10_is_rejected_with_a_witness():
@@ -179,16 +212,7 @@ def test_degeneracy_compatibility_on_two_dimensions():
         assert ok == ("10" not in word)
 
 
-DIM3_OMEGAS = {}
-
-
-def dim3_omega(family):
-    if family not in DIM3_OMEGAS:
-        DIM3_OMEGAS[family] = classifying_object(build_index_category(family, 3))
-    return DIM3_OMEGAS[family]
-
-
-def test_truncation_coherence():
+def test_truncation_coherence(dim3_omega):
     # dropping the top level of a valid topology gives the lower topology
     for family in ("semisimplex", "simplex"):
         big = build_index_category(family, 3)
@@ -255,7 +279,7 @@ def test_bicolor_level_maps_match_the_two_tables():
     )
 
 
-def test_sixteen_topologies_in_dimension_three():
+def test_sixteen_topologies_in_dimension_three(dim3_omega):
     semi3 = build_index_category("semisimplex", 3)
     topologies = enumerate_topologies(
         semi3, method="constrained", omega=dim3_omega("semisimplex")
