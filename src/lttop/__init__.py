@@ -46,7 +46,6 @@ from .omega import (
     characteristic_function,
     classifying_object,
     pullback_of_true,
-    sieve_pullback,
 )
 from .topology import (
     LTTopology,

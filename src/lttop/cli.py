@@ -5,8 +5,8 @@ Subcommands: ``omega`` (print or export classifying objects), ``topologies``
 ``classify`` (separated/complete/sheaf flags for presheaves or fuzzy sets),
 and ``verify`` (the theorem-verification suites).
 
-Exit codes: 0 ok, 1 verification failure, 2 input error.  All output is
-deterministic for fixed inputs and flags.
+Exit codes: 0 ok, 1 verification failure, 2 input error or an exceeded
+size bound.  All output is deterministic for fixed inputs and flags.
 """
 
 import argparse
@@ -16,7 +16,7 @@ from . import closure as closure_mod
 from . import docio, fuzzy, lattice
 from .fincat import FAMILY_BICOLOR, FAMILY_FULL, FAMILY_SEMI, build_index_category
 from .omega import classifying_object, hasse_covers, hasse_dot, sieve_label
-from .presheaf import enumerate_subpresheaves
+from .presheaf import BoundExceeded, enumerate_subpresheaves
 from .topology import (
     DegeneracyIncompatible,
     enumerate_topologies,
@@ -79,8 +79,7 @@ def cmd_closure(args, out):
     P = docio.presheaf_from_doc(docio.load_json(args.input))
     category = P.category
     sub = docio.subobject_from_doc(docio.load_json(args.sub), P)
-    omega = classifying_object(category)
-    j = topology_by_tag(category, args.topology, omega=omega)
+    j = topology_by_tag(category, args.topology)
     result = closure_mod.closure_via_chi(j, sub)
     for c in category.objects:
         added = result.added[category.obj_index(c)]
@@ -143,11 +142,10 @@ def _suite_counts(out):
     summary = []
     for kind, want in expected.items():
         category = build_index_category(kind)
-        omega = classifying_object(category)
         methods = ["brute"] if category.family == FAMILY_BICOLOR else ["constrained", "brute"]
         found = {}
         for method in methods:
-            found[method] = enumerate_topologies(category, method=method, omega=omega)
+            found[method] = enumerate_topologies(category, method=method)
         counts = {m: len(v) for m, v in found.items()}
         agree = len({tuple(sorted(j.levels for j in v)) for v in found.values()}) == 1
         good = agree and all(c == want for c in counts.values())
@@ -166,8 +164,7 @@ def _suite_closures(out, corpus_bound=4):
     ok = True
     for kind in ("graph", "reflgraph", "semisimplex:2"):
         category = build_index_category(kind)
-        omega = classifying_object(category)
-        topologies = enumerate_topologies(category, omega=omega)
+        topologies = enumerate_topologies(category)
         corpus = closure_mod.presheaf_corpus(category, corpus_bound)
         checked = 0
         mismatch = None
@@ -194,8 +191,7 @@ def _suite_criteria(out, corpus_bound=4, ambient_bound=2):
     ok = True
     for kind in ("graph", "reflgraph"):
         category = build_index_category(kind)
-        omega = classifying_object(category)
-        topologies = enumerate_topologies(category, omega=omega)
+        topologies = enumerate_topologies(category)
         corpus = closure_mod.presheaf_corpus(category, corpus_bound)
         ambients = closure_mod.default_ambients(category, ambient_bound)
         disagreements = 0
@@ -321,7 +317,7 @@ def main(argv=None, out=None):
         return INPUT_ERROR
     try:
         return args.func(args, out)
-    except (docio.DocumentError, DegeneracyIncompatible, ValueError, OSError) as exc:
+    except (docio.DocumentError, DegeneracyIncompatible, ValueError, OSError, BoundExceeded) as exc:
         out.write(f"error: {exc}\n")
         return INPUT_ERROR
 

@@ -20,12 +20,14 @@ from dataclasses import dataclass
 from .fincat import FAMILY_FULL, FAMILY_SEMI, face
 from .omega import characteristic_function
 from .presheaf import (
+    BoundExceeded,
     FinitePresheaf,
     FunctorialityError,
     Subpresheaf,
     boundary,
     enumerate_morphisms,
     enumerate_subpresheaves,
+    parallel_cells,
     sub_as_presheaf,
     yoneda,
 )
@@ -36,8 +38,8 @@ DEFAULT_AMBIENT_BOUND = 3
 DEFAULT_SEARCH_BUDGET = 200_000
 
 
-class CorpusTooLarge(RuntimeError):
-    pass
+class CorpusTooLarge(BoundExceeded):
+    """More morphisms into a presheaf than the search budget allows."""
 
 
 @dataclass(frozen=True)
@@ -125,19 +127,6 @@ def is_dense_by_bits(word, sub):
 # -- cell-count predicates ------------------------------------------------
 
 
-def incidence_of_cell(B, k, x):
-    """The incidence tuple (faces d_k .. d_0) of a cell x in B(k)."""
-    return tuple(B.act(face(k, i), x) for i in range(k, -1, -1))
-
-
-def parallel_cells(B, k):
-    """Map incidence tuple -> list of level-k cells sharing it."""
-    table = {}
-    for x in range(len(B.carrier(k))):
-        table.setdefault(incidence_of_cell(B, k, x), []).append(x)
-    return table
-
-
 def k_simple(B, k):
     """At most one level-k cell per incidence tuple.
 
@@ -161,11 +150,9 @@ def is_boundary_tuple(B, k, tup):
     category = B.category
     hollow = boundary(category, k)
     hollow_presheaf, _ = sub_as_presheaf(hollow)
-    from .fincat import face as face_gen
-
     pinned = {}
     for slot, i in enumerate(range(k, -1, -1)):
-        label = face_gen(k, i)
+        label = face(k, i)
         pinned[(k - 1, hollow_presheaf.label_index(k - 1, label))] = tup[slot]
     for _ in enumerate_morphisms(hollow_presheaf, B, pinned=pinned):
         return True
@@ -175,10 +162,8 @@ def is_boundary_tuple(B, k, tup):
 def boundary_tuples(B, k):
     """All boundary-realizable incidence tuples at dimension k."""
     hollow_presheaf, _ = sub_as_presheaf(boundary(B.category, k))
-    from .fincat import face as face_gen
-
     positions = [
-        hollow_presheaf.label_index(k - 1, face_gen(k, i)) for i in range(k, -1, -1)
+        hollow_presheaf.label_index(k - 1, face(k, i)) for i in range(k, -1, -1)
     ]
     tuples = set()
     for h in enumerate_morphisms(hollow_presheaf, B):
@@ -221,32 +206,26 @@ def classify(B, word):
     _check_word(cat, word)
     if cat.family == FAMILY_FULL and "10" in word:
         raise DegeneracyIncompatible(word)  # rejected without building Omega
-    separated = True
-    complete = True
     witnesses = []
     for k in cat.objects:
         if word[k] != "1":
             continue
-        if not k_simple(B, k):
-            separated = False
-            if k == 0:
-                witnesses.append((k, "simple", tuple(range(len(B.carrier(0))))))
-            else:
-                for tup, cells in parallel_cells(B, k).items():
-                    if len(cells) > 1:
-                        witnesses.append((k, "simple", (tup, tuple(cells))))
-                        break
-        if not k_complete(B, k):
-            complete = False
-            if k == 0:
+        if k == 0:
+            vertices = len(B.carrier(0))
+            if vertices > 1:
+                witnesses.append((k, "simple", tuple(range(vertices))))
+            if vertices < 1:
                 witnesses.append((k, "complete", ()))
-            else:
-                found = parallel_cells(B, k)
-                for tup in sorted(boundary_tuples(B, k)):
-                    if tup not in found:
-                        witnesses.append((k, "complete", tup))
-                        break
-    return ClassifyReport(separated, complete, tuple(witnesses))
+            continue
+        found = parallel_cells(B, k)
+        shared = [(tup, tuple(cells)) for tup, cells in found.items() if len(cells) > 1]
+        if shared:
+            witnesses.append((k, "simple", shared[0]))
+        missing = [tup for tup in boundary_tuples(B, k) if tup not in found]
+        if missing:
+            witnesses.append((k, "complete", min(missing)))
+    kinds = {kind for _, kind, _ in witnesses}
+    return ClassifyReport("simple" not in kinds, "complete" not in kinds, tuple(witnesses))
 
 
 # -- closure-operator axioms over a corpus --------------------------------
@@ -485,7 +464,7 @@ def factorization_check(B, j, ambients, budget=DEFAULT_SEARCH_BUDGET):
         for g in enumerate_morphisms(A, B):
             count += 1
             if count > budget:
-                raise CorpusTooLarge(f"more than {budget} morphisms from {A} to {B}")
+                raise CorpusTooLarge(f"more than {budget} morphisms from {A} to {B}", count, budget)
             for s in dense:
                 key = _restriction_key(g, s)
                 extensions.setdefault(s.masks, {}).setdefault(key, []).append(g)

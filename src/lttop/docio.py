@@ -1,8 +1,9 @@
 """JSON document schemas for presheaves, subobjects, algebras, fuzzy sets.
 
-One object per file.  Referenced names must resolve; the resulting values
-are validated by their modules' own invariants (functoriality, closure,
-order laws) before they are returned.
+One object per file.  Names (of elements, carriers, memberships and map
+values) are strings, and referenced names must resolve; the resulting
+values are validated by their modules' own invariants (functoriality,
+closure, order laws) before they are returned.
 """
 
 import json
@@ -19,12 +20,28 @@ class DocumentError(ValueError):
 
 
 def _require(doc, key, kind):
+    if not isinstance(doc, dict):
+        raise DocumentError(f"expected an object with key {key!r}")
     if key not in doc:
         raise DocumentError(f"missing key {key!r}")
     value = doc[key]
     if not isinstance(value, kind):
         wanted = kind.__name__ if isinstance(kind, type) else "/".join(k.__name__ for k in kind)
         raise DocumentError(f"key {key!r} should be {wanted}")
+    return value
+
+
+def _name(value, what):
+    if not isinstance(value, str):
+        raise DocumentError(f"{what} should be a string, got {value!r}")
+    return value
+
+
+def _names(value, what):
+    if not isinstance(value, list):
+        raise DocumentError(f"{what} should be a list of names")
+    for name in value:
+        _name(name, f"a name in {what}")
     return value
 
 
@@ -71,7 +88,7 @@ def presheaf_from_doc(doc):
     levels = _require(doc, "levels", dict)
     carriers = {}
     for c in category.objects:
-        carriers[c] = tuple(levels.get(str(c), ()))
+        carriers[c] = tuple(_names(levels.get(str(c), []), f"level {c}"))
         if len(set(carriers[c])) != len(carriers[c]):
             raise DocumentError(f"duplicate element names at level {c}")
     actions_doc = _require(doc, "actions", dict)
@@ -83,12 +100,14 @@ def presheaf_from_doc(doc):
             if carriers[g.target]:
                 raise DocumentError(f"missing action table for generator {name!r}")
             table_doc = {}
+        if not isinstance(table_doc, dict):
+            raise DocumentError(f"action table for generator {name!r} should be an object")
         index_src = {x: i for i, x in enumerate(carriers[g.source])}
         table = []
         for x in carriers[g.target]:
             if x not in table_doc:
                 raise DocumentError(f"generator {name!r} has no image for element {x!r}")
-            image = table_doc[x]
+            image = _name(table_doc[x], f"the image of {x!r} under {name!r}")
             if image not in index_src:
                 raise DocumentError(
                     f"generator {name!r} sends {x!r} to unknown element {image!r}"
@@ -123,7 +142,7 @@ def subobject_from_doc(doc, P):
     levels = _require(doc, "levels", dict)
     sets = {}
     for c in P.category.objects:
-        names = levels.get(str(c), ())
+        names = _names(levels.get(str(c), []), f"level {c}")
         carrier = {str(x): x for x in P.carrier(c)}
         members = []
         for name in names:
@@ -160,7 +179,7 @@ def heyting_from_doc(doc):
                 f"unknown algebra {doc!r}; known: {sorted(NAMED_ALGEBRAS)}"
             )
         return NAMED_ALGEBRAS[doc]()
-    elements = _require(doc, "elements", list)
+    elements = _names(_require(doc, "elements", list), "elements")
     covers = _require(doc, "covers", list)
     if len(set(elements)) != len(elements):
         raise DocumentError("duplicate element names")
@@ -179,14 +198,14 @@ def fuzzyset_from_doc(doc):
     problem = lattice.verify_heyting(algebra)
     if problem is not None:
         raise DocumentError(f"membership algebra is not Heyting: {problem}")
-    carrier = _require(doc, "carrier", list)
+    carrier = _names(_require(doc, "carrier", list), "carrier")
     membership_doc = _require(doc, "membership", dict)
     name_index = {n: i for i, n in enumerate(algebra.names)}
     membership = []
     for x in carrier:
         if x not in membership_doc:
             raise DocumentError(f"element {x!r} has no membership value")
-        value = membership_doc[x]
+        value = _name(membership_doc[x], f"the membership of {x!r}")
         if value not in name_index:
             raise DocumentError(f"unknown algebra element {value!r}")
         membership.append(name_index[value])
@@ -202,7 +221,7 @@ def fuzzy_subset_from_doc(doc, A):
     for name, value in sorted(members_doc.items()):
         if name not in element_index:
             raise DocumentError(f"unknown carrier element {name!r}")
-        if value not in name_index:
+        if _name(value, f"the membership of {name!r}") not in name_index:
             raise DocumentError(f"unknown algebra element {value!r}")
         members.append((element_index[name], name_index[value]))
     try:
@@ -220,7 +239,7 @@ def nucleus_from_doc(doc):
     for name in algebra.names:
         if name not in map_doc:
             raise DocumentError(f"map has no value for {name!r}")
-        value = map_doc[name]
+        value = _name(map_doc[name], f"the image of {name!r}")
         if value not in name_index:
             raise DocumentError(f"unknown algebra element {value!r}")
         mapping.append(name_index[value])

@@ -4,15 +4,17 @@ Each level is the Heyting algebra of subpresheaves of the Yoneda object at
 that level, ordered by inclusion; the lattice structure is recomputed from
 inclusion rather than hard-coded.  Sieves are the action-closed sets of
 cells, so each level is Heyting by construction and the laws are checked
-in the tests, not on every build.  Actions between levels are sieve
-pullbacks.  Incidence tuples (the ordered tuple of face pullbacks) drive
-both the constructive topology family and the constrained enumerator.
+in the tests, not on every build.  The action along f: d -> c is read off
+the characteristic maps: chi_S(f) = f*S for a sieve S on c, so one mask
+kernel serves both.  Omega is built once per category.
 """
 
-from .fincat import FAMILY_BICOLOR, face
+from functools import lru_cache
+
+from .fincat import FAMILY_BICOLOR
 from .lattice import FiniteHeytingAlgebra
 from .presheaf import (
-    DEFAULT_ENUMERATION_BOUND,
+    BoundExceeded,
     FinitePresheaf,
     PresheafMorphism,
     Subpresheaf,
@@ -25,46 +27,25 @@ from .presheaf import (
 DEFAULT_SIEVE_BOUND = 2500
 
 
-class OmegaBoundExceeded(RuntimeError):
+class OmegaBoundExceeded(BoundExceeded):
     def __init__(self, level, count, bound):
         super().__init__(
-            f"level {level} has {count} sieves, which exceeds the bound {bound}"
+            f"level {level} has {count} sieves, which exceeds the bound {bound}", count, bound
         )
         self.level = level
-        self.count = count
-        self.bound = bound
-
-
-def sieve_pullback(category, u, sieve, y_source=None):
-    """The sieve { g | u o g in S } on u.source, for S a sieve on u.target.
-
-    ``sieve`` is a subpresheaf of y(u.target); the result is a subpresheaf
-    of y(u.source).
-    """
-    y_src = y_source if y_source is not None else yoneda(category, u.source)
-    y_tgt = sieve.presheaf
-    sets = {}
-    for l in category.objects:
-        members = []
-        for g in y_src.carrier(l):
-            composite = category.compose(u, g)
-            if sieve.contains(l, y_tgt.label_index(l, composite)):
-                members.append(g)
-        sets[l] = members
-    return Subpresheaf.from_sets(y_src, sets)
 
 
 class OmegaObject:
     """Sub(y(-)) with per-level Heyting algebras and pullback actions."""
 
-    def __init__(self, category, sieve_bound=DEFAULT_SIEVE_BOUND, enumeration_bound=DEFAULT_ENUMERATION_BOUND):
+    def __init__(self, category):
         self.category = category
         self.yonedas = tuple(yoneda(category, c) for c in category.objects)
         sieves = []
         for c, yk in zip(category.objects, self.yonedas):
-            level = enumerate_subpresheaves(yk, bound=enumeration_bound)
-            if len(level) > sieve_bound:
-                raise OmegaBoundExceeded(c, len(level), sieve_bound)
+            level = enumerate_subpresheaves(yk)
+            if len(level) > DEFAULT_SIEVE_BOUND:
+                raise OmegaBoundExceeded(c, len(level), DEFAULT_SIEVE_BOUND)
             sieves.append(level)
         self.sieves = tuple(sieves)
         self._index = tuple({s.masks: i for i, s in enumerate(level)} for level in self.sieves)
@@ -77,33 +58,13 @@ class OmegaObject:
         self.top = tuple(alg.top for alg in self.algebras)
         self.bottom = tuple(alg.bottom for alg in self.algebras)
         self._actions = {}
-        for f in category.all_morphisms():
-            src_pos = category.obj_index(f.source)
-            tgt_pos = category.obj_index(f.target)
-            y_src = self.yonedas[src_pos]
-            y_tgt = self.yonedas[tgt_pos]
-            # where precomposition with f sends each cell of y(f.source)
-            composed = [
-                tuple(
-                    y_tgt.label_index(l, category.compose(f, g))
-                    for g in y_src.carrier(l)
-                )
-                for l in category.objects
-            ]
-            table = []
-            for s in self.sieves[tgt_pos]:
-                masks = []
-                for l_pos, mapping in enumerate(composed):
-                    sieve_mask = s.masks[l_pos]
-                    mask = 0
-                    for bit, into in enumerate(mapping):
-                        if sieve_mask >> into & 1:
-                            mask |= 1 << bit
-                    masks.append(mask)
-                table.append(self._index[src_pos][tuple(masks)])
-            self._actions[f] = tuple(table)
+        for c, yc, level in zip(category.objects, self.yonedas, self.sieves):
+            # chi[s][d][x] = f*S for the cell x = f: d -> c of y(c)
+            chi = [_chi_components(s, self._index) for s in level]
+            for d_pos, d in enumerate(category.objects):
+                for x, f in enumerate(yc.carrier(d)):
+                    self._actions[f] = tuple(row[d_pos][x] for row in chi)
         self._boundary = None
-        self._incidence = None
         self._presheaf = None
 
     # -- lookups --------------------------------------------------------
@@ -142,81 +103,41 @@ class OmegaObject:
         if self.category.family == FAMILY_BICOLOR:
             raise ValueError("boundaries only exist over simplex categories")
         if self._boundary is None:
-            out = []
-            for c in self.category.objects:
-                pos = self.category.obj_index(c)
-                if c == 0:
-                    out.append(self.bottom[pos])
-                else:
-                    b = boundary(self.category, c, yk=self.yonedas[pos])
-                    out.append(self._index[pos][b.masks])
-            self._boundary = tuple(out)
+            self._boundary = tuple(
+                self._index[pos][boundary(self.category, c).masks]
+                for pos, c in enumerate(self.category.objects)
+            )
         return self._boundary[self.category.obj_index(k)]
 
     # -- the classifying presheaf itself ---------------------------------
 
     def as_presheaf(self):
-        """Omega as a FinitePresheaf whose level-k elements are sieve indices."""
+        """Omega as a FinitePresheaf whose level-k elements are sieve indices.
+
+        Pullback actions are functorial by construction; the tests check it.
+        """
         if self._presheaf is None:
             carriers = {
                 c: tuple(range(self.level_size(c))) for c in self.category.objects
             }
             gen_actions = {g: self._actions[g] for g in self.category.generators}
-            self._presheaf = FinitePresheaf(self.category, carriers, gen_actions)
+            self._presheaf = FinitePresheaf(self.category, carriers, gen_actions, validate=False)
         return self._presheaf
 
-    # -- incidence tuples -------------------------------------------------
 
-    def incidence_tuple(self, k, i):
-        """The tuple of face pullbacks (d_k, ..., d_0) of sieve i at level k."""
-        if k == 0:
-            raise ValueError("incidence tuples start at level 1")
-        return tuple(self.act(face(k, j), i) for j in range(k, -1, -1))
-
-    def incidence_lookup(self, k):
-        """dict incidence tuple -> tuple of sieve indices at level k."""
-        if self._incidence is None:
-            self._incidence = {}
-        if k not in self._incidence:
-            table = {}
-            for i in range(self.level_size(k)):
-                table.setdefault(self.incidence_tuple(k, i), []).append(i)
-            self._incidence[k] = {t: tuple(v) for t, v in table.items()}
-        return self._incidence[k]
-
-    def sieves_with_incidence(self, k, tup):
-        """All sieves at level k with the given incidence tuple (possibly none)."""
-        return self.incidence_lookup(k).get(tup, ())
-
-    def unique_with_incidence(self, k, tup):
-        """Resolve an incidence tuple to ("unique", sieve index) or
-        ("ambiguous", (boundary index, top index)); KeyError when no sieve
-        has the tuple (entries that do not share subfaces)."""
-        matches = self.sieves_with_incidence(k, tup)
-        if not matches:
-            raise KeyError(f"no sieve at level {k} has incidence tuple {tup}")
-        if len(matches) == 1:
-            return ("unique", matches[0])
-        return ("ambiguous", (self.boundary_index(k), self.top[self.category.obj_index(k)]))
-
-
-def classifying_object(category, sieve_bound=DEFAULT_SIEVE_BOUND):
-    """Compute Omega for one of the built-in categories."""
-    return OmegaObject(category, sieve_bound=sieve_bound)
+@lru_cache(maxsize=None)
+def classifying_object(category):
+    """Omega for one of the built-in categories, built once per category."""
+    return OmegaObject(category)
 
 
 # -- characteristic functions ------------------------------------------
 
 
-def characteristic_function(sub, omega):
-    """The natural map A -> Omega classifying a subpresheaf A' of A.
-
-    Each element maps to the sieve of morphisms pulling it into A'.
-    """
+def _chi_components(sub, index):
+    """Per-level sieve indices of chi_sub; ``index`` maps masks to indices."""
     A = sub.presheaf
     cat = A.category
-    if cat is not omega.category:
-        raise ValueError("subpresheaf and classifying object live over different categories")
     orbits = A.sieve_orbits()
     components = []
     for c in cat.objects:
@@ -233,9 +154,20 @@ def characteristic_function(sub, omega):
                     if sub_mask >> target & 1:
                         mask |= 1 << bit
                 masks.append(mask)
-            level.append(omega.index_of_masks(c, tuple(masks)))
+            level.append(index[pos][tuple(masks)])
         components.append(tuple(level))
-    return PresheafMorphism(A, omega.as_presheaf(), tuple(components))
+    return tuple(components)
+
+
+def characteristic_function(sub, omega):
+    """The natural map A -> Omega classifying a subpresheaf A' of A.
+
+    Each element maps to the sieve of morphisms pulling it into A'.
+    """
+    A = sub.presheaf
+    if A.category is not omega.category:
+        raise ValueError("subpresheaf and classifying object live over different categories")
+    return PresheafMorphism(A, omega.as_presheaf(), _chi_components(sub, omega._index))
 
 
 def pullback_of_true(chi, omega):

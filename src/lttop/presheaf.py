@@ -8,8 +8,9 @@ element order, so meets and joins are bitwise.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .fincat import FAMILY_FULL, FAMILY_SEMI, build_index_category, compose_simplex
+from .fincat import FAMILY_FULL, FAMILY_SEMI, build_index_category, compose_simplex, degeneracy, face
 
 DEFAULT_ENUMERATION_BOUND = 300
 
@@ -18,11 +19,18 @@ class FunctorialityError(ValueError):
     """Generator actions that do not assemble into a functor."""
 
 
-class EnumerationBoundExceeded(RuntimeError):
-    def __init__(self, total, bound):
-        super().__init__(f"carrier has {total} elements, enumeration bound is {bound}")
-        self.total = total
+class BoundExceeded(RuntimeError):
+    """A size bound was exceeded; ``count`` is how far the computation got."""
+
+    def __init__(self, message, count, bound):
+        super().__init__(message)
+        self.count = count
         self.bound = bound
+
+
+class EnumerationBoundExceeded(BoundExceeded):
+    def __init__(self, total, bound):
+        super().__init__(f"carrier has {total} elements, enumeration bound is {bound}", total, bound)
 
 
 class FinitePresheaf:
@@ -329,8 +337,12 @@ def enumerate_subpresheaves(presheaf, bound=DEFAULT_ENUMERATION_BOUND):
 # -- Yoneda objects, faces, boundaries ---------------------------------
 
 
+@lru_cache(maxsize=None)
 def yoneda(category, k):
-    """The representable presheaf y(k): level l carries hom(l, k)."""
+    """The representable presheaf y(k): level l carries hom(l, k).
+
+    Built once per (category, k); categories are cached singletons.
+    """
     if k not in category.objects:
         raise ValueError(f"{k!r} is not an object of {category.kind}")
     carriers = {l: tuple(sorted(category.hom(l, k))) for l in category.objects}
@@ -347,28 +359,41 @@ def _simplex_faces(category):
         raise ValueError(f"{category.kind} has no simplex faces")
 
 
-def ith_face(category, k, i, yk=None):
+def ith_face(category, k, i):
     """The least subpresheaf of y(k) containing the i-th face generator."""
     _simplex_faces(category)
     if not (1 <= k <= category.dim and 0 <= i <= k):
         raise ValueError(f"face index ({k}, {i}) out of range")
-    from .fincat import face as face_gen
-
-    yk = yk if yk is not None else yoneda(category, k)
-    seed = yk.label_index(k - 1, face_gen(k, i))
+    yk = yoneda(category, k)
+    seed = yk.label_index(k - 1, face(k, i))
     return generated_subpresheaf(yk, [(k - 1, seed)])
 
 
-def boundary(category, k, yk=None):
+def boundary(category, k):
     """The join of all faces of y(k); empty when k = 0."""
     _simplex_faces(category)
-    yk = yk if yk is not None else yoneda(category, k)
-    result = Subpresheaf.empty(yk)
+    result = Subpresheaf.empty(yoneda(category, k))
     if k == 0:
         return result
     for i in range(k + 1):
-        result = result.join(ith_face(category, k, i, yk=yk))
+        result = result.join(ith_face(category, k, i))
     return result
+
+
+# -- incidence tuples ----------------------------------------------------
+
+
+def incidence_of_cell(B, k, x):
+    """The incidence tuple (faces d_k .. d_0) of a cell x in B(k)."""
+    return tuple(B.act(face(k, i), x) for i in range(k, -1, -1))
+
+
+def parallel_cells(B, k):
+    """Map incidence tuple -> list of level-k cells sharing it."""
+    table = {}
+    for x in range(len(B.carrier(k))):
+        table.setdefault(incidence_of_cell(B, k, x), []).append(x)
+    return table
 
 
 # -- degeneracy bookkeeping between the semi and full variants ---------
@@ -387,8 +412,6 @@ def degen_set(sub, l):
 
 
 def degen_sets(sub, up_to):
-    from .fincat import degeneracy as degeneracy_gen
-
     result = {0: set()}
     for l in range(up_to):
         base = set(sub.level_labels(l)) if l <= sub.presheaf.category.dim else set()
@@ -396,38 +419,36 @@ def degen_sets(sub, up_to):
         nxt = set()
         for f in pool:
             for i in range(l + 1):
-                nxt.add(compose_simplex(f, degeneracy_gen(l, i)))
+                nxt.add(compose_simplex(f, degeneracy(l, i)))
         result[l + 1] = nxt
     return result
 
 
-def add_degeneracies(sub_plus, full_category=None, y_full=None):
+def add_degeneracies(sub_plus):
     """Transport a semi-simplex sieve to the full-simplex side (adds degeneracies)."""
     semi = sub_plus.presheaf.category
     if semi.family != FAMILY_SEMI:
         raise ValueError("expected a subpresheaf over a semi-simplex category")
-    full_category = full_category or build_index_category("simplex", semi.dim)
-    k = _yoneda_dimension(sub_plus.presheaf)
-    y_full = y_full if y_full is not None else yoneda(full_category, k)
+    full_category = build_index_category("simplex", semi.dim)
+    full_yoneda = yoneda(full_category, _yoneda_dimension(sub_plus.presheaf))
     seeds = []
     for l in semi.objects:
         for label in sub_plus.level_labels(l):
-            seeds.append((l, y_full.label_index(l, label)))
-    return generated_subpresheaf(y_full, seeds)
+            seeds.append((l, full_yoneda.label_index(l, label)))
+    return generated_subpresheaf(full_yoneda, seeds)
 
 
-def strip_degeneracies(sub, semi_category=None, y_semi=None):
+def strip_degeneracies(sub):
     """Transport a full-simplex sieve to the semi side (drops degeneracies)."""
     full = sub.presheaf.category
     if full.family != FAMILY_FULL:
         raise ValueError("expected a subpresheaf over a simplex category")
-    semi_category = semi_category or build_index_category("semisimplex", full.dim)
-    k = _yoneda_dimension(sub.presheaf)
-    y_semi = y_semi if y_semi is not None else yoneda(semi_category, k)
+    semi_category = build_index_category("semisimplex", full.dim)
+    semi_yoneda = yoneda(semi_category, _yoneda_dimension(sub.presheaf))
     sets = {}
     for l in full.objects:
         sets[l] = tuple(label for label in sub.level_labels(l) if label.is_injective)
-    return Subpresheaf.from_sets(y_semi, sets)
+    return Subpresheaf.from_sets(semi_yoneda, sets)
 
 
 def _yoneda_dimension(yk):

@@ -20,11 +20,12 @@ tag is metadata only.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from .fincat import FAMILY_BICOLOR, FAMILY_FULL, FAMILY_SEMI, build_index_category, face
 from .omega import OmegaObject, classifying_object
-from .presheaf import add_degeneracies
+from .presheaf import add_degeneracies, parallel_cells
 
 BICOLOR_LABELS = ("00", "01", "02", "03", "10", "11", "12", "13")
 
@@ -135,6 +136,7 @@ def _extend_level_map(omega, k, lower, bit):
     top_below = omega.top[omega.category.obj_index(k - 1)]
     all_top = tuple(top_below for _ in range(k + 1))
     tables = [omega.action_table(face(k, i)) for i in range(k, -1, -1)]
+    parallel = parallel_cells(omega.as_presheaf(), k)
     out = []
     for x in range(size):
         if x == top:
@@ -144,7 +146,7 @@ def _extend_level_map(omega, k, lower, bit):
         if z == all_top:
             out.append(top if bit else bnd)
         else:
-            matches = omega.sieves_with_incidence(k, z)
+            matches = parallel.get(z, ())
             if len(matches) != 1:
                 raise RuntimeError(
                     f"incidence tuple {z} at level {k} has {len(matches)} preimages"
@@ -160,7 +162,7 @@ def _bitstring_levels(omega, word):
     return tuple(levels)
 
 
-def construct_bitstring_topology(category, word, omega=None):
+def construct_bitstring_topology(category, word):
     """Build the topology whose closure fills exactly the dimensions with bit 1.
 
     On a degeneracy-carrying category a word containing "10" is rejected:
@@ -168,7 +170,7 @@ def construct_bitstring_topology(category, word, omega=None):
     failing square is attached to the raised error as a witness.
     """
     _check_word(category, word)
-    omega = omega if omega is not None else classifying_object(category)
+    omega = classifying_object(category)
     j = LTTopology(omega, _bitstring_levels(omega, word), tag=word)
     problem = verify_topology(j)
     if problem is None:
@@ -289,24 +291,16 @@ def _enumerate_constrained(omega):
     cat = omega.category
     if cat.family not in (FAMILY_SEMI, FAMILY_FULL):
         raise ValueError("constrained enumeration needs a simplex category")
-    partial = [([_base_level_map(omega, bit)], str(bit)) for bit in (0, 1)]
-    for k in range(1, cat.dim + 1):
-        extended = []
-        for levels, word in partial:
-            for bit in (0, 1):
-                extended.append(
-                    (levels + [_extend_level_map(omega, k, levels[-1], bit)], word + str(bit))
-                )
-        partial = extended
     results = []
-    for levels, word in partial:
-        j = LTTopology(omega, tuple(levels), tag=word)
+    for bits in itertools.product("01", repeat=cat.dim + 1):
+        word = "".join(bits)
+        j = LTTopology(omega, _bitstring_levels(omega, word), tag=word)
         if verify_topology(j) is None:
             results.append(j)
     return results
 
 
-def enumerate_topologies(category, method="auto", omega=None):
+def enumerate_topologies(category, method="auto"):
     """All topologies on the category, complete and duplicate-free.
 
     ``method`` is "brute" (least covering sieves; every category, and
@@ -314,7 +308,7 @@ def enumerate_topologies(category, method="auto", omega=None):
     propagation; simplex categories only), or "auto" (constrained on
     simplex categories, brute on bicolored graphs).
     """
-    omega = omega if omega is not None else classifying_object(category)
+    omega = classifying_object(category)
     if method == "auto":
         method = "brute" if category.family == FAMILY_BICOLOR else "constrained"
     if method == "brute":
@@ -328,36 +322,35 @@ def enumerate_topologies(category, method="auto", omega=None):
     return tuple(tagged)
 
 
-def topology_by_tag(category, tag, omega=None, method="auto"):
+def topology_by_tag(category, tag):
     """Fetch one topology by its bit string or bicolored label."""
     if category.family == FAMILY_BICOLOR:
-        for j in enumerate_topologies(category, method=method, omega=omega):
+        for j in enumerate_topologies(category):
             if j.tag == tag:
                 return j
         raise ValueError(f"no topology labelled {tag!r}; known labels: {BICOLOR_LABELS}")
-    return construct_bitstring_topology(category, tag, omega=omega)
+    return construct_bitstring_topology(category, tag)
 
 
 # -- compatibility with the degeneracies ---------------------------------
 
 
-def degeneracy_translation(semi_omega, full_omega):
+def degeneracy_translation(omega_semi, omega_full):
     """Per-level index bijections between semi and full sieve lattices.
 
     Returns (to_full, to_semi): tuples of index tuples, one per level.
     """
-    semi_cat = semi_omega.category
-    full_cat = full_omega.category
+    semi_cat = omega_semi.category
     to_full = []
     to_semi = []
     for c in semi_cat.objects:
         pos = semi_cat.obj_index(c)
         fwd = []
-        for s in semi_omega.sieves[pos]:
-            lifted = add_degeneracies(s, full_category=full_cat, y_full=full_omega.yonedas[pos])
-            fwd.append(full_omega.index_of_masks(c, lifted.masks))
+        for s in omega_semi.sieves[pos]:
+            lifted = add_degeneracies(s)
+            fwd.append(omega_full.index_of_masks(c, lifted.masks))
         to_full.append(tuple(fwd))
-        back = [None] * full_omega.level_size(c)
+        back = [None] * omega_full.level_size(c)
         for i, target in enumerate(fwd):
             back[target] = i
         if any(v is None for v in back):
@@ -366,7 +359,7 @@ def degeneracy_translation(semi_omega, full_omega):
     return tuple(to_full), tuple(to_semi)
 
 
-def degeneracy_compatible(j, full_omega=None):
+def degeneracy_compatible(j):
     """Whether a semi-simplex topology transports to the degeneracy-carrying side.
 
     Transports the level maps along the add/strip-degeneracies bijections
@@ -374,25 +367,25 @@ def degeneracy_compatible(j, full_omega=None):
     ``(True, None)`` or ``(False, witness)`` where the witness records the
     failing square.
     """
-    semi_omega = j.omega
-    category = semi_omega.category
+    omega_semi = j.omega
+    category = omega_semi.category
     if category.family != FAMILY_SEMI:
         raise ValueError("expected a topology over a semi-simplex category")
     full_cat = build_index_category("simplex", category.dim)
-    full_omega = full_omega if full_omega is not None else classifying_object(full_cat)
-    to_full, to_semi = degeneracy_translation(semi_omega, full_omega)
+    omega_full = classifying_object(full_cat)
+    to_full, to_semi = degeneracy_translation(omega_semi, omega_full)
     transported = []
     for pos in range(len(category.objects)):
         mapping = j.levels[pos]
         transported.append(
-            tuple(to_full[pos][mapping[to_semi[pos][x]]] for x in range(full_omega.level_size(category.objects[pos])))
+            tuple(to_full[pos][mapping[to_semi[pos][x]]] for x in range(omega_full.level_size(category.objects[pos])))
         )
     for g in full_cat.generators:
         if g.source <= g.target:
             continue  # only the degeneracy generators, which raise dimension
         src = full_cat.obj_index(g.source)
         tgt = full_cat.obj_index(g.target)
-        table = full_omega.action_table(g)
+        table = omega_full.action_table(g)
         for x in range(len(table)):
             lhs = transported[src][table[x]]
             rhs = table[transported[tgt][x]]
@@ -400,9 +393,9 @@ def degeneracy_compatible(j, full_omega=None):
                 witness = {
                     "generator": g,
                     "input_level": g.target,
-                    "input_sieve": full_omega.sieves[tgt][x],
-                    "map_then_action": full_omega.sieves[src][rhs],
-                    "action_then_map": full_omega.sieves[src][lhs],
+                    "input_sieve": omega_full.sieves[tgt][x],
+                    "map_then_action": omega_full.sieves[src][rhs],
+                    "action_then_map": omega_full.sieves[src][lhs],
                 }
                 return False, witness
     return True, None
@@ -422,9 +415,9 @@ def topology_to_doc(j):
     return doc
 
 
-def topology_from_doc(doc, omega=None):
+def topology_from_doc(doc):
     category = build_index_category(doc["category"])
-    omega = omega if omega is not None else classifying_object(category)
+    omega = classifying_object(category)
     levels = []
     for c in category.objects:
         levels.append(tuple(doc["levels"][str(c)]))

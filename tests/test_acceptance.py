@@ -23,7 +23,7 @@ from lttop.lattice import (
     verify_nucleus,
 )
 from lttop.omega import classifying_object
-from lttop.presheaf import enumerate_subpresheaves, ith_face
+from lttop.presheaf import enumerate_subpresheaves, ith_face, parallel_cells
 from lttop.closure import (
     classify,
     closure_recursive,
@@ -54,7 +54,7 @@ def setup_module():
     for kind in ("set", "graph", "reflgraph", "bicolgraph", "semisimplex:2", "simplex:2"):
         CATEGORIES[kind] = build_index_category(kind)
         OMEGAS[kind] = classifying_object(CATEGORIES[kind])
-        TOPOLOGIES[kind] = enumerate_topologies(CATEGORIES[kind], omega=OMEGAS[kind])
+        TOPOLOGIES[kind] = enumerate_topologies(CATEGORIES[kind])
     for kind in ("graph", "reflgraph", "semisimplex:2", "simplex:2"):
         CORPORA[kind] = presheaf_corpus(CATEGORIES[kind], 6)
 
@@ -71,13 +71,12 @@ def test_criterion_1_topology_counts():
     }
     for kind, want in expected.items():
         category = CATEGORIES[kind]
-        omega = OMEGAS[kind]
         assert len(TOPOLOGIES[kind]) == want, kind
         methods = ["brute"]
         if category.family != "bicolgraph":
             methods.append("constrained")
         found = {
-            m: {j.levels for j in enumerate_topologies(category, method=m, omega=omega)}
+            m: {j.levels for j in enumerate_topologies(category, method=m)}
             for m in methods
         }
         for m, levels in found.items():
@@ -101,9 +100,7 @@ def test_criterion_2_omega_structure():
     category = CATEGORIES["semisimplex:2"]
     for k in (0, 1):
         for i in range(k + 2):
-            hat_idx = omega.sieve_index(
-                ith_face(category, k + 1, i, yk=omega.yonedas[k + 1])
-            )
+            hat_idx = omega.sieve_index(ith_face(category, k + 1, i))
             algebra_above = omega.algebras[k + 1]
             algebra_below = omega.algebras[k]
             downset = [x for x in range(algebra_above.size) if algebra_above.leq(x, hat_idx)]
@@ -114,7 +111,7 @@ def test_criterion_2_omega_structure():
                     assert algebra_above.leq(a, b) == algebra_below.leq(table[a], table[b])
     # incidence: the only collision at k <= 2 is boundary/top on the all-top tuple
     for k in (1, 2):
-        lookup = omega.incidence_lookup(k)
+        lookup = parallel_cells(omega.as_presheaf(), k)
         all_top = tuple(omega.top[k - 1] for _ in range(k + 1))
         for tup, members in lookup.items():
             if tup == all_top:
@@ -122,8 +119,8 @@ def test_criterion_2_omega_structure():
             else:
                 assert len(members) == 1
     # surjectivity holds at k = 1 (the corrected statement; k = 2 cannot hold)
-    assert set(omega.incidence_lookup(1)) == set(itertools.product(range(2), repeat=2))
-    assert len(omega.incidence_lookup(2)) == omega.level_size(2) - 1
+    assert set(parallel_cells(omega.as_presheaf(), 1)) == set(itertools.product(range(2), repeat=2))
+    assert len(parallel_cells(omega.as_presheaf(), 2)) == omega.level_size(2) - 1
     print("criterion 2 (omega structure, downset isomorphism, collision structure): PASS")
 
 
@@ -139,7 +136,7 @@ def test_criterion_2_incidence_surjectivity_beyond_level_one():
     omega = OMEGAS["semisimplex:2"]
     for k in (1, 2):
         size_below = omega.level_size(k - 1)
-        lookup = omega.incidence_lookup(k)
+        lookup = parallel_cells(omega.as_presheaf(), k)
         assert set(lookup) == set(itertools.product(range(size_below), repeat=k + 1))
 
 
@@ -193,12 +190,12 @@ def test_criterion_4_classification_theorem():
 
 def test_criterion_5_degeneracy_filter():
     """Compatibility bits on the graph classifier, with the exact witness."""
-    full_omega = OMEGAS["reflgraph"]
+    omega_refl = OMEGAS["reflgraph"]
     results = {}
     witnesses = {}
     for word in ("00", "01", "10", "11"):
-        j = construct_bitstring_topology(CATEGORIES["graph"], word, omega=OMEGAS["graph"])
-        ok, witness = degeneracy_compatible(j, full_omega=full_omega)
+        j = construct_bitstring_topology(CATEGORIES["graph"], word)
+        ok, witness = degeneracy_compatible(j)
         results[word] = ok
         witnesses[word] = witness
     assert results == {"00": True, "01": True, "10": False, "11": True}
@@ -209,7 +206,7 @@ def test_criterion_5_degeneracy_filter():
     assert witness["input_sieve"].size == 0
     assert witness["map_then_action"].is_full
     hollow = witness["action_then_map"]
-    assert hollow.masks == full_omega.sieves[1][full_omega.boundary_index(1)].masks
+    assert hollow.masks == omega_refl.sieves[1][omega_refl.boundary_index(1)].masks
     print("criterion 5 (degeneracy filter {00,01,11} pass, 10 fails at the collapse square): PASS")
 
 

@@ -3,6 +3,10 @@
 import io
 import json
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from lttop.cli import main
 
 PATH_GRAPH = {
@@ -90,6 +94,14 @@ def test_brute_method_runs_at_dimension_two():
     assert code == 0
     assert text.splitlines()[0] == "8 topologies on semisimplex:2"
     assert text.count("  bits ") == 8
+
+
+def test_omega_bound_is_an_input_error():
+    # level 4 of semisimplex:4 has 7580 sieves, above the bound 2500
+    for command in ("topologies", "omega"):
+        code, text = run([command, "--category", "semisimplex:4"])
+        assert code == 2
+        assert text == "error: level 4 has 7580 sieves, which exceeds the bound 2500\n"
 
 
 def test_closure_command(tmp_path):
@@ -209,3 +221,67 @@ def test_verify_counts_suite():
     for fragment in ("set:2", "graph:4", "reflgraph:3", "bicolgraph:8"):
         assert fragment in text
     assert "counts suite:" in text and "PASS" in text
+
+
+# -- the exit-code contract on arbitrary input -------------------------------
+
+CATEGORY_NAMES = [
+    "set", "graph", "reflgraph", "bicolgraph",
+    "semisimplex:0", "semisimplex:1", "semisimplex:2", "simplex:0", "simplex:1", "simplex:2",
+    "simplex", "simplex:x", "simplex:-1", "semisimplex:9", "nonesuch", "",
+]
+NAMES = st.sampled_from(["a", "b", "e", "v", "0", "1", "1/2", "1/4", "chain3", "chain5"])
+LEAVES = st.one_of(NAMES, st.integers(-2, 2), st.text(max_size=2))
+JSON = st.recursive(
+    LEAVES,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(NAMES | st.text(max_size=2), inner, max_size=3),
+    max_leaves=10,
+)
+LEVEL_NAMES = st.sampled_from(["0", "1", "2", "V", "E", "E'"])
+GENERATOR_NAMES = st.sampled_from(["d1_0", "d1_1", "s0_0", "d2_0", "d2_1", "d2_2", "s", "t", "s'", "t'"])
+DOCUMENTS = st.one_of(
+    JSON,
+    st.fixed_dictionaries({
+        "category": st.sampled_from(CATEGORY_NAMES) | JSON,
+        "levels": st.dictionaries(LEVEL_NAMES, st.lists(LEAVES, max_size=3) | JSON, max_size=3),
+        "actions": st.dictionaries(
+            GENERATOR_NAMES, st.dictionaries(NAMES, LEAVES, max_size=3) | JSON, max_size=4
+        ),
+    }),
+    st.fixed_dictionaries({
+        "algebra": st.sampled_from(["chain2", "chain3", "chain5", "diamond", "pentagon"]) | JSON,
+        "carrier": st.lists(LEAVES, max_size=3) | JSON,
+        "membership": st.dictionaries(NAMES, LEAVES, max_size=3) | JSON,
+        "map": st.dictionaries(NAMES, LEAVES, max_size=5) | JSON,
+    }),
+)
+COMMANDS = st.one_of(
+    st.tuples(st.sampled_from(["omega", "topologies"]), st.sampled_from(CATEGORY_NAMES)),
+    st.tuples(st.sampled_from(["closure", "classify", "fuzzy"]), st.text("01x -", max_size=4)),
+)
+
+
+@pytest.fixture(scope="module")
+def doc_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("documents")
+
+
+@settings(max_examples=200, deadline=None)
+@given(command=COMMANDS, first=DOCUMENTS, second=DOCUMENTS, method=st.sampled_from(["auto", "brute", "constrained"]))
+def test_any_input_exits_0_1_or_2(doc_dir, command, first, second, method):
+    name, value = command
+    a = write(doc_dir, "a.json", first)
+    b = write(doc_dir, "b.json", second)
+    if name == "omega":
+        argv = ["omega", f"--category={value}"]
+    elif name == "topologies":
+        argv = ["topologies", f"--category={value}", "--method", method]
+    elif name == "closure":
+        argv = ["closure", f"--topology={value}", "--input", a, "--sub", b]
+    elif name == "classify":
+        argv = ["classify", f"--topology={value}", "--input", a]
+    else:
+        argv = ["classify", "--nucleus", b, "--input", a]
+    code, _ = run(argv)
+    assert code in (0, 1, 2)

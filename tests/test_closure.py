@@ -6,7 +6,6 @@ import itertools
 import pytest
 
 from lttop.fincat import build_index_category, face
-from lttop.omega import classifying_object
 from lttop.presheaf import (
     FinitePresheaf,
     Subpresheaf,
@@ -38,11 +37,6 @@ REFL = build_index_category("reflgraph")
 SEMI2 = build_index_category("semisimplex", 2)
 
 
-@pytest.fixture(scope="module")
-def omega_graph():
-    return classifying_object(GRAPH)
-
-
 def graph_presheaf(vertices, edges):
     """edges: mapping name -> (source index, target index)."""
     names = tuple(edges)
@@ -62,22 +56,22 @@ LOOP = graph_presheaf("v", {"l": (0, 0)})
 COMPLETE2 = graph_presheaf("uv", {"uu": (0, 0), "uv": (0, 1), "vu": (1, 0), "vv": (1, 1)})
 
 
-def test_discrete_closure_changes_nothing(omega_graph):
-    j = construct_bitstring_topology(GRAPH, "00", omega=omega_graph)
+def test_discrete_closure_changes_nothing():
+    j = construct_bitstring_topology(GRAPH, "00")
     for sub in enumerate_subpresheaves(PATH):
         result = closure_via_chi(j, sub)
         assert result.closed == sub and result.added_total == 0
 
 
-def test_trivial_closure_fills_everything(omega_graph):
-    j = construct_bitstring_topology(GRAPH, "11", omega=omega_graph)
+def test_trivial_closure_fills_everything():
+    j = construct_bitstring_topology(GRAPH, "11")
     sub = Subpresheaf.empty(PATH)
     assert closure_via_chi(j, sub).closed.is_full
 
 
-def test_double_negation_closure_formula(omega_graph):
+def test_double_negation_closure_formula():
     # closure adds exactly the edges with both endpoints already in
-    j = construct_bitstring_topology(GRAPH, "01", omega=omega_graph)
+    j = construct_bitstring_topology(GRAPH, "01")
     for A in (PATH, PARALLEL, LOOP, COMPLETE2):
         for sub in enumerate_subpresheaves(A):
             closed = closure_via_chi(j, sub).closed
@@ -91,9 +85,9 @@ def test_double_negation_closure_formula(omega_graph):
                 assert bool(closed.masks[1] >> e & 1) == expected
 
 
-def test_vertex_filling_closure(omega_graph):
+def test_vertex_filling_closure():
     # bit pattern 10 adds the vertices but never the edge
-    j = construct_bitstring_topology(GRAPH, "10", omega=omega_graph)
+    j = construct_bitstring_topology(GRAPH, "10")
     edge = graph_presheaf("uv", {"e": (0, 1)})
     result = closure_via_chi(j, Subpresheaf.empty(edge))
     assert result.closed.level_indices(0) == (0, 1)
@@ -101,7 +95,6 @@ def test_vertex_filling_closure(omega_graph):
 
 
 def test_recursive_closure_fills_a_triangle():
-    omega = classifying_object(SEMI2)
     y2 = yoneda(SEMI2, 2)
     vertices_only = Subpresheaf.from_indices(
         y2, {0: range(3), 1: (), 2: ()}
@@ -109,7 +102,7 @@ def test_recursive_closure_fills_a_triangle():
     result = closure_recursive("011", vertices_only)
     assert result.closed.is_full
     assert closure_via_chi(
-        construct_bitstring_topology(SEMI2, "011", omega=omega), vertices_only
+        construct_bitstring_topology(SEMI2, "011"), vertices_only
     ).closed.is_full
     untouched = closure_recursive("000", vertices_only)
     assert untouched.closed == vertices_only
@@ -118,8 +111,7 @@ def test_recursive_closure_fills_a_triangle():
 @pytest.mark.parametrize("kind", ["graph", "reflgraph", "semisimplex:2", "simplex:2"])
 def test_the_two_closure_routes_agree(kind):
     category = build_index_category(kind)
-    omega = classifying_object(category)
-    topologies = enumerate_topologies(category, omega=omega)
+    topologies = enumerate_topologies(category)
     for P in presheaf_corpus(category, 4):
         for sub in enumerate_subpresheaves(P):
             for j in topologies:
@@ -129,10 +121,10 @@ def test_the_two_closure_routes_agree(kind):
                 )
 
 
-def test_density(omega_graph):
+def test_density():
     full = Subpresheaf.full(PATH)
     for word in ("00", "01", "10", "11"):
-        j = construct_bitstring_topology(GRAPH, word, omega=omega_graph)
+        j = construct_bitstring_topology(GRAPH, word)
         assert is_dense_via_closure(j, full)
         for sub in enumerate_subpresheaves(PATH):
             assert is_dense_via_closure(j, sub) == is_dense_by_bits(word, sub)
@@ -143,14 +135,13 @@ def test_density(omega_graph):
 
 
 def test_hollow_inclusion_is_dense_iff_the_bit_is_one():
-    omega = classifying_object(SEMI2)
     from lttop.presheaf import boundary
 
     for k in (0, 1, 2):
         hollow = boundary(SEMI2, k)
         for bits in itertools.product("01", repeat=3):
             word = "".join(bits)
-            j = construct_bitstring_topology(SEMI2, word, omega=omega)
+            j = construct_bitstring_topology(SEMI2, word)
             assert is_dense_via_closure(j, hollow) == (word[k] == "1")
 
 
@@ -198,8 +189,7 @@ def test_classify_examples():
 def test_empty_set_is_separated_not_sheaf_for_the_trivial_topology():
     # decided by the factorization oracle, not only by cell counts
     one = build_index_category("set")
-    omega = classifying_object(one)
-    j = construct_bitstring_topology(one, "1", omega=omega)
+    j = construct_bitstring_topology(one, "1")
     empty = FinitePresheaf(one, {0: ()}, {})
     singleton = FinitePresheaf(one, {0: ("x",)}, {})
     report = factorization_check(empty, j, (singleton, empty))
@@ -210,10 +200,10 @@ def test_empty_set_is_separated_not_sheaf_for_the_trivial_topology():
     assert report.separated and report.complete
 
 
-def test_closure_axioms_on_corpus_instances(omega_graph):
+def test_closure_axioms_on_corpus_instances():
     corpus = presheaf_corpus(GRAPH, 3)
     morphisms = [h for A in corpus for B in corpus for h in enumerate_morphisms(A, B)]
-    for j in enumerate_topologies(GRAPH, omega=omega_graph):
+    for j in enumerate_topologies(GRAPH):
         assert closure_axiom_violation(j, corpus, morphisms) is None
 
 
@@ -225,8 +215,8 @@ def test_pullback_subobject_is_levelwise_preimage():
     assert pullback_subobject(h, empty).size == 0
 
 
-def test_factorization_oracle_finds_the_parallel_edge_pair(omega_graph):
-    j = construct_bitstring_topology(GRAPH, "01", omega=omega_graph)
+def test_factorization_oracle_finds_the_parallel_edge_pair():
+    j = construct_bitstring_topology(GRAPH, "01")
     ambients = default_ambients(GRAPH, 0)  # just the Yoneda objects
     report = factorization_check(PARALLEL, j, ambients)
     assert not report.separated
@@ -246,8 +236,7 @@ def test_factorization_oracle_finds_the_parallel_edge_pair(omega_graph):
 ])
 def test_classifier_agrees_with_the_factorization_oracle(kind, corpus_bound, ambient_bound):
     category = build_index_category(kind)
-    omega = classifying_object(category)
-    topologies = enumerate_topologies(category, omega=omega)
+    topologies = enumerate_topologies(category)
     ambients = default_ambients(category, ambient_bound)
     for B in presheaf_corpus(category, corpus_bound):
         for j in topologies:

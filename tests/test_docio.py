@@ -116,3 +116,23 @@ def test_fuzzyset_and_nucleus_documents():
     assert mapping == (1, 1, 2)
     with pytest.raises(DocumentError):
         nucleus_from_doc({"algebra": "chain3", "map": {"0": "0"}})
+
+
+def test_names_must_be_strings():
+    # unhashable names used to escape as TypeError
+    import copy
+
+    doc = copy.deepcopy(PATH_DOC)
+    doc["levels"]["0"] = [["a"], "b", "c"]
+    with pytest.raises(DocumentError, match="string"):
+        presheaf_from_doc(doc)
+    with pytest.raises(DocumentError, match="string"):
+        fuzzyset_from_doc({"algebra": "chain3", "carrier": ["x"], "membership": {"x": ["1/2"]}})
+    with pytest.raises(DocumentError, match="list"):
+        presheaf_from_doc(dict(PATH_DOC, levels={"0": "abc", "1": []}))
+    with pytest.raises(DocumentError, match="object"):
+        presheaf_from_doc(dict(PATH_DOC, actions={"d1_1": ["a"], "d1_0": ["b"]}))
+    with pytest.raises(DocumentError):
+        nucleus_from_doc({"algebra": "chain3", "map": {"0": 1, "1/2": "1/2", "1": "1"}})
+    with pytest.raises(DocumentError):
+        presheaf_from_doc(["category", "graph"])

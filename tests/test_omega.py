@@ -10,20 +10,24 @@ from lttop.omega import (
     classifying_object,
     hasse_dot,
     pullback_of_true,
-    sieve_pullback,
 )
 from lttop.presheaf import (
     FinitePresheaf,
     Subpresheaf,
     enumerate_morphisms,
     enumerate_subpresheaves,
+    incidence_of_cell,
     ith_face,
+    parallel_cells,
 )
 
 GRAPH = build_index_category("graph")
 REFL = build_index_category("reflgraph")
 SEMI2 = build_index_category("semisimplex", 2)
 BICOLOR = build_index_category("bicolgraph")
+BUILTINS_UP_TO_DIM_3 = ["set", "graph", "reflgraph", "bicolgraph"] + [
+    f"{family}:{dim}" for family in ("semisimplex", "simplex") for dim in (1, 2, 3)
+]
 
 
 @pytest.fixture(scope="module")
@@ -87,16 +91,26 @@ def sieve_by_labels(omega, level, sets):
     return omega.sieve_index(Subpresheaf.from_sets(yk, sets))
 
 
-def test_pullback_of_the_two_endpoints_sieve(omega_graph):
+def test_pullback_of_the_two_endpoints_sieve(omega_graph, sieve_pullback):
     both_endpoints = sieve_by_labels(omega_graph, 1, {0: (face(1, 1), face(1, 0)), 1: ()})
     source_map = face(1, 1)
     pulled = omega_graph.act(source_map, both_endpoints)
     assert pulled == omega_graph.top[0]
     # direct set computation agrees
-    y1 = omega_graph.yonedas[1]
     sieve = omega_graph.sieves[1][both_endpoints]
-    direct = sieve_pullback(GRAPH, source_map, sieve, y_source=omega_graph.yonedas[0])
+    direct = sieve_pullback(GRAPH, source_map, sieve)
     assert omega_graph.sieve_index(direct) == omega_graph.top[0]
+
+
+@pytest.mark.parametrize("kind", BUILTINS_UP_TO_DIM_3)
+def test_action_tables_match_the_composition_reference(kind, sieve_pullback):
+    category = build_index_category(kind)
+    omega = classifying_object(category)
+    for f in category.all_morphisms():
+        sieves = omega.sieves[category.obj_index(f.target)]
+        expected = tuple(omega.sieve_index(sieve_pullback(category, f, s)) for s in sieves)
+        assert omega.action_table(f) == expected, f
+    assert omega.as_presheaf().functoriality_violation() is None
 
 
 def one_edge_graph(labels=("u", "v"), loop=False):
@@ -164,9 +178,8 @@ def test_face_downset_isomorphism(omega_semi2):
     # Omega(k) is isomorphic to the sieves below each face of y(k+1)
     for k in (0, 1):
         below = omega_semi2.algebras[k]
-        yk1 = omega_semi2.yonedas[k + 1]
         for i in range(k + 2):
-            hat = ith_face(SEMI2, k + 1, i, yk=yk1)
+            hat = ith_face(SEMI2, k + 1, i)
             hat_idx = omega_semi2.sieve_index(hat)
             downset = [
                 x
@@ -189,10 +202,9 @@ def test_pullback_along_face_is_meet_with_the_face(omega_semi2):
     # transported along the downset isomorphism, the face action becomes
     # intersection with the face
     for k in (0, 1):
-        yk1 = omega_semi2.yonedas[k + 1]
         algebra = omega_semi2.algebras[k + 1]
         for i in range(k + 2):
-            hat_idx = omega_semi2.sieve_index(ith_face(SEMI2, k + 1, i, yk=yk1))
+            hat_idx = omega_semi2.sieve_index(ith_face(SEMI2, k + 1, i))
             table = omega_semi2.action_table(face(k + 1, i))
             for x in range(algebra.size):
                 meet = algebra.meet(x, hat_idx)
@@ -203,12 +215,12 @@ def test_pullback_along_face_is_meet_with_the_face(omega_semi2):
 
 def test_incidence_structure(omega_semi2):
     # level 1: surjective onto all pairs; level <= 2: unique collision at all-top
-    lookup1 = omega_semi2.incidence_lookup(1)
+    lookup1 = parallel_cells(omega_semi2.as_presheaf(), 1)
     assert set(lookup1) == {
         (a, b) for a in range(2) for b in range(2)
     }
     for k in (1, 2):
-        lookup = omega_semi2.incidence_lookup(k)
+        lookup = parallel_cells(omega_semi2.as_presheaf(), k)
         all_top = tuple(omega_semi2.top[k - 1] for _ in range(k + 1))
         collisions = {t: v for t, v in lookup.items() if len(v) > 1}
         assert set(collisions) == {all_top}
@@ -220,17 +232,23 @@ def test_incidence_structure(omega_semi2):
 
 def test_incidence_examples(omega_semi2):
     top1 = omega_semi2.top[1]
-    assert omega_semi2.incidence_tuple(2, omega_semi2.top[2]) == (top1,) * 3
-    assert omega_semi2.incidence_tuple(2, omega_semi2.boundary_index(2)) == (top1,) * 3
-    assert omega_semi2.sieves_with_incidence(2, (top1,) * 3) == (
+    omega = omega_semi2.as_presheaf()
+    assert incidence_of_cell(omega, 2, omega_semi2.top[2]) == (top1,) * 3
+    assert incidence_of_cell(omega, 2, omega_semi2.boundary_index(2)) == (top1,) * 3
+    assert parallel_cells(omega, 2)[(top1,) * 3] == [
         omega_semi2.boundary_index(2),
         omega_semi2.top[2],
+    ]
+    # three copies of a vertex sieve cannot bound a triangle
+    vertex = next(
+        i for i in range(omega_semi2.level_size(1)) if omega_semi2.sieves[1][i].size == 1
     )
+    assert (vertex,) * 3 not in parallel_cells(omega, 2)
 
 
 def test_incidence_of_the_source_vertex_sieve(omega_graph):
     only_source = sieve_by_labels(omega_graph, 1, {0: (face(1, 1),), 1: ()})
-    assert omega_graph.incidence_tuple(1, only_source) == (
+    assert incidence_of_cell(omega_graph.as_presheaf(), 1, only_source) == (
         omega_graph.top[0],
         omega_graph.bottom[0],
     )
@@ -247,35 +265,17 @@ def test_omega_size_bound_reports_the_level():
     from lttop.omega import OmegaBoundExceeded
 
     with pytest.raises(OmegaBoundExceeded) as err:
-        classifying_object(SEMI2, sieve_bound=10)
-    assert err.value.level == 2 and err.value.count == 19
+        classifying_object(build_index_category("semisimplex", 4))
+    assert err.value.level == 4 and err.value.count == 7580 and err.value.bound == 2500
 
 
-def test_unique_with_incidence(omega_semi2):
-    top1 = omega_semi2.top[1]
-    kind, value = omega_semi2.unique_with_incidence(2, (top1,) * 3)
-    assert kind == "ambiguous"
-    assert value == (omega_semi2.boundary_index(2), omega_semi2.top[2])
-    kind, value = omega_semi2.unique_with_incidence(1, (omega_semi2.top[0], omega_semi2.bottom[0]))
-    assert kind == "unique"
-    with pytest.raises(KeyError):
-        # three copies of a vertex sieve cannot bound a triangle
-        vertex = next(
-            i for i in range(omega_semi2.level_size(1))
-            if omega_semi2.sieves[1][i].size == 1
-        )
-        omega_semi2.unique_with_incidence(2, (vertex,) * 3)
-
-
-def test_face_downset_isomorphism_at_the_third_level(dim3_omega):
+def test_face_downset_isomorphism_at_the_third_level():
     semi3 = build_index_category("semisimplex", 3)
-    omega = dim3_omega("semisimplex")
+    omega = classifying_object(semi3)
     k = 2
     below = omega.algebras[k]
     for i in range(k + 2):
-        hat_idx = omega.sieve_index(
-            ith_face(semi3, k + 1, i, yk=omega.yonedas[k + 1])
-        )
+        hat_idx = omega.sieve_index(ith_face(semi3, k + 1, i))
         above = omega.algebras[k + 1]
         downset = [x for x in range(above.size) if above.leq(x, hat_idx)]
         table = omega.action_table(face(k + 1, i))
@@ -285,15 +285,8 @@ def test_face_downset_isomorphism_at_the_third_level(dim3_omega):
                 assert above.leq(a, b) == below.leq(table[a], table[b])
 
 
-def test_every_builtin_omega_level_is_heyting(dim3_omega):
+def test_every_builtin_omega_level_is_heyting():
     # Omega does not re-prove the Heyting laws when it is built
-    omegas = [
-        classifying_object(build_index_category(kind))
-        for kind in ("set", "graph", "reflgraph", "bicolgraph")
-    ]
-    for family in ("semisimplex", "simplex"):
-        omegas += [classifying_object(build_index_category(family, d)) for d in (1, 2)]
-        omegas.append(dim3_omega(family))
-    for omega in omegas:
-        for algebra in omega.algebras:
+    for kind in BUILTINS_UP_TO_DIM_3:
+        for algebra in classifying_object(build_index_category(kind)).algebras:
             assert verify_heyting(algebra) is None

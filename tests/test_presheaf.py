@@ -78,7 +78,7 @@ def test_ith_face_matches_the_missing_value_description():
         for k in range(1, cat.dim + 1):
             yk = yoneda(cat, k)
             for i in range(k + 1):
-                sub = ith_face(cat, k, i, yk=yk)
+                sub = ith_face(cat, k, i)
                 for l in cat.objects:
                     expected = tuple(
                         f for f in yk.carrier(l) if i not in set(f.values)
@@ -94,8 +94,7 @@ def test_ith_face_range_errors():
 
 
 def test_boundary_table():
-    y0 = yoneda(GRAPH, 0)
-    assert boundary(GRAPH, 0, yk=y0).size == 0
+    assert boundary(GRAPH, 0).size == 0
     b1 = boundary(GRAPH, 1)
     assert len(b1.level_labels(0)) == 2 and b1.level_labels(1) == ()
     b2 = boundary(SEMI2, 2)
@@ -127,14 +126,14 @@ def test_degeneracy_translation_is_a_lattice_isomorphism():
     subs_g = enumerate_subpresheaves(y1g)
     subs_r = enumerate_subpresheaves(y1r)
     assert len(subs_g) == len(subs_r) == 5
-    lifted = {s.masks: add_degeneracies(s, full_category=REFL, y_full=y1r) for s in subs_g}
+    lifted = {s.masks: add_degeneracies(s) for s in subs_g}
     # bijective, top-preserving, meet-preserving, inverse to stripping
     assert sorted(l.masks for l in lifted.values()) == sorted(s.masks for s in subs_r)
     assert lifted[Subpresheaf.full(y1g).masks].masks == Subpresheaf.full(y1r).masks
     for a in subs_g:
-        assert strip_degeneracies(lifted[a.masks], semi_category=GRAPH).masks == a.masks
+        assert strip_degeneracies(lifted[a.masks]).masks == a.masks
         for b in subs_g:
-            meet_then_lift = add_degeneracies(a.meet(b), full_category=REFL, y_full=y1r)
+            meet_then_lift = add_degeneracies(a.meet(b))
             assert meet_then_lift.masks == lifted[a.masks].meet(lifted[b.masks]).masks
     # order isomorphism in both directions
     for a in subs_g:
@@ -142,27 +141,15 @@ def test_degeneracy_translation_is_a_lattice_isomorphism():
             assert a.leq(b) == lifted[a.masks].leq(lifted[b.masks])
 
 
-def test_add_degeneracies_commutes_with_face_actions():
-    semi3 = build_index_category("semisimplex", 2)
-    full3 = build_index_category("simplex", 2)
+def test_add_degeneracies_commutes_with_face_actions(sieve_pullback):
+    semi2 = build_index_category("semisimplex", 2)
+    full2 = build_index_category("simplex", 2)
     for k in range(1, 3):
-        y_semi = yoneda(semi3, k)
-        y_semi_below = yoneda(semi3, k - 1)
-        y_full_below = yoneda(full3, k - 1)
-        y_full = yoneda(full3, k)
-        from lttop.omega import sieve_pullback
-
-        for s in enumerate_subpresheaves(y_semi):
+        for s in enumerate_subpresheaves(yoneda(semi2, k)):
             for i in range(k + 1):
                 g = face(k, i)
-                lhs = sieve_pullback(
-                    full3, g, add_degeneracies(s, full3, y_full=y_full), y_source=y_full_below
-                )
-                rhs = add_degeneracies(
-                    sieve_pullback(semi3, g, s, y_source=y_semi_below),
-                    full3,
-                    y_full=y_full_below,
-                )
+                lhs = sieve_pullback(full2, g, add_degeneracies(s))
+                rhs = add_degeneracies(sieve_pullback(semi2, g, s))
                 assert lhs.masks == rhs.masks
 
 
@@ -263,7 +250,7 @@ def test_enumerate_morphisms_respects_pinning():
 
 def test_sub_as_presheaf_round_trip():
     y2 = yoneda(SEMI2, 2)
-    hollow = boundary(SEMI2, 2, yk=y2)
+    hollow = boundary(SEMI2, 2)
     restricted, embed = sub_as_presheaf(hollow)
     assert restricted.functoriality_violation() is None
     assert restricted.total_size == hollow.size
@@ -306,7 +293,7 @@ def test_stripping_a_vertex_with_its_loop_gives_the_bare_vertex():
     y0r = yoneda(REFL, 0)
     full = Subpresheaf.full(y0r)
     assert full.size == 2  # the vertex and its collapse
-    stripped = strip_degeneracies(full, semi_category=GRAPH)
+    stripped = strip_degeneracies(full)
     assert stripped.size == 1 and stripped.level_labels(1) == ()
-    back = add_degeneracies(stripped, full_category=REFL, y_full=y0r)
+    back = add_degeneracies(stripped)
     assert back.masks == full.masks

@@ -59,7 +59,7 @@ def test_verify_reports_each_axiom(omega_graph):
 
 
 def test_all_zero_word_gives_the_identity(omega_graph):
-    j = construct_bitstring_topology(GRAPH, "00", omega=omega_graph)
+    j = construct_bitstring_topology(GRAPH, "00")
     assert j.levels == identity_topology(omega_graph).levels
     semi2 = build_index_category("semisimplex", 2)
     j2 = construct_bitstring_topology(semi2, "000")
@@ -67,15 +67,15 @@ def test_all_zero_word_gives_the_identity(omega_graph):
 
 
 def test_all_one_word_gives_constant_top(omega_graph):
-    j = construct_bitstring_topology(GRAPH, "11", omega=omega_graph)
+    j = construct_bitstring_topology(GRAPH, "11")
     assert j.levels == constant_top_topology(omega_graph).levels
 
 
-def test_word_validation(omega_graph):
+def test_word_validation():
     with pytest.raises(ValueError):
-        construct_bitstring_topology(GRAPH, "0", omega=omega_graph)
+        construct_bitstring_topology(GRAPH, "0")
     with pytest.raises(ValueError):
-        construct_bitstring_topology(GRAPH, "02", omega=omega_graph)
+        construct_bitstring_topology(GRAPH, "02")
     with pytest.raises(ValueError):
         construct_bitstring_topology(build_index_category("bicolgraph"), "00")
 
@@ -84,7 +84,7 @@ def test_boundary_goes_to_top_exactly_on_one_bits():
     semi2 = build_index_category("semisimplex", 2)
     omega = classifying_object(semi2)
     for word in ("".join(bits) for bits in itertools.product("01", repeat=3)):
-        j = construct_bitstring_topology(semi2, word, omega=omega)
+        j = construct_bitstring_topology(semi2, word)
         for k in semi2.objects:
             pos = semi2.obj_index(k)
             bnd = omega.boundary_index(k)
@@ -96,16 +96,12 @@ def test_counts_and_method_agreement():
     expected = {"set": 2, "graph": 4, "reflgraph": 3}
     for kind, count in expected.items():
         category = build_index_category(kind)
-        omega = classifying_object(category)
-        brute = enumerate_topologies(category, method="brute", omega=omega)
-        constrained = enumerate_topologies(category, method="constrained", omega=omega)
+        brute = enumerate_topologies(category, method="brute")
+        constrained = enumerate_topologies(category, method="constrained")
         assert len(brute) == count
         assert {j.levels for j in brute} == {j.levels for j in constrained}
         # the constructive family covers everything the oracle finds
-        family = {
-            construct_bitstring_topology(category, j.tag, omega=omega).levels
-            for j in brute
-        }
+        family = {construct_bitstring_topology(category, j.tag).levels for j in brute}
         assert family == {j.levels for j in brute}
 
 
@@ -153,16 +149,15 @@ def test_brute_matches_the_raw_endomap_filter(kind):
     category = build_index_category(kind)
     omega = classifying_object(category)
     assert max(omega.level_sizes()) <= 5
-    brute = enumerate_topologies(category, method="brute", omega=omega)
+    brute = enumerate_topologies(category, method="brute")
     assert {j.levels for j in brute} == raw_endomap_topologies(omega)
 
 
 @pytest.mark.parametrize("family, count", [("semisimplex", 16), ("simplex", 5)])
-def test_brute_matches_constrained_in_dimension_three(dim3_omega, family, count):
+def test_brute_matches_constrained_in_dimension_three(family, count):
     category = build_index_category(family, 3)
-    omega = dim3_omega(family)
-    brute = enumerate_topologies(category, method="brute", omega=omega)
-    constrained = enumerate_topologies(category, method="constrained", omega=omega)
+    brute = enumerate_topologies(category, method="brute")
+    constrained = enumerate_topologies(category, method="constrained")
     assert len(brute) == count
     assert [(j.levels, j.tag) for j in brute] == [(j.levels, j.tag) for j in constrained]
 
@@ -174,18 +169,17 @@ def test_reflgraph_word_10_is_rejected_with_a_witness():
     assert "naturality" in str(err.value)
 
 
-def test_degeneracy_compatibility_matches_the_word_pattern(omega_graph):
-    full_omega = classifying_object(REFL)
+def test_degeneracy_compatibility_matches_the_word_pattern():
     for word in ("00", "01", "10", "11"):
-        j = construct_bitstring_topology(GRAPH, word, omega=omega_graph)
-        ok, witness = degeneracy_compatible(j, full_omega=full_omega)
+        j = construct_bitstring_topology(GRAPH, word)
+        ok, witness = degeneracy_compatible(j)
         assert ok == ("10" not in word)
         if ok:
             assert witness is None
 
 
-def test_degeneracy_compatibility_witness_is_the_collapse_square(omega_graph):
-    j = construct_bitstring_topology(GRAPH, "10", omega=omega_graph)
+def test_degeneracy_compatibility_witness_is_the_collapse_square():
+    j = construct_bitstring_topology(GRAPH, "10")
     ok, witness = degeneracy_compatible(j)
     assert not ok
     assert witness["generator"] == degeneracy(0, 0)
@@ -203,31 +197,28 @@ def test_degeneracy_compatibility_witness_is_the_collapse_square(omega_graph):
 
 def test_degeneracy_compatibility_on_two_dimensions():
     semi2 = build_index_category("semisimplex", 2)
-    omega = classifying_object(semi2)
-    full_omega = classifying_object(build_index_category("simplex", 2))
     for bits in itertools.product("01", repeat=3):
         word = "".join(bits)
-        j = construct_bitstring_topology(semi2, word, omega=omega)
-        ok, _ = degeneracy_compatible(j, full_omega=full_omega)
+        j = construct_bitstring_topology(semi2, word)
+        ok, _ = degeneracy_compatible(j)
         assert ok == ("10" not in word)
 
 
-def test_truncation_coherence(dim3_omega):
+def test_truncation_coherence():
     # dropping the top level of a valid topology gives the lower topology
     for family in ("semisimplex", "simplex"):
         big = build_index_category(family, 3)
         small = build_index_category(family, 2)
-        omega_big = dim3_omega(family)
         omega_small = classifying_object(small)
-        for j in enumerate_topologies(big, method="constrained", omega=omega_big):
-            lower = construct_bitstring_topology(small, j.tag[:3], omega=omega_small)
+        for j in enumerate_topologies(big, method="constrained"):
+            lower = construct_bitstring_topology(small, j.tag[:3])
             assert j.levels[:3] == lower.levels
             restricted = LTTopology(omega_small, j.levels[:3])
             assert verify_topology(restricted) is None
 
 
 def test_equality_is_extensional_and_ignores_tags(omega_graph):
-    a = construct_bitstring_topology(GRAPH, "01", omega=omega_graph)
+    a = construct_bitstring_topology(GRAPH, "01")
     b = LTTopology(omega_graph, a.levels, tag=None)
     assert a == b
     assert hash(a) == hash(b)
@@ -235,10 +226,10 @@ def test_equality_is_extensional_and_ignores_tags(omega_graph):
     assert retagged.tag == "01"
 
 
-def test_topology_by_tag_and_serialization(omega_graph):
-    j = topology_by_tag(GRAPH, "01", omega=omega_graph)
+def test_topology_by_tag_and_serialization():
+    j = topology_by_tag(GRAPH, "01")
     doc = topology_to_doc(j)
-    back = topology_from_doc(doc, omega=omega_graph)
+    back = topology_from_doc(doc)
     assert back == j and back.tag == "01"
     bic = build_index_category("bicolgraph")
     j12 = topology_by_tag(bic, "12")
@@ -252,7 +243,7 @@ def test_topology_by_tag_and_serialization(omega_graph):
 def test_bicolor_level_maps_match_the_two_tables():
     category = build_index_category("bicolgraph")
     omega = classifying_object(category)
-    by_tag = {j.tag: j for j in enumerate_topologies(category, method="brute", omega=omega)}
+    by_tag = {j.tag: j for j in enumerate_topologies(category, method="brute")}
     empty_e = omega.index_of_masks("E", (0, 0, 0))
     hollow_e = omega.index_of_masks("E", (3, 0, 0))
     top_e = omega.top[category.obj_index("E")]
@@ -279,20 +270,13 @@ def test_bicolor_level_maps_match_the_two_tables():
     )
 
 
-def test_sixteen_topologies_in_dimension_three(dim3_omega):
+def test_sixteen_topologies_in_dimension_three():
     semi3 = build_index_category("semisimplex", 3)
-    topologies = enumerate_topologies(
-        semi3, method="constrained", omega=dim3_omega("semisimplex")
-    )
+    topologies = enumerate_topologies(semi3, method="constrained")
     assert len(topologies) == 16
     assert sorted(j.tag for j in topologies) == sorted(
         "".join(bits) for bits in itertools.product("01", repeat=4)
     )
     sset3 = build_index_category("simplex", 3)
-    tags = sorted(
-        j.tag
-        for j in enumerate_topologies(
-            sset3, method="constrained", omega=dim3_omega("simplex")
-        )
-    )
+    tags = sorted(j.tag for j in enumerate_topologies(sset3, method="constrained"))
     assert tags == ["0000", "0001", "0011", "0111", "1111"]
