@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .fincat import FAMILY_FULL, FAMILY_SEMI, face
 from .omega import characteristic_function
@@ -352,13 +353,15 @@ def _run_pair_check(tables, g1, g2, path, size_of):
     return via == direct
 
 
+@lru_cache(maxsize=None)
 def presheaf_corpus(category, max_total=DEFAULT_CORPUS_BOUND, up_to_iso=True):
     """Every presheaf with at most ``max_total`` elements, one per iso class.
 
     Generator tables are assigned one at a time, pruning with every
     relation that becomes decidable; survivors are validated exhaustively.
     Isomorph rejection hashes a canonical form obtained by minimizing over
-    per-level renamings.
+    per-level renamings.  Built once per (category, max_total, up_to_iso);
+    categories are cached singletons.
     """
     gens = list(category.generators)
     checks = _pair_checks(category)

@@ -58,11 +58,19 @@ class FuzzySubset:
     def carrier_indices(self):
         return tuple(idx for idx, _ in self.members)
 
-    def membership_of(self, idx):
+    def as_tuple(self):
+        """Per ambient element, its membership in the subobject or None."""
+        out = [None] * self.ambient.size
         for i, m in self.members:
-            if i == idx:
-                return m
-        raise KeyError(idx)
+            out[i] = m
+        return tuple(out)
+
+    @staticmethod
+    def from_tuple(ambient, memberships):
+        """The inverse of ``as_tuple``."""
+        return FuzzySubset(
+            ambient, tuple((i, m) for i, m in enumerate(memberships) if m is not None)
+        )
 
     @property
     def is_strong(self):
@@ -109,17 +117,32 @@ class QClosureOperator:
         return "trivial" if self.kind == "trivial" else f"nucleus {self.nucleus}"
 
 
+# Subobjects of an ambient with memberships ``ambient`` are written, inside
+# the kernels below, as per-element tuples of membership-or-None; ``meet`` is
+# the algebra's meet table.
+
+
+def _close(op, meet, ambient, sub):
+    """The closure of a subobject: every element at its ambient membership
+    (trivial), or the nucleus of the membership met with the ambient one."""
+    if op.kind == "trivial":
+        return ambient
+    phi = op.nucleus.mapping
+    return tuple(None if m is None else meet[phi[m]][a] for m, a in zip(sub, ambient))
+
+
+def _pull(meet, ambient, mapping, sub):
+    """The pullback of a subobject of the codomain along ``mapping``."""
+    return tuple(
+        None if sub[j] is None else meet[a][sub[j]] for a, j in zip(ambient, mapping)
+    )
+
+
 def fuzzy_closure(op, sub):
     """Apply a closure operator to a fuzzy subobject."""
     A = sub.ambient
-    if op.kind == "trivial":
-        return full_subset(A)
-    L = A.algebra
-    phi = op.nucleus.mapping
-    members = tuple(
-        (i, L.meet(phi[m], A.membership[i])) for i, m in sub.members
-    )
-    return FuzzySubset(A, members)
+    closed = _close(op, A.algebra.meet_table(), A.membership, sub.as_tuple())
+    return FuzzySubset.from_tuple(A, closed)
 
 
 def is_dense_fuzzy(op, sub):
@@ -139,31 +162,33 @@ def fuzzy_corpus(L, max_carrier=DEFAULT_FUZZY_CARRIER):
     return tuple(out)
 
 
-def subobjects_of(A):
-    """All fuzzy subobjects of A: subsets with pointwise-lowered memberships."""
-    L = A.algebra
-    down = [
-        [m for m in L.elements() if L.leq(m, A.membership[i])] for i in range(A.size)
-    ]
+def _subobject_tuples(L, ambient):
+    """Every subobject of an ambient, by chosen carrier (smaller carriers
+    first, then lexicographically), then by lowered memberships."""
+    down = [[m for m in L.elements() if L.leq(m, a)] for a in ambient]
     out = []
     for chosen in itertools.chain.from_iterable(
-        itertools.combinations(range(A.size), r) for r in range(A.size + 1)
+        itertools.combinations(range(len(ambient)), r) for r in range(len(ambient) + 1)
     ):
         for membs in itertools.product(*(down[i] for i in chosen)):
-            out.append(FuzzySubset(A, tuple(zip(chosen, membs))))
-    return tuple(out)
+            sub = [None] * len(ambient)
+            for i, m in zip(chosen, membs):
+                sub[i] = m
+            out.append(tuple(sub))
+    return out
+
+
+def subobjects_of(A):
+    """All fuzzy subobjects of A: subsets with pointwise-lowered memberships."""
+    return tuple(
+        FuzzySubset.from_tuple(A, sub) for sub in _subobject_tuples(A.algebra, A.membership)
+    )
 
 
 def pullback_fuzzy(A, B, mapping, sub):
     """Pullback of a subobject of B along a morphism mapping: A -> B."""
-    L = A.algebra
-    chosen = dict(sub.members)
-    members = []
-    for i in range(A.size):
-        j = mapping[i]
-        if j in chosen:
-            members.append((i, L.meet(A.membership[i], chosen[j])))
-    return FuzzySubset(A, tuple(members))
+    pulled = _pull(A.algebra.meet_table(), A.membership, mapping, sub.as_tuple())
+    return FuzzySubset.from_tuple(A, pulled)
 
 
 @dataclass(frozen=True)
@@ -182,34 +207,67 @@ def verify_qclosure(op, L, max_carrier=DEFAULT_FUZZY_CARRIER, square_carrier=2):
     up to ``max_carrier``; monotonicity and pullback stability, which need
     pairs and genuine squares, over carriers up to ``square_carrier``.
     Returns None or the first violation found.
+
+    Each ambient's subobjects are enumerated once per call, as per-element
+    tuples of membership-or-None, with their closures, a subobject ->
+    position index, and each closure's position.  This works because a
+    closure is again a subobject of the same ambient, and so is a pullback
+    along a morphism into it: idempotence and pullback stability compare
+    positions, and monotonicity compares precomputed closures.  The loops
+    and their order are those of the direct check on ``FuzzySubset``
+    objects, so the first violation is the same; such objects are built
+    only for a violation's context.
     """
+    meet = L.meet_table()
+    leq = [[L.leq(a, b) for b in L.elements()] for a in L.elements()]
+
+    def below(s, t):
+        return all(a is None or (b is not None and leq[a][b]) for a, b in zip(s, t))
+
+    def strong(sub, ambient):
+        return all(m is None or m == a for m, a in zip(sub, ambient))
+
     corpus = fuzzy_corpus(L, max_carrier)
     small = [A for A in corpus if A.size <= square_carrier]
+    tables = {}  # small ambient's memberships -> subs, closures, closed_at, index
     for A in corpus:
-        for sub in subobjects_of(A):
-            closed = fuzzy_closure(op, sub)
-            if not sub.leq(closed):
-                return QClosureViolation("increasing", (A, sub))
-            if fuzzy_closure(op, closed) != closed:
-                return QClosureViolation("idempotent", (A, sub))
-            if sub.is_strong and not closed.is_strong:
-                return QClosureViolation("strongness", (A, sub))
+        ambient = A.membership
+        subs = _subobject_tuples(L, ambient)
+        closures = [_close(op, meet, ambient, sub) for sub in subs]
+        index = {sub: pos for pos, sub in enumerate(subs)}
+        closed_at = [index[closed] for closed in closures]
+        for sub, closed, pos in zip(subs, closures, closed_at):
+            if not below(sub, closed):
+                return QClosureViolation("increasing", (A, FuzzySubset.from_tuple(A, sub)))
+            if closed_at[pos] != pos:
+                return QClosureViolation("idempotent", (A, FuzzySubset.from_tuple(A, sub)))
+            if strong(sub, ambient) and not strong(closed, ambient):
+                return QClosureViolation("strongness", (A, FuzzySubset.from_tuple(A, sub)))
+        if A.size <= square_carrier:
+            tables[ambient] = subs, closures, closed_at, index
     for A in small:
-        subs = subobjects_of(A)
-        for s1 in subs:
-            for s2 in subs:
-                if s1.leq(s2) and not fuzzy_closure(op, s1).leq(fuzzy_closure(op, s2)):
-                    return QClosureViolation("monotone", (A, s1, s2))
+        subs, closures, _, _ = tables[A.membership]
+        for s1, c1 in zip(subs, closures):
+            for s2, c2 in zip(subs, closures):
+                if below(s1, s2) and not below(c1, c2):
+                    return QClosureViolation(
+                        "monotone",
+                        (A, FuzzySubset.from_tuple(A, s1), FuzzySubset.from_tuple(A, s2)),
+                    )
     for B in small:
-        subs_b = subobjects_of(B)
+        subs_b, _, closed_at_b, _ = tables[B.membership]
         for A in small:
+            _, _, closed_at_a, index_a = tables[A.membership]
+            ambient = A.membership
             for mapping in fuzzy_morphisms(A, B):
-                for sub in subs_b:
-                    lhs = fuzzy_closure(op, pullback_fuzzy(A, B, mapping, sub))
-                    rhs = pullback_fuzzy(A, B, mapping, fuzzy_closure(op, sub))
-                    if lhs != rhs:
+                # position of each pulled-back subobject among A's; the
+                # closure of sub k pulls back to pulled[closed_at_b[k]]
+                pulled = [index_a[_pull(meet, ambient, mapping, sub)] for sub in subs_b]
+                for k, pos in enumerate(pulled):
+                    if closed_at_a[pos] != pulled[closed_at_b[k]]:
                         return QClosureViolation(
-                            "pullback-stability", (A, B, mapping, sub)
+                            "pullback-stability",
+                            (A, B, mapping, FuzzySubset.from_tuple(B, subs_b[k])),
                         )
     return None
 
@@ -248,6 +306,7 @@ def fuzzy_factorization_check(B, op, ambients):
     separated = True
     complete = True
     for A in ambients:
+        candidates = list(fuzzy_morphisms(A, B))
         for sub in subobjects_of(A):
             if not is_dense_fuzzy(op, sub):
                 continue
@@ -259,7 +318,7 @@ def fuzzy_factorization_check(B, op, ambients):
             )
             for f in fuzzy_morphisms(sub_set, B):
                 extensions = 0
-                for g in fuzzy_morphisms(A, B):
+                for g in candidates:
                     if all(g[i] == f[pos] for pos, i in enumerate(chosen)):
                         extensions += 1
                         if extensions > 1:
@@ -271,26 +330,3 @@ def fuzzy_factorization_check(B, op, ambients):
                 if not separated and not complete:
                     return False, False
     return separated, complete
-
-
-# -- the correspondence between operators and nuclei ------------------------
-
-
-def operator_to_nucleus_map(op, L):
-    """Read a map off the closure of singletons inside the top singleton."""
-    point = FuzzySet(L, ("x",), (L.top,))
-    mapping = []
-    for x in L.elements():
-        sub = FuzzySubset(point, ((0, x),))
-        closed = fuzzy_closure(op, sub)
-        mapping.append(closed.membership_of(0))
-    return tuple(mapping)
-
-
-def operators_agree(op1, op2, L, max_carrier=2):
-    """Extensional comparison of two closure operators over a small corpus."""
-    for A in fuzzy_corpus(L, max_carrier):
-        for sub in subobjects_of(A):
-            if fuzzy_closure(op1, sub) != fuzzy_closure(op2, sub):
-                return False
-    return True
