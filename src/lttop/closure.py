@@ -25,7 +25,7 @@ from .presheaf import (
     FinitePresheaf,
     FunctorialityError,
     Subpresheaf,
-    boundary,
+    _simplex_faces,
     enumerate_morphisms,
     enumerate_subpresheaves,
     parallel_cells,
@@ -139,37 +139,46 @@ def k_simple(B, k):
     return all(len(v) <= 1 for v in parallel_cells(B, k).values())
 
 
-def is_boundary_tuple(B, k, tup):
-    """Whether a tuple is the incidence tuple of some boundary map into B.
-
-    A tuple (x_k, ..., x_0) can demand a filler only if some morphism from
-    the hollow k-simplex sends the i-th facet to x_i; at dimension 1 that
-    is every pair of vertices, but from dimension 2 on the facets must
-    share subfaces, so tuples like (e, e, e) for a non-loop edge e are
-    unrealizable and vacuously filled.
-    """
-    category = B.category
-    hollow = boundary(category, k)
-    hollow_presheaf, _ = sub_as_presheaf(hollow)
-    pinned = {}
-    for slot, i in enumerate(range(k, -1, -1)):
-        label = face(k, i)
-        pinned[(k - 1, hollow_presheaf.label_index(k - 1, label))] = tup[slot]
-    for _ in enumerate_morphisms(hollow_presheaf, B, pinned=pinned):
-        return True
-    return False
-
-
 def boundary_tuples(B, k):
-    """All boundary-realizable incidence tuples at dimension k."""
-    hollow_presheaf, _ = sub_as_presheaf(boundary(B.category, k))
-    positions = [
-        hollow_presheaf.label_index(k - 1, face(k, i)) for i in range(k, -1, -1)
-    ]
+    """All boundary-realizable incidence tuples (x_k, ..., x_0), k >= 1.
+
+    A map from the hollow k-simplex into B is a family of level-(k-1)
+    cells x_0, ..., x_k, the images of its facets, with
+    d_i x_j = d_{j-1} x_i for every i < j (Goerss & Jardine, Simplicial
+    Homotopy Theory, I.1), for truncated and semi-simplicial B alike.  At
+    k = 1 that is every pair of vertices; from k = 2 on, tuples like
+    (e, e, e) for a non-loop edge e are unrealizable and vacuously filled.
+    Each x_j is drawn from the cells whose d_0 face is d_{j-1} x_0, then
+    checked against the remaining identities.
+    """
+    cat = B.category
+    _simplex_faces(cat)
+    if not 1 <= k <= cat.dim:
+        raise ValueError(f"boundary dimension {k} out of range")
+    n = len(B.carrier(k - 1))
+    if k == 1:
+        return set(itertools.product(range(n), repeat=2))
+    d = [B.action_table(face(k - 1, i)) for i in range(k)]
+    by_d0 = {}
+    for x in range(n):
+        by_d0.setdefault(d[0][x], []).append(x)
     tuples = set()
-    for h in enumerate_morphisms(hollow_presheaf, B):
-        comp = h.components[B.category.obj_index(k - 1)]
-        tuples.add(tuple(comp[p] for p in positions))
+    xs = []
+
+    def extend(j):
+        if j > k:
+            tuples.add(tuple(reversed(xs)))
+            return
+        for x in by_d0.get(d[j - 1][xs[0]], ()):
+            if all(d[i][x] == d[j - 1][xs[i]] for i in range(1, j)):
+                xs.append(x)
+                extend(j + 1)
+                xs.pop()
+
+    for x0 in range(n):
+        xs.append(x0)
+        extend(1)
+        xs.pop()
     return tuples
 
 
@@ -178,12 +187,11 @@ def k_complete(B, k):
 
     Restricting to realizable tuples (rather than all of B(k-1)^(k+1)) is
     what the factorization oracle validates: a dense mono can only ask for
-    fillers over boundaries that map into B.  See the decisions ledger.
+    fillers over boundaries that map into B.
     """
     if k == 0:
         return len(B.carrier(0)) >= 1
-    found = parallel_cells(B, k)
-    return all(tup in found for tup in boundary_tuples(B, k))
+    return boundary_tuples(B, k) <= parallel_cells(B, k).keys()
 
 
 def k_exact(B, k):
@@ -447,6 +455,17 @@ def default_ambients(category, max_total=DEFAULT_AMBIENT_BOUND):
     return tuple(ambients)
 
 
+@lru_cache(maxsize=None)
+def _dense_proper_subobjects(A, j):
+    """The dense proper subobjects of A, in enumeration order, each paired
+    with its restriction as a presheaf.  Built once per (A, j)."""
+    return tuple(
+        (s, sub_as_presheaf(s)[0])
+        for s in enumerate_subpresheaves(A)
+        if not s.is_full and is_dense_via_closure(j, s)
+    )
+
+
 def factorization_check(B, j, ambients, budget=DEFAULT_SEARCH_BUDGET):
     """Count factorizations through dense subobjects, the slow honest way.
 
@@ -458,8 +477,7 @@ def factorization_check(B, j, ambients, budget=DEFAULT_SEARCH_BUDGET):
     sep_witness = None
     comp_witness = None
     for A in ambients:
-        subs = [s for s in enumerate_subpresheaves(A) if not s.is_full]
-        dense = [s for s in subs if is_dense_via_closure(j, s)]
+        dense = _dense_proper_subobjects(A, j)
         if not dense:
             continue
         extensions = {}
@@ -468,10 +486,10 @@ def factorization_check(B, j, ambients, budget=DEFAULT_SEARCH_BUDGET):
             count += 1
             if count > budget:
                 raise CorpusTooLarge(f"more than {budget} morphisms from {A} to {B}", count, budget)
-            for s in dense:
+            for s, _ in dense:
                 key = _restriction_key(g, s)
                 extensions.setdefault(s.masks, {}).setdefault(key, []).append(g)
-        for s in dense:
+        for s, restricted in dense:
             table = extensions.get(s.masks, {})
             if sep_witness is None:
                 for key, gs in table.items():
@@ -479,7 +497,6 @@ def factorization_check(B, j, ambients, budget=DEFAULT_SEARCH_BUDGET):
                         sep_witness = (A, s, key, tuple(gs[:2]))
                         break
             if comp_witness is None:
-                restricted, _ = sub_as_presheaf(s)
                 for f in enumerate_morphisms(restricted, B):
                     key = tuple(f.components)
                     if key not in table:

@@ -11,7 +11,14 @@ from lttop.fuzzy import (
     pullback_fuzzy,
     subobjects_of,
 )
-from lttop.presheaf import Subpresheaf, yoneda
+from lttop.fincat import face
+from lttop.presheaf import (
+    Subpresheaf,
+    boundary,
+    enumerate_morphisms,
+    sub_as_presheaf,
+    yoneda,
+)
 
 
 def _sieve_pullback(category, u, sieve):
@@ -73,3 +80,34 @@ def _verify_qclosure(op, L, max_carrier=DEFAULT_FUZZY_CARRIER, square_carrier=2)
 @pytest.fixture(scope="session")
 def verify_qclosure_reference():
     return _verify_qclosure
+
+
+def _boundary_tuples(B, k):
+    """Incidence tuples (x_k, ..., x_0) of every morphism from the hollow
+    k-simplex into B, found by enumerating the morphisms: the reference for
+    ``closure.boundary_tuples``."""
+    hollow_presheaf, _ = sub_as_presheaf(boundary(B.category, k))
+    positions = [
+        hollow_presheaf.label_index(k - 1, face(k, i)) for i in range(k, -1, -1)
+    ]
+    tuples = set()
+    for h in enumerate_morphisms(hollow_presheaf, B):
+        comp = h.components[B.category.obj_index(k - 1)]
+        tuples.add(tuple(comp[p] for p in positions))
+    return tuples
+
+
+def _is_boundary_tuple(B, k, tup):
+    """Whether some morphism from the hollow k-simplex sends its i-th facet
+    to the entry of ``tup`` for x_i, searched with those facets pinned."""
+    hollow_presheaf, _ = sub_as_presheaf(boundary(B.category, k))
+    pinned = {}
+    for slot, i in enumerate(range(k, -1, -1)):
+        pinned[(k - 1, hollow_presheaf.label_index(k - 1, face(k, i)))] = tup[slot]
+    return next(enumerate_morphisms(hollow_presheaf, B, pinned=pinned), None) is not None
+
+
+@pytest.fixture(scope="session")
+def boundary_tuples_reference():
+    """(all tuples, membership test) by boundary-morphism enumeration."""
+    return _boundary_tuples, _is_boundary_tuple

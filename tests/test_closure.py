@@ -2,10 +2,11 @@
 classification, the closure axioms, and the factorization oracle."""
 
 import itertools
+import random
 
 import pytest
 
-from lttop.fincat import build_index_category, face
+from lttop.fincat import build_index_category, degeneracy, face
 from lttop.presheaf import (
     FinitePresheaf,
     Subpresheaf,
@@ -21,7 +22,6 @@ from lttop.closure import (
     closure_via_chi,
     default_ambients,
     factorization_check,
-    is_boundary_tuple,
     is_dense_by_bits,
     is_dense_via_closure,
     k_complete,
@@ -158,7 +158,8 @@ def test_boundary_tuples_at_dimension_one_are_all_pairs():
     assert tuples == set(itertools.product(range(3), repeat=2))
 
 
-def test_unrealizable_tuples_are_recognized():
+def test_unrealizable_tuples_are_recognized(boundary_tuples_reference):
+    _, is_boundary_tuple = boundary_tuples_reference
     # an edge between distinct vertices cannot bound a triangle three times
     B = FinitePresheaf(
         SEMI2,
@@ -170,6 +171,89 @@ def test_unrealizable_tuples_are_recognized():
     # so B is 2-complete even though it has no triangles at all
     assert k_complete(B, 2)
     assert classify(B, "001").complete
+
+
+def ordered_complex(category, simplices):
+    """The presheaf of an ordered simplicial complex given by its maximal
+    simplices: level l holds the (l+1)-tuples of vertices that span a face,
+    increasing in the semi-simplicial form and non-decreasing (so with the
+    degenerate cells) in the simplicial form."""
+    faces = {
+        frozenset(c)
+        for s in simplices
+        for r in range(1, len(s) + 1)
+        for c in itertools.combinations(s, r)
+    }
+    vertices = sorted(set().union(*simplices))
+    tuples = (
+        itertools.combinations
+        if category.family == "semisimplex"
+        else itertools.combinations_with_replacement
+    )
+    carriers = {
+        l: tuple(t for t in tuples(vertices, l + 1) if frozenset(t) in faces)
+        for l in category.objects
+    }
+    index = {l: {t: i for i, t in enumerate(level)} for l, level in carriers.items()}
+    actions = {
+        g: tuple(index[g.source][tuple(t[v] for v in g.values)] for t in carriers[g.target])
+        for g in category.generators
+    }
+    return FinitePresheaf(category, carriers, actions)
+
+
+def random_complex(category, seed, vertices=9):
+    rng = random.Random(seed)
+    pool = range(vertices)
+    triangles = [tuple(sorted(rng.sample(pool, 3))) for _ in range(8)]
+    edges = [tuple(sorted(rng.sample(pool, 2))) for _ in range(6)]
+    return ordered_complex(category, triangles + edges + [(v,) for v in pool])
+
+
+def reflexive_multigraph():
+    """Four vertices; parallel edges, extra loops, and the identity loops."""
+    edges = [(v, v) for v in range(4)] + [(0, 1), (0, 1), (1, 2), (1, 1), (1, 1), (2, 0), (3, 3)]
+    return FinitePresheaf(
+        REFL,
+        {0: tuple("abcd"), 1: tuple(range(len(edges)))},
+        {
+            face(1, 1): tuple(src for src, _ in edges),
+            face(1, 0): tuple(tgt for _, tgt in edges),
+            degeneracy(0, 0): (0, 1, 2, 3),
+        },
+    )
+
+
+def test_boundary_tuples_match_the_morphism_enumeration(boundary_tuples_reference):
+    reference, _ = boundary_tuples_reference
+    cases = []
+    for kind, bound in [
+        ("set", 6), ("graph", 6), ("reflgraph", 6), ("semisimplex:2", 6),
+        ("simplex:2", 6), ("semisimplex:3", 5), ("simplex:3", 5),
+    ]:
+        cases += presheaf_corpus(build_index_category(kind), bound)
+    for kind in ("semisimplex:3", "simplex:3"):
+        category = build_index_category(kind)
+        cases += [yoneda(category, k) for k in category.objects]
+    for kind in ("semisimplex:2", "simplex:2"):
+        cases += [random_complex(build_index_category(kind), seed) for seed in (1, 2)]
+    cases.append(reflexive_multigraph())
+    realized = 0
+    for B in cases:
+        for k in range(1, B.category.dim + 1):
+            tuples = boundary_tuples(B, k)
+            assert tuples == reference(B, k), (B, k)
+            realized += k >= 2 and bool(tuples)
+    assert realized > 100
+
+
+def test_boundary_tuples_need_simplex_faces():
+    bicolor = build_index_category("bicolgraph")
+    B = yoneda(bicolor, bicolor.objects[-1])
+    with pytest.raises(ValueError, match="has no simplex faces"):
+        boundary_tuples(B, 1)
+    with pytest.raises(ValueError, match="has no simplex faces"):
+        k_complete(B, 1)
 
 
 def test_classify_examples():
