@@ -134,6 +134,7 @@ def k_simple(B, k):
     Quantifying over all of B(k-1)^(k+1) or only over boundary-realizable
     tuples makes no difference here: unrealizable tuples have no cells.
     """
+    _simplex_faces(B.category)
     if k == 0:
         return len(B.carrier(0)) <= 1
     return all(len(v) <= 1 for v in parallel_cells(B, k).values())
@@ -189,6 +190,7 @@ def k_complete(B, k):
     what the factorization oracle validates: a dense mono can only ask for
     fillers over boundaries that map into B.
     """
+    _simplex_faces(B.category)
     if k == 0:
         return len(B.carrier(0)) >= 1
     return boundary_tuples(B, k) <= parallel_cells(B, k).keys()
@@ -366,7 +368,8 @@ def presheaf_corpus(category, max_total=DEFAULT_CORPUS_BOUND, up_to_iso=True):
     """Every presheaf with at most ``max_total`` elements, one per iso class.
 
     Generator tables are assigned one at a time, pruning with every
-    relation that becomes decidable; survivors are validated exhaustively.
+    relation that becomes decidable; survivors get the full functoriality
+    check.
     Isomorph rejection hashes a canonical form obtained by minimizing over
     per-level renamings.  Built once per (category, max_total, up_to_iso);
     categories are cached singletons.

@@ -24,9 +24,10 @@ class LawViolation:
 class FiniteHeytingAlgebra:
     """A finite poset with derived lattice and implication tables.
 
-    Elements are the indices 0..size-1; ``leq(a, b)`` is the order.  Tables
-    that do not exist (missing meets, joins, or implications) are stored as
-    None and reported by :func:`verify_heyting`.
+    Elements are the indices 0..size-1; ``leq(a, b)`` is the order.  Meet
+    and join tables are derived on construction, the implication table on
+    first use.  Entries that do not exist (missing meets, joins, or
+    implications) are stored as None and reported by :func:`verify_heyting`.
     """
 
     def __init__(self, leq_pairs, size, names=None):
@@ -37,7 +38,7 @@ class FiniteHeytingAlgebra:
             self._up[a] |= 1 << b
         self._meet = None
         self._join = None
-        self._impl = None
+        self._impl = None  # built on first use by _implication_table
         self.bottom = None
         self.top = None
         self._derive()
@@ -99,12 +100,25 @@ class FiniteHeytingAlgebra:
         join = [[up_index.get(up[a] & up[b]) for b in range(n)] for a in range(n)]
         self._meet = meet
         self._join = join
+        self._down_index = down_index
         full = (1 << n) - 1
         self.bottom = up_index.get(full)
         self.top = down_index.get(full)
+
+    def _implication_table(self):
+        """``a => b`` for every pair, None where it does not exist.
+
+        Cubic in the size, so it is built on the first use of
+        :meth:`implies`, :meth:`neg` or :func:`verify_heyting`, then kept.
+        """
+        if self._impl is not None:
+            return self._impl
+        n = self.size
+        down = self._down
+        down_index = self._down_index
         impl = [[None] * n for _ in range(n)]
         for a in range(n):
-            row = meet[a]
+            row = self._meet[a]
             for b in range(n):
                 down_b = down[b]
                 # {c : a /\ c <= b} is a down-set; its maximum, if any, is a => b
@@ -115,6 +129,7 @@ class FiniteHeytingAlgebra:
                         candidates |= 1 << c
                 impl[a][b] = down_index.get(candidates)
         self._impl = impl
+        return impl
 
     def meet(self, a, b):
         v = self._meet[a][b]
@@ -135,7 +150,10 @@ class FiniteHeytingAlgebra:
         return v
 
     def implies(self, a, b):
-        v = self._impl[a][b]
+        impl = self._impl
+        if impl is None:
+            impl = self._implication_table()
+        v = impl[a][b]
         if v is None:
             raise ValueError(f"no implication {self.names[a]} => {self.names[b]}")
         return v
@@ -165,13 +183,14 @@ def verify_heyting(L):
                     return LawViolation("transitivity", (a, b, c))
     if L.bottom is None or L.top is None:
         return LawViolation("bounds", ())
+    impl = L._implication_table()
     for a in range(n):
         for b in range(n):
             if L._meet[a][b] is None:
                 return LawViolation("meet-existence", (a, b))
             if L._join[a][b] is None:
                 return LawViolation("join-existence", (a, b))
-            if L._impl[a][b] is None:
+            if impl[a][b] is None:
                 return LawViolation("implication-existence", (a, b))
     for a in range(n):
         for b in range(n):

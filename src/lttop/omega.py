@@ -49,12 +49,7 @@ class OmegaObject:
             sieves.append(level)
         self.sieves = tuple(sieves)
         self._index = tuple({s.masks: i for i, s in enumerate(level)} for level in self.sieves)
-        self.algebras = tuple(
-            FiniteHeytingAlgebra.from_leq(
-                lambda i, j, lv=level: lv[i].leq(lv[j]), len(level)
-            )
-            for level in self.sieves
-        )
+        self.algebras = tuple(_inclusion_algebra(level) for level in self.sieves)
         self.top = tuple(alg.top for alg in self.algebras)
         self.bottom = tuple(alg.bottom for alg in self.algebras)
         self._actions = {}
@@ -131,6 +126,26 @@ def classifying_object(category):
     return OmegaObject(category)
 
 
+def _inclusion_algebra(level):
+    """The sieves of one level ordered by inclusion, read off their masks.
+
+    Each sieve's per-level masks are packed into one integer, so S <= T is
+    a single ``S & ~T == 0``.
+    """
+    offsets = []
+    width = 0
+    for carrier in level[0].presheaf.carriers:
+        offsets.append(width)
+        width += len(carrier)
+    packed = [
+        sum(mask << offset for mask, offset in zip(s.masks, offsets)) for s in level
+    ]
+    pairs = [
+        (i, j) for i, p in enumerate(packed) for j, q in enumerate(packed) if p & ~q == 0
+    ]
+    return FiniteHeytingAlgebra(pairs, len(level))
+
+
 # -- characteristic functions ------------------------------------------
 
 
@@ -198,19 +213,18 @@ def sieve_label(sub, hide_degenerate=True):
 
 
 def hasse_covers(algebra):
-    """The cover relation of a finite poset as sorted (lower, upper) pairs."""
-    covers = []
-    for a in algebra.elements():
-        for b in algebra.elements():
-            if a == b or not algebra.leq(a, b):
-                continue
-            if any(
-                c not in (a, b) and algebra.leq(a, c) and algebra.leq(c, b)
-                for c in algebra.elements()
-            ):
-                continue
-            covers.append((a, b))
-    return sorted(covers)
+    """The cover relation of a finite poset as sorted (lower, upper) pairs.
+
+    b covers a iff the interval up(a) & down(b) is exactly {a, b}; both
+    masks are kept by the algebra.
+    """
+    up, down = algebra._up, algebra._down
+    return [
+        (a, b)
+        for a in algebra.elements()
+        for b in algebra.elements()
+        if a != b and up[a] & down[b] == (1 << a) | (1 << b)
+    ]
 
 
 def hasse_dot(omega, level):

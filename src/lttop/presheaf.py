@@ -2,9 +2,10 @@
 
 A presheaf stores one finite carrier per object of the index category and
 one action per generator; actions along arbitrary morphisms are derived
-through the category's factorizations and validated against functoriality
-exhaustively.  Subpresheaves are per-level bitmasks over a canonical
-element order, so meets and joins are bitwise.
+through the category's factorizations, and functoriality is checked along
+generators (which implies it for every composable pair).  Subpresheaves
+are per-level bitmasks over a canonical element order, so meets and joins
+are bitwise.
 """
 
 from dataclasses import dataclass
@@ -67,29 +68,33 @@ class FinitePresheaf:
             if any(not (0 <= v < limit) for v in table):
                 raise FunctorialityError(f"action table for {g} is out of range")
             actions[g] = table
-        for f in cat.all_morphisms():
-            if f not in actions:
-                actions[f] = self._compose_tables(cat.factor(f))
+        for f, word in _factorizations(cat):
+            actions[f] = self._compose_tables(word)
         return actions
 
     def _compose_tables(self, gens):
         # X(g1 o ... o gm) = X(gm) o ... o X(g1)
         if not gens:
             raise FunctorialityError("empty factorization for a non-identity morphism")
-        out = list(range(len(self.carrier(gens[0].target))))
-        for g in gens:
-            table = self._gen_actions[g]
-            out = [table[v] for v in out]
-        return tuple(out)
+        out = self._gen_actions[gens[0]]
+        for g in gens[1:]:
+            out = tuple(map(self._gen_actions[g].__getitem__, out))
+        return out
 
     def functoriality_violation(self):
-        """Exhaustive check that actions respect composition; None if ok."""
-        cat = self.category
-        for f, g in cat.composable_pairs():
-            gf = cat.compose(g, f)
-            left = self._actions[gf]
-            via = tuple(self._actions[f][v] for v in self._actions[g])
-            if left != via:
+        """None if X(g o f) = X(f) . X(g) for every generator g and every f
+        into its source, else a witness (f, g, g o f).
+
+        That suffices for every composable pair: the action of a composite
+        is composed from generator tables along ``factor``, so by induction
+        on the length of a word the composed table of any generator word is
+        X of its composite, and X(h o f) = X(f) . X(h) follows from
+        concatenating the words of h and f.
+        """
+        actions = self._actions
+        for f, g, gf in _generator_composites(self.category):
+            table_f = actions[f]
+            if actions[gf] != tuple(map(table_f.__getitem__, actions[g])):
                 return (f, g, gf)
         return None
 
@@ -154,6 +159,27 @@ class FinitePresheaf:
                     orbits[(c, x)] = tuple(per_level)
             self._orbit_cache = orbits
         return self._orbit_cache
+
+
+@lru_cache(maxsize=None)
+def _factorizations(category):
+    """(f, factor(f)) for every morphism that is not an identity or a generator."""
+    given = set(category.generators)
+    given.update(category.identity(c) for c in category.objects)
+    return tuple(
+        (f, tuple(category.factor(f))) for f in category.all_morphisms() if f not in given
+    )
+
+
+@lru_cache(maxsize=None)
+def _generator_composites(category):
+    """(f, g, g o f) for every generator g and every f into g's source."""
+    return tuple(
+        (f, g, category.compose(g, f))
+        for g in category.generators
+        for a in category.objects
+        for f in category.hom(a, g.source)
+    )
 
 
 @dataclass(frozen=True)

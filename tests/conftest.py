@@ -1,5 +1,7 @@
 """Fixtures shared across test modules."""
 
+from functools import lru_cache
+
 import pytest
 
 from lttop.fuzzy import (
@@ -111,3 +113,47 @@ def _is_boundary_tuple(B, k, tup):
 def boundary_tuples_reference():
     """(all tuples, membership test) by boundary-morphism enumeration."""
     return _boundary_tuples, _is_boundary_tuple
+
+
+@lru_cache(maxsize=None)
+def _composable_triples(category):
+    return tuple((f, g, category.compose(g, f)) for f, g in category.composable_pairs())
+
+
+def _functoriality_violation(P):
+    """X(g o f) = X(f) . X(g) over every composable pair (f, g) of the
+    category, composites computed once per category: the reference for
+    ``FinitePresheaf.functoriality_violation``, which checks generators."""
+    for f, g, gf in _composable_triples(P.category):
+        table_f = P.action_table(f)
+        if P.action_table(gf) != tuple(map(table_f.__getitem__, P.action_table(g))):
+            return (f, g, gf)
+    return None
+
+
+@pytest.fixture(scope="session")
+def functoriality_reference():
+    return _functoriality_violation
+
+
+def _hasse_covers(algebra):
+    """Sorted (lower, upper) pairs with nothing strictly between, found by
+    testing every third element: the O(n^3) reference for
+    ``omega.hasse_covers``."""
+    covers = []
+    for a in algebra.elements():
+        for b in algebra.elements():
+            if a == b or not algebra.leq(a, b):
+                continue
+            if any(
+                c not in (a, b) and algebra.leq(a, c) and algebra.leq(c, b)
+                for c in algebra.elements()
+            ):
+                continue
+            covers.append((a, b))
+    return sorted(covers)
+
+
+@pytest.fixture(scope="session")
+def hasse_covers_reference():
+    return _hasse_covers

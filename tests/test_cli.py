@@ -1,7 +1,9 @@
 """Command-line surface: output shapes, document handling, exit codes."""
 
+import hashlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -73,6 +75,18 @@ def test_omega_dot_output_is_stable():
     code, first = run(["omega", "--category", "graph", "--dot", "--level", "1"])
     assert code == 0 and first.startswith('digraph "omega_1"')
     assert run(["omega", "--category", "graph", "--dot", "--level", "1"])[1] == first
+
+
+def test_catalog_output_matches_the_recorded_digests():
+    # omega, cover and DOT output must stay byte-identical; the benchmark
+    # records the SHA-256 of each catalog request's stdout
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
+    digests = json.loads(path.read_text(encoding="utf-8"))
+    assert len(digests) == 38
+    for key, want in digests.items():
+        code, text = run(key.split(" "))
+        assert code == 0, key
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == want, key
 
 
 def test_topologies_tables():

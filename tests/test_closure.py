@@ -252,8 +252,10 @@ def test_boundary_tuples_need_simplex_faces():
     B = yoneda(bicolor, bicolor.objects[-1])
     with pytest.raises(ValueError, match="has no simplex faces"):
         boundary_tuples(B, 1)
-    with pytest.raises(ValueError, match="has no simplex faces"):
-        k_complete(B, 1)
+    for check in (k_simple, k_complete, k_exact):
+        for k in (0, 1):
+            with pytest.raises(ValueError, match="bicolgraph has no simplex faces"):
+                check(B, k)
 
 
 def test_classify_examples():

@@ -7,6 +7,7 @@ import pytest
 
 from lttop.lattice import (
     FiniteHeytingAlgebra,
+    LawViolation,
     boolean,
     chain,
     diamond,
@@ -157,3 +158,86 @@ def test_subobject_lattice_of_an_edge_is_not_de_morgan():
     phi = double_negation_map(L)
     for a in L.elements():
         assert L.leq(a, phi[a]) and phi[phi[a]] == phi[a]
+
+
+def implication_reference(L):
+    """a => b straight from the order: the element whose down-set is
+    {c : meet(a, c) exists and is <= b}, or None when no element has it."""
+
+    def meet(a, c):
+        lower = [m for m in L.elements() if L.leq(m, a) and L.leq(m, c)]
+        tops = [m for m in lower if all(L.leq(x, m) for x in lower)]
+        return tops[0] if tops else None
+
+    def down(c):
+        return {x for x in L.elements() if L.leq(x, c)}
+
+    table = []
+    for a in L.elements():
+        row = []
+        for b in L.elements():
+            wanted = set()
+            for c in L.elements():
+                m = meet(a, c)
+                if m is not None and L.leq(m, b):
+                    wanted.add(c)
+            row.append(next((c for c in L.elements() if down(c) == wanted), None))
+        table.append(row)
+    return table
+
+
+def implication_answers(L):
+    """What ``implies`` and ``neg`` return, with None where they raise."""
+
+    def attempt(fn, *args):
+        try:
+            return fn(*args)
+        except ValueError:
+            return None
+
+    impl = [[attempt(L.implies, a, b) for b in L.elements()] for a in L.elements()]
+    neg = [attempt(L.neg, a) for a in L.elements()]
+    return impl, neg
+
+
+# bot < a, b < c, d < top: a and b have no join
+BOUNDED_BOWTIE = (
+    ("bot", "a", "b", "c", "d", "top"),
+    [("bot", "a"), ("bot", "b"), ("a", "c"), ("a", "d"),
+     ("b", "c"), ("b", "d"), ("c", "top"), ("d", "top")],
+)
+
+
+def test_implication_is_derived_on_first_use_with_the_same_answers():
+    from lttop.docio import NAMED_ALGEBRAS
+
+    algebras = [make() for make in NAMED_ALGEBRAS.values()]
+    algebras.append(FiniteHeytingAlgebra.from_covers(*BOUNDED_BOWTIE))
+    for L in algebras:
+        assert L._impl is None  # nothing cubic at construction
+        expected = implication_reference(L)
+        impl, neg = implication_answers(L)
+        assert impl == expected
+        assert neg == [expected[a][L.bottom] for a in L.elements()]
+        assert L._implication_table() == expected  # None where none exists
+
+
+def test_defective_orders_report_the_same_violations():
+    P = pentagon()
+    assert verify_heyting(P) == LawViolation("implication-existence", (2, 1))
+    assert P._implication_table() == [
+        [4, 4, 4, 4, 4],
+        [3, 4, 4, 3, 4],
+        [3, None, 4, 3, 4],
+        [2, 2, 2, 4, 4],
+        [0, 1, 2, 3, 4],
+    ]
+    with pytest.raises(ValueError, match="no implication b => a"):
+        P.implies(2, 1)
+    bowtie = FiniteHeytingAlgebra.from_covers(*BOUNDED_BOWTIE)
+    assert verify_heyting(bowtie) == LawViolation("join-existence", (1, 2))
+    assert bowtie._implication_table()[3][3:] == [None, None, None]
+    unbounded = FiniteHeytingAlgebra.from_covers(
+        ("a", "b", "c", "d"), [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")]
+    )
+    assert verify_heyting(unbounded) == LawViolation("bounds", ())

@@ -290,3 +290,26 @@ def test_every_builtin_omega_level_is_heyting():
     for kind in BUILTINS_UP_TO_DIM_3:
         for algebra in classifying_object(build_index_category(kind)).algebras:
             assert verify_heyting(algebra) is None
+
+
+def test_hasse_covers_match_the_reference(hasse_covers_reference):
+    from lttop.docio import NAMED_ALGEBRAS
+    from lttop.lattice import FiniteHeytingAlgebra
+    from lttop.omega import hasse_covers
+
+    algebras = [
+        algebra
+        for kind in BUILTINS_UP_TO_DIM_3
+        for algebra in classifying_object(build_index_category(kind)).algebras
+    ]
+    algebras += [make() for make in NAMED_ALGEBRAS.values()]
+    # bot < a, b < c, d < top: a and b have no join, so not a lattice
+    algebras.append(
+        FiniteHeytingAlgebra.from_covers(
+            ("bot", "a", "b", "c", "d", "top"),
+            [("bot", "a"), ("bot", "b"), ("a", "c"), ("a", "d"),
+             ("b", "c"), ("b", "d"), ("c", "top"), ("d", "top")],
+        )
+    )
+    for algebra in algebras:
+        assert hasse_covers(algebra) == hasse_covers_reference(algebra)

@@ -297,3 +297,54 @@ def test_stripping_a_vertex_with_its_loop_gives_the_bare_vertex():
     assert stripped.size == 1 and stripped.level_labels(1) == ()
     back = add_degeneracies(stripped)
     assert back.masks == full.masks
+
+
+def functoriality_witness(P, reference):
+    """The generator check's answer, after asserting that it and the
+    all-pairs reference both pass or both fail, and that a returned
+    witness (f, g, g o f) really fails."""
+    found = P.functoriality_violation()
+    assert (found is None) == (reference(P) is None)
+    if found is not None:
+        f, g, gf = found
+        assert gf == P.category.compose(g, f)
+        assert P.action_table(gf) != tuple(P.act(f, v) for v in P.action_table(g))
+    return found
+
+
+@pytest.mark.parametrize("kind", ["graph", "reflgraph", "semisimplex:2", "simplex:2"])
+def test_functoriality_check_matches_the_reference_on_the_corpus(
+    kind, functoriality_reference
+):
+    from lttop.closure import presheaf_corpus
+
+    for P in presheaf_corpus(build_index_category(kind), 6):
+        assert functoriality_witness(P, functoriality_reference) is None
+
+
+@pytest.mark.parametrize("kind", ["semisimplex:4", "simplex:4"])
+def test_functoriality_check_matches_the_reference_on_yoneda_objects(
+    kind, functoriality_reference
+):
+    category = build_index_category(kind)
+    for k in category.objects:
+        assert functoriality_witness(yoneda(category, k), functoriality_reference) is None
+
+
+@pytest.mark.parametrize("kind", ["semisimplex:3", "simplex:3"])
+def test_functoriality_check_rejects_every_mutated_yoneda_table(kind, functoriality_reference):
+    # change one entry of one generator table of y(2) or y(3), in every way
+    category = build_index_category(kind)
+    for k in (2, 3):
+        Y = yoneda(category, k)
+        carriers = {c: Y.carrier(c) for c in category.objects}
+        tables = {g: Y.action_table(g) for g in category.generators}
+        for g, table in tables.items():
+            for x, old in enumerate(table):
+                for v in range(len(Y.carrier(g.source))):
+                    if v == old:
+                        continue
+                    mutated = dict(tables)
+                    mutated[g] = table[:x] + (v,) + table[x + 1 :]
+                    M = FinitePresheaf(category, carriers, mutated, validate=False)
+                    assert functoriality_witness(M, functoriality_reference), (g, x, v)
