@@ -34,7 +34,6 @@ from .presheaf import (
     Subpresheaf,
     add_degeneracies,
     boundary,
-    degen_set,
     enumerate_morphisms,
     enumerate_subpresheaves,
     ith_face,

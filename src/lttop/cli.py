@@ -15,7 +15,7 @@ import sys
 from . import closure as closure_mod
 from . import docio, fuzzy, lattice
 from .fincat import FAMILY_BICOLOR, FAMILY_FULL, FAMILY_SEMI, build_index_category
-from .omega import classifying_object, hasse_covers, hasse_dot, sieve_label
+from .omega import characteristic_function, classifying_object, hasse_covers, hasse_dot, sieve_label
 from .presheaf import BoundExceeded, enumerate_subpresheaves
 from .topology import (
     DegeneracyIncompatible,
@@ -165,13 +165,16 @@ def _suite_closures(out, corpus_bound=4):
     for kind in ("graph", "reflgraph", "semisimplex:2"):
         category = build_index_category(kind)
         topologies = enumerate_topologies(category)
+        omega = classifying_object(category)
         corpus = closure_mod.presheaf_corpus(category, corpus_bound)
         checked = 0
         mismatch = None
         for P in corpus:
             for sub in enumerate_subpresheaves(P):
+                # chi_sub does not depend on j: compute it once per subobject
+                chi = characteristic_function(sub, omega)
                 for j in topologies:
-                    via_chi = closure_mod.closure_via_chi(j, sub).closed
+                    via_chi = closure_mod._closure_from_chi(j, chi, sub).closed
                     recursive = closure_mod.closure_recursive(j.tag, sub).closed
                     checked += 1
                     if via_chi != recursive:
@@ -255,6 +258,10 @@ SUITES = {
 
 
 def cmd_verify(args, out):
+    bounds = {"--corpus-bound": args.corpus_bound, "--ambient-bound": args.ambient_bound}
+    for flag, bound in bounds.items():
+        if bound < 0:
+            raise ValueError(f"{flag} must be >= 0, got {bound}")
     names = list(SUITES) if args.suite == "all" else [args.suite]
     kwargs = {
         "closures": {"corpus_bound": args.corpus_bound},

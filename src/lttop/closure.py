@@ -65,9 +65,14 @@ def _added_levels(sub, closed):
 
 def closure_via_chi(j, sub):
     """The subobject classified by the topology composed with chi."""
+    return _closure_from_chi(j, characteristic_function(sub, j.omega), sub)
+
+
+def _closure_from_chi(j, chi, sub):
+    """The closure of ``sub`` read off its characteristic map ``chi``:
+    the cells that j sends to the top sieve."""
     omega = j.omega
     A = sub.presheaf
-    chi = characteristic_function(sub, omega)
     masks = []
     for c in A.category.objects:
         pos = A.category.obj_index(c)
@@ -237,61 +242,6 @@ def classify(B, word):
             witnesses.append((k, "complete", min(missing)))
     kinds = {kind for _, kind, _ in witnesses}
     return ClassifyReport("simple" not in kinds, "complete" not in kinds, tuple(witnesses))
-
-
-# -- closure-operator axioms over a corpus --------------------------------
-
-
-def pullback_subobject(h, sub):
-    """Pullback of a subobject of the target of h along h, levelwise preimage."""
-    A = h.source
-    sets = {}
-    for c in A.category.objects:
-        sets[c] = [
-            x
-            for x in range(len(A.carrier(c)))
-            if sub.contains(c, h.component(c, x))
-        ]
-    return Subpresheaf.from_indices(A, sets)
-
-
-@dataclass(frozen=True)
-class ClosureAxiomViolation:
-    axiom: str
-    context: tuple
-
-    def __str__(self):
-        return f"closure axiom {self.axiom} fails: {self.context}"
-
-
-def closure_axiom_violation(j, presheaves, morphisms=()):
-    """Check increasing/idempotent/monotone/pullback-stable on instances.
-
-    ``presheaves`` supplies the ambient objects; ``morphisms`` an optional
-    iterable of PresheafMorphisms used for pullback stability.  Returns
-    None or the first violation.  (Strongness preservation is vacuous
-    here: every presheaf mono is strong.)
-    """
-    for A in presheaves:
-        subs = enumerate_subpresheaves(A)
-        closed = {s: closure_via_chi(j, s).closed for s in subs}
-        for s in subs:
-            if not s.leq(closed[s]):
-                return ClosureAxiomViolation("increasing", (A, s))
-            if closure_via_chi(j, closed[s]).closed != closed[s]:
-                return ClosureAxiomViolation("idempotent", (A, s))
-        for s in subs:
-            for t in subs:
-                if s.leq(t) and not closed[s].leq(closed[t]):
-                    return ClosureAxiomViolation("monotone", (A, s, t))
-    for h in morphisms:
-        subs = enumerate_subpresheaves(h.target)
-        for s in subs:
-            lhs = closure_via_chi(j, pullback_subobject(h, s)).closed
-            rhs = pullback_subobject(h, closure_via_chi(j, s).closed)
-            if lhs != rhs:
-                return ClosureAxiomViolation("pullback-stability", (h, s))
-    return None
 
 
 # -- corpus generation -----------------------------------------------------

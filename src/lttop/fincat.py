@@ -133,21 +133,6 @@ def normal_form(f):
     return degens, faces
 
 
-def recompose(source, target, degens, faces):
-    """Inverse of :func:`normal_form`; rebuilds the morphism from indices."""
-    k = source
-    result = simplex_identity(source)
-    for j in reversed(degens):
-        result = compose_simplex(degeneracy(k - 1, j), result)
-        k -= 1
-    for i in reversed(faces):
-        result = compose_simplex(face(k + 1, i), result)
-        k += 1
-    if k != target:
-        raise ValueError("index lists do not reach the target dimension")
-    return result
-
-
 class FiniteIndexCategory:
     """A finite category given by objects, hom sets, and composition.
 
@@ -194,36 +179,6 @@ class FiniteIndexCategory:
     def all_morphisms(self):
         for pair in sorted(self._hom, key=lambda p: (self._obj_index[p[0]], self._obj_index[p[1]])):
             yield from self._hom[pair]
-
-    def composable_pairs(self):
-        """Yield (f, g) with f: a -> b, g: b -> c over all such pairs."""
-        for a, b in self._hom:
-            for f in self._hom[(a, b)]:
-                for b2, c in self._hom:
-                    if b2 != b:
-                        continue
-                    for g in self._hom[(b2, c)]:
-                        yield f, g
-
-    def law_violation(self):
-        """Exhaustively check the category laws; None if they all hold."""
-        for (a, b), ms in self._hom.items():
-            for f in ms:
-                if self.compose(f, self.identity(a)) != f:
-                    return ("identity", f)
-                if self.compose(self.identity(b), f) != f:
-                    return ("identity", f)
-        for f, g in self.composable_pairs():
-            gf = self.compose(g, f)
-            if gf not in self._hom[(f.source, g.target)]:
-                return ("closure", (f, g))
-            for (c2, d), ms in self._hom.items():
-                if c2 != g.target:
-                    continue
-                for h in ms:
-                    if self.compose(h, gf) != self.compose(self.compose(h, g), f):
-                        return ("associativity", (f, g, h))
-        return None
 
 
 def _build_simplex_category(kind, family, dim):

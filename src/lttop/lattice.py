@@ -231,14 +231,6 @@ def pentagon():
     return FiniteHeytingAlgebra.from_covers(names, covers)
 
 
-def from_inclusion_order(items, leq):
-    """Algebra of ``items`` under the given order callable."""
-    pairs = [
-        (i, j) for i in range(len(items)) for j in range(len(items)) if leq(items[i], items[j])
-    ]
-    return FiniteHeytingAlgebra(pairs, len(items))
-
-
 # -- nuclei ---------------------------------------------------------------
 
 

@@ -4,9 +4,11 @@ Each level is the Heyting algebra of subpresheaves of the Yoneda object at
 that level, ordered by inclusion; the lattice structure is recomputed from
 inclusion rather than hard-coded.  Sieves are the action-closed sets of
 cells, so each level is Heyting by construction and the laws are checked
-in the tests, not on every build.  The action along f: d -> c is read off
-the characteristic maps: chi_S(f) = f*S for a sieve S on c, so one mask
-kernel serves both.  Omega is built once per category.
+in the tests, not on every build.  The action along a generator g: d -> c
+is read off the characteristic maps, chi_S(g) = g*S for a sieve S on c, so
+one mask kernel serves both; ``FinitePresheaf`` composes every other
+action from the generator tables, as it does for any presheaf.  Omega is
+built once per category.
 """
 
 from functools import lru_cache
@@ -52,15 +54,17 @@ class OmegaObject:
         self.algebras = tuple(_inclusion_algebra(level) for level in self.sieves)
         self.top = tuple(alg.top for alg in self.algebras)
         self.bottom = tuple(alg.bottom for alg in self.algebras)
-        self._actions = {}
-        for c, yc, level in zip(category.objects, self.yonedas, self.sieves):
-            # chi[s][d][x] = f*S for the cell x = f: d -> c of y(c)
-            chi = [_chi_components(s, self._index) for s in level]
-            for d_pos, d in enumerate(category.objects):
-                for x, f in enumerate(yc.carrier(d)):
-                    self._actions[f] = tuple(row[d_pos][x] for row in chi)
         self._boundary = None
-        self._presheaf = None
+        carriers = {c: tuple(range(len(level))) for c, level in zip(category.objects, self.sieves)}
+        gen_actions = {}
+        for c, yc, level in zip(category.objects, self.yonedas, self.sieves):
+            # Omega(g)(S) = g*S is chi_S at the cell g: d -> c of y(c)
+            gens = [g for g in category.generators if g.target == c]
+            cells = [(g.source, yc.label_index(g.source, g)) for g in gens]
+            pulled = [_chi_at(s, self._index, cells) for s in level]
+            for n, g in enumerate(gens):
+                gen_actions[g] = tuple(row[n] for row in pulled)
+        self._presheaf = FinitePresheaf(category, carriers, gen_actions, validate=False)
 
     # -- lookups --------------------------------------------------------
 
@@ -70,9 +74,6 @@ class OmegaObject:
     def level_sizes(self):
         return tuple(len(level) for level in self.sieves)
 
-    def sieve(self, c, i):
-        return self.sieves[self.category.obj_index(c)][i]
-
     def sieve_index(self, sub):
         pos = sub.presheaf.category.obj_index(_yoneda_dimension(sub.presheaf))
         return self._index[pos][sub.masks]
@@ -80,15 +81,12 @@ class OmegaObject:
     def index_of_masks(self, c, masks):
         return self._index[self.category.obj_index(c)][masks]
 
-    def algebra(self, c):
-        return self.algebras[self.category.obj_index(c)]
-
     def act(self, f, i):
         """Sieve pullback along f in hom(a, b): level b index -> level a index."""
-        return self._actions[f][i]
+        return self._presheaf.act(f, i)
 
     def action_table(self, f):
-        return self._actions[f]
+        return self._presheaf.action_table(f)
 
     def top_at(self, c):
         return self.top[self.category.obj_index(c)]
@@ -109,14 +107,9 @@ class OmegaObject:
     def as_presheaf(self):
         """Omega as a FinitePresheaf whose level-k elements are sieve indices.
 
-        Pullback actions are functorial by construction; the tests check it.
+        It holds the generator tables; every other action is composed from
+        them.  Functoriality holds by construction; the tests check it.
         """
-        if self._presheaf is None:
-            carriers = {
-                c: tuple(range(self.level_size(c))) for c in self.category.objects
-            }
-            gen_actions = {g: self._actions[g] for g in self.category.generators}
-            self._presheaf = FinitePresheaf(self.category, carriers, gen_actions, validate=False)
         return self._presheaf
 
 
@@ -149,29 +142,24 @@ def _inclusion_algebra(level):
 # -- characteristic functions ------------------------------------------
 
 
-def _chi_components(sub, index):
-    """Per-level sieve indices of chi_sub; ``index`` maps masks to indices."""
+def _chi_at(sub, index, cells):
+    """Sieve indices of chi_sub at the given (level, position) cells of its
+    presheaf; ``index`` maps each level's masks to sieve indices."""
     A = sub.presheaf
-    cat = A.category
     orbits = A.sieve_orbits()
-    components = []
-    for c in cat.objects:
-        pos = cat.obj_index(c)
-        level = []
-        for x in range(len(A.carrier(c))):
-            per_level = orbits[(c, x)]
-            masks = []
-            for l in cat.objects:
-                l_pos = cat.obj_index(l)
-                mask = 0
-                sub_mask = sub.masks[l_pos]
-                for bit, target in enumerate(per_level[l_pos]):
-                    if sub_mask >> target & 1:
-                        mask |= 1 << bit
-                masks.append(mask)
-            level.append(index[pos][tuple(masks)])
-        components.append(tuple(level))
-    return tuple(components)
+    obj_index = A.category.obj_index
+    sub_masks = sub.masks
+    out = []
+    for c, x in cells:
+        masks = []
+        for sub_mask, targets in zip(sub_masks, orbits[(c, x)]):
+            mask = 0
+            for bit, target in enumerate(targets):
+                if sub_mask >> target & 1:
+                    mask |= 1 << bit
+            masks.append(mask)
+        out.append(index[obj_index(c)][tuple(masks)])
+    return out
 
 
 def characteristic_function(sub, omega):
@@ -182,7 +170,14 @@ def characteristic_function(sub, omega):
     A = sub.presheaf
     if A.category is not omega.category:
         raise ValueError("subpresheaf and classifying object live over different categories")
-    return PresheafMorphism(A, omega.as_presheaf(), _chi_components(sub, omega._index))
+    # the orbit table is keyed by every cell of A, in level order
+    flat = _chi_at(sub, omega._index, A.sieve_orbits())
+    components = []
+    end = 0
+    for level in A.carriers:
+        start, end = end, end + len(level)
+        components.append(tuple(flat[start:end]))
+    return PresheafMorphism(A, omega.as_presheaf(), tuple(components))
 
 
 def pullback_of_true(chi, omega):

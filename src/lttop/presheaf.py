@@ -11,7 +11,7 @@ are bitwise.
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .fincat import FAMILY_FULL, FAMILY_SEMI, build_index_category, compose_simplex, degeneracy, face
+from .fincat import FAMILY_FULL, FAMILY_SEMI, build_index_category, face
 
 DEFAULT_ENUMERATION_BOUND = 300
 
@@ -409,45 +409,16 @@ def boundary(category, k):
 # -- incidence tuples ----------------------------------------------------
 
 
-def incidence_of_cell(B, k, x):
-    """The incidence tuple (faces d_k .. d_0) of a cell x in B(k)."""
-    return tuple(B.act(face(k, i), x) for i in range(k, -1, -1))
-
-
 def parallel_cells(B, k):
-    """Map incidence tuple -> list of level-k cells sharing it."""
+    """Map incidence tuple (faces d_k .. d_0) -> list of level-k cells sharing it."""
+    tables = [B.action_table(face(k, i)) for i in range(k, -1, -1)]
     table = {}
-    for x in range(len(B.carrier(k))):
-        table.setdefault(incidence_of_cell(B, k, x), []).append(x)
+    for x, incidence in enumerate(zip(*tables)):
+        table.setdefault(incidence, []).append(x)
     return table
 
 
 # -- degeneracy bookkeeping between the semi and full variants ---------
-
-
-def degen_set(sub, l):
-    """The degenerate l-simplices determined by a sieve, per its recursion.
-
-    ``sub`` is a subpresheaf of a Yoneda object whose element labels are
-    simplex morphisms; the result is a set of (degenerate) simplex
-    morphisms of dimension l, members of the matching full-simplex Yoneda
-    level.
-    """
-    sets = degen_sets(sub, l)
-    return sets[l]
-
-
-def degen_sets(sub, up_to):
-    result = {0: set()}
-    for l in range(up_to):
-        base = set(sub.level_labels(l)) if l <= sub.presheaf.category.dim else set()
-        pool = base | result[l]
-        nxt = set()
-        for f in pool:
-            for i in range(l + 1):
-                nxt.add(compose_simplex(f, degeneracy(l, i)))
-        result[l + 1] = nxt
-    return result
 
 
 def add_degeneracies(sub_plus):

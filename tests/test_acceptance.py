@@ -271,15 +271,16 @@ def test_criterion_6_three_chain_count_of_three():
 
 def test_criterion_7_double_negation_nucleus():
     """Double negation is a monad everywhere and a nucleus when De Morgan holds."""
-    from lttop.lattice import from_inclusion_order
+    from lttop.lattice import FiniteHeytingAlgebra
 
     corpus = [chain(2), chain(3), chain(4), chain(5), diamond()]
     # include two non-trivial subobject lattices from presheaf levels
     for kind, level in (("graph", 1), ("semisimplex:2", 2)):
         omega = OMEGAS[kind]
         pos = omega.category.obj_index(level)
+        sieves = omega.sieves[pos]
         corpus.append(
-            from_inclusion_order(omega.sieves[pos], lambda a, b: a.leq(b))
+            FiniteHeytingAlgebra.from_leq(lambda a, b: sieves[a].leq(sieves[b]), len(sieves))
         )
     de_morgan_seen = 0
     for L in corpus:

@@ -237,6 +237,22 @@ def test_verify_counts_suite():
     assert "counts suite:" in text and "PASS" in text
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["--suite", "closures", "--corpus-bound", "-1"], "--corpus-bound"),
+        (["--suite", "criteria", "--corpus-bound", "-3", "--ambient-bound", "-2"], "--corpus-bound"),
+        (["--suite", "criteria", "--ambient-bound", "-2"], "--ambient-bound"),
+        (["--ambient-bound", "-1"], "--ambient-bound"),
+    ],
+)
+def test_verify_rejects_a_negative_bound(argv, flag):
+    code, text = run(["verify", *argv])
+    assert code == 2
+    assert text.startswith("error:") and flag in text
+    assert "PASS" not in text and "suite" not in text
+
+
 # -- the exit-code contract on arbitrary input -------------------------------
 
 CATEGORY_NAMES = [

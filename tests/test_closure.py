@@ -17,7 +17,6 @@ from lttop.presheaf import (
 from lttop.closure import (
     boundary_tuples,
     classify,
-    closure_axiom_violation,
     closure_recursive,
     closure_via_chi,
     default_ambients,
@@ -28,7 +27,6 @@ from lttop.closure import (
     k_exact,
     k_simple,
     presheaf_corpus,
-    pullback_subobject,
 )
 from lttop.topology import construct_bitstring_topology, enumerate_topologies
 
@@ -284,6 +282,41 @@ def test_empty_set_is_separated_not_sheaf_for_the_trivial_topology():
     # the singleton is the terminal object and therefore a sheaf
     report = factorization_check(singleton, j, (singleton, empty))
     assert report.separated and report.complete
+
+
+def pullback_subobject(h, sub):
+    """Pullback of a subobject of the target of h along h, levelwise preimage."""
+    A = h.source
+    sets = {}
+    for c in A.category.objects:
+        sets[c] = [x for x in range(len(A.carrier(c))) if sub.contains(c, h.component(c, x))]
+    return Subpresheaf.from_indices(A, sets)
+
+
+def closure_axiom_violation(j, presheaves, morphisms=()):
+    """None if the closure of j is increasing, idempotent and monotone on
+    every subobject of ``presheaves`` and stable under pullback along
+    ``morphisms``, else (axiom, context).  (Strongness preservation is
+    vacuous here: every presheaf mono is strong.)"""
+    for A in presheaves:
+        subs = enumerate_subpresheaves(A)
+        closed = {s: closure_via_chi(j, s).closed for s in subs}
+        for s in subs:
+            if not s.leq(closed[s]):
+                return ("increasing", (A, s))
+            if closure_via_chi(j, closed[s]).closed != closed[s]:
+                return ("idempotent", (A, s))
+        for s in subs:
+            for t in subs:
+                if s.leq(t) and not closed[s].leq(closed[t]):
+                    return ("monotone", (A, s, t))
+    for h in morphisms:
+        for s in enumerate_subpresheaves(h.target):
+            lhs = closure_via_chi(j, pullback_subobject(h, s)).closed
+            rhs = pullback_subobject(h, closure_via_chi(j, s).closed)
+            if lhs != rhs:
+                return ("pullback-stability", (h, s))
+    return None
 
 
 def test_closure_axioms_on_corpus_instances():

@@ -12,9 +12,23 @@ from lttop.fincat import (
     degeneracy,
     face,
     normal_form,
-    recompose,
     simplex_identity,
 )
+
+
+def recompose(source, target, degens, faces):
+    """Inverse of ``normal_form``; rebuilds the morphism from indices."""
+    k = source
+    result = simplex_identity(source)
+    for j in reversed(degens):
+        result = compose_simplex(degeneracy(k - 1, j), result)
+        k -= 1
+    for i in reversed(faces):
+        result = compose_simplex(face(k + 1, i), result)
+        k += 1
+    if k != target:
+        raise ValueError("index lists do not reach the target dimension")
+    return result
 
 
 def all_monotone(a, b, strict):
@@ -38,9 +52,9 @@ def test_hom_sets_are_the_monotone_maps(kind, strict):
 
 
 @pytest.mark.parametrize("kind", ["set", "graph", "reflgraph", "bicolgraph", "semisimplex:3", "simplex:3"])
-def test_category_laws_exhaustively(kind):
+def test_category_laws_exhaustively(kind, category_law_violation):
     cat = build_index_category(kind)
-    assert cat.law_violation() is None
+    assert category_law_violation(cat) is None
 
 
 def test_graph_shape_matches_the_source_target_picture():

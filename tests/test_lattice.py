@@ -13,7 +13,6 @@ from lttop.lattice import (
     diamond,
     double_negation_map,
     enumerate_nuclei,
-    from_inclusion_order,
     is_de_morgan,
     pentagon,
     verify_heyting,
@@ -146,7 +145,7 @@ def graph_edge_lattice():
 
     g = build_index_category("graph")
     subs = enumerate_subpresheaves(yoneda(g, 1))
-    return from_inclusion_order(subs, lambda a, b: a.leq(b))
+    return FiniteHeytingAlgebra.from_leq(lambda a, b: subs[a].leq(subs[b]), len(subs))
 
 
 def test_subobject_lattice_of_an_edge_is_not_de_morgan():

@@ -16,7 +16,6 @@ from lttop.presheaf import (
     Subpresheaf,
     enumerate_morphisms,
     enumerate_subpresheaves,
-    incidence_of_cell,
     ith_face,
     parallel_cells,
 )
@@ -147,7 +146,9 @@ def test_characteristic_function_on_the_edge(omega_graph):
         assert all(v == omega_graph.top[pos] for v in chi.components[pos])
 
 
-@pytest.mark.parametrize("kind", ["graph", "reflgraph", "bicolgraph", "semisimplex:2"])
+@pytest.mark.parametrize(
+    "kind", ["graph", "reflgraph", "bicolgraph", "semisimplex:2", "simplex:2"]
+)
 def test_subobject_classifier_law(kind):
     category = build_index_category(kind)
     omega = classifying_object(category)
@@ -233,8 +234,7 @@ def test_incidence_structure(omega_semi2):
 def test_incidence_examples(omega_semi2):
     top1 = omega_semi2.top[1]
     omega = omega_semi2.as_presheaf()
-    assert incidence_of_cell(omega, 2, omega_semi2.top[2]) == (top1,) * 3
-    assert incidence_of_cell(omega, 2, omega_semi2.boundary_index(2)) == (top1,) * 3
+    # the top sieve and the boundary are exactly the cells over (top1,) * 3
     assert parallel_cells(omega, 2)[(top1,) * 3] == [
         omega_semi2.boundary_index(2),
         omega_semi2.top[2],
@@ -248,10 +248,8 @@ def test_incidence_examples(omega_semi2):
 
 def test_incidence_of_the_source_vertex_sieve(omega_graph):
     only_source = sieve_by_labels(omega_graph, 1, {0: (face(1, 1),), 1: ()})
-    assert incidence_of_cell(omega_graph.as_presheaf(), 1, only_source) == (
-        omega_graph.top[0],
-        omega_graph.bottom[0],
-    )
+    incidence = (omega_graph.top[0], omega_graph.bottom[0])
+    assert parallel_cells(omega_graph.as_presheaf(), 1)[incidence] == [only_source]
 
 
 def test_hasse_dot_is_deterministic(omega_graph):

@@ -5,14 +5,13 @@ import itertools
 
 import pytest
 
-from lttop.fincat import SimplexMorphism, build_index_category, face
+from lttop.fincat import SimplexMorphism, build_index_category, compose_simplex, degeneracy, face
 from lttop.presheaf import (
     FinitePresheaf,
     FunctorialityError,
     Subpresheaf,
     add_degeneracies,
     boundary,
-    degen_set,
     enumerate_morphisms,
     enumerate_subpresheaves,
     generated_subpresheaf,
@@ -103,6 +102,27 @@ def test_boundary_table():
     subs = enumerate_subpresheaves(yoneda(SEMI2, 2))
     proper = [s for s in subs if not s.is_full]
     assert all(s.leq(b2) for s in proper)
+
+
+def degen_sets(sub, up_to):
+    """Per level l <= up_to, the degenerate l-simplices determined by a
+    sieve on a Yoneda object whose labels are simplex morphisms, by the
+    recursion: degenerate every member, and every degenerate simplex,
+    one level down."""
+    result = {0: set()}
+    for l in range(up_to):
+        base = set(sub.level_labels(l)) if l <= sub.presheaf.category.dim else set()
+        pool = base | result[l]
+        nxt = set()
+        for f in pool:
+            for i in range(l + 1):
+                nxt.add(compose_simplex(f, degeneracy(l, i)))
+        result[l + 1] = nxt
+    return result
+
+
+def degen_set(sub, l):
+    return degen_sets(sub, l)[l]
 
 
 def test_degen_set_examples():
