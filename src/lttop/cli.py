@@ -14,7 +14,13 @@ import sys
 
 from . import closure as closure_mod
 from . import docio, fuzzy, lattice
-from .fincat import FAMILY_BICOLOR, FAMILY_FULL, FAMILY_SEMI, build_index_category
+from .fincat import (
+    FAMILY_BICOLOR,
+    FAMILY_FULL,
+    FAMILY_SEMI,
+    DimensionCapExceeded,
+    build_index_category,
+)
 from .omega import characteristic_function, classifying_object, hasse_covers, hasse_dot, sieve_label
 from .presheaf import BoundExceeded, enumerate_subpresheaves
 from .topology import (
@@ -27,24 +33,26 @@ OK, VERIFY_FAILED, INPUT_ERROR = 0, 1, 2
 
 
 def _category(args):
-    return build_index_category(args.category, max_dim=args.max_dim)
+    try:
+        return build_index_category(args.category, max_dim=args.max_dim)
+    except DimensionCapExceeded as exc:
+        raise ValueError(
+            f"dimension {exc.dim} exceeds the cap {exc.cap}; pass --max-dim {exc.dim} to override"
+        ) from None
 
 
 def cmd_omega(args, out):
     category = _category(args)
+    if args.dot and args.level is None:
+        raise docio.DocumentError("--dot needs --level")
+    level = _parse_level(category, args.level) if args.level is not None else None
     omega = classifying_object(category)
     if args.dot:
-        if args.level is None:
-            raise docio.DocumentError("--dot needs --level")
-        level = _parse_level(category, args.level)
         out.write(hasse_dot(omega, level) + "\n")
         return OK
     sizes = ", ".join(str(n) for n in omega.level_sizes())
     out.write(f"levels: {sizes}\n")
-    shown = (
-        [_parse_level(category, args.level)] if args.level is not None else category.objects
-    )
-    for c in shown:
+    for c in [level] if level is not None else category.objects:
         pos = category.obj_index(c)
         algebra = omega.algebras[pos]
         out.write(f"level {c}: {algebra.size} sieves\n")
@@ -323,6 +331,8 @@ def main(argv=None, out=None):
         out.write("error: classify needs --topology or --nucleus\n")
         return INPUT_ERROR
     try:
+        if args.max_dim < 0:
+            raise ValueError(f"--max-dim must be >= 0, got {args.max_dim}")
         return args.func(args, out)
     except (docio.DocumentError, DegeneracyIncompatible, ValueError, OSError, BoundExceeded) as exc:
         out.write(f"error: {exc}\n")

@@ -12,13 +12,10 @@ counting actual factorizations through dense subobjects over a corpus of
 ambient presheaves.
 """
 
-from __future__ import annotations
-
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .fincat import FAMILY_FULL, FAMILY_SEMI, face
+from .fincat import FAMILY_FULL, FAMILY_SEMI, Record, face
 from .omega import characteristic_function
 from .presheaf import (
     BoundExceeded,
@@ -43,10 +40,8 @@ class CorpusTooLarge(BoundExceeded):
     """More morphisms into a presheaf than the search budget allows."""
 
 
-@dataclass(frozen=True)
-class ClosureResult:
-    closed: Subpresheaf
-    added: tuple  # per-level tuples of added element indices
+class ClosureResult(Record):
+    __slots__ = ("closed", "added")  # added: per-level tuples of added element indices
 
     @property
     def added_total(self):
@@ -205,11 +200,8 @@ def k_exact(B, k):
     return k_simple(B, k) and k_complete(B, k)
 
 
-@dataclass(frozen=True)
-class ClassifyReport:
-    separated: bool
-    complete: bool
-    witnesses: tuple  # (k, "simple"|"complete", data)
+class ClassifyReport(Record):
+    __slots__ = ("separated", "complete", "witnesses")  # witnesses: (k, "simple"|"complete", data)
 
     @property
     def sheaf(self):
@@ -372,12 +364,8 @@ def presheaf_corpus(category, max_total=DEFAULT_CORPUS_BOUND, up_to_iso=True):
 # -- brute-force factorization oracle --------------------------------------
 
 
-@dataclass(frozen=True)
-class FactorizationReport:
-    separated: bool
-    complete: bool
-    separated_witness: tuple | None
-    complete_witness: tuple | None
+class FactorizationReport(Record):
+    __slots__ = ("separated", "complete", "separated_witness", "complete_witness")
 
 
 def _restriction_key(g, sub):

@@ -20,8 +20,8 @@ inferred from index ranges.
 """
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 
 DEFAULT_MAX_DIM = 4
 
@@ -40,21 +40,122 @@ KIND_ALIASES = {
 }
 
 
-@dataclass(frozen=True, order=True)
-class SimplexMorphism:
+class Record:
+    """An immutable value with named fields.
+
+    A subclass lists its fields, in constructor order, in ``__slots__``;
+    slot names that start with ``_`` are private and are not fields.  It
+    may give trailing fields defaults in ``_defaults`` and restrict the
+    fields that equality and hashing read to ``_compare``.  Records
+    compare and hash as the tuple of those fields (the value, for a single
+    compared field), return NotImplemented
+    against other classes, print as ``Name(field=value, ...)`` and refuse
+    assignment.  Every lttop process imports this module: the standard
+    library's generated record classes would import ``inspect`` and
+    compile methods per class on every start, which costs more than
+    importing the rest of the package.
+    """
+
+    __slots__ = ()
+    _defaults = {}
+    _compare = None
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        compared = cls._compare or cls._fields
+        if compared:
+            cls._key = attrgetter(*compared)
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(self._fields):
+            args = self._bind(args, kwargs)
+        for name, value in zip(self._fields, args):
+            object.__setattr__(self, name, value)
+
+    def _bind(self, args, kwargs):
+        """Every field's value for a call that uses keywords or defaults."""
+        fields = self._fields
+        values = {**self._defaults, **kwargs}
+        values.update(zip(fields, args))
+        if (
+            len(args) > len(fields)
+            or any(name in kwargs for name in fields[: len(args)])
+            or values.keys() != set(fields)
+        ):
+            raise TypeError(
+                f"{type(self).__name__}() takes the fields {fields}; got "
+                f"{len(args)} positional and the keywords {tuple(kwargs)}"
+            )
+        return [values[name] for name in fields]
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({inner})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+
+class OrderedRecord(Record):
+    """A record that also orders as the tuple of its compared fields."""
+
+    __slots__ = ()
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) < self._key(other)
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) <= self._key(other)
+        return NotImplemented
+
+    def __gt__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) > self._key(other)
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) >= self._key(other)
+        return NotImplemented
+
+
+class SimplexMorphism(OrderedRecord):
     """A monotone map {0..source} -> {0..target} between simplex objects."""
 
-    source: int
-    target: int
-    values: tuple
+    __slots__ = ("source", "target", "values", "_hash")
 
-    def __post_init__(self):
-        if len(self.values) != self.source + 1:
-            raise ValueError(f"expected {self.source + 1} values, got {self.values}")
-        if any(v < 0 or v > self.target for v in self.values):
-            raise ValueError(f"values {self.values} out of range 0..{self.target}")
-        if any(a > b for a, b in zip(self.values, self.values[1:])):
-            raise ValueError(f"values {self.values} are not monotone")
+    def __init__(self, source, target, values):
+        if len(values) != source + 1:
+            raise ValueError(f"expected {source + 1} values, got {values}")
+        if any(v < 0 or v > target for v in values):
+            raise ValueError(f"values {values} out of range 0..{target}")
+        if any(a > b for a, b in zip(values, values[1:])):
+            raise ValueError(f"values {values} are not monotone")
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_hash", hash((source, target, values)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def is_identity(self):
@@ -68,13 +169,10 @@ class SimplexMorphism:
         return "(" + ",".join(str(v) for v in self.values) + ")"
 
 
-@dataclass(frozen=True, order=True)
-class NamedMorphism:
+class NamedMorphism(OrderedRecord):
     """A morphism of an explicitly tabulated category, identified by name."""
 
-    source: str
-    target: str
-    name: str
+    __slots__ = ("source", "target", "name")
 
     @property
     def is_identity(self):
@@ -92,6 +190,7 @@ def simplex_identity(k):
     return SimplexMorphism(k, k, tuple(range(k + 1)))
 
 
+@lru_cache(maxsize=None)
 def face(k, i):
     """The injection {0..k-1} -> {0..k} skipping i, i.e. hom(k-1, k)."""
     if not (1 <= k and 0 <= i <= k):
@@ -99,6 +198,7 @@ def face(k, i):
     return SimplexMorphism(k - 1, k, tuple(v for v in range(k + 1) if v != i))
 
 
+@lru_cache(maxsize=None)
 def degeneracy(k, i):
     """The surjection {0..k+1} -> {0..k} repeating i, i.e. hom(k+1, k)."""
     if not (0 <= i <= k):
@@ -273,6 +373,15 @@ def _cached_category(family, dim):
     return _build_simplex_category(kind, family, dim)
 
 
+class DimensionCapExceeded(ValueError):
+    """A dimension above the cap that ``build_index_category`` enforces."""
+
+    def __init__(self, dim, cap):
+        super().__init__(f"dimension {dim} exceeds the cap {cap}; pass allow_large=True to override")
+        self.dim = dim
+        self.cap = cap
+
+
 def build_index_category(kind, dim=None, max_dim=DEFAULT_MAX_DIM, allow_large=False):
     """Build one of the five built-in index categories.
 
@@ -285,7 +394,10 @@ def build_index_category(kind, dim=None, max_dim=DEFAULT_MAX_DIM, allow_large=Fa
     if ":" in key:
         key, _, tail = key.partition(":")
         if dim is None:
-            dim = int(tail)
+            try:
+                dim = int(tail)
+            except ValueError:
+                raise ValueError(f"bad dimension {tail!r} in {kind!r}") from None
     if key not in KIND_ALIASES:
         raise ValueError(f"unknown category kind {kind!r}")
     family, forced_dim = KIND_ALIASES[key]
@@ -300,7 +412,5 @@ def build_index_category(kind, dim=None, max_dim=DEFAULT_MAX_DIM, allow_large=Fa
     if dim < 0:
         raise ValueError("dimension must be >= 0")
     if dim > max_dim and not allow_large:
-        raise ValueError(
-            f"dimension {dim} exceeds the cap {max_dim}; pass allow_large=True to override"
-        )
+        raise DimensionCapExceeded(dim, max_dim)
     return _cached_category(family, dim)

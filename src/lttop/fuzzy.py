@@ -8,26 +8,21 @@ replace the membership of a subobject by (nucleus of the small membership)
 meet (ambient membership).
 """
 
-from __future__ import annotations
-
 import itertools
-from dataclasses import dataclass
 
-from .lattice import FiniteHeytingAlgebra, Nucleus
+from .fincat import Record
 
 DEFAULT_FUZZY_CARRIER = 3
 _NAMES = ("a", "b", "c", "d")
 
 
-@dataclass(frozen=True)
-class FuzzySet:
-    algebra: FiniteHeytingAlgebra
-    elements: tuple
-    membership: tuple  # per element, an algebra index
+class FuzzySet(Record):
+    __slots__ = ("algebra", "elements", "membership")  # membership: per element, an algebra index
 
-    def __post_init__(self):
-        if len(self.elements) != len(self.membership):
+    def __init__(self, algebra, elements, membership):
+        if len(elements) != len(membership):
             raise ValueError("one membership value per element")
+        super().__init__(algebra, elements, membership)
 
     @property
     def size(self):
@@ -41,18 +36,17 @@ class FuzzySet:
         return "{" + inner + "}"
 
 
-@dataclass(frozen=True)
-class FuzzySubset:
+class FuzzySubset(Record):
     """A subobject: chosen elements with (possibly lowered) memberships."""
 
-    ambient: FuzzySet
-    members: tuple  # sorted (element index, membership index) pairs
+    __slots__ = ("ambient", "members")  # members: sorted (element index, membership index) pairs
 
-    def __post_init__(self):
-        L = self.ambient.algebra
-        for idx, memb in self.members:
-            if not L.leq(memb, self.ambient.membership[idx]):
+    def __init__(self, ambient, members):
+        L = ambient.algebra
+        for idx, memb in members:
+            if not L.leq(memb, ambient.membership[idx]):
                 raise ValueError("subobject membership must sit below the ambient one")
+        super().__init__(ambient, members)
 
     @property
     def carrier_indices(self):
@@ -98,12 +92,11 @@ def fuzzy_morphisms(A, B):
             yield mapping
 
 
-@dataclass(frozen=True)
-class QClosureOperator:
+class QClosureOperator(Record):
     """Trivial, or induced by a nucleus on the membership algebra."""
 
-    kind: str  # "trivial" | "nucleus"
-    nucleus: Nucleus | None = None
+    __slots__ = ("kind", "nucleus")  # kind: "trivial" | "nucleus"
+    _defaults = {"nucleus": None}
 
     @staticmethod
     def trivial():
@@ -191,10 +184,8 @@ def pullback_fuzzy(A, B, mapping, sub):
     return FuzzySubset.from_tuple(A, pulled)
 
 
-@dataclass(frozen=True)
-class QClosureViolation:
-    axiom: str
-    context: tuple
+class QClosureViolation(Record):
+    __slots__ = ("axiom", "context")
 
     def __str__(self):
         return f"quasitopos closure axiom {self.axiom} fails: {self.context}"

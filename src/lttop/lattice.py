@@ -7,15 +7,13 @@ order, a failed adjunction) can be handed to :func:`verify_heyting` to get
 a concrete counterexample instead of an exception.
 """
 
-from dataclasses import dataclass
+from .fincat import Record
 
 DEFAULT_NUCLEUS_BOUND = 8
 
 
-@dataclass(frozen=True)
-class LawViolation:
-    law: str
-    witness: tuple
+class LawViolation(Record):
+    __slots__ = ("law", "witness")
 
     def __str__(self):
         return f"{self.law} fails at {self.witness}"
@@ -234,12 +232,10 @@ def pentagon():
 # -- nuclei ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Nucleus:
+class Nucleus(Record):
     """A meet-preserving, increasing, weakly idempotent endomap of L."""
 
-    algebra: FiniteHeytingAlgebra
-    mapping: tuple
+    __slots__ = ("algebra", "mapping")
 
     def __call__(self, a):
         return self.mapping[a]

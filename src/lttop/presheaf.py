@@ -8,10 +8,9 @@ are per-level bitmasks over a canonical element order, so meets and joins
 are bitwise.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .fincat import FAMILY_FULL, FAMILY_SEMI, build_index_category, face
+from .fincat import FAMILY_FULL, FAMILY_SEMI, Record, build_index_category, face
 
 DEFAULT_ENUMERATION_BOUND = 300
 
@@ -182,12 +181,14 @@ def _generator_composites(category):
     )
 
 
-@dataclass(frozen=True)
-class Subpresheaf:
+class Subpresheaf(Record):
     """An action-closed choice of subsets, stored as per-level bitmasks."""
 
-    presheaf: FinitePresheaf
-    masks: tuple
+    __slots__ = ("presheaf", "masks")
+
+    def __init__(self, presheaf, masks):
+        object.__setattr__(self, "presheaf", presheaf)
+        object.__setattr__(self, "masks", masks)
 
     @staticmethod
     def from_sets(presheaf, sets):
@@ -460,13 +461,10 @@ def _yoneda_dimension(yk):
 # -- natural transformations -------------------------------------------
 
 
-@dataclass(frozen=True)
-class PresheafMorphism:
+class PresheafMorphism(Record):
     """A natural transformation, stored as per-level index maps."""
 
-    source: FinitePresheaf
-    target: FinitePresheaf
-    components: tuple
+    __slots__ = ("source", "target", "components")
 
     def component(self, c, x):
         return self.components[self.source.obj_index(c)][x]

@@ -18,13 +18,9 @@ Equality of topologies is extensional on the level maps; the bit-string
 tag is metadata only.
 """
 
-from __future__ import annotations
-
 import itertools
-from dataclasses import dataclass, field
-
-from .fincat import FAMILY_BICOLOR, FAMILY_FULL, FAMILY_SEMI, build_index_category, face
-from .omega import OmegaObject, classifying_object
+from .fincat import FAMILY_BICOLOR, FAMILY_FULL, FAMILY_SEMI, Record, build_index_category, face
+from .omega import classifying_object
 from .presheaf import add_degeneracies, parallel_cells
 
 BICOLOR_LABELS = ("00", "01", "02", "03", "10", "11", "12", "13")
@@ -43,23 +39,22 @@ class DegeneracyIncompatible(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class TopologyViolation:
-    kind: str  # "true" | "idempotent" | "meet" | "naturality"
-    level: object
-    witness: tuple
+class TopologyViolation(Record):
+    __slots__ = ("kind", "level", "witness")  # kind: "true" | "idempotent" | "meet" | "naturality"
 
     def __str__(self):
         return f"{self.kind} fails at level {self.level}, witness {self.witness}"
 
 
-@dataclass(frozen=True)
-class LTTopology:
-    """Per-level endomap of Omega, optionally tagged by its bit string."""
+class LTTopology(Record):
+    """Per-level endomap of Omega, optionally tagged by its bit string.
 
-    omega: OmegaObject = field(compare=False)
-    levels: tuple
-    tag: str | None = field(default=None, compare=False)
+    Equality reads ``levels`` only; ``omega`` and ``tag`` are context.
+    """
+
+    __slots__ = ("omega", "levels", "tag")
+    _defaults = {"tag": None}
+    _compare = ("levels",)
 
     def level_map(self, c):
         return self.levels[self.omega.category.obj_index(c)]

@@ -3,12 +3,16 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lttop
 from lttop.cli import main
 
 PATH_GRAPH = {
@@ -87,6 +91,59 @@ def test_catalog_output_matches_the_recorded_digests():
         code, text = run(key.split(" "))
         assert code == 0, key
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == want, key
+
+
+def test_cli_start_up_imports_neither_dataclasses_nor_inspect():
+    # every request is a fresh process, so what importing the CLI pulls in
+    # is paid on each one; dataclasses imports inspect, ast, dis and tokenize
+    program = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import lttop.cli\n"
+        "code = lttop.cli.main(['topologies', '--category', 'graph'])\n"
+        "print(json.dumps([code, sorted(set(sys.modules) - before)]))\n"
+    )
+    src = str(Path(lttop.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", program], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "4 topologies on graph"
+    code, loaded = json.loads(lines[-1])
+    assert code == 0 and "lttop.cli" in loaded
+    assert "dataclasses" not in loaded and "inspect" not in loaded
+
+
+def test_max_dim_is_validated_and_named_in_the_cap_error():
+    code, text = run(["--max-dim", "-1", "omega", "--category", "simplex:2"])
+    assert code == 2 and text == "error: --max-dim must be >= 0, got -1\n"
+    code, text = run(["--max-dim", "-2", "verify", "--suite", "fuzzy"])
+    assert code == 2 and text == "error: --max-dim must be >= 0, got -2\n"
+    code, text = run(["--max-dim", "1", "topologies", "--category", "simplex:2"])
+    assert code == 2
+    assert text == "error: dimension 2 exceeds the cap 1; pass --max-dim 2 to override\n"
+    code, text = run(["omega", "--category", "semisimplex:5"])
+    assert code == 2
+    assert text == "error: dimension 5 exceeds the cap 4; pass --max-dim 5 to override\n"
+    code, text = run(["--max-dim", "0", "topologies", "--category", "simplex:0"])
+    assert code == 0 and text.startswith("2 topologies on simplex:0")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["omega", "--category", "graph", "--level", "9"], "unknown level '9' for graph"),
+        (["omega", "--category", "graph", "--level", "9", "--dot"], "unknown level '9' for graph"),
+        (["omega", "--category", "simplex:"], "bad dimension '' in 'simplex:'"),
+        (["topologies", "--category", "simplex:x"], "bad dimension 'x' in 'simplex:x'"),
+        (["omega", "--category", "graph:one"], "bad dimension 'one' in 'graph:one'"),
+    ],
+)
+def test_bad_level_or_dimension_is_reported_before_any_output(argv, message):
+    code, text = run(argv)
+    assert code == 2 and text == f"error: {message}\n"
 
 
 def test_topologies_tables():
@@ -298,8 +355,14 @@ def doc_dir(tmp_path_factory):
 
 
 @settings(max_examples=200, deadline=None)
-@given(command=COMMANDS, first=DOCUMENTS, second=DOCUMENTS, method=st.sampled_from(["auto", "brute", "constrained"]))
-def test_any_input_exits_0_1_or_2(doc_dir, command, first, second, method):
+@given(
+    command=COMMANDS,
+    first=DOCUMENTS,
+    second=DOCUMENTS,
+    method=st.sampled_from(["auto", "brute", "constrained"]),
+    max_dim=st.none() | st.integers(-2, 4),  # larger caps let simplex:9 run for minutes
+)
+def test_any_input_exits_0_1_or_2(doc_dir, command, first, second, method, max_dim):
     name, value = command
     a = write(doc_dir, "a.json", first)
     b = write(doc_dir, "b.json", second)
@@ -313,5 +376,7 @@ def test_any_input_exits_0_1_or_2(doc_dir, command, first, second, method):
         argv = ["classify", f"--topology={value}", "--input", a]
     else:
         argv = ["classify", "--nucleus", b, "--input", a]
+    if max_dim is not None:
+        argv = ["--max-dim", str(max_dim), *argv]
     code, _ = run(argv)
     assert code in (0, 1, 2)

@@ -6,6 +6,7 @@ from math import comb
 import pytest
 
 from lttop.fincat import (
+    DimensionCapExceeded,
     SimplexMorphism,
     build_index_category,
     compose_simplex,
@@ -77,9 +78,13 @@ def test_reflgraph_has_the_collapse_and_three_endomorphisms():
 
 
 def test_dimension_cap_and_unknown_kind():
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionCapExceeded, match="pass allow_large=True") as caught:
         build_index_category("semisimplex", 5)
+    assert (caught.value.dim, caught.value.cap) == (5, 4)
+    assert isinstance(caught.value, ValueError)
     build_index_category("semisimplex", 5, allow_large=True)
+    with pytest.raises(ValueError, match="bad dimension 'x' in 'simplex:x'"):
+        build_index_category("simplex:x")
     with pytest.raises(ValueError):
         build_index_category("dodecahedron")
     with pytest.raises(ValueError):
