@@ -88,17 +88,17 @@ def cmd_closure(args, out):
     category = P.category
     sub = docio.subobject_from_doc(docio.load_json(args.sub), P)
     j = topology_by_tag(category, args.topology)
-    result = closure_mod.closure_via_chi(j, sub)
+    closed = closure_mod.closure_via_chi(j, sub)
     for c in category.objects:
-        added = result.added[category.obj_index(c)]
-        names = ", ".join(str(P.carrier(c)[x]) for x in added)
+        pos = category.obj_index(c)
+        added = closed.masks[pos] & ~sub.masks[pos]
+        names = ", ".join(str(x) for i, x in enumerate(P.carrier(c)) if added >> i & 1)
         out.write(f"level {c}: added [{names}]\n")
     if category.family in (FAMILY_SEMI, FAMILY_FULL) and j.tag is not None:
-        recursive = closure_mod.closure_recursive(j.tag, sub)
-        if recursive.closed != result.closed:
+        if closure_mod.closure_recursive(j.tag, sub) != closed:
             out.write("closure mismatch between the two computation routes\n")
             return VERIFY_FAILED
-    out.write("dense\n" if result.closed.is_full else "not dense\n")
+    out.write("dense\n" if closed.is_full else "not dense\n")
     return OK
 
 
@@ -182,8 +182,8 @@ def _suite_closures(out, corpus_bound=4):
                 # chi_sub does not depend on j: compute it once per subobject
                 chi = characteristic_function(sub, omega)
                 for j in topologies:
-                    via_chi = closure_mod._closure_from_chi(j, chi, sub).closed
-                    recursive = closure_mod.closure_recursive(j.tag, sub).closed
+                    via_chi = closure_mod._closure_from_chi(j, chi)
+                    recursive = closure_mod.closure_recursive(j.tag, sub)
                     checked += 1
                     if via_chi != recursive:
                         mismatch = (P, sub, j.tag)

@@ -40,34 +40,16 @@ class CorpusTooLarge(BoundExceeded):
     """More morphisms into a presheaf than the search budget allows."""
 
 
-class ClosureResult(Record):
-    __slots__ = ("closed", "added")  # added: per-level tuples of added element indices
-
-    @property
-    def added_total(self):
-        return sum(len(level) for level in self.added)
-
-
-def _added_levels(sub, closed):
-    cat = sub.presheaf.category
-    out = []
-    for c in cat.objects:
-        pos = cat.obj_index(c)
-        extra = closed.masks[pos] & ~sub.masks[pos]
-        out.append(tuple(i for i in range(len(sub.presheaf.carrier(c))) if extra >> i & 1))
-    return tuple(out)
-
-
 def closure_via_chi(j, sub):
     """The subobject classified by the topology composed with chi."""
-    return _closure_from_chi(j, characteristic_function(sub, j.omega), sub)
+    return _closure_from_chi(j, characteristic_function(sub, j.omega))
 
 
-def _closure_from_chi(j, chi, sub):
-    """The closure of ``sub`` read off its characteristic map ``chi``:
-    the cells that j sends to the top sieve."""
+def _closure_from_chi(j, chi):
+    """The closure of the subobject that ``chi`` classifies: the cells that
+    j sends to the top sieve."""
     omega = j.omega
-    A = sub.presheaf
+    A = chi.source
     masks = []
     for c in A.category.objects:
         pos = A.category.obj_index(c)
@@ -78,8 +60,7 @@ def _closure_from_chi(j, chi, sub):
             if mapping[chi.component(c, x)] == top:
                 mask |= 1 << x
         masks.append(mask)
-    closed = Subpresheaf(A, tuple(masks))
-    return ClosureResult(closed, _added_levels(sub, closed))
+    return Subpresheaf(A, tuple(masks))
 
 
 def closure_recursive(word, sub):
@@ -106,12 +87,11 @@ def closure_recursive(word, sub):
             if all(below >> t[x] & 1 for t in tables):
                 mask |= 1 << x
         masks[pos] = mask
-    closed = Subpresheaf(A, tuple(masks))
-    return ClosureResult(closed, _added_levels(sub, closed))
+    return Subpresheaf(A, tuple(masks))
 
 
 def is_dense_via_closure(j, sub):
-    return closure_via_chi(j, sub).closed.is_full
+    return closure_via_chi(j, sub).is_full
 
 
 def is_dense_by_bits(word, sub):

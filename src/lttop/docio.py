@@ -10,7 +10,7 @@ import json
 
 from . import lattice
 from .fincat import FAMILY_BICOLOR, build_index_category, normal_form
-from .fuzzy import FuzzySet, FuzzySubset
+from .fuzzy import FuzzySet
 from .lattice import FiniteHeytingAlgebra
 from .presheaf import FinitePresheaf, Subpresheaf
 
@@ -86,22 +86,30 @@ def presheaf_from_doc(doc):
     except ValueError as exc:
         raise DocumentError(str(exc)) from exc
     levels = _require(doc, "levels", dict)
+    for name in levels:
+        _object_by_name(category, name)
     carriers = {}
     for c in category.objects:
         carriers[c] = tuple(_names(levels.get(str(c), []), f"level {c}"))
         if len(set(carriers[c])) != len(carriers[c]):
             raise DocumentError(f"duplicate element names at level {c}")
     actions_doc = _require(doc, "actions", dict)
+    tables_doc = {_generator_by_name(category, name): t for name, t in actions_doc.items()}
     gen_actions = {}
     for g in category.generators:
         name = generator_name(category, g)
-        table_doc = actions_doc.get(name)
+        table_doc = tables_doc.get(g)
         if table_doc is None:
             if carriers[g.target]:
                 raise DocumentError(f"missing action table for generator {name!r}")
             table_doc = {}
         if not isinstance(table_doc, dict):
             raise DocumentError(f"action table for generator {name!r} should be an object")
+        stray = table_doc.keys() - set(carriers[g.target])
+        if stray:
+            raise DocumentError(
+                f"generator {name!r} maps {min(stray)!r}, which is not at level {g.target}"
+            )
         index_src = {x: i for i, x in enumerate(carriers[g.source])}
         table = []
         for x in carriers[g.target]:
@@ -140,6 +148,8 @@ def presheaf_to_doc(P):
 def subobject_from_doc(doc, P):
     """{"of": label, "levels": {obj: [names]}} resolved against a presheaf."""
     levels = _require(doc, "levels", dict)
+    for name in levels:
+        _object_by_name(P.category, name)
     sets = {}
     for c in P.category.objects:
         names = _names(levels.get(str(c), []), f"level {c}")
@@ -199,7 +209,12 @@ def fuzzyset_from_doc(doc):
     if problem is not None:
         raise DocumentError(f"membership algebra is not Heyting: {problem}")
     carrier = _names(_require(doc, "carrier", list), "carrier")
+    if len(set(carrier)) != len(carrier):
+        raise DocumentError("duplicate carrier names")
     membership_doc = _require(doc, "membership", dict)
+    stray = membership_doc.keys() - set(carrier)
+    if stray:
+        raise DocumentError(f"membership names {min(stray)!r}, which is not in the carrier")
     name_index = {n: i for i, n in enumerate(algebra.names)}
     membership = []
     for x in carrier:
@@ -212,29 +227,14 @@ def fuzzyset_from_doc(doc):
     return FuzzySet(algebra, tuple(carrier), tuple(membership))
 
 
-def fuzzy_subset_from_doc(doc, A):
-    """{"members": {element: membership}} resolved against an ambient fuzzy set."""
-    members_doc = _require(doc, "members", dict)
-    name_index = {n: i for i, n in enumerate(A.algebra.names)}
-    element_index = {e: i for i, e in enumerate(A.elements)}
-    members = []
-    for name, value in sorted(members_doc.items()):
-        if name not in element_index:
-            raise DocumentError(f"unknown carrier element {name!r}")
-        if _name(value, f"the membership of {name!r}") not in name_index:
-            raise DocumentError(f"unknown algebra element {value!r}")
-        members.append((element_index[name], name_index[value]))
-    try:
-        return FuzzySubset(A, tuple(sorted(members)))
-    except ValueError as exc:
-        raise DocumentError(str(exc)) from exc
-
-
 def nucleus_from_doc(doc):
     """{"algebra": doc-or-name, "map": {element: element}}"""
     algebra = heyting_from_doc(_require(doc, "algebra", (str, dict)))
     map_doc = _require(doc, "map", dict)
     name_index = {n: i for i, n in enumerate(algebra.names)}
+    stray = map_doc.keys() - name_index.keys()
+    if stray:
+        raise DocumentError(f"map names {min(stray)!r}, which is not an algebra element")
     mapping = []
     for name in algebra.names:
         if name not in map_doc:

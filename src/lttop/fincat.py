@@ -255,10 +255,6 @@ class FiniteIndexCategory:
     def __repr__(self):
         return f"FiniteIndexCategory({self.kind!r})"
 
-    @property
-    def has_degeneracies(self):
-        return self.family == FAMILY_FULL
-
     def obj_index(self, c):
         return self._obj_index[c]
 

@@ -120,19 +120,10 @@ def classifying_object(category):
 
 
 def _inclusion_algebra(level):
-    """The sieves of one level ordered by inclusion, read off their masks.
-
-    Each sieve's per-level masks are packed into one integer, so S <= T is
-    a single ``S & ~T == 0``.
-    """
-    offsets = []
-    width = 0
-    for carrier in level[0].presheaf.carriers:
-        offsets.append(width)
-        width += len(carrier)
-    packed = [
-        sum(mask << offset for mask, offset in zip(s.masks, offsets)) for s in level
-    ]
+    """The sieves of one level ordered by inclusion, read off their packed
+    masks: S <= T is a single ``S & ~T == 0``."""
+    pack = level[0].presheaf.pack
+    packed = [pack(s.masks) for s in level]
     pairs = [
         (i, j) for i, p in enumerate(packed) for j, q in enumerate(packed) if p & ~q == 0
     ]

@@ -5,7 +5,9 @@ one action per generator; actions along arbitrary morphisms are derived
 through the category's factorizations, and functoriality is checked along
 generators (which implies it for every composable pair).  Subpresheaves
 are per-level bitmasks over a canonical element order, so meets and joins
-are bitwise.
+are bitwise; ``pack`` lays a subpresheaf's masks out as one integer.  Every
+subpresheaf is a join of principal ones, the orbits of its cells, and both
+enumeration and generation are read off the cached orbit table.
 """
 
 from functools import lru_cache
@@ -140,12 +142,33 @@ class FinitePresheaf:
         sizes = ",".join(str(len(level)) for level in self.carriers)
         return f"FinitePresheaf({self.category.kind}; sizes={sizes})"
 
-    # -- sieve support used by the classifying object ------------------
+    # -- packed masks and orbits -----------------------------------------
+
+    def pack(self, masks):
+        """Per-level masks as one integer, level 0 in the highest bits.
+
+        Packed integers order like their mask tuples, and S <= T is a
+        single ``S & ~T == 0``.
+        """
+        packed = 0
+        for mask, level in zip(masks, self.carriers):
+            packed = packed << len(level) | mask
+        return packed
+
+    def unpack(self, packed):
+        """The per-level masks of a packed integer."""
+        masks = []
+        for level in reversed(self.carriers):
+            masks.append(packed & (1 << len(level)) - 1)
+            packed >>= len(level)
+        return tuple(reversed(masks))
 
     def sieve_orbits(self):
         """For each element (c, x): per-level tuples of act(f, x) over hom(l, c).
 
-        Cached; used to evaluate characteristic functions quickly.
+        Cached.  Characteristic functions read sieves off it, and the orbit
+        of a cell is its principal subpresheaf, so subpresheaf enumeration
+        and generation are joins of these rows.
         """
         if self._orbit_cache is None:
             cat = self.category
@@ -269,96 +292,45 @@ class Subpresheaf(Record):
         return " ".join(parts)
 
 
+def _principal(presheaf, orbit):
+    """The packed principal subpresheaf of one cell, from its orbit: the
+    per-level tuples of cells it reaches."""
+    masks = []
+    for targets in orbit:
+        mask = 0
+        for t in targets:
+            mask |= 1 << t
+        masks.append(mask)
+    return presheaf.pack(masks)
+
+
 def generated_subpresheaf(presheaf, seeds):
-    """Least subpresheaf containing ``seeds``, a set of (object, index) pairs."""
-    cat = presheaf.category
-    masks = [0 for _ in cat.objects]
-    stack = list(seeds)
-    while stack:
-        c, x = stack.pop()
-        pos = presheaf.obj_index(c)
-        if masks[pos] >> x & 1:
-            continue
-        masks[pos] |= 1 << x
-        for g in cat.generators:
-            if g.target == c:
-                stack.append((g.source, presheaf.act(g, x)))
-    return Subpresheaf(presheaf, tuple(masks))
+    """Least subpresheaf containing ``seeds``, a set of (object, index)
+    pairs: the join of their principal subpresheaves."""
+    orbits = presheaf.sieve_orbits()
+    packed = 0
+    for seed in seeds:
+        packed |= _principal(presheaf, orbits[seed])
+    return Subpresheaf(presheaf, presheaf.unpack(packed))
 
 
 def enumerate_subpresheaves(presheaf, bound=DEFAULT_ENUMERATION_BOUND):
     """All action-closed level-wise subsets, sorted by level-wise bitmask.
 
-    Works by branch-and-propagate over the element inclusion constraints:
-    choosing an element forces its whole generator orbit in, excluding one
-    forces everything mapping onto it out.
+    A subpresheaf is the union of the principal subpresheaves of its cells,
+    so closing {empty} under joins with each distinct principal lists every
+    one exactly once.  Packed integers order like their mask tuples.
     """
     total = presheaf.total_size
     if total > bound:
         raise EnumerationBoundExceeded(total, bound)
-    cat = presheaf.category
-    elements = []
-    position = {}
-    for c, i in presheaf.elements():
-        position[(c, i)] = len(elements)
-        elements.append((c, i))
-    succ = [set() for _ in elements]
-    pred = [set() for _ in elements]
-    for g in cat.generators:
-        table = presheaf.action_table(g)
-        for x in range(len(presheaf.carrier(g.target))):
-            e = position[(g.target, x)]
-            e2 = position[(g.source, table[x])]
-            if e != e2:
-                succ[e].add(e2)
-                pred[e2].add(e)
-
-    UNDECIDED, IN, OUT = 0, 1, 2
-    results = []
-
-    def propagate(state, seed, value):
-        stack = [seed]
-        trail = []
-        while stack:
-            e = stack.pop()
-            if state[e] == value:
-                continue
-            if state[e] != UNDECIDED:
-                for t in trail:
-                    state[t] = UNDECIDED
-                return None
-            state[e] = value
-            trail.append(e)
-            stack.extend(succ[e] if value == IN else pred[e])
-        return trail
-
-    def undo(state, trail):
-        for e in trail:
-            state[e] = UNDECIDED
-
-    def search(state, cursor):
-        while cursor < len(elements) and state[cursor] != UNDECIDED:
-            cursor += 1
-        if cursor == len(elements):
-            results.append(tuple(state))
-            return
-        for value in (OUT, IN):
-            trail = propagate(state, cursor, value)
-            if trail is not None:
-                search(state, cursor + 1)
-                undo(state, trail)
-
-    search([UNDECIDED] * len(elements), 0)
-
-    subs = []
-    for state in results:
-        masks = [0 for _ in cat.objects]
-        for e, (c, i) in enumerate(elements):
-            if state[e] == IN:
-                masks[presheaf.obj_index(c)] |= 1 << i
-        subs.append(Subpresheaf(presheaf, tuple(masks)))
-    subs.sort(key=lambda s: s.masks)
-    return tuple(subs)
+    principals = dict.fromkeys(
+        _principal(presheaf, orbit) for orbit in presheaf.sieve_orbits().values()
+    )
+    found = {0}
+    for p in principals:
+        found |= {s | p for s in found}
+    return tuple(Subpresheaf(presheaf, presheaf.unpack(s)) for s in sorted(found))
 
 
 # -- Yoneda objects, faces, boundaries ---------------------------------

@@ -59,9 +59,6 @@ class LTTopology(Record):
     def level_map(self, c):
         return self.levels[self.omega.category.obj_index(c)]
 
-    def apply(self, c, i):
-        return self.levels[self.omega.category.obj_index(c)][i]
-
     def __hash__(self):
         return hash((self.omega.category.kind, self.levels))
 

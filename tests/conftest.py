@@ -16,6 +16,7 @@ from lttop.fuzzy import (
 )
 from lttop.fincat import face
 from lttop.presheaf import (
+    EnumerationBoundExceeded,
     Subpresheaf,
     boundary,
     enumerate_morphisms,
@@ -192,3 +193,105 @@ def _hasse_covers(algebra):
 @pytest.fixture(scope="session")
 def hasse_covers_reference():
     return _hasse_covers
+
+
+def _subpresheaves(presheaf, bound=300):
+    """All action-closed level-wise subsets, sorted by level-wise bitmask,
+    by branch-and-propagate over the element inclusion constraints:
+    choosing an element forces its whole generator orbit in, excluding one
+    forces everything mapping onto it out.  The reference for
+    ``enumerate_subpresheaves``, which joins principal subpresheaves."""
+    total = presheaf.total_size
+    if total > bound:
+        raise EnumerationBoundExceeded(total, bound)
+    cat = presheaf.category
+    elements = []
+    position = {}
+    for c, i in presheaf.elements():
+        position[(c, i)] = len(elements)
+        elements.append((c, i))
+    succ = [set() for _ in elements]
+    pred = [set() for _ in elements]
+    for g in cat.generators:
+        table = presheaf.action_table(g)
+        for x in range(len(presheaf.carrier(g.target))):
+            e = position[(g.target, x)]
+            e2 = position[(g.source, table[x])]
+            if e != e2:
+                succ[e].add(e2)
+                pred[e2].add(e)
+
+    UNDECIDED, IN, OUT = 0, 1, 2
+    results = []
+
+    def propagate(state, seed, value):
+        stack = [seed]
+        trail = []
+        while stack:
+            e = stack.pop()
+            if state[e] == value:
+                continue
+            if state[e] != UNDECIDED:
+                for t in trail:
+                    state[t] = UNDECIDED
+                return None
+            state[e] = value
+            trail.append(e)
+            stack.extend(succ[e] if value == IN else pred[e])
+        return trail
+
+    def undo(state, trail):
+        for e in trail:
+            state[e] = UNDECIDED
+
+    def search(state, cursor):
+        while cursor < len(elements) and state[cursor] != UNDECIDED:
+            cursor += 1
+        if cursor == len(elements):
+            results.append(tuple(state))
+            return
+        for value in (OUT, IN):
+            trail = propagate(state, cursor, value)
+            if trail is not None:
+                search(state, cursor + 1)
+                undo(state, trail)
+
+    search([UNDECIDED] * len(elements), 0)
+
+    subs = []
+    for state in results:
+        masks = [0 for _ in cat.objects]
+        for e, (c, i) in enumerate(elements):
+            if state[e] == IN:
+                masks[presheaf.obj_index(c)] |= 1 << i
+        subs.append(Subpresheaf(presheaf, tuple(masks)))
+    subs.sort(key=lambda s: s.masks)
+    return tuple(subs)
+
+
+@pytest.fixture(scope="session")
+def subpresheaves_reference():
+    return _subpresheaves
+
+
+def _generated(presheaf, seeds):
+    """Least subpresheaf containing ``seeds``, by a depth-first walk along
+    generator actions: the reference for ``generated_subpresheaf``."""
+    cat = presheaf.category
+    masks = [0 for _ in cat.objects]
+    stack = list(seeds)
+    while stack:
+        c, x = stack.pop()
+        pos = presheaf.obj_index(c)
+        if masks[pos] >> x & 1:
+            continue
+        masks[pos] |= 1 << x
+        for g in cat.generators:
+            if g.target == c:
+                stack.append((g.source, presheaf.act(g, x)))
+    return Subpresheaf(presheaf, tuple(masks))
+
+
+@pytest.fixture(scope="session")
+def generated_reference():
+    return _generated

@@ -168,11 +168,12 @@ def test_brute_method_runs_at_dimension_two():
 
 
 def test_omega_bound_is_an_input_error():
-    # level 4 of semisimplex:4 has 7580 sieves, above the bound 2500
-    for command in ("topologies", "omega"):
-        code, text = run([command, "--category", "semisimplex:4"])
-        assert code == 2
-        assert text == "error: level 4 has 7580 sieves, which exceeds the bound 2500\n"
+    # level 4 of semisimplex:4 and of simplex:4 has 7580 sieves, above the bound 2500
+    for kind in ("semisimplex:4", "simplex:4"):
+        for command in ("topologies", "omega"):
+            code, text = run([command, "--category", kind])
+            assert code == 2
+            assert text == "error: level 4 has 7580 sieves, which exceeds the bound 2500\n"
 
 
 def test_closure_command(tmp_path):
@@ -198,6 +199,15 @@ def test_classify_command(tmp_path):
     assert code == 0
     assert "separated: False" in text
     assert "witness: level 1 not simple" in text
+
+
+def test_a_misnamed_level_is_an_input_error(tmp_path):
+    # an edge level keyed "l" instead of "1" must not load as two bare vertices
+    doc = dict(PATH_GRAPH, levels={"0": ["a", "b", "c"], "l": ["ab", "bc"]})
+    graph = write(tmp_path, "misnamed.json", doc)
+    code, text = run(["classify", "--topology", "01", "--input", graph])
+    assert code == 2
+    assert text == "error: unknown object 'l' for graph\n"
 
 
 def test_classify_fuzzy_route(tmp_path):

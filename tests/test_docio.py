@@ -64,6 +64,12 @@ def test_bicolor_presheaf_document():
         (lambda d: d["actions"].pop("d1_0"), "missing action"),
         (lambda d: d["actions"]["d1_1"].update({"ab": "zz"}), "unknown element"),
         (lambda d: d["actions"]["d1_1"].pop("ab"), "no image"),
+        (lambda d: d["levels"].update({"l": d["levels"].pop("1")}), "unknown object 'l'"),
+        (lambda d: d["levels"].update({"2": []}), "unknown object '2'"),
+        (lambda d: d["actions"].update({"d1_2": {}}), "unknown generator 'd1_2'"),
+        (lambda d: d["actions"].update({"s0_0": {}}), "unknown generator 's0_0'"),
+        (lambda d: d["actions"]["d1_0"].update({"ca": "a"}), "maps 'ca', which is not at level 1"),
+        (lambda d: d["actions"]["d1_0"].update({"a": "a"}), "maps 'a', which is not at level 1"),
     ],
 )
 def test_presheaf_document_errors(mutate, fragment):
@@ -73,7 +79,7 @@ def test_presheaf_document_errors(mutate, fragment):
     mutate(doc)
     with pytest.raises(DocumentError) as err:
         presheaf_from_doc(doc)
-    assert fragment.split()[0] in str(err.value)
+    assert fragment in str(err.value)
 
 
 def test_subobject_document_must_be_closed():
@@ -84,6 +90,8 @@ def test_subobject_document_must_be_closed():
         subobject_from_doc({"levels": {"0": [], "1": ["ab"]}}, P)
     with pytest.raises(DocumentError):
         subobject_from_doc({"levels": {"0": ["nope"], "1": []}}, P)
+    with pytest.raises(DocumentError, match="unknown object 'l'"):
+        subobject_from_doc({"levels": {"0": ["a", "b"], "l": ["ab"]}}, P)
 
 
 def test_heyting_documents():
@@ -116,6 +124,19 @@ def test_fuzzyset_and_nucleus_documents():
     assert mapping == (1, 1, 2)
     with pytest.raises(DocumentError):
         nucleus_from_doc({"algebra": "chain3", "map": {"0": "0"}})
+    # every name a document mentions must resolve
+    with pytest.raises(DocumentError, match="duplicate carrier"):
+        fuzzyset_from_doc(
+            {"algebra": "chain3", "carrier": ["x", "x"], "membership": {"x": "1/2"}}
+        )
+    with pytest.raises(DocumentError, match="membership names 'y'"):
+        fuzzyset_from_doc(
+            {"algebra": "chain3", "carrier": ["x"], "membership": {"x": "1/2", "y": "1"}}
+        )
+    with pytest.raises(DocumentError, match="map names '1/4'"):
+        nucleus_from_doc(
+            {"algebra": "chain3", "map": {"0": "1/2", "1/2": "1/2", "1": "1", "1/4": "1"}}
+        )
 
 
 def test_names_must_be_strings():

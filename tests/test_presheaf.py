@@ -24,6 +24,9 @@ from lttop.presheaf import (
 GRAPH = build_index_category("graph")
 REFL = build_index_category("reflgraph")
 SEMI2 = build_index_category("semisimplex", 2)
+BUILTINS = ["set", "graph", "reflgraph", "bicolgraph"] + [
+    f"{family}:{dim}" for family in ("semisimplex", "simplex") for dim in (1, 2, 3)
+]
 
 
 def brute_subpresheaves(P):
@@ -173,17 +176,72 @@ def test_add_degeneracies_commutes_with_face_actions(sieve_pullback):
                 assert lhs.masks == rhs.masks
 
 
+# subobjects summed over each bound-6 corpus, counted by the brute oracle
+CORPUS_SUBOBJECTS = {"graph": 2156, "reflgraph": 109, "semisimplex:2": 5821, "simplex:2": 27}
+
+
 @pytest.mark.parametrize(
     "cat,k,expected",
-    [(GRAPH, 0, 2), (GRAPH, 1, 5), (SEMI2, 2, 19), (REFL, 1, 5), (REFL, 0, 2)],
+    [(GRAPH, 0, 2), (GRAPH, 1, 5), (SEMI2, 2, 19), (REFL, 1, 5), (REFL, 0, 2)]
+    + [
+        pytest.param(kind, "corpus", total, id=f"corpus-{kind}")
+        for kind, total in CORPUS_SUBOBJECTS.items()
+    ],
 )
 def test_subpresheaf_counts_against_brute_force(cat, k, expected):
-    yk = yoneda(cat, k)
-    fast = enumerate_subpresheaves(yk)
-    assert len(fast) == expected
-    oracle = brute_subpresheaves(yk)
-    assert sorted(s.masks for s in fast) == oracle
-    assert [s.masks for s in fast] == sorted(s.masks for s in fast)
+    from lttop.closure import presheaf_corpus
+
+    if k == "corpus":
+        presheaves = presheaf_corpus(build_index_category(cat), 6)
+    else:
+        presheaves = [yoneda(cat, k)]
+    found = [enumerate_subpresheaves(P) for P in presheaves]
+    assert sum(len(subs) for subs in found) == expected
+    for P, fast in zip(presheaves, found):
+        assert sorted(s.masks for s in fast) == brute_subpresheaves(P)
+        assert [s.masks for s in fast] == sorted(s.masks for s in fast)
+
+
+@pytest.mark.parametrize("kind", BUILTINS + ["semisimplex:4", "simplex:4"])
+def test_enumeration_matches_the_reference_on_yoneda_objects(kind, subpresheaves_reference):
+    category = build_index_category(kind)
+    for k in category.objects:
+        yk = yoneda(category, k)
+        expected = [s.masks for s in subpresheaves_reference(yk)]
+        assert [s.masks for s in enumerate_subpresheaves(yk)] == expected, k
+
+
+@pytest.mark.parametrize("kind", list(CORPUS_SUBOBJECTS))
+def test_enumeration_matches_the_reference_on_the_corpus(kind, subpresheaves_reference):
+    from lttop.closure import presheaf_corpus
+
+    for P in presheaf_corpus(build_index_category(kind), 6):
+        expected = [s.masks for s in subpresheaves_reference(P)]
+        assert [s.masks for s in enumerate_subpresheaves(P)] == expected, P
+
+
+@pytest.mark.parametrize("kind", BUILTINS)
+def test_generated_subpresheaf_matches_the_reference(kind, generated_reference):
+    category = build_index_category(kind)
+    for k in category.objects:
+        yk = yoneda(category, k)
+        for cell in yk.elements():
+            assert generated_subpresheaf(yk, [cell]) == generated_reference(yk, [cell]), cell
+        seeds = list(yk.elements())[::2]
+        assert generated_subpresheaf(yk, seeds) == generated_reference(yk, seeds)
+
+
+def test_packed_masks_round_trip_and_order():
+    from lttop.closure import presheaf_corpus
+
+    for P in presheaf_corpus(SEMI2, 4):
+        subs = enumerate_subpresheaves(P)
+        packed = [P.pack(s.masks) for s in subs]
+        assert [P.unpack(p) for p in packed] == [s.masks for s in subs]
+        assert packed == sorted(packed)
+        for s, p in zip(subs, packed):
+            for t, q in zip(subs, packed):
+                assert s.leq(t) == (p & ~q == 0)
 
 
 def test_every_enumerated_subpresheaf_is_closed_and_no_double_counting():

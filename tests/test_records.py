@@ -11,7 +11,7 @@ import pickle
 
 import pytest
 
-from lttop.closure import ClassifyReport, ClosureResult, FactorizationReport
+from lttop.closure import ClassifyReport, FactorizationReport
 from lttop.fincat import NamedMorphism, SimplexMorphism, build_index_category, face
 from lttop.fuzzy import FuzzySet, FuzzySubset, QClosureOperator, QClosureViolation
 from lttop.lattice import LawViolation, Nucleus, chain
@@ -44,10 +44,6 @@ CASES = {
                          [(Y0, Y1, ((0,), ())), (Y0, Y1, ((0,), ())), (Y0, Y1, ((1,), ()))]),
     "TopologyViolation": (TopologyViolation, ("kind", "level", "witness"),
                           [("meet", 1, (0, 2)), ("meet", 1, (0, 2)), ("meet", 0, (0, 2))]),
-    "ClosureResult": (ClosureResult, ("closed", "added"),
-                      [(Subpresheaf(Y1, (3, 1)), ((1,), ())),
-                       (Subpresheaf(Y1, (3, 1)), ((1,), ())),
-                       (Subpresheaf(Y1, (3, 1)), ((0,), ()))]),
     "ClassifyReport": (ClassifyReport, ("separated", "complete", "witnesses"),
                        [(True, False, ()), (True, False, ()), (True, True, ())]),
     "FactorizationReport": (FactorizationReport,
