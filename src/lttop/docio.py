@@ -1,9 +1,10 @@
 """JSON document schemas for presheaves, subobjects, algebras, fuzzy sets.
 
-One object per file.  Names (of elements, carriers, memberships and map
-values) are strings, and referenced names must resolve; the resulting
-values are validated by their modules' own invariants (functoriality,
-closure, order laws) before they are returned.
+One object per file, with no keys beyond its schema's.  Names (of
+elements, carriers, memberships and map values) are strings, and
+referenced names must resolve; the resulting values are validated by
+their modules' own invariants (functoriality, closure, order laws) before
+they are returned.
 """
 
 import json
@@ -29,6 +30,12 @@ def _require(doc, key, kind):
         wanted = kind.__name__ if isinstance(kind, type) else "/".join(k.__name__ for k in kind)
         raise DocumentError(f"key {key!r} should be {wanted}")
     return value
+
+
+def _known_keys(doc, keys):
+    stray = doc.keys() - set(keys)
+    if stray:
+        raise DocumentError(f"unknown key {min(stray)!r}; expected {', '.join(map(repr, keys))}")
 
 
 def _name(value, what):
@@ -81,6 +88,7 @@ def load_json(path):
 def presheaf_from_doc(doc):
     """{"category": kind, "levels": {obj: [names]}, "actions": {gen: {elem: image}}}"""
     kind = _require(doc, "category", str)
+    _known_keys(doc, ("category", "levels", "actions"))
     try:
         category = build_index_category(kind)
     except ValueError as exc:
@@ -146,8 +154,15 @@ def presheaf_to_doc(P):
 
 
 def subobject_from_doc(doc, P):
-    """{"of": label, "levels": {obj: [names]}} resolved against a presheaf."""
+    """{"of": label, "levels": {obj: [names]}} resolved against a presheaf.
+
+    The optional ``"of"`` is a free label naming the presheaf; it is not
+    resolved.
+    """
     levels = _require(doc, "levels", dict)
+    _known_keys(doc, ("of", "levels"))
+    if "of" in doc:
+        _require(doc, "of", str)
     for name in levels:
         _object_by_name(P.category, name)
     sets = {}
@@ -190,6 +205,7 @@ def heyting_from_doc(doc):
             )
         return NAMED_ALGEBRAS[doc]()
     elements = _names(_require(doc, "elements", list), "elements")
+    _known_keys(doc, ("elements", "covers"))
     covers = _require(doc, "covers", list)
     if len(set(elements)) != len(elements):
         raise DocumentError("duplicate element names")
@@ -205,6 +221,7 @@ def heyting_from_doc(doc):
 def fuzzyset_from_doc(doc):
     """{"algebra": doc-or-name, "carrier": [names], "membership": {name: element}}"""
     algebra = heyting_from_doc(_require(doc, "algebra", (str, dict)))
+    _known_keys(doc, ("algebra", "carrier", "membership"))
     problem = lattice.verify_heyting(algebra)
     if problem is not None:
         raise DocumentError(f"membership algebra is not Heyting: {problem}")
@@ -230,6 +247,7 @@ def fuzzyset_from_doc(doc):
 def nucleus_from_doc(doc):
     """{"algebra": doc-or-name, "map": {element: element}}"""
     algebra = heyting_from_doc(_require(doc, "algebra", (str, dict)))
+    _known_keys(doc, ("algebra", "map"))
     map_doc = _require(doc, "map", dict)
     name_index = {n: i for i, n in enumerate(algebra.names)}
     stray = map_doc.keys() - name_index.keys()

@@ -373,18 +373,17 @@ class DimensionCapExceeded(ValueError):
     """A dimension above the cap that ``build_index_category`` enforces."""
 
     def __init__(self, dim, cap):
-        super().__init__(f"dimension {dim} exceeds the cap {cap}; pass allow_large=True to override")
+        super().__init__(f"dimension {dim} exceeds the cap {cap}; pass max_dim={dim} to override")
         self.dim = dim
         self.cap = cap
 
 
-def build_index_category(kind, dim=None, max_dim=DEFAULT_MAX_DIM, allow_large=False):
+def build_index_category(kind, dim=None, max_dim=DEFAULT_MAX_DIM):
     """Build one of the five built-in index categories.
 
     ``kind`` is one of ``set``, ``graph``, ``reflgraph``, ``bicolgraph``,
     ``semisimplex`` or ``simplex``; the latter two require ``dim``.  The
-    dimension is refused above ``max_dim`` (subobject lattices explode)
-    unless ``allow_large`` is set.
+    dimension is refused above ``max_dim`` (subobject lattices explode).
     """
     key = kind.strip().lower()
     if ":" in key:
@@ -407,6 +406,6 @@ def build_index_category(kind, dim=None, max_dim=DEFAULT_MAX_DIM, allow_large=Fa
         raise ValueError(f"{kind!r} needs a dimension")
     if dim < 0:
         raise ValueError("dimension must be >= 0")
-    if dim > max_dim and not allow_large:
+    if dim > max_dim:
         raise DimensionCapExceeded(dim, max_dim)
     return _cached_category(family, dim)

@@ -184,15 +184,11 @@ def pullback_of_true(chi, omega):
 # -- rendering ----------------------------------------------------------
 
 
-def sieve_label(sub, hide_degenerate=True):
+def sieve_label(sub):
     """Short human-readable summary of a sieve, hiding degenerate cells."""
     parts = []
     for c in sub.presheaf.category.objects:
-        labels = [
-            str(l)
-            for l in sub.level_labels(c)
-            if not hide_degenerate or getattr(l, "is_injective", True)
-        ]
+        labels = [str(l) for l in sub.level_labels(c) if getattr(l, "is_injective", True)]
         if labels:
             parts.append(f"{c}:" + "".join(labels))
     return " ".join(parts) if parts else "(empty)"

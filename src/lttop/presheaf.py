@@ -450,13 +450,6 @@ class PresheafMorphism(Record):
                     return (g, x)
         return None
 
-    def image(self):
-        sets = {}
-        for c in self.target.category.objects:
-            pos = self.source.obj_index(c)
-            sets[c] = {self.components[pos][x] for x in range(len(self.source.carrier(c)))}
-        return Subpresheaf.from_indices(self.target, sets)
-
 
 def sub_as_presheaf(sub):
     """Materialize a subpresheaf as a presheaf plus its inclusion data.
@@ -479,10 +472,9 @@ def sub_as_presheaf(sub):
     return restricted, embed
 
 
-def enumerate_morphisms(source, target, pinned=None):
+def enumerate_morphisms(source, target):
     """Yield every natural transformation source -> target.
 
-    ``pinned`` optionally fixes components as {(object, index): image}.
     Backtracks element by element, lowest level first, intersecting the
     candidate images allowed by naturality with already-assigned elements.
     """
@@ -505,8 +497,6 @@ def enumerate_morphisms(source, target, pinned=None):
     def candidates(n):
         c, x = elements[n]
         opts = None
-        if pinned and (c, x) in pinned:
-            opts = [pinned[(c, x)]]
         for g, gx, early, side in constraints[n]:
             if side == "target":
                 # assigning the acted-on element: act_target(g, y) must match

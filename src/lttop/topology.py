@@ -1,24 +1,36 @@
 """Lawvere-Tierney topologies on the built-in presheaf toposes.
 
-Two independent routes produce them:
+A topology is read through its covering sieves (Mac Lane and Moerdijk,
+Sheaves in Geometry and Logic, III.2 and V.1): J(c) = j^-1(top) is a
+principal filter up(m_c) of Omega(c), and j_c(S) = {f: l -> c | f*S >= m_l}.
+``verify_topology`` checks a candidate that way: each level map fixes top,
+is idempotent, and equals the map its own least covering sieves determine,
+which preserves meets and is natural by construction.
+
+Two independent routes produce topologies:
 
 * ``enumerate_topologies(..., method="brute")`` searches exhaustively over
-  least covering sieves: J(c) = j^-1(top) is a principal filter up(m_c) of
-  Omega(c), so a topology is a stable, transitive choice of one sieve per
-  level (Mac Lane and Moerdijk, Sheaves in Geometry and Logic, III and V).
-  It runs on every category at every dimension, knows nothing about the
-  constructive family, and serves as the oracle.
+  least covering sieves, keeping a stable, transitive choice of one sieve
+  per level and reading the level maps back with the same kernel
+  (``_covering_map``) the check uses.  It runs on every category at every
+  dimension, knows nothing about the constructive family, and serves as
+  the oracle.
 * ``construct_bitstring_topology`` / ``method="constrained"`` build the
   per-dimension family indexed by a bit string: level 0 is the identity or
   the constant-top map, and each higher level is forced by the incidence
   tuple of the image except on the all-top fiber, where the bit decides
   between the boundary and the whole simplex.
 
-Equality of topologies is extensional on the level maps; the bit-string
-tag is metadata only.
+Naturality is checked directly only for the degeneracies, whose failing
+square is the witness of a bit string containing "10".  Equality of
+topologies is extensional on the level maps; the bit-string tag is
+metadata only.
 """
 
 import itertools
+from functools import lru_cache, reduce
+from operator import and_
+
 from .fincat import FAMILY_BICOLOR, FAMILY_FULL, FAMILY_SEMI, Record, build_index_category, face
 from .omega import classifying_object
 from .presheaf import add_degeneracies, parallel_cells
@@ -32,15 +44,22 @@ class DegeneracyIncompatible(ValueError):
     def __init__(self, word, witness=None):
         self.word = word
         self.witness = witness
+        square = ""
+        if witness is not None:
+            square = (
+                f" (naturality square for {witness['generator']} fails at sieve "
+                f"{witness['input_sieve']}: level map then action gives "
+                f"{witness['map_then_action']} but action then level map gives "
+                f"{witness['action_then_map']})"
+            )
         super().__init__(
             f"bit string {word!r} contains '10'; no topology with this closure "
-            f"pattern commutes with the degeneracy actions"
-            + (f" ({witness})" if witness is not None else "")
+            f"pattern commutes with the degeneracy actions{square}"
         )
 
 
 class TopologyViolation(Record):
-    __slots__ = ("kind", "level", "witness")  # kind: "true" | "idempotent" | "meet" | "naturality"
+    __slots__ = ("kind", "level", "witness")  # kind: "true" | "idempotent" | "covering"
 
     def __str__(self):
         return f"{self.kind} fails at level {self.level}, witness {self.witness}"
@@ -68,33 +87,80 @@ class LTTopology(Record):
 
 
 def verify_topology(j):
-    """None if j satisfies the three axioms plus naturality, else a witness."""
+    """None if j is a Lawvere-Tierney topology, else a witness.
+
+    Each level map must fix top, be idempotent, and equal the map its own
+    least covering sieves determine: with m_c the meet of j_c^-1(top),
+    j_c(S) = {f: l -> c | f*S >= m_l}.  Such a map preserves meets and is
+    natural for any m, so the three checks are complete.
+    """
     omega = j.omega
     cat = omega.category
-    for c in cat.objects:
-        pos = cat.obj_index(c)
-        mapping = j.levels[pos]
-        algebra = omega.algebras[pos]
-        if mapping[algebra.top] != algebra.top:
-            return TopologyViolation("true", c, (algebra.top, mapping[algebra.top]))
+    least = []
+    for c, mapping, algebra, level in zip(cat.objects, j.levels, omega.algebras, omega.sieves):
+        top = algebra.top
+        if mapping[top] != top:
+            return TopologyViolation("true", c, (top, mapping[top]))
         for x in range(algebra.size):
             if mapping[mapping[x]] != mapping[x]:
                 return TopologyViolation("idempotent", c, (x,))
-        for x in range(algebra.size):
-            for y in range(algebra.size):
-                lhs = mapping[algebra.meet(x, y)]
-                rhs = algebra.meet(mapping[x], mapping[y])
-                if lhs != rhs:
-                    return TopologyViolation("meet", c, (x, y, lhs, rhs))
-    for g in cat.generators:
+        covering = [level[s].masks for s, v in enumerate(mapping) if v == top]
+        least.append(omega.index_of_masks(c, tuple(reduce(and_, col) for col in zip(*covering))))
+    for pos, (c, mapping) in enumerate(zip(cat.objects, j.levels)):
+        for x, want in enumerate(_covering_map(omega, least, pos)):
+            if mapping[x] != want:
+                return TopologyViolation("covering", c, (x, mapping[x], want))
+    return None
+
+
+@lru_cache(maxsize=None)
+def _cell_tables(omega):
+    """Per level c and level l: the pullback tables of the cells l -> c of y(c)."""
+    objects = omega.category.objects
+    return tuple(
+        tuple(tuple(omega.action_table(f) for f in y.carrier(l)) for l in objects)
+        for y in omega.yonedas
+    )
+
+
+def _covering_map(omega, least, c):
+    """j_c(S) = {f: l -> c | f*S >= m_l} for every sieve S on level c, as
+    sieve indices, given the index m_l of each level's least covering
+    sieve; None where those cells are not a sieve.  Reads m_l only for the
+    levels l with a cell l -> c."""
+    tables = _cell_tables(omega)[c]
+    ups = [omega.algebras[l]._up[least[l]] if cells else 0 for l, cells in enumerate(tables)]
+    index = omega._index[c]
+    return tuple(
+        index.get(
+            tuple(
+                sum(1 << bit for bit, t in enumerate(cells) if up >> t[s] & 1)
+                for cells, up in zip(tables, ups)
+            )
+        )
+        for s in range(len(omega.sieves[c]))
+    )
+
+
+def _naturality_violation(omega, levels, generators):
+    """The first failing square j_d . g* = g* . j_c over the given
+    generators g: d -> c, as a dict of sieves, or None."""
+    cat = omega.category
+    for g in generators:
         src = cat.obj_index(g.source)
         tgt = cat.obj_index(g.target)
         table = omega.action_table(g)
-        for x in range(len(table)):
-            lhs = j.levels[src][table[x]]
-            rhs = table[j.levels[tgt][x]]
+        for x, pulled in enumerate(table):
+            lhs = levels[src][pulled]
+            rhs = table[levels[tgt][x]]
             if lhs != rhs:
-                return TopologyViolation("naturality", g, (x, lhs, rhs))
+                return {
+                    "generator": g,
+                    "input_level": g.target,
+                    "input_sieve": omega.sieves[tgt][x],
+                    "map_then_action": omega.sieves[src][rhs],
+                    "action_then_map": omega.sieves[src][lhs],
+                }
     return None
 
 
@@ -168,23 +234,9 @@ def construct_bitstring_topology(category, word):
     if problem is None:
         return j
     if category.family == FAMILY_FULL and "10" in word:
-        raise DegeneracyIncompatible(word, _describe_violation(omega, problem))
+        square = _naturality_violation(omega, j.levels, category.generators)
+        raise DegeneracyIncompatible(word, square)
     raise RuntimeError(f"constructed map is not a topology: {problem}")
-
-
-def _describe_violation(omega, violation):
-    if violation.kind != "naturality":
-        return str(violation)
-    g = violation.level
-    x, lhs, rhs = violation.witness
-    tgt = omega.category.obj_index(g.target)
-    src = omega.category.obj_index(g.source)
-    return (
-        f"naturality square for {g} fails at sieve "
-        f"{omega.sieves[tgt][x]}: level map then action gives "
-        f"{omega.sieves[src][rhs]} but action then level map gives "
-        f"{omega.sieves[src][lhs]}"
-    )
 
 
 # -- tagging -------------------------------------------------------------
@@ -236,26 +288,12 @@ def _enumerate_covering(omega):
     cat = omega.category
     n = len(cat.objects)
     leq = [a.leq for a in omega.algebras]
-    # per level c and level l: pullback tables of the cells l -> c of y(c)
-    cells = [
-        [[omega.action_table(f) for f in y.carrier(l)] for l in cat.objects] for y in omega.yonedas
-    ]
     # j_c can be built once the highest level l with a cell l -> c is chosen
-    ready_at = [max(l for l in range(n) if row[l]) for row in cells]
+    ready_at = [max(l for l in range(n) if row[l]) for row in _cell_tables(omega)]
     gens = [(cat.obj_index(g.source), cat.obj_index(g.target), omega.action_table(g)) for g in cat.generators]
     m = [None] * n
     maps = [None] * n
     results = []
-
-    def level_map(c):
-        out = []
-        for s in range(len(omega.sieves[c])):
-            masks = tuple(
-                sum(1 << bit for bit, t in enumerate(tables) if leq[l](m[l], t[s]))
-                for l, tables in enumerate(cells[c])
-            )
-            out.append(omega.index_of_masks(cat.objects[c], masks))
-        return tuple(out)
 
     def choose(pos):
         if pos == n:
@@ -270,7 +308,7 @@ def _enumerate_covering(omega):
             if any(not leq[d](m[d], t[m[c]]) for d, c, t in stability):
                 continue
             for c in ready:
-                maps[c] = level_map(c)
+                maps[c] = _covering_map(omega, m, c)
             # idempotent: each level map fixes its own image
             if all(maps[c][y] == y for c in ready for y in maps[c]):
                 choose(pos + 1)
@@ -372,49 +410,6 @@ def degeneracy_compatible(j):
         transported.append(
             tuple(to_full[pos][mapping[to_semi[pos][x]]] for x in range(omega_full.level_size(category.objects[pos])))
         )
-    for g in full_cat.generators:
-        if g.source <= g.target:
-            continue  # only the degeneracy generators, which raise dimension
-        src = full_cat.obj_index(g.source)
-        tgt = full_cat.obj_index(g.target)
-        table = omega_full.action_table(g)
-        for x in range(len(table)):
-            lhs = transported[src][table[x]]
-            rhs = table[transported[tgt][x]]
-            if lhs != rhs:
-                witness = {
-                    "generator": g,
-                    "input_level": g.target,
-                    "input_sieve": omega_full.sieves[tgt][x],
-                    "map_then_action": omega_full.sieves[src][rhs],
-                    "action_then_map": omega_full.sieves[src][lhs],
-                }
-                return False, witness
-    return True, None
-
-
-# -- serialization --------------------------------------------------------
-
-
-def topology_to_doc(j):
-    cat = j.omega.category
-    doc = {
-        "category": cat.kind,
-        "levels": {str(c): list(j.levels[cat.obj_index(c)]) for c in cat.objects},
-    }
-    if j.tag is not None:
-        doc["tag"] = j.tag
-    return doc
-
-
-def topology_from_doc(doc):
-    category = build_index_category(doc["category"])
-    omega = classifying_object(category)
-    levels = []
-    for c in category.objects:
-        levels.append(tuple(doc["levels"][str(c)]))
-    j = LTTopology(omega, tuple(levels), tag=doc.get("tag"))
-    problem = verify_topology(j)
-    if problem is not None:
-        raise ValueError(f"document does not describe a topology: {problem}")
-    return j
+    degeneracies = [g for g in full_cat.generators if g.source > g.target]
+    witness = _naturality_violation(omega_full, transported, degeneracies)
+    return witness is None, witness

@@ -23,6 +23,7 @@ from lttop.presheaf import (
     sub_as_presheaf,
     yoneda,
 )
+from lttop.topology import TopologyViolation
 
 
 def _sieve_pullback(category, u, sieve):
@@ -103,12 +104,8 @@ def _boundary_tuples(B, k):
 
 def _is_boundary_tuple(B, k, tup):
     """Whether some morphism from the hollow k-simplex sends its i-th facet
-    to the entry of ``tup`` for x_i, searched with those facets pinned."""
-    hollow_presheaf, _ = sub_as_presheaf(boundary(B.category, k))
-    pinned = {}
-    for slot, i in enumerate(range(k, -1, -1)):
-        pinned[(k - 1, hollow_presheaf.label_index(k - 1, face(k, i)))] = tup[slot]
-    return next(enumerate_morphisms(hollow_presheaf, B, pinned=pinned), None) is not None
+    to the entry of ``tup`` for x_i."""
+    return tup in _boundary_tuples(B, k)
 
 
 @pytest.fixture(scope="session")
@@ -295,3 +292,42 @@ def _generated(presheaf, seeds):
 @pytest.fixture(scope="session")
 def generated_reference():
     return _generated
+
+
+def _verify_topology(j):
+    """The three axioms plus naturality checked one by one: top is fixed,
+    each level map is idempotent and preserves every meet, and every
+    generator square commutes.  The reference for ``verify_topology``,
+    which reads topologies off their least covering sieves."""
+    omega = j.omega
+    cat = omega.category
+    for c in cat.objects:
+        pos = cat.obj_index(c)
+        mapping = j.levels[pos]
+        algebra = omega.algebras[pos]
+        if mapping[algebra.top] != algebra.top:
+            return TopologyViolation("true", c, (algebra.top, mapping[algebra.top]))
+        for x in range(algebra.size):
+            if mapping[mapping[x]] != mapping[x]:
+                return TopologyViolation("idempotent", c, (x,))
+        for x in range(algebra.size):
+            for y in range(algebra.size):
+                lhs = mapping[algebra.meet(x, y)]
+                rhs = algebra.meet(mapping[x], mapping[y])
+                if lhs != rhs:
+                    return TopologyViolation("meet", c, (x, y, lhs, rhs))
+    for g in cat.generators:
+        src = cat.obj_index(g.source)
+        tgt = cat.obj_index(g.target)
+        table = omega.action_table(g)
+        for x in range(len(table)):
+            lhs = j.levels[src][table[x]]
+            rhs = table[j.levels[tgt][x]]
+            if lhs != rhs:
+                return TopologyViolation("naturality", g, (x, lhs, rhs))
+    return None
+
+
+@pytest.fixture(scope="session")
+def verify_topology_reference():
+    return _verify_topology

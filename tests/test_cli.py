@@ -236,6 +236,11 @@ def test_input_errors_exit_2(tmp_path):
     )
     code, text = run(["closure", "--topology", "01", "--input", graph, "--sub", not_closed])
     assert code == 2 and "action-closed" in text
+    # a misspelt key is named, not ignored
+    misspelt = dict(PATH_GRAPH, actoins=PATH_GRAPH["actions"])
+    misspelt = write(tmp_path, "misspelt.json", misspelt)
+    code, text = run(["classify", "--topology", "01", "--input", misspelt])
+    assert code == 2 and "unknown key 'actoins'" in text
 
 
 REFL_POINT = {

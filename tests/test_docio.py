@@ -70,6 +70,7 @@ def test_bicolor_presheaf_document():
         (lambda d: d["actions"].update({"s0_0": {}}), "unknown generator 's0_0'"),
         (lambda d: d["actions"]["d1_0"].update({"ca": "a"}), "maps 'ca', which is not at level 1"),
         (lambda d: d["actions"]["d1_0"].update({"a": "a"}), "maps 'a', which is not at level 1"),
+        (lambda d: d.update(actoins=d["actions"]), "unknown key 'actoins'"),
     ],
 )
 def test_presheaf_document_errors(mutate, fragment):
@@ -92,6 +93,27 @@ def test_subobject_document_must_be_closed():
         subobject_from_doc({"levels": {"0": ["nope"], "1": []}}, P)
     with pytest.raises(DocumentError, match="unknown object 'l'"):
         subobject_from_doc({"levels": {"0": ["a", "b"], "l": ["ab"]}}, P)
+
+
+def test_documents_reject_unknown_keys():
+    P = presheaf_from_doc(PATH_DOC)
+    levels = {"0": ["a", "b"], "1": ["ab"]}
+    # "of" is a free label: any string is accepted, anything else is not
+    assert subobject_from_doc({"of": "elsewhere", "levels": levels}, P).size == 3
+    with pytest.raises(DocumentError, match="key 'of' should be str"):
+        subobject_from_doc({"of": ["path"], "levels": levels}, P)
+    with pytest.raises(DocumentError, match="unknown key 'level'"):
+        subobject_from_doc({"levels": levels, "level": {}}, P)
+    with pytest.raises(DocumentError, match="unknown key 'bottom'"):
+        heyting_from_doc({"elements": ["0", "1"], "covers": [["0", "1"]], "bottom": "0"})
+    with pytest.raises(DocumentError, match="unknown key 'members'"):
+        fuzzyset_from_doc(
+            {"algebra": "chain3", "carrier": [], "membership": {}, "members": {}}
+        )
+    with pytest.raises(DocumentError, match="unknown key 'nucleus'"):
+        nucleus_from_doc(
+            {"algebra": "chain2", "map": {"0": "0", "1": "1"}, "nucleus": "identity"}
+        )
 
 
 def test_heyting_documents():

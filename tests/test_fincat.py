@@ -78,11 +78,11 @@ def test_reflgraph_has_the_collapse_and_three_endomorphisms():
 
 
 def test_dimension_cap_and_unknown_kind():
-    with pytest.raises(DimensionCapExceeded, match="pass allow_large=True") as caught:
+    with pytest.raises(DimensionCapExceeded, match="pass max_dim=5") as caught:
         build_index_category("semisimplex", 5)
     assert (caught.value.dim, caught.value.cap) == (5, 4)
     assert isinstance(caught.value, ValueError)
-    build_index_category("semisimplex", 5, allow_large=True)
+    build_index_category("semisimplex", 5, max_dim=5)
     with pytest.raises(ValueError, match="bad dimension 'x' in 'simplex:x'"):
         build_index_category("simplex:x")
     with pytest.raises(ValueError):

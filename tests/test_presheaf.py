@@ -312,20 +312,6 @@ def test_enumerate_morphisms_matches_brute_force():
     assert len(list(enumerate_morphisms(y1, path))) == len(path.carrier(1))
 
 
-def test_enumerate_morphisms_respects_pinning():
-    y1 = yoneda(GRAPH, 1)
-    path = FinitePresheaf(
-        GRAPH,
-        {0: ("a", "b", "c"), 1: ("ab", "bc")},
-        {face(1, 1): (0, 1), face(1, 0): (1, 2)},
-    )
-    edge = y1.label_index(1, GRAPH.identity(1))
-    pinned = {(1, edge): 1}
-    found = list(enumerate_morphisms(y1, path, pinned=pinned))
-    assert len(found) == 1
-    assert found[0].component(1, edge) == 1
-
-
 def test_sub_as_presheaf_round_trip():
     y2 = yoneda(SEMI2, 2)
     hollow = boundary(SEMI2, 2)

@@ -7,16 +7,16 @@ import pytest
 
 from lttop.fincat import build_index_category, degeneracy
 from lttop.omega import classifying_object
+from lttop.presheaf import Subpresheaf
 from lttop.topology import (
     DegeneracyIncompatible,
     LTTopology,
+    _bitstring_levels,
     construct_bitstring_topology,
     degeneracy_compatible,
     enumerate_topologies,
     tag_topology,
     topology_by_tag,
-    topology_from_doc,
-    topology_to_doc,
     verify_topology,
 )
 
@@ -55,7 +55,14 @@ def test_verify_reports_each_axiom(omega_graph):
     swapped = list(levels[1])
     swapped[1], swapped[2] = swapped[2], swapped[1]
     problem = verify_topology(LTTopology(omega_graph, (levels[0], tuple(swapped))))
-    assert problem is not None
+    assert problem is not None and problem.kind == "idempotent"
+    # idempotent and top-fixing, but not the map its covering sieves
+    # determine: one vertex covers the edge, the other vertex does not
+    assert omega_graph.sieves[1][1].size == 1
+    covered = list(levels[1])
+    covered[1] = omega_graph.top[1]
+    problem = verify_topology(LTTopology(omega_graph, (levels[0], tuple(covered))))
+    assert problem is not None and problem.kind == "covering"
 
 
 def test_all_zero_word_gives_the_identity(omega_graph):
@@ -122,8 +129,9 @@ def test_simplex_counts():
     assert tags == ["000", "001", "011", "111"]
 
 
-def raw_endomap_topologies(omega):
-    """Reference oracle: filter every tuple of per-level endomaps."""
+def raw_endomap_candidates(omega):
+    """Every tuple of per-level endomaps that fix top, are idempotent and
+    preserve meets."""
     levels = [
         [
             mapping
@@ -138,19 +146,23 @@ def raw_endomap_topologies(omega):
         ]
         for a in omega.algebras
     ]
-    candidates = (LTTopology(omega, choice) for choice in itertools.product(*levels))
-    return {j.levels for j in candidates if verify_topology(j) is None}
+    return [LTTopology(omega, choice) for choice in itertools.product(*levels)]
 
 
-@pytest.mark.parametrize(
-    "kind", ["set", "graph", "reflgraph", "bicolgraph", "semisimplex:1", "simplex:1"]
-)
-def test_brute_matches_the_raw_endomap_filter(kind):
+RAW_ENDOMAP_KINDS = ["set", "graph", "reflgraph", "bicolgraph", "semisimplex:1", "simplex:1"]
+
+
+@pytest.mark.parametrize("kind", RAW_ENDOMAP_KINDS)
+def test_brute_matches_the_raw_endomap_filter(kind, verify_topology_reference):
+    """Reference oracle: the raw endomap filter, then naturality."""
     category = build_index_category(kind)
     omega = classifying_object(category)
     assert max(omega.level_sizes()) <= 5
     brute = enumerate_topologies(category, method="brute")
-    assert {j.levels for j in brute} == raw_endomap_topologies(omega)
+    raw = raw_endomap_candidates(omega)
+    assert {j.levels for j in brute} == {
+        j.levels for j in raw if verify_topology_reference(j) is None
+    }
 
 
 @pytest.mark.parametrize("family, count", [("semisimplex", 16), ("simplex", 5)])
@@ -160,6 +172,86 @@ def test_brute_matches_constrained_in_dimension_three(family, count):
     constrained = enumerate_topologies(category, method="constrained")
     assert len(brute) == count
     assert [(j.levels, j.tag) for j in brute] == [(j.levels, j.tag) for j in constrained]
+
+
+BUILT_INS = [
+    "set", "graph", "reflgraph", "bicolgraph", "semisimplex:1", "simplex:1",
+    "semisimplex:2", "simplex:2", "semisimplex:3", "simplex:3",
+]
+
+
+def covering_sieve_maps(omega):
+    """j_c(S) = {f: l -> c | f*S >= m_l} for every stable choice m of one
+    sieve per level, transitive or not, pulling S back along each cell."""
+    cat = omega.category
+    leq = [a.leq for a in omega.algebras]
+    pos = cat.obj_index
+    maps = []
+    for m in itertools.product(*(range(a.size) for a in omega.algebras)):
+        if not all(
+            leq[pos(g.source)](m[pos(g.source)], omega.act(g, m[pos(g.target)]))
+            for g in cat.generators
+        ):
+            continue
+        levels = []
+        for c, y in zip(cat.objects, omega.yonedas):
+            level = []
+            for s in range(omega.level_size(c)):
+                sets = {
+                    l: [f for f in y.carrier(l) if leq[pos(l)](m[pos(l)], omega.act(f, s))]
+                    for l in cat.objects
+                }
+                level.append(omega.sieve_index(Subpresheaf.from_sets(y, sets)))
+            levels.append(tuple(level))
+        maps.append(LTTopology(omega, tuple(levels)))
+    return maps
+
+
+def single_entry_mutations(j):
+    for pos, mapping in enumerate(j.levels):
+        for x, value in enumerate(mapping):
+            for other in range(len(mapping)):
+                if other != value:
+                    levels = list(j.levels)
+                    levels[pos] = mapping[:x] + (other,) + mapping[x + 1 :]
+                    yield LTTopology(j.omega, tuple(levels))
+
+
+def verification_candidates():
+    """(source, candidate) pairs for the cross-check with the reference."""
+    for family, dim in itertools.product(("semisimplex", "simplex"), range(4)):
+        category = build_index_category(family, dim)
+        omega = classifying_object(category)
+        for bits in itertools.product("01", repeat=dim + 1):
+            word = "".join(bits)
+            levels = _bitstring_levels(omega, word)
+            yield f"word {word} on {category.kind}", LTTopology(omega, levels)
+    for kind in BUILT_INS:
+        category = build_index_category(kind)
+        methods = ["brute"] if kind == "bicolgraph" else ["brute", "constrained"]
+        for method in methods:
+            for j in enumerate_topologies(category, method=method):
+                yield f"{method} {j.tag} on {kind}", j
+                if category.dim is None or category.dim <= 2:
+                    for mutated in single_entry_mutations(j):
+                        yield f"mutation of {method} {j.tag} on {kind}", mutated
+        if category.dim is None or category.dim <= 2:
+            for j in covering_sieve_maps(classifying_object(category)):
+                yield f"covering-sieve map on {kind}", j
+    for kind in RAW_ENDOMAP_KINDS:
+        for j in raw_endomap_candidates(classifying_object(build_index_category(kind))):
+            yield f"raw endomaps on {kind}", j
+
+
+def test_verify_matches_the_axiom_by_axiom_reference(verify_topology_reference):
+    reached = set()
+    for source, j in verification_candidates():
+        problem = verify_topology(j)
+        expected = verify_topology_reference(j)
+        assert (problem is None) == (expected is None), (source, j.levels, problem, expected)
+        reached.add(expected and expected.kind)
+    # every axiom of the reference is reached, and some candidates pass
+    assert reached == {None, "true", "idempotent", "meet", "naturality"}
 
 
 def test_reflgraph_word_10_is_rejected_with_a_witness():
@@ -228,14 +320,10 @@ def test_equality_is_extensional_and_ignores_tags(omega_graph):
 
 def test_topology_by_tag_and_serialization():
     j = topology_by_tag(GRAPH, "01")
-    doc = topology_to_doc(j)
-    back = topology_from_doc(doc)
-    assert back == j and back.tag == "01"
+    assert j == construct_bitstring_topology(GRAPH, "01") and j.tag == "01"
     bic = build_index_category("bicolgraph")
     j12 = topology_by_tag(bic, "12")
     assert j12.tag == "12"
-    doc = topology_to_doc(j12)
-    assert topology_from_doc(doc) == j12
     with pytest.raises(ValueError):
         topology_by_tag(bic, "21")
 
