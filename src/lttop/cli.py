@@ -54,11 +54,10 @@ def cmd_omega(args, out):
     out.write(f"levels: {sizes}\n")
     for c in [level] if level is not None else category.objects:
         pos = category.obj_index(c)
-        algebra = omega.algebras[pos]
-        out.write(f"level {c}: {algebra.size} sieves\n")
+        out.write(f"level {c}: {omega.level_size(c)} sieves\n")
         for i, sieve in enumerate(omega.sieves[pos]):
             out.write(f"  [{i}] {sieve_label(sieve)}\n")
-        covers = " ".join(f"{a}<{b}" for a, b in hasse_covers(algebra))
+        covers = " ".join(f"{a}<{b}" for a, b in hasse_covers(omega, pos))
         out.write(f"  covers: {covers}\n")
     return OK
 

@@ -1,25 +1,28 @@
 """Classifying objects: the presheaf of sieve lattices Sub(y(-)).
 
-Each level is the Heyting algebra of subpresheaves of the Yoneda object at
-that level, ordered by inclusion; the lattice structure is recomputed from
-inclusion rather than hard-coded.  Sieves are the action-closed sets of
-cells, so each level is Heyting by construction and the laws are checked
-in the tests, not on every build.  The action along a generator g: d -> c
-is read off the characteristic maps, chi_S(g) = g*S for a sieve S on c, so
-one mask kernel serves both; ``FinitePresheaf`` composes every other
-action from the generator tables, as it does for any presheaf.  Omega is
-built once per category.
+Each level Omega(c) is the lattice of subpresheaves of y(c), the down-sets
+of its cells, so it is a finite distributive (hence Heyting) lattice.  A
+sieve is kept once, as its packed mask (``FinitePresheaf.pack``), and the
+order is read off the masks: S <= T is ``S & ~T == 0``, meet is AND, join
+is OR, top and bottom are the full and empty masks, and T covers S iff T
+adds to S one class of cells with the same principal sieve.  The Heyting
+laws are checked in the tests against an order-derived algebra, not on
+every build.  The action along a generator g: d -> c is read off the
+characteristic maps, chi_S(g) = g*S for a sieve S on c, so one mask kernel
+serves both; ``FinitePresheaf`` composes every other action from the
+generator tables, as it does for any presheaf.  Omega is built once per
+category.
 """
 
 from functools import lru_cache
 
 from .fincat import FAMILY_BICOLOR
-from .lattice import FiniteHeytingAlgebra
 from .presheaf import (
     BoundExceeded,
     FinitePresheaf,
     PresheafMorphism,
     Subpresheaf,
+    _principal,
     _yoneda_dimension,
     boundary,
     enumerate_subpresheaves,
@@ -38,7 +41,7 @@ class OmegaBoundExceeded(BoundExceeded):
 
 
 class OmegaObject:
-    """Sub(y(-)) with per-level Heyting algebras and pullback actions."""
+    """Sub(y(-)): per-level sieves, their packed masks, and pullback actions."""
 
     def __init__(self, category):
         self.category = category
@@ -50,10 +53,16 @@ class OmegaObject:
                 raise OmegaBoundExceeded(c, len(level), DEFAULT_SIEVE_BOUND)
             sieves.append(level)
         self.sieves = tuple(sieves)
+        self.packed = tuple(
+            tuple(yk.pack(s.masks) for s in level) for yk, level in zip(self.yonedas, self.sieves)
+        )
         self._index = tuple({s.masks: i for i, s in enumerate(level)} for level in self.sieves)
-        self.algebras = tuple(_inclusion_algebra(level) for level in self.sieves)
-        self.top = tuple(alg.top for alg in self.algebras)
-        self.bottom = tuple(alg.bottom for alg in self.algebras)
+        self.top = tuple(
+            index[Subpresheaf.full(yk).masks] for index, yk in zip(self._index, self.yonedas)
+        )
+        self.bottom = tuple(
+            index[Subpresheaf.empty(yk).masks] for index, yk in zip(self._index, self.yonedas)
+        )
         self._boundary = None
         carriers = {c: tuple(range(len(level))) for c, level in zip(category.objects, self.sieves)}
         gen_actions = {}
@@ -117,17 +126,6 @@ class OmegaObject:
 def classifying_object(category):
     """Omega for one of the built-in categories, built once per category."""
     return OmegaObject(category)
-
-
-def _inclusion_algebra(level):
-    """The sieves of one level ordered by inclusion, read off their packed
-    masks: S <= T is a single ``S & ~T == 0``."""
-    pack = level[0].presheaf.pack
-    packed = [pack(s.masks) for s in level]
-    pairs = [
-        (i, j) for i, p in enumerate(packed) for j, q in enumerate(packed) if p & ~q == 0
-    ]
-    return FiniteHeytingAlgebra(pairs, len(level))
 
 
 # -- characteristic functions ------------------------------------------
@@ -194,30 +192,35 @@ def sieve_label(sub):
     return " ".join(parts) if parts else "(empty)"
 
 
-def hasse_covers(algebra):
-    """The cover relation of a finite poset as sorted (lower, upper) pairs.
+def hasse_covers(omega, pos):
+    """The cover relation of level ``pos`` as sorted (lower, upper) pairs.
 
-    b covers a iff the interval up(a) & down(b) is exactly {a, b}; both
-    masks are kept by the algebra.
+    T covers S iff T = S | P_x for a cell x whose principal sieve P_x adds
+    to S exactly the class of x: the cells with the same principal.
     """
-    up, down = algebra._up, algebra._down
-    return [
-        (a, b)
-        for a in algebra.elements()
-        for b in algebra.elements()
-        if a != b and up[a] & down[b] == (1 << a) | (1 << b)
-    ]
+    y = omega.yonedas[pos]
+    offsets = y.bit_offsets()
+    classes = {}  # each principal sieve -> the packed cells that generate it
+    for (c, x), orbit in y.sieve_orbits().items():
+        principal = _principal(y, orbit)
+        classes[principal] = classes.get(principal, 0) | 1 << offsets[y.obj_index(c)] + x
+    packed = omega.packed[pos]
+    where = {p: i for i, p in enumerate(packed)}
+    return sorted(
+        (i, where[s | principal])
+        for principal, cls in classes.items()
+        for i, s in enumerate(packed)
+        if principal & ~s == cls
+    )
 
 
 def hasse_dot(omega, level):
     """Deterministic DOT rendering of one level's Hasse diagram."""
     pos = omega.category.obj_index(level)
-    algebra = omega.algebras[pos]
     lines = [f'digraph "omega_{level}" {{', "  rankdir=BT;"]
-    for i in range(algebra.size):
-        label = sieve_label(omega.sieves[pos][i])
-        lines.append(f'  n{i} [label="{label}"];')
-    for a, b in hasse_covers(algebra):
+    for i, sieve in enumerate(omega.sieves[pos]):
+        lines.append(f'  n{i} [label="{sieve_label(sieve)}"];')
+    for a, b in hasse_covers(omega, pos):
         lines.append(f"  n{a} -> n{b};")
     lines.append("}")
     return "\n".join(lines)

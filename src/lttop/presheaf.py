@@ -155,6 +155,16 @@ class FinitePresheaf:
             packed = packed << len(level) | mask
         return packed
 
+    def bit_offsets(self):
+        """Per level, the packed bit of its cell 0: cell x of level c is
+        bit ``bit_offsets()[obj_index(c)] + x``."""
+        offsets = []
+        shift = self.total_size
+        for level in self.carriers:
+            shift -= len(level)
+            offsets.append(shift)
+        return offsets
+
     def unpack(self, packed):
         """The per-level masks of a packed integer."""
         masks = []

@@ -97,11 +97,10 @@ def verify_topology(j):
     omega = j.omega
     cat = omega.category
     least = []
-    for c, mapping, algebra, level in zip(cat.objects, j.levels, omega.algebras, omega.sieves):
-        top = algebra.top
+    for c, mapping, top, level in zip(cat.objects, j.levels, omega.top, omega.sieves):
         if mapping[top] != top:
             return TopologyViolation("true", c, (top, mapping[top]))
-        for x in range(algebra.size):
+        for x in range(len(level)):
             if mapping[mapping[x]] != mapping[x]:
                 return TopologyViolation("idempotent", c, (x,))
         covering = [level[s].masks for s, v in enumerate(mapping) if v == top]
@@ -129,13 +128,19 @@ def _covering_map(omega, least, c):
     sieve; None where those cells are not a sieve.  Reads m_l only for the
     levels l with a cell l -> c."""
     tables = _cell_tables(omega)[c]
-    ups = [omega.algebras[l]._up[least[l]] if cells else 0 for l, cells in enumerate(tables)]
     index = omega._index[c]
+    above = []  # per level l: the sieves S >= m_l, as a bitmask over their indices
+    for l, cells in enumerate(tables):
+        if not cells:
+            above.append(0)
+            continue
+        m = omega.packed[l][least[l]]
+        above.append(sum(1 << s for s, p in enumerate(omega.packed[l]) if p & m == m))
     return tuple(
         index.get(
             tuple(
                 sum(1 << bit for bit, t in enumerate(cells) if up >> t[s] & 1)
-                for cells, up in zip(tables, ups)
+                for cells, up in zip(tables, above)
             )
         )
         for s in range(len(omega.sieves[c]))
@@ -177,12 +182,12 @@ def _check_word(category, word):
 
 
 def _base_level_map(omega, bit):
-    algebra = omega.algebras[0]
-    if algebra.size != 2:
+    size = len(omega.sieves[0])
+    if size != 2:
         raise RuntimeError("level 0 of Omega should always be the two-element chain")
     if bit:
-        return tuple(algebra.top for _ in range(algebra.size))
-    return tuple(range(algebra.size))
+        return (omega.top[0],) * size
+    return tuple(range(size))
 
 
 def _extend_level_map(omega, k, lower, bit):
@@ -276,41 +281,83 @@ def tag_topology(j):
 # -- enumeration ---------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _composite_tables(omega):
+    """Per level c: (bit of f, l, bits of f o g) for every cell f: l -> c
+    of y(c), where bits of f o g is indexed by the packed bit of each cell
+    g of y(l) and holds the packed bit of f o g in y(c).  Rows run from
+    the highest level down: those cells reach the most, so
+    ``_transitive_at`` can stop early."""
+    offsets = [y.bit_offsets() for y in omega.yonedas]
+    tables = []
+    for y, off_c in zip(omega.yonedas, offsets):
+        rows = []
+        for l, cells in enumerate(y.carriers):
+            y_l, off_l = omega.yonedas[l], offsets[l]
+            for f in range(len(cells)):
+                composite = [0] * y_l.total_size
+                for k, gs in enumerate(y_l.carriers):
+                    for i, g in enumerate(gs):
+                        composite[off_l[k] + i] = 1 << off_c[k] + y.act(g, f)
+                rows.append((off_c[l] + f, l, tuple(composite)))
+        tables.append(tuple(reversed(rows)))
+    return tuple(tables)
+
+
+def _transitive_at(composites, m, c):
+    """Whether m_c <= m_c.m = {f o g | f in m_c, g in m_(dom f)}, with m
+    the packed least covering sieves."""
+    mc = m[c]
+    reach = 0
+    for bit, l, composite in composites[c]:
+        if not mc & ~reach:
+            break
+        if mc >> bit & 1:
+            ml = m[l]
+            for g, fg in enumerate(composite):
+                if ml >> g & 1:
+                    reach |= fg
+    return not mc & ~reach
+
+
 def _enumerate_covering(omega):
     """Topologies from their least covering sieves (the Grothendieck route).
 
     J(c) = j^-1(top) is a filter in the finite lattice Omega(c), hence
-    principal: J(c) = up(m_c).  Choose m_c level by level, keep a choice
-    only if f*m_c >= m_d for every generator f: d -> c (stability), and
-    read the topology back as j_c(S) = {f: l -> c | f*S >= m_l}; that map
-    must be idempotent (transitivity).  Knows nothing of the bit strings.
+    principal: J(c) = up(m_c).  Choose m_c level by level and keep a choice
+    only if f*m_c >= m_d for every generator f: d -> c (stability) and
+    m_c <= m_c.m = {f o g | f in m_c, g in m_(dom f)} (transitivity:
+    m_c.m is the least sieve R with f*R >= m_(dom f) for every f in m_c,
+    and it must contain m_c).
+    Both tests read the packed masks; the level maps
+    j_c(S) = {f: l -> c | f*S >= m_l} are built only for a complete choice,
+    which ``verify_topology`` then checks.  Knows nothing of the bit strings.
     """
     cat = omega.category
     n = len(cat.objects)
-    leq = [a.leq for a in omega.algebras]
-    # j_c can be built once the highest level l with a cell l -> c is chosen
-    ready_at = [max(l for l in range(n) if row[l]) for row in _cell_tables(omega)]
+    packed = omega.packed
+    composites = _composite_tables(omega)
+    # transitivity at c can be tested once every level l with a cell l -> c is chosen
+    ready_at = [max(l for _, l, _ in rows) for rows in composites]
     gens = [(cat.obj_index(g.source), cat.obj_index(g.target), omega.action_table(g)) for g in cat.generators]
     m = [None] * n
-    maps = [None] * n
+    masks = [None] * n
     results = []
 
     def choose(pos):
         if pos == n:
-            j = LTTopology(omega, tuple(maps))
+            j = LTTopology(omega, tuple(_covering_map(omega, m, c) for c in range(n)))
             if verify_topology(j) is None:
                 results.append(j)
             return
         stability = [(d, c, t) for d, c, t in gens if max(d, c) == pos]
         ready = [c for c in range(n) if ready_at[c] == pos]
-        for least in range(len(omega.sieves[pos])):
+        for least, mask in enumerate(packed[pos]):
             m[pos] = least
-            if any(not leq[d](m[d], t[m[c]]) for d, c, t in stability):
+            masks[pos] = mask
+            if any(masks[d] & ~packed[d][t[m[c]]] for d, c, t in stability):
                 continue
-            for c in ready:
-                maps[c] = _covering_map(omega, m, c)
-            # idempotent: each level map fixes its own image
-            if all(maps[c][y] == y for c in ready for y in maps[c]):
+            if all(_transitive_at(composites, masks, c) for c in ready):
                 choose(pos + 1)
 
     choose(0)

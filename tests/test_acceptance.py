@@ -87,22 +87,22 @@ def test_criterion_1_topology_counts():
     print("criterion 1 (topology counts 2/4/3/8/8/4, methods agree): PASS")
 
 
-def test_criterion_2_omega_structure():
+def test_criterion_2_omega_structure(order_algebra):
     """Level sizes, Heyting laws, face-downset isomorphism, incidence collisions."""
     assert OMEGAS["graph"].level_sizes() == (2, 5)
     assert OMEGAS["reflgraph"].level_sizes() == (2, 5)
     assert OMEGAS["semisimplex:2"].level_sizes() == (2, 5, 19)
     for kind in ("graph", "reflgraph", "semisimplex:2"):
-        for algebra in OMEGAS[kind].algebras:
-            assert verify_heyting(algebra) is None
+        for pos in range(len(CATEGORIES[kind].objects)):
+            assert verify_heyting(order_algebra(OMEGAS[kind], pos)) is None
     # face-downset isomorphism for k <= 1
     omega = OMEGAS["semisimplex:2"]
     category = CATEGORIES["semisimplex:2"]
     for k in (0, 1):
         for i in range(k + 2):
             hat_idx = omega.sieve_index(ith_face(category, k + 1, i))
-            algebra_above = omega.algebras[k + 1]
-            algebra_below = omega.algebras[k]
+            algebra_above = order_algebra(omega, k + 1)
+            algebra_below = order_algebra(omega, k)
             downset = [x for x in range(algebra_above.size) if algebra_above.leq(x, hat_idx)]
             table = omega.action_table(face(k + 1, i))
             assert sorted(table[x] for x in downset) == list(range(algebra_below.size))

@@ -8,6 +8,7 @@ from lttop.lattice import verify_heyting
 from lttop.omega import (
     characteristic_function,
     classifying_object,
+    hasse_covers,
     hasse_dot,
     pullback_of_true,
 )
@@ -47,19 +48,19 @@ def test_level_sizes(omega_graph, omega_semi2):
     assert classifying_object(build_index_category("set")).level_sizes() == (2,)
 
 
-def test_every_level_is_heyting(omega_semi2):
-    for algebra in omega_semi2.algebras:
-        assert verify_heyting(algebra) is None
+def test_every_level_is_heyting(omega_semi2, order_algebra):
+    for pos in range(len(SEMI2.objects)):
+        assert verify_heyting(order_algebra(omega_semi2, pos)) is None
 
 
-def test_reflgraph_levels_are_order_isomorphic_to_graph(omega_graph):
+def test_reflgraph_levels_are_order_isomorphic_to_graph(omega_graph, order_algebra):
     om_r = classifying_object(REFL)
     from lttop.topology import degeneracy_translation
 
     to_full, to_semi = degeneracy_translation(omega_graph, om_r)
     for pos, _ in enumerate(GRAPH.objects):
-        a_g = omega_graph.algebras[pos]
-        a_r = om_r.algebras[pos]
+        a_g = order_algebra(omega_graph, pos)
+        a_r = order_algebra(om_r, pos)
         assert a_g.size == a_r.size
         for i in range(a_g.size):
             for j in range(a_g.size):
@@ -75,11 +76,11 @@ def test_pullback_preserves_top_and_bottom(omega_semi2):
         assert table[omega_semi2.bottom[tgt]] == omega_semi2.bottom[src]
 
 
-def test_pullback_actions_preserve_meets(omega_semi2):
+def test_pullback_actions_preserve_meets(omega_semi2, order_algebra):
     for g in SEMI2.generators:
         table = omega_semi2.action_table(g)
-        src = omega_semi2.algebras[SEMI2.obj_index(g.source)]
-        tgt = omega_semi2.algebras[SEMI2.obj_index(g.target)]
+        src = order_algebra(omega_semi2, SEMI2.obj_index(g.source))
+        tgt = order_algebra(omega_semi2, SEMI2.obj_index(g.target))
         for a in range(tgt.size):
             for b in range(tgt.size):
                 assert table[tgt.meet(a, b)] == src.meet(table[a], table[b])
@@ -175,18 +176,15 @@ def test_characteristic_function_is_unique(omega_graph):
         assert matches == [chi]
 
 
-def test_face_downset_isomorphism(omega_semi2):
+def test_face_downset_isomorphism(omega_semi2, order_algebra):
     # Omega(k) is isomorphic to the sieves below each face of y(k+1)
     for k in (0, 1):
-        below = omega_semi2.algebras[k]
+        below = order_algebra(omega_semi2, k)
+        above = order_algebra(omega_semi2, k + 1)
         for i in range(k + 2):
             hat = ith_face(SEMI2, k + 1, i)
             hat_idx = omega_semi2.sieve_index(hat)
-            downset = [
-                x
-                for x in range(omega_semi2.level_size(k + 1))
-                if omega_semi2.algebras[k + 1].leq(x, hat_idx)
-            ]
+            downset = [x for x in range(above.size) if above.leq(x, hat_idx)]
             assert len(downset) == below.size
             # the pullback along the face restricts to an order isomorphism
             table = omega_semi2.action_table(face(k + 1, i))
@@ -194,16 +192,14 @@ def test_face_downset_isomorphism(omega_semi2):
             assert sorted(image) == list(range(below.size))
             for a in downset:
                 for b in downset:
-                    assert omega_semi2.algebras[k + 1].leq(a, b) == below.leq(
-                        table[a], table[b]
-                    )
+                    assert above.leq(a, b) == below.leq(table[a], table[b])
 
 
-def test_pullback_along_face_is_meet_with_the_face(omega_semi2):
+def test_pullback_along_face_is_meet_with_the_face(omega_semi2, order_algebra):
     # transported along the downset isomorphism, the face action becomes
     # intersection with the face
     for k in (0, 1):
-        algebra = omega_semi2.algebras[k + 1]
+        algebra = order_algebra(omega_semi2, k + 1)
         for i in range(k + 2):
             hat_idx = omega_semi2.sieve_index(ith_face(SEMI2, k + 1, i))
             table = omega_semi2.action_table(face(k + 1, i))
@@ -267,14 +263,14 @@ def test_omega_size_bound_reports_the_level():
     assert err.value.level == 4 and err.value.count == 7580 and err.value.bound == 2500
 
 
-def test_face_downset_isomorphism_at_the_third_level():
+def test_face_downset_isomorphism_at_the_third_level(order_algebra):
     semi3 = build_index_category("semisimplex", 3)
     omega = classifying_object(semi3)
     k = 2
-    below = omega.algebras[k]
+    below = order_algebra(omega, k)
+    above = order_algebra(omega, k + 1)
     for i in range(k + 2):
         hat_idx = omega.sieve_index(ith_face(semi3, k + 1, i))
-        above = omega.algebras[k + 1]
         downset = [x for x in range(above.size) if above.leq(x, hat_idx)]
         table = omega.action_table(face(k + 1, i))
         assert sorted(table[x] for x in downset) == list(range(below.size))
@@ -283,31 +279,26 @@ def test_face_downset_isomorphism_at_the_third_level():
                 assert above.leq(a, b) == below.leq(table[a], table[b])
 
 
-def test_every_builtin_omega_level_is_heyting():
+def test_every_builtin_omega_level_is_heyting(order_algebra):
     # Omega does not re-prove the Heyting laws when it is built
     for kind in BUILTINS_UP_TO_DIM_3:
-        for algebra in classifying_object(build_index_category(kind)).algebras:
-            assert verify_heyting(algebra) is None
+        omega = classifying_object(build_index_category(kind))
+        for pos in range(len(omega.sieves)):
+            assert verify_heyting(order_algebra(omega, pos)) is None
 
 
-def test_hasse_covers_match_the_reference(hasse_covers_reference):
-    from lttop.docio import NAMED_ALGEBRAS
-    from lttop.lattice import FiniteHeytingAlgebra
-    from lttop.omega import hasse_covers
-
-    algebras = [
-        algebra
-        for kind in BUILTINS_UP_TO_DIM_3
-        for algebra in classifying_object(build_index_category(kind)).algebras
-    ]
-    algebras += [make() for make in NAMED_ALGEBRAS.values()]
-    # bot < a, b < c, d < top: a and b have no join, so not a lattice
-    algebras.append(
-        FiniteHeytingAlgebra.from_covers(
-            ("bot", "a", "b", "c", "d", "top"),
-            [("bot", "a"), ("bot", "b"), ("a", "c"), ("a", "d"),
-             ("b", "c"), ("b", "d"), ("c", "top"), ("d", "top")],
-        )
-    )
-    for algebra in algebras:
-        assert hasse_covers(algebra) == hasse_covers_reference(algebra)
+def test_mask_order_matches_the_order_derived_algebra(order_algebra, hasse_covers_reference):
+    # inclusion, meet, join, top, bottom and covers read off packed masks
+    # agree with the algebra derived from Subpresheaf.leq alone
+    for kind in BUILTINS_UP_TO_DIM_3:
+        omega = classifying_object(build_index_category(kind))
+        for pos, (packed, index, y) in enumerate(zip(omega.packed, omega._index, omega.yonedas)):
+            ref = order_algebra(omega, pos)
+            assert len(packed) == ref.size
+            assert (omega.top[pos], omega.bottom[pos]) == (ref.top, ref.bottom), kind
+            for a, p in enumerate(packed):
+                for b, q in enumerate(packed):
+                    assert (p & ~q == 0) == ref.leq(a, b), (kind, pos, a, b)
+                    assert index[y.unpack(p & q)] == ref.meet(a, b), (kind, pos, a, b)
+                    assert index[y.unpack(p | q)] == ref.join(a, b), (kind, pos, a, b)
+            assert hasse_covers(omega, pos) == hasse_covers_reference(ref), (kind, pos)

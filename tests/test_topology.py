@@ -12,6 +12,8 @@ from lttop.topology import (
     DegeneracyIncompatible,
     LTTopology,
     _bitstring_levels,
+    _composite_tables,
+    _transitive_at,
     construct_bitstring_topology,
     degeneracy_compatible,
     enumerate_topologies,
@@ -30,11 +32,11 @@ def omega_graph():
 
 
 def identity_topology(omega):
-    return LTTopology(omega, tuple(tuple(range(a.size)) for a in omega.algebras))
+    return LTTopology(omega, tuple(tuple(range(n)) for n in omega.level_sizes()))
 
 
 def constant_top_topology(omega):
-    return LTTopology(omega, tuple((a.top,) * a.size for a in omega.algebras))
+    return LTTopology(omega, tuple((top,) * n for top, n in zip(omega.top, omega.level_sizes())))
 
 
 @pytest.mark.parametrize("kind", ["set", "graph", "reflgraph", "bicolgraph", "semisimplex:2"])
@@ -70,7 +72,7 @@ def test_all_zero_word_gives_the_identity(omega_graph):
     assert j.levels == identity_topology(omega_graph).levels
     semi2 = build_index_category("semisimplex", 2)
     j2 = construct_bitstring_topology(semi2, "000")
-    assert j2.levels == tuple(tuple(range(a.size)) for a in classifying_object(semi2).algebras)
+    assert j2.levels == identity_topology(classifying_object(semi2)).levels
 
 
 def test_all_one_word_gives_constant_top(omega_graph):
@@ -129,9 +131,10 @@ def test_simplex_counts():
     assert tags == ["000", "001", "011", "111"]
 
 
-def raw_endomap_candidates(omega):
+def raw_endomap_candidates(omega, order_algebra):
     """Every tuple of per-level endomaps that fix top, are idempotent and
-    preserve meets."""
+    preserve meets, read off the order-derived algebra of each level."""
+    algebras = [order_algebra(omega, pos) for pos in range(len(omega.sieves))]
     levels = [
         [
             mapping
@@ -144,7 +147,7 @@ def raw_endomap_candidates(omega):
                 for y in range(a.size)
             )
         ]
-        for a in omega.algebras
+        for a in algebras
     ]
     return [LTTopology(omega, choice) for choice in itertools.product(*levels)]
 
@@ -153,13 +156,13 @@ RAW_ENDOMAP_KINDS = ["set", "graph", "reflgraph", "bicolgraph", "semisimplex:1",
 
 
 @pytest.mark.parametrize("kind", RAW_ENDOMAP_KINDS)
-def test_brute_matches_the_raw_endomap_filter(kind, verify_topology_reference):
+def test_brute_matches_the_raw_endomap_filter(kind, verify_topology_reference, order_algebra):
     """Reference oracle: the raw endomap filter, then naturality."""
     category = build_index_category(kind)
     omega = classifying_object(category)
     assert max(omega.level_sizes()) <= 5
     brute = enumerate_topologies(category, method="brute")
-    raw = raw_endomap_candidates(omega)
+    raw = raw_endomap_candidates(omega, order_algebra)
     assert {j.levels for j in brute} == {
         j.levels for j in raw if verify_topology_reference(j) is None
     }
@@ -180,14 +183,16 @@ BUILT_INS = [
 ]
 
 
-def covering_sieve_maps(omega):
-    """j_c(S) = {f: l -> c | f*S >= m_l} for every stable choice m of one
-    sieve per level, transitive or not, pulling S back along each cell."""
+def covering_sieve_maps(omega, order_algebra):
+    """(m, j_m) for every stable choice m of one sieve index per level,
+    transitive or not: j_c(S) = {f: l -> c | f*S >= m_l}, pulling S back
+    along each cell and comparing in the order-derived algebra."""
     cat = omega.category
-    leq = [a.leq for a in omega.algebras]
+    algebras = [order_algebra(omega, p) for p in range(len(cat.objects))]
+    leq = [a.leq for a in algebras]
     pos = cat.obj_index
     maps = []
-    for m in itertools.product(*(range(a.size) for a in omega.algebras)):
+    for m in itertools.product(*(range(a.size) for a in algebras)):
         if not all(
             leq[pos(g.source)](m[pos(g.source)], omega.act(g, m[pos(g.target)]))
             for g in cat.generators
@@ -203,7 +208,7 @@ def covering_sieve_maps(omega):
                 }
                 level.append(omega.sieve_index(Subpresheaf.from_sets(y, sets)))
             levels.append(tuple(level))
-        maps.append(LTTopology(omega, tuple(levels)))
+        maps.append((m, LTTopology(omega, tuple(levels))))
     return maps
 
 
@@ -217,7 +222,7 @@ def single_entry_mutations(j):
                     yield LTTopology(j.omega, tuple(levels))
 
 
-def verification_candidates():
+def verification_candidates(order_algebra):
     """(source, candidate) pairs for the cross-check with the reference."""
     for family, dim in itertools.product(("semisimplex", "simplex"), range(4)):
         category = build_index_category(family, dim)
@@ -236,22 +241,42 @@ def verification_candidates():
                     for mutated in single_entry_mutations(j):
                         yield f"mutation of {method} {j.tag} on {kind}", mutated
         if category.dim is None or category.dim <= 2:
-            for j in covering_sieve_maps(classifying_object(category)):
+            for _, j in covering_sieve_maps(classifying_object(category), order_algebra):
                 yield f"covering-sieve map on {kind}", j
     for kind in RAW_ENDOMAP_KINDS:
-        for j in raw_endomap_candidates(classifying_object(build_index_category(kind))):
+        for j in raw_endomap_candidates(classifying_object(build_index_category(kind)), order_algebra):
             yield f"raw endomaps on {kind}", j
 
 
-def test_verify_matches_the_axiom_by_axiom_reference(verify_topology_reference):
+def test_verify_matches_the_axiom_by_axiom_reference(verify_topology_reference, order_algebra):
     reached = set()
-    for source, j in verification_candidates():
+    for source, j in verification_candidates(order_algebra):
         problem = verify_topology(j)
         expected = verify_topology_reference(j)
         assert (problem is None) == (expected is None), (source, j.levels, problem, expected)
         reached.add(expected and expected.kind)
     # every axiom of the reference is reached, and some candidates pass
     assert reached == {None, "true", "idempotent", "meet", "naturality"}
+
+
+def test_transitivity_prune_matches_the_reference(verify_topology_reference, order_algebra):
+    # a stable m is transitive, m_c <= m_c.m at every level, exactly when
+    # its covering-sieve map j_m is a topology
+    verdicts = set()
+    for kind in BUILT_INS:
+        category = build_index_category(kind)
+        if category.dim is not None and category.dim > 2:
+            continue
+        omega = classifying_object(category)
+        composites = _composite_tables(omega)
+        for m, j in covering_sieve_maps(omega, order_algebra):
+            masks = [omega.packed[pos][least] for pos, least in enumerate(m)]
+            transitive = all(_transitive_at(composites, masks, c) for c in range(len(m)))
+            accepted = verify_topology_reference(j) is None
+            assert transitive == accepted, (kind, m)
+            verdicts.add(accepted)
+    # some stable candidates are not transitive, so the prune is exercised
+    assert verdicts == {True, False}
 
 
 def test_reflgraph_word_10_is_rejected_with_a_witness():
@@ -328,7 +353,7 @@ def test_topology_by_tag_and_serialization():
         topology_by_tag(bic, "21")
 
 
-def test_bicolor_level_maps_match_the_two_tables():
+def test_bicolor_level_maps_match_the_two_tables(order_algebra):
     category = build_index_category("bicolgraph")
     omega = classifying_object(category)
     by_tag = {j.tag: j for j in enumerate_topologies(category, method="brute")}
@@ -353,7 +378,7 @@ def test_bicolor_level_maps_match_the_two_tables():
         assert by_tag[tag].levels[v_pos][empty_v] == top_v
     # filling the vertices forces every edge sieve at least to the hollow edge
     assert all(
-        omega.algebras[e_pos].leq(hollow_e, v)
+        order_algebra(omega, e_pos).leq(hollow_e, v)
         for v in by_tag["10"].levels[e_pos]
     )
 
