@@ -89,8 +89,7 @@ def cmd_closure(args, out):
     j = topology_by_tag(category, args.topology)
     closed = closure_mod.closure_via_chi(j, sub)
     for c in category.objects:
-        pos = category.obj_index(c)
-        added = closed.masks[pos] & ~sub.masks[pos]
+        added = closed.level_mask(c) & ~sub.level_mask(c)
         names = ", ".join(str(x) for i, x in enumerate(P.carrier(c)) if added >> i & 1)
         out.write(f"level {c}: added [{names}]\n")
     if category.family in (FAMILY_SEMI, FAMILY_FULL) and j.tag is not None:

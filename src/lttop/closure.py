@@ -49,18 +49,14 @@ def _closure_from_chi(j, chi):
     """The closure of the subobject that ``chi`` classifies: the cells that
     j sends to the top sieve."""
     omega = j.omega
-    A = chi.source
-    masks = []
-    for c in A.category.objects:
-        pos = A.category.obj_index(c)
-        top = omega.top[pos]
-        mapping = j.levels[pos]
-        mask = 0
-        for x in range(len(A.carrier(c))):
-            if mapping[chi.component(c, x)] == top:
-                mask |= 1 << x
-        masks.append(mask)
-    return Subpresheaf(A, tuple(masks))
+    bits = 0
+    for components, mapping, top, offset in zip(
+        chi.components, j.levels, omega.top, chi.source.bit_offsets()
+    ):
+        for x, sieve in enumerate(components):
+            if mapping[sieve] == top:
+                bits |= 1 << offset + x
+    return Subpresheaf(chi.source, bits)
 
 
 def closure_recursive(word, sub):
@@ -69,25 +65,23 @@ def closure_recursive(word, sub):
     cat = A.category
     if cat.family not in (FAMILY_SEMI, FAMILY_FULL):
         raise ValueError("the recursive closure needs a simplex category")
-    if len(word) != cat.dim + 1:
-        raise ValueError(f"bit string {word!r} does not match dimension {cat.dim}")
-    masks = list(sub.masks)
+    _check_word(cat, word)
+    offsets = A.bit_offsets()
+    bits = sub.bits
     for k in cat.objects:
-        pos = cat.obj_index(k)
-        full = (1 << len(A.carrier(k))) - 1
         if word[k] == "0":
             continue
-        if k == 0:
-            masks[pos] = full
-            continue
-        tables = [A.action_table(face(k, i)) for i in range(k + 1)]
-        below = masks[cat.obj_index(k - 1)]
-        mask = 0
-        for x in range(len(A.carrier(k))):
-            if all(below >> t[x] & 1 for t in tables):
-                mask |= 1 << x
-        masks[pos] = mask
-    return Subpresheaf(A, tuple(masks))
+        size = len(A.carrier(k))
+        filled = (1 << size) - 1  # level 0 fills completely
+        if k > 0:
+            tables = [A.action_table(face(k, i)) for i in range(k + 1)]
+            below = offsets[k - 1]
+            filled = 0
+            for x in range(size):
+                if all(bits >> below + t[x] & 1 for t in tables):
+                    filled |= 1 << x
+        bits = bits & ~((1 << size) - 1 << offsets[k]) | filled << offsets[k]
+    return Subpresheaf(A, bits)
 
 
 def is_dense_via_closure(j, sub):
@@ -97,12 +91,12 @@ def is_dense_via_closure(j, sub):
 def is_dense_by_bits(word, sub):
     """Density criterion: full at every dimension whose bit is 0."""
     A = sub.presheaf
-    cat = A.category
-    for k in cat.objects:
-        pos = cat.obj_index(k)
-        if word[k] == "0" and sub.masks[pos] != (1 << len(A.carrier(k))) - 1:
-            return False
-    return True
+    _check_word(A.category, word)
+    return all(
+        sub.level_mask(k) == (1 << len(A.carrier(k))) - 1
+        for k in A.category.objects
+        if word[k] == "0"
+    )
 
 
 # -- cell-count predicates ------------------------------------------------
@@ -349,15 +343,11 @@ class FactorizationReport(Record):
 
 
 def _restriction_key(g, sub):
-    A = g.source
-    out = []
-    for c in A.category.objects:
-        pos = A.category.obj_index(c)
-        mask = sub.masks[pos]
-        out.append(
-            tuple(g.components[pos][x] for x in range(len(A.carrier(c))) if mask >> x & 1)
-        )
-    return tuple(out)
+    bits = sub.bits
+    return tuple(
+        tuple(component[x] for x in range(len(component)) if bits >> offset + x & 1)
+        for component, offset in zip(g.components, g.source.bit_offsets())
+    )
 
 
 def default_ambients(category, max_total=DEFAULT_AMBIENT_BOUND):
@@ -409,9 +399,9 @@ def factorization_check(B, j, ambients, budget=DEFAULT_SEARCH_BUDGET):
                 raise CorpusTooLarge(f"more than {budget} morphisms from {A} to {B}", count, budget)
             for s, _ in dense:
                 key = _restriction_key(g, s)
-                extensions.setdefault(s.masks, {}).setdefault(key, []).append(g)
+                extensions.setdefault(s.bits, {}).setdefault(key, []).append(g)
         for s, restricted in dense:
-            table = extensions.get(s.masks, {})
+            table = extensions.get(s.bits, {})
             if sep_witness is None:
                 for key, gs in table.items():
                     if len(gs) > 1:

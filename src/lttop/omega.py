@@ -2,13 +2,14 @@
 
 Each level Omega(c) is the lattice of subpresheaves of y(c), the down-sets
 of its cells, so it is a finite distributive (hence Heyting) lattice.  A
-sieve is kept once, as its packed mask (``FinitePresheaf.pack``), and the
-order is read off the masks: S <= T is ``S & ~T == 0``, meet is AND, join
-is OR, top and bottom are the full and empty masks, and T covers S iff T
-adds to S one class of cells with the same principal sieve.  The Heyting
+sieve is the integer of its ``Subpresheaf``, and the sieves of a level are
+numbered in the order of those integers, so the empty sieve is first and
+the full one last.  The order is read off the integers: S <= T is
+``S & ~T == 0``, meet is AND, join is OR, and T covers S iff T adds to S
+one class of cells with the same principal sieve.  The Heyting
 laws are checked in the tests against an order-derived algebra, not on
 every build.  The action along a generator g: d -> c is read off the
-characteristic maps, chi_S(g) = g*S for a sieve S on c, so one mask kernel
+characteristic maps, chi_S(g) = g*S for a sieve S on c, so one kernel
 serves both; ``FinitePresheaf`` composes every other action from the
 generator tables, as it does for any presheaf.  Omega is built once per
 category.
@@ -41,7 +42,7 @@ class OmegaBoundExceeded(BoundExceeded):
 
 
 class OmegaObject:
-    """Sub(y(-)): per-level sieves, their packed masks, and pullback actions."""
+    """Sub(y(-)): per-level sieves, their integers, and pullback actions."""
 
     def __init__(self, category):
         self.category = category
@@ -53,16 +54,11 @@ class OmegaObject:
                 raise OmegaBoundExceeded(c, len(level), DEFAULT_SIEVE_BOUND)
             sieves.append(level)
         self.sieves = tuple(sieves)
-        self.packed = tuple(
-            tuple(yk.pack(s.masks) for s in level) for yk, level in zip(self.yonedas, self.sieves)
-        )
-        self._index = tuple({s.masks: i for i, s in enumerate(level)} for level in self.sieves)
-        self.top = tuple(
-            index[Subpresheaf.full(yk).masks] for index, yk in zip(self._index, self.yonedas)
-        )
-        self.bottom = tuple(
-            index[Subpresheaf.empty(yk).masks] for index, yk in zip(self._index, self.yonedas)
-        )
+        self.packed = tuple(tuple(s.bits for s in level) for level in self.sieves)
+        self._index = tuple({p: i for i, p in enumerate(level)} for level in self.packed)
+        # the empty sieve is the integer 0 and the full one the largest
+        self.top = tuple(len(level) - 1 for level in self.sieves)
+        self.bottom = (0,) * len(self.sieves)
         self._boundary = None
         carriers = {c: tuple(range(len(level))) for c, level in zip(category.objects, self.sieves)}
         gen_actions = {}
@@ -85,10 +81,7 @@ class OmegaObject:
 
     def sieve_index(self, sub):
         pos = sub.presheaf.category.obj_index(_yoneda_dimension(sub.presheaf))
-        return self._index[pos][sub.masks]
-
-    def index_of_masks(self, c, masks):
-        return self._index[self.category.obj_index(c)][masks]
+        return self._index[pos][sub.bits]
 
     def act(self, f, i):
         """Sieve pullback along f in hom(a, b): level b index -> level a index."""
@@ -106,7 +99,7 @@ class OmegaObject:
             raise ValueError("boundaries only exist over simplex categories")
         if self._boundary is None:
             self._boundary = tuple(
-                self._index[pos][boundary(self.category, c).masks]
+                self._index[pos][boundary(self.category, c).bits]
                 for pos, c in enumerate(self.category.objects)
             )
         return self._boundary[self.category.obj_index(k)]
@@ -133,21 +126,17 @@ def classifying_object(category):
 
 def _chi_at(sub, index, cells):
     """Sieve indices of chi_sub at the given (level, position) cells of its
-    presheaf; ``index`` maps each level's masks to sieve indices."""
+    presheaf; ``index`` maps each level's sieve integers to sieve indices."""
     A = sub.presheaf
     orbits = A.sieve_orbits()
     obj_index = A.category.obj_index
-    sub_masks = sub.masks
+    bits = sub.bits
     out = []
     for c, x in cells:
-        masks = []
-        for sub_mask, targets in zip(sub_masks, orbits[(c, x)]):
-            mask = 0
-            for bit, target in enumerate(targets):
-                if sub_mask >> target & 1:
-                    mask |= 1 << bit
-            masks.append(mask)
-        out.append(index[obj_index(c)][tuple(masks)])
+        sieve = 0
+        for p in orbits[(c, x)]:
+            sieve = sieve << 1 | bits >> p & 1
+        out.append(index[obj_index(c)][sieve])
     return out
 
 
@@ -200,16 +189,15 @@ def hasse_covers(omega, pos):
     """
     y = omega.yonedas[pos]
     offsets = y.bit_offsets()
-    classes = {}  # each principal sieve -> the packed cells that generate it
+    classes = {}  # each principal sieve -> the cells that generate it
     for (c, x), orbit in y.sieve_orbits().items():
-        principal = _principal(y, orbit)
+        principal = _principal(orbit)
         classes[principal] = classes.get(principal, 0) | 1 << offsets[y.obj_index(c)] + x
-    packed = omega.packed[pos]
-    where = {p: i for i, p in enumerate(packed)}
+    index = omega._index[pos]
     return sorted(
-        (i, where[s | principal])
+        (i, index[s | principal])
         for principal, cls in classes.items()
-        for i, s in enumerate(packed)
+        for i, s in enumerate(omega.packed[pos])
         if principal & ~s == cls
     )
 

@@ -3,9 +3,10 @@
 A presheaf stores one finite carrier per object of the index category and
 one action per generator; actions along arbitrary morphisms are derived
 through the category's factorizations, and functoriality is checked along
-generators (which implies it for every composable pair).  Subpresheaves
-are per-level bitmasks over a canonical element order, so meets and joins
-are bitwise; ``pack`` lays a subpresheaf's masks out as one integer.  Every
+generators (which implies it for every composable pair).  A subpresheaf is
+one integer over the presheaf's cells (``FinitePresheaf.bit_offsets``:
+level 0 in the highest bits), so meets and joins are AND and OR, S <= T is
+``S & ~T == 0``, and sorting the integers sorts by level 0 first.  Every
 subpresheaf is a join of principal ones, the orbits of its cells, and both
 enumeration and generation are read off the cached orbit table.
 """
@@ -49,6 +50,8 @@ class FinitePresheaf:
         self.carriers = tuple(tuple(carriers.get(c, ())) for c in category.objects)
         self._gen_actions = {g: tuple(gen_actions[g]) for g in category.generators}
         self._label_index = tuple({x: i for i, x in enumerate(level)} for level in self.carriers)
+        sizes = [len(level) for level in self.carriers]
+        self._offsets = tuple(sum(sizes[pos + 1 :]) for pos in range(len(sizes)))
         self._actions = self._extend_actions()
         self._orbit_cache = None
         if validate:
@@ -142,53 +145,33 @@ class FinitePresheaf:
         sizes = ",".join(str(len(level)) for level in self.carriers)
         return f"FinitePresheaf({self.category.kind}; sizes={sizes})"
 
-    # -- packed masks and orbits -----------------------------------------
-
-    def pack(self, masks):
-        """Per-level masks as one integer, level 0 in the highest bits.
-
-        Packed integers order like their mask tuples, and S <= T is a
-        single ``S & ~T == 0``.
-        """
-        packed = 0
-        for mask, level in zip(masks, self.carriers):
-            packed = packed << len(level) | mask
-        return packed
+    # -- bit layout and orbits ------------------------------------------
 
     def bit_offsets(self):
-        """Per level, the packed bit of its cell 0: cell x of level c is
-        bit ``bit_offsets()[obj_index(c)] + x``."""
-        offsets = []
-        shift = self.total_size
-        for level in self.carriers:
-            shift -= len(level)
-            offsets.append(shift)
-        return offsets
-
-    def unpack(self, packed):
-        """The per-level masks of a packed integer."""
-        masks = []
-        for level in reversed(self.carriers):
-            masks.append(packed & (1 << len(level)) - 1)
-            packed >>= len(level)
-        return tuple(reversed(masks))
+        """Per level, the bit of its cell 0: cell x of level c is bit
+        ``bit_offsets()[obj_index(c)] + x``."""
+        return self._offsets
 
     def sieve_orbits(self):
-        """For each element (c, x): per-level tuples of act(f, x) over hom(l, c).
+        """For each element (c, x): the bits of act(f, x) over the cells f
+        of y(c), from y(c)'s highest bit down.
 
-        Cached.  Characteristic functions read sieves off it, and the orbit
-        of a cell is its principal subpresheaf, so subpresheaf enumeration
-        and generation are joins of these rows.
+        Cached.  The principal subpresheaf of a cell is the OR of its
+        orbit, so subpresheaf enumeration and generation are joins of
+        these rows, and a characteristic function reads the sieve of a cell
+        off its orbit one bit at a time.
         """
         if self._orbit_cache is None:
             cat = self.category
+            offsets = self._offsets
             orbits = {}
             for c in cat.objects:
                 for x in range(len(self.carrier(c))):
-                    per_level = []
-                    for l in cat.objects:
-                        per_level.append(tuple(self.act(f, x) for f in cat.hom(l, c)))
-                    orbits[(c, x)] = tuple(per_level)
+                    orbits[(c, x)] = tuple(
+                        offsets[pos] + self.act(f, x)
+                        for pos, l in enumerate(cat.objects)
+                        for f in reversed(cat.hom(l, c))
+                    )
             self._orbit_cache = orbits
         return self._orbit_cache
 
@@ -215,82 +198,82 @@ def _generator_composites(category):
 
 
 class Subpresheaf(Record):
-    """An action-closed choice of subsets, stored as per-level bitmasks."""
+    """An action-closed choice of subsets, stored as one integer in the
+    presheaf's ``bit_offsets`` layout."""
 
-    __slots__ = ("presheaf", "masks")
+    __slots__ = ("presheaf", "bits")
 
-    def __init__(self, presheaf, masks):
+    def __init__(self, presheaf, bits):
         object.__setattr__(self, "presheaf", presheaf)
-        object.__setattr__(self, "masks", masks)
+        object.__setattr__(self, "bits", bits)
 
     @staticmethod
     def from_sets(presheaf, sets):
-        masks = []
-        for c in presheaf.category.objects:
-            mask = 0
-            for label in sets.get(c, ()):
-                mask |= 1 << presheaf.label_index(c, label)
-            masks.append(mask)
-        return Subpresheaf(presheaf, tuple(masks))
-
-    @staticmethod
-    def from_indices(presheaf, index_sets):
-        masks = []
-        for c in presheaf.category.objects:
-            mask = 0
-            for i in index_sets.get(c, ()):
-                mask |= 1 << i
-            masks.append(mask)
-        return Subpresheaf(presheaf, tuple(masks))
-
-    @staticmethod
-    def full(presheaf):
-        return Subpresheaf(
-            presheaf, tuple((1 << len(level)) - 1 for level in presheaf.carriers)
+        return Subpresheaf.from_indices(
+            presheaf,
+            {c: [presheaf.label_index(c, label) for label in labels] for c, labels in sets.items()},
         )
 
     @staticmethod
+    def from_indices(presheaf, index_sets):
+        bits = 0
+        for c, offset in zip(presheaf.category.objects, presheaf.bit_offsets()):
+            for i in index_sets.get(c, ()):
+                bits |= 1 << offset + i
+        return Subpresheaf(presheaf, bits)
+
+    @staticmethod
+    def full(presheaf):
+        return Subpresheaf(presheaf, (1 << presheaf.total_size) - 1)
+
+    @staticmethod
     def empty(presheaf):
-        return Subpresheaf(presheaf, tuple(0 for _ in presheaf.carriers))
+        return Subpresheaf(presheaf, 0)
 
     def contains(self, c, x):
-        return bool(self.masks[self.presheaf.obj_index(c)] >> x & 1)
+        return bool(self.level_mask(c) >> x & 1)
+
+    def level_mask(self, c):
+        """The cells of level c as a mask over that level's positions."""
+        P = self.presheaf
+        pos = P.obj_index(c)
+        return self.bits >> P.bit_offsets()[pos] & (1 << len(P.carriers[pos])) - 1
 
     def level_indices(self, c):
-        mask = self.masks[self.presheaf.obj_index(c)]
-        return tuple(i for i in range(len(self.presheaf.carrier(c))) if mask >> i & 1)
+        mask = self.level_mask(c)
+        return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
     def level_labels(self, c):
         level = self.presheaf.carrier(c)
         return tuple(level[i] for i in self.level_indices(c))
 
     def meet(self, other):
-        return Subpresheaf(self.presheaf, tuple(a & b for a, b in zip(self.masks, other.masks)))
+        return Subpresheaf(self.presheaf, self.bits & other.bits)
 
     def join(self, other):
-        return Subpresheaf(self.presheaf, tuple(a | b for a, b in zip(self.masks, other.masks)))
+        return Subpresheaf(self.presheaf, self.bits | other.bits)
 
     def leq(self, other):
-        return all(a & ~b == 0 for a, b in zip(self.masks, other.masks))
+        return not self.bits & ~other.bits
 
     @property
     def size(self):
-        return sum(bin(m).count("1") for m in self.masks)
+        return bin(self.bits).count("1")
 
     @property
     def is_full(self):
-        return self.masks == Subpresheaf.full(self.presheaf).masks
+        return self.bits == (1 << self.presheaf.total_size) - 1
 
     def closure_violation(self):
         """None if closed under every generator action, else a witness."""
         A = self.presheaf
+        bits = self.bits
+        offsets = A.bit_offsets()
         for g in A.category.generators:
-            src_pos = A.obj_index(g.source)
-            tgt_pos = A.obj_index(g.target)
-            table = A.action_table(g)
-            mask = self.masks[tgt_pos]
-            for x in range(len(A.carriers[tgt_pos])):
-                if mask >> x & 1 and not self.masks[src_pos] >> table[x] & 1:
+            src = offsets[A.obj_index(g.source)]
+            tgt = offsets[A.obj_index(g.target)]
+            for x, y in enumerate(A.action_table(g)):
+                if bits >> tgt + x & 1 and not bits >> src + y & 1:
                     return (g, x)
         return None
 
@@ -302,45 +285,39 @@ class Subpresheaf(Record):
         return " ".join(parts)
 
 
-def _principal(presheaf, orbit):
-    """The packed principal subpresheaf of one cell, from its orbit: the
-    per-level tuples of cells it reaches."""
-    masks = []
-    for targets in orbit:
-        mask = 0
-        for t in targets:
-            mask |= 1 << t
-        masks.append(mask)
-    return presheaf.pack(masks)
+def _principal(orbit):
+    """The principal subpresheaf of one cell, the OR of its orbit's bits."""
+    bits = 0
+    for p in orbit:
+        bits |= 1 << p
+    return bits
 
 
 def generated_subpresheaf(presheaf, seeds):
     """Least subpresheaf containing ``seeds``, a set of (object, index)
     pairs: the join of their principal subpresheaves."""
     orbits = presheaf.sieve_orbits()
-    packed = 0
+    bits = 0
     for seed in seeds:
-        packed |= _principal(presheaf, orbits[seed])
-    return Subpresheaf(presheaf, presheaf.unpack(packed))
+        bits |= _principal(orbits[seed])
+    return Subpresheaf(presheaf, bits)
 
 
 def enumerate_subpresheaves(presheaf, bound=DEFAULT_ENUMERATION_BOUND):
-    """All action-closed level-wise subsets, sorted by level-wise bitmask.
+    """All action-closed level-wise subsets, sorted by their integers.
 
     A subpresheaf is the union of the principal subpresheaves of its cells,
     so closing {empty} under joins with each distinct principal lists every
-    one exactly once.  Packed integers order like their mask tuples.
+    one exactly once.
     """
     total = presheaf.total_size
     if total > bound:
         raise EnumerationBoundExceeded(total, bound)
-    principals = dict.fromkeys(
-        _principal(presheaf, orbit) for orbit in presheaf.sieve_orbits().values()
-    )
+    principals = dict.fromkeys(_principal(orbit) for orbit in presheaf.sieve_orbits().values())
     found = {0}
     for p in principals:
         found |= {s | p for s in found}
-    return tuple(Subpresheaf(presheaf, presheaf.unpack(s)) for s in sorted(found))
+    return tuple(Subpresheaf(presheaf, s) for s in sorted(found))
 
 
 # -- Yoneda objects, faces, boundaries ---------------------------------

@@ -33,7 +33,7 @@ from operator import and_
 
 from .fincat import FAMILY_BICOLOR, FAMILY_FULL, FAMILY_SEMI, Record, build_index_category, face
 from .omega import classifying_object
-from .presheaf import add_degeneracies, parallel_cells
+from .presheaf import Subpresheaf, add_degeneracies, parallel_cells
 
 BICOLOR_LABELS = ("00", "01", "02", "03", "10", "11", "12", "13")
 
@@ -97,14 +97,16 @@ def verify_topology(j):
     omega = j.omega
     cat = omega.category
     least = []
-    for c, mapping, top, level in zip(cat.objects, j.levels, omega.top, omega.sieves):
+    for c, mapping, top, packed, index in zip(
+        cat.objects, j.levels, omega.top, omega.packed, omega._index
+    ):
         if mapping[top] != top:
             return TopologyViolation("true", c, (top, mapping[top]))
-        for x in range(len(level)):
+        for x in range(len(packed)):
             if mapping[mapping[x]] != mapping[x]:
                 return TopologyViolation("idempotent", c, (x,))
-        covering = [level[s].masks for s, v in enumerate(mapping) if v == top]
-        least.append(omega.index_of_masks(c, tuple(reduce(and_, col) for col in zip(*covering))))
+        least.append(index[reduce(and_, (packed[s] for s, v in enumerate(mapping) if v == top))])
+    least = tuple(least)
     for pos, (c, mapping) in enumerate(zip(cat.objects, j.levels)):
         for x, want in enumerate(_covering_map(omega, least, pos)):
             if mapping[x] != want:
@@ -114,37 +116,41 @@ def verify_topology(j):
 
 @lru_cache(maxsize=None)
 def _cell_tables(omega):
-    """Per level c and level l: the pullback tables of the cells l -> c of y(c)."""
-    objects = omega.category.objects
+    """Per level c: (l, pullback table of f) for every cell f: l -> c of
+    y(c), from y(c)'s highest bit down."""
     return tuple(
-        tuple(tuple(omega.action_table(f) for f in y.carrier(l)) for l in objects)
+        tuple(
+            (l, omega.action_table(f))
+            for l, cells in enumerate(y.carriers)
+            for f in reversed(cells)
+        )
         for y in omega.yonedas
     )
 
 
+@lru_cache(maxsize=128)
 def _covering_map(omega, least, c):
     """j_c(S) = {f: l -> c | f*S >= m_l} for every sieve S on level c, as
-    sieve indices, given the index m_l of each level's least covering
-    sieve; None where those cells are not a sieve.  Reads m_l only for the
-    levels l with a cell l -> c."""
-    tables = _cell_tables(omega)[c]
+    sieve indices, given the tuple of indices m_l of each level's least
+    covering sieve; None where those cells are not a sieve.  Reads m_l only
+    for the levels l with a cell l -> c.  Memoised because the brute route
+    builds a complete choice's maps and ``verify_topology`` reads them back
+    at once; the bound keeps a process that verifies many candidates from
+    holding every map it ever built."""
+    cells = _cell_tables(omega)[c]
+    above = {}  # per level l: the sieves S >= m_l, as a bitmask over their indices
+    for l, _ in cells:
+        if l not in above:
+            m = omega.packed[l][least[l]]
+            above[l] = sum(1 << s for s, p in enumerate(omega.packed[l]) if p & m == m)
     index = omega._index[c]
-    above = []  # per level l: the sieves S >= m_l, as a bitmask over their indices
-    for l, cells in enumerate(tables):
-        if not cells:
-            above.append(0)
-            continue
-        m = omega.packed[l][least[l]]
-        above.append(sum(1 << s for s, p in enumerate(omega.packed[l]) if p & m == m))
-    return tuple(
-        index.get(
-            tuple(
-                sum(1 << bit for bit, t in enumerate(cells) if up >> t[s] & 1)
-                for cells, up in zip(tables, above)
-            )
-        )
-        for s in range(len(omega.sieves[c]))
-    )
+    out = []
+    for s in range(len(omega.sieves[c])):
+        sieve = 0
+        for l, table in cells:
+            sieve = sieve << 1 | above[l] >> table[s] & 1
+        out.append(index.get(sieve))
+    return tuple(out)
 
 
 def _naturality_violation(omega, levels, generators):
@@ -260,8 +266,11 @@ def _bicolor_tag(omega, levels):
     cat = omega.category
     v_pos, e_pos, e2_pos = (cat.obj_index(c) for c in ("V", "E", "E'"))
     vertex_bit = 1 if levels[v_pos][omega.bottom[v_pos]] == omega.top[v_pos] else 0
-    hollow_e = omega.index_of_masks("E", (3, 0, 0))
-    hollow_e2 = omega.index_of_masks("E'", (3, 0, 0))
+    # the hollow edge: both vertices of the edge and nothing else
+    hollow_e, hollow_e2 = (
+        omega.sieve_index(Subpresheaf.from_indices(omega.yonedas[pos], {"V": (0, 1)}))
+        for pos in (e_pos, e2_pos)
+    )
     edge_digit = (1 if levels[e_pos][hollow_e] == omega.top[e_pos] else 0) + (
         2 if levels[e2_pos][hollow_e2] == omega.top[e2_pos] else 0
     )
@@ -329,9 +338,10 @@ def _enumerate_covering(omega):
     m_c <= m_c.m = {f o g | f in m_c, g in m_(dom f)} (transitivity:
     m_c.m is the least sieve R with f*R >= m_(dom f) for every f in m_c,
     and it must contain m_c).
-    Both tests read the packed masks; the level maps
+    Both tests read the sieve integers; the level maps
     j_c(S) = {f: l -> c | f*S >= m_l} are built only for a complete choice,
-    which ``verify_topology`` then checks.  Knows nothing of the bit strings.
+    once, and ``verify_topology`` then checks them.  Knows nothing of the
+    bit strings.
     """
     cat = omega.category
     n = len(cat.objects)
@@ -340,24 +350,25 @@ def _enumerate_covering(omega):
     # transitivity at c can be tested once every level l with a cell l -> c is chosen
     ready_at = [max(l for _, l, _ in rows) for rows in composites]
     gens = [(cat.obj_index(g.source), cat.obj_index(g.target), omega.action_table(g)) for g in cat.generators]
-    m = [None] * n
-    masks = [None] * n
+    m = [None] * n  # sieve indices
+    bits = [None] * n  # and their integers
     results = []
 
     def choose(pos):
         if pos == n:
-            j = LTTopology(omega, tuple(_covering_map(omega, m, c) for c in range(n)))
+            least = tuple(m)
+            j = LTTopology(omega, tuple(_covering_map(omega, least, c) for c in range(n)))
             if verify_topology(j) is None:
                 results.append(j)
             return
         stability = [(d, c, t) for d, c, t in gens if max(d, c) == pos]
         ready = [c for c in range(n) if ready_at[c] == pos]
-        for least, mask in enumerate(packed[pos]):
-            m[pos] = least
-            masks[pos] = mask
-            if any(masks[d] & ~packed[d][t[m[c]]] for d, c, t in stability):
+        for index, sieve in enumerate(packed[pos]):
+            m[pos] = index
+            bits[pos] = sieve
+            if any(bits[d] & ~packed[d][t[m[c]]] for d, c, t in stability):
                 continue
-            if all(_transitive_at(composites, masks, c) for c in ready):
+            if all(_transitive_at(composites, bits, c) for c in ready):
                 choose(pos + 1)
 
     choose(0)
@@ -424,8 +435,7 @@ def degeneracy_translation(omega_semi, omega_full):
         pos = semi_cat.obj_index(c)
         fwd = []
         for s in omega_semi.sieves[pos]:
-            lifted = add_degeneracies(s)
-            fwd.append(omega_full.index_of_masks(c, lifted.masks))
+            fwd.append(omega_full.sieve_index(add_degeneracies(s)))
         to_full.append(tuple(fwd))
         back = [None] * omega_full.level_size(c)
         for i, target in enumerate(fwd):

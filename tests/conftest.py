@@ -31,16 +31,13 @@ def _sieve_pullback(category, u, sieve):
     """The sieve { g | u o g in S } on u.source, for S a sieve on u.target,
     computed by composing morphisms: the reference for Omega's actions."""
     y_src = yoneda(category, u.source)
-    y_tgt = sieve.presheaf
     sets = {}
     for l in category.objects:
-        members = []
-        for g in y_src.carrier(l):
-            composite = category.compose(u, g)
-            if sieve.contains(l, y_tgt.label_index(l, composite)):
-                members.append(g)
-        sets[l] = members
-    return Subpresheaf.from_sets(y_src, sets)
+        members = set(sieve.level_labels(l))
+        sets[l] = [
+            i for i, g in enumerate(y_src.carrier(l)) if category.compose(u, g) in members
+        ]
+    return Subpresheaf.from_indices(y_src, sets)
 
 
 @pytest.fixture(scope="session")
@@ -208,12 +205,19 @@ def hasse_covers_reference():
     return _hasse_covers
 
 
-def _subpresheaves(presheaf, bound=300):
-    """All action-closed level-wise subsets, sorted by level-wise bitmask,
-    by branch-and-propagate over the element inclusion constraints:
-    choosing an element forces its whole generator orbit in, excluding one
-    forces everything mapping onto it out.  The reference for
-    ``enumerate_subpresheaves``, which joins principal subpresheaves."""
+def _level_masks(presheaf, sets):
+    """Per-level index sets as a tuple of per-level masks, level 0 first:
+    the order ``enumerate_subpresheaves`` must list subpresheaves in, which
+    fixes the sieve numbering of Omega."""
+    return tuple(sum(1 << i for i in set(sets.get(c, ()))) for c in presheaf.category.objects)
+
+
+def _subpresheaf_sets(presheaf, bound=300):
+    """All action-closed level-wise subsets as {object: sorted indices},
+    sorted by their per-level masks, by branch-and-propagate over the
+    element inclusion constraints: choosing an element forces its whole
+    generator orbit in, excluding one forces everything mapping onto it
+    out."""
     total = presheaf.total_size
     if total > bound:
         raise EnumerationBoundExceeded(total, bound)
@@ -271,15 +275,24 @@ def _subpresheaves(presheaf, bound=300):
 
     search([UNDECIDED] * len(elements), 0)
 
-    subs = []
+    found = []
     for state in results:
-        masks = [0 for _ in cat.objects]
+        sets = {c: [] for c in cat.objects}
         for e, (c, i) in enumerate(elements):
             if state[e] == IN:
-                masks[presheaf.obj_index(c)] |= 1 << i
-        subs.append(Subpresheaf(presheaf, tuple(masks)))
-    subs.sort(key=lambda s: s.masks)
-    return tuple(subs)
+                sets[c].append(i)
+        found.append(sets)
+    found.sort(key=lambda sets: _level_masks(presheaf, sets))
+    return found
+
+
+def _subpresheaves(presheaf, bound=300):
+    """The subpresheaves of ``_subpresheaf_sets``, made at the end through
+    ``from_indices``: the reference for ``enumerate_subpresheaves``, which
+    joins principal subpresheaves."""
+    return tuple(
+        Subpresheaf.from_indices(presheaf, sets) for sets in _subpresheaf_sets(presheaf, bound)
+    )
 
 
 @pytest.fixture(scope="session")
@@ -287,22 +300,31 @@ def subpresheaves_reference():
     return _subpresheaves
 
 
+@pytest.fixture(scope="session")
+def subpresheaf_sets_reference():
+    return _subpresheaf_sets
+
+
+@pytest.fixture(scope="session")
+def level_masks():
+    return _level_masks
+
+
 def _generated(presheaf, seeds):
     """Least subpresheaf containing ``seeds``, by a depth-first walk along
     generator actions: the reference for ``generated_subpresheaf``."""
     cat = presheaf.category
-    masks = [0 for _ in cat.objects]
+    sets = {c: set() for c in cat.objects}
     stack = list(seeds)
     while stack:
         c, x = stack.pop()
-        pos = presheaf.obj_index(c)
-        if masks[pos] >> x & 1:
+        if x in sets[c]:
             continue
-        masks[pos] |= 1 << x
+        sets[c].add(x)
         for g in cat.generators:
             if g.target == c:
                 stack.append((g.source, presheaf.act(g, x)))
-    return Subpresheaf(presheaf, tuple(masks))
+    return Subpresheaf.from_indices(presheaf, sets)
 
 
 @pytest.fixture(scope="session")

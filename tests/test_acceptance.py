@@ -157,12 +157,10 @@ def test_criterion_3_closure_equivalence():
         tgt = B.action_table(face(1, 0))
         for sub in enumerate_subpresheaves(B):
             closed = closure_via_chi(j01, sub)
-            assert closed.masks[0] == sub.masks[0]
+            assert closed.level_indices(0) == sub.level_indices(0)
             for e in range(len(B.carrier(1))):
-                in_closure = bool(closed.masks[1] >> e & 1)
-                endpoints_in = bool(
-                    sub.masks[0] >> src[e] & 1 and sub.masks[0] >> tgt[e] & 1
-                )
+                in_closure = closed.contains(1, e)
+                endpoints_in = sub.contains(0, src[e]) and sub.contains(0, tgt[e])
                 assert in_closure == endpoints_in
     print(f"criterion 3 (closure equivalence, {checked} instances): PASS")
 
@@ -205,7 +203,7 @@ def test_criterion_5_degeneracy_filter():
     assert witness["input_sieve"].size == 0
     assert witness["map_then_action"].is_full
     hollow = witness["action_then_map"]
-    assert hollow.masks == omega_refl.sieves[1][omega_refl.boundary_index(1)].masks
+    assert hollow == omega_refl.sieves[1][omega_refl.boundary_index(1)]
     print("criterion 5 (degeneracy filter {00,01,11} pass, 10 fails at the collapse square): PASS")
 
 

@@ -72,14 +72,12 @@ def test_double_negation_closure_formula():
     for A in (PATH, PARALLEL, LOOP, COMPLETE2):
         for sub in enumerate_subpresheaves(A):
             closed = closure_via_chi(j, sub)
-            assert closed.masks[0] == sub.masks[0]
+            assert closed.level_indices(0) == sub.level_indices(0)
             src = A.action_table(face(1, 1))
             tgt = A.action_table(face(1, 0))
             for e in range(len(A.carrier(1))):
-                expected = bool(
-                    sub.masks[0] >> src[e] & 1 and sub.masks[0] >> tgt[e] & 1
-                )
-                assert bool(closed.masks[1] >> e & 1) == expected
+                expected = sub.contains(0, src[e]) and sub.contains(0, tgt[e])
+                assert closed.contains(1, e) == expected
 
 
 def test_vertex_filling_closure():
@@ -99,6 +97,16 @@ def test_recursive_closure_fills_a_triangle():
     assert closure_recursive("011", vertices_only).is_full
     assert closure_via_chi(construct_bitstring_topology(SEMI2, "011"), vertices_only).is_full
     assert closure_recursive("000", vertices_only) == vertices_only
+
+
+@pytest.mark.parametrize("word", ["x2", "zz", "0", "011", "1 "])
+def test_bit_string_routes_reject_malformed_words(word):
+    # two letters over 0/1 for graph, checked before any level is read
+    empty = Subpresheaf.empty(yoneda(GRAPH, 1))
+    with pytest.raises(ValueError, match="expected a bit string of length 2"):
+        closure_recursive(word, empty)
+    with pytest.raises(ValueError, match="expected a bit string of length 2"):
+        is_dense_by_bits(word, empty)
 
 
 @pytest.mark.parametrize("kind", ["graph", "reflgraph", "semisimplex:2", "simplex:2"])

@@ -29,19 +29,23 @@ BUILTINS = ["set", "graph", "reflgraph", "bicolgraph"] + [
 ]
 
 
-def brute_subpresheaves(P):
-    """Oracle: filter every level-wise subset by action-closure directly."""
+def brute_subpresheaves(P, level_masks):
+    """Oracle: filter every level-wise subset by action-closure directly,
+    sorted by per-level masks."""
+    cat = P.category
     choice_lists = [
         [c for r in range(len(level) + 1) for c in itertools.combinations(range(len(level)), r)]
         for level in P.carriers
     ]
     out = []
     for choice in itertools.product(*choice_lists):
-        sets = {c: choice[P.category.obj_index(c)] for c in P.category.objects}
-        sub = Subpresheaf.from_indices(P, sets)
-        if sub.closure_violation() is None:
-            out.append(sub.masks)
-    return sorted(out)
+        sets = {c: choice[cat.obj_index(c)] for c in cat.objects}
+        if all(
+            P.act(g, x) in sets[g.source] for g in cat.generators for x in sets[g.target]
+        ):
+            out.append(sets)
+    out.sort(key=lambda sets: level_masks(P, sets))
+    return [Subpresheaf.from_indices(P, sets) for sets in out]
 
 
 def test_yoneda_level_sizes():
@@ -149,19 +153,19 @@ def test_degeneracy_translation_is_a_lattice_isomorphism():
     subs_g = enumerate_subpresheaves(y1g)
     subs_r = enumerate_subpresheaves(y1r)
     assert len(subs_g) == len(subs_r) == 5
-    lifted = {s.masks: add_degeneracies(s) for s in subs_g}
+    lifted = {s: add_degeneracies(s) for s in subs_g}
     # bijective, top-preserving, meet-preserving, inverse to stripping
-    assert sorted(l.masks for l in lifted.values()) == sorted(s.masks for s in subs_r)
-    assert lifted[Subpresheaf.full(y1g).masks].masks == Subpresheaf.full(y1r).masks
+    assert set(lifted.values()) == set(subs_r)
+    assert lifted[Subpresheaf.full(y1g)] == Subpresheaf.full(y1r)
     for a in subs_g:
-        assert strip_degeneracies(lifted[a.masks]).masks == a.masks
+        assert strip_degeneracies(lifted[a]) == a
         for b in subs_g:
             meet_then_lift = add_degeneracies(a.meet(b))
-            assert meet_then_lift.masks == lifted[a.masks].meet(lifted[b.masks]).masks
+            assert meet_then_lift == lifted[a].meet(lifted[b])
     # order isomorphism in both directions
     for a in subs_g:
         for b in subs_g:
-            assert a.leq(b) == lifted[a.masks].leq(lifted[b.masks])
+            assert a.leq(b) == lifted[a].leq(lifted[b])
 
 
 def test_add_degeneracies_commutes_with_face_actions(sieve_pullback):
@@ -173,7 +177,7 @@ def test_add_degeneracies_commutes_with_face_actions(sieve_pullback):
                 g = face(k, i)
                 lhs = sieve_pullback(full2, g, add_degeneracies(s))
                 rhs = add_degeneracies(sieve_pullback(semi2, g, s))
-                assert lhs.masks == rhs.masks
+                assert lhs == rhs
 
 
 # subobjects summed over each bound-6 corpus, counted by the brute oracle
@@ -188,7 +192,7 @@ CORPUS_SUBOBJECTS = {"graph": 2156, "reflgraph": 109, "semisimplex:2": 5821, "si
         for kind, total in CORPUS_SUBOBJECTS.items()
     ],
 )
-def test_subpresheaf_counts_against_brute_force(cat, k, expected):
+def test_subpresheaf_counts_against_brute_force(cat, k, expected, level_masks):
     from lttop.closure import presheaf_corpus
 
     if k == "corpus":
@@ -198,8 +202,7 @@ def test_subpresheaf_counts_against_brute_force(cat, k, expected):
     found = [enumerate_subpresheaves(P) for P in presheaves]
     assert sum(len(subs) for subs in found) == expected
     for P, fast in zip(presheaves, found):
-        assert sorted(s.masks for s in fast) == brute_subpresheaves(P)
-        assert [s.masks for s in fast] == sorted(s.masks for s in fast)
+        assert list(fast) == brute_subpresheaves(P, level_masks)
 
 
 @pytest.mark.parametrize("kind", BUILTINS + ["semisimplex:4", "simplex:4"])
@@ -207,8 +210,7 @@ def test_enumeration_matches_the_reference_on_yoneda_objects(kind, subpresheaves
     category = build_index_category(kind)
     for k in category.objects:
         yk = yoneda(category, k)
-        expected = [s.masks for s in subpresheaves_reference(yk)]
-        assert [s.masks for s in enumerate_subpresheaves(yk)] == expected, k
+        assert enumerate_subpresheaves(yk) == subpresheaves_reference(yk), k
 
 
 @pytest.mark.parametrize("kind", list(CORPUS_SUBOBJECTS))
@@ -216,8 +218,7 @@ def test_enumeration_matches_the_reference_on_the_corpus(kind, subpresheaves_ref
     from lttop.closure import presheaf_corpus
 
     for P in presheaf_corpus(build_index_category(kind), 6):
-        expected = [s.masks for s in subpresheaves_reference(P)]
-        assert [s.masks for s in enumerate_subpresheaves(P)] == expected, P
+        assert enumerate_subpresheaves(P) == subpresheaves_reference(P), P
 
 
 @pytest.mark.parametrize("kind", BUILTINS)
@@ -231,30 +232,72 @@ def test_generated_subpresheaf_matches_the_reference(kind, generated_reference):
         assert generated_subpresheaf(yk, seeds) == generated_reference(yk, seeds)
 
 
-def test_packed_masks_round_trip_and_order():
+def test_subpresheaf_integers_order_like_their_level_masks(subpresheaf_sets_reference):
     from lttop.closure import presheaf_corpus
 
     for P in presheaf_corpus(SEMI2, 4):
         subs = enumerate_subpresheaves(P)
-        packed = [P.pack(s.masks) for s in subs]
-        assert [P.unpack(p) for p in packed] == [s.masks for s in subs]
-        assert packed == sorted(packed)
-        for s, p in zip(subs, packed):
-            for t, q in zip(subs, packed):
-                assert s.leq(t) == (p & ~q == 0)
+        ref = subpresheaf_sets_reference(P)
+        assert subs == tuple(Subpresheaf.from_indices(P, sets) for sets in ref)
+        assert [s.bits for s in subs] == sorted(s.bits for s in subs)
+        for s, s_sets in zip(subs, ref):
+            for t, t_sets in zip(subs, ref):
+                included = all(set(s_sets[c]) <= set(t_sets[c]) for c in SEMI2.objects)
+                assert s.leq(t) == included == (s.bits & ~t.bits == 0)
 
 
-def test_every_enumerated_subpresheaf_is_closed_and_no_double_counting():
+def level_set_cases(subpresheaf_sets_reference):
+    """(presheaf, per-level index sets) for every closed subset from the
+    reference and for every set one cell away from one, closed or not."""
+    from lttop.closure import presheaf_corpus
+
+    presheaves = [
+        P for kind in CORPUS_SUBOBJECTS for P in presheaf_corpus(build_index_category(kind), 6)
+    ]
+    presheaves += [
+        yoneda(category, k)
+        for category in map(build_index_category, BUILTINS)
+        for k in category.objects
+    ]
+    for P in presheaves:
+        for sets in subpresheaf_sets_reference(P):
+            yield P, sets
+            for c, x in P.elements():
+                yield P, {**sets, c: sorted(set(sets[c]) ^ {x})}
+
+
+def test_level_reads_match_the_per_level_reference(subpresheaf_sets_reference):
+    closed_seen = set()
+    for P, sets in level_set_cases(subpresheaf_sets_reference):
+        cat = P.category
+        sub = Subpresheaf.from_indices(P, sets)
+        for c in cat.objects:
+            assert sub.level_indices(c) == tuple(sets[c])
+            for x in range(len(P.carrier(c))):
+                assert sub.contains(c, x) == (x in sets[c])
+        broken = [
+            (g, x)
+            for g in cat.generators
+            for x in sets[g.target]
+            if P.act(g, x) not in sets[g.source]
+        ]
+        witness = sub.closure_violation()
+        assert witness == (broken[0] if broken else None), (P, sets)
+        closed_seen.add(witness is None)
+    assert closed_seen == {True, False}
+
+
+def test_every_enumerated_subpresheaf_is_closed_and_no_double_counting(level_masks):
     P = FinitePresheaf(
         GRAPH,
         {0: ("u", "v"), 1: ("e", "f")},
         {face(1, 1): (0, 0), face(1, 0): (1, 1)},  # two parallel edges
     )
     subs = enumerate_subpresheaves(P)
-    assert len({s.masks for s in subs}) == len(subs)
+    assert len(set(subs)) == len(subs)
     for s in subs:
         assert s.closure_violation() is None
-    assert sorted(s.masks for s in subs) == brute_subpresheaves(P)
+    assert list(subs) == brute_subpresheaves(P, level_masks)
 
 
 def test_functoriality_validation_catches_bad_actions():
@@ -360,7 +403,7 @@ def test_stripping_a_vertex_with_its_loop_gives_the_bare_vertex():
     stripped = strip_degeneracies(full)
     assert stripped.size == 1 and stripped.level_labels(1) == ()
     back = add_degeneracies(stripped)
-    assert back.masks == full.masks
+    assert back == full
 
 
 def functoriality_witness(P, reference):

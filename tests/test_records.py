@@ -38,8 +38,8 @@ CASES = {
                      [("bounds", ()), ("bounds", ()), ("increasing", (0,))]),
     "Nucleus": (Nucleus, ("algebra", "mapping"),
                 [(CHAIN3, (1, 1, 2)), (CHAIN3, (1, 1, 2)), (CHAIN3, (0, 1, 2))]),
-    "Subpresheaf": (Subpresheaf, ("presheaf", "masks"),
-                    [(Y1, (1, 1)), (Y1, (1, 1)), (Y1, (3, 1))]),
+    "Subpresheaf": (Subpresheaf, ("presheaf", "bits"),
+                    [(Y1, 3), (Y1, 3), (Y1, 7)]),
     "PresheafMorphism": (PresheafMorphism, ("source", "target", "components"),
                          [(Y0, Y1, ((0,), ())), (Y0, Y1, ((0,), ())), (Y0, Y1, ((1,), ()))]),
     "TopologyViolation": (TopologyViolation, ("kind", "level", "witness"),

@@ -357,13 +357,14 @@ def test_bicolor_level_maps_match_the_two_tables(order_algebra):
     category = build_index_category("bicolgraph")
     omega = classifying_object(category)
     by_tag = {j.tag: j for j in enumerate_topologies(category, method="brute")}
-    empty_e = omega.index_of_masks("E", (0, 0, 0))
-    hollow_e = omega.index_of_masks("E", (3, 0, 0))
-    top_e = omega.top[category.obj_index("E")]
-    empty_v = omega.index_of_masks("V", (0, 0, 0))
-    top_v = omega.top[category.obj_index("V")]
     e_pos = category.obj_index("E")
     v_pos = category.obj_index("V")
+    y_e = omega.yonedas[e_pos]
+    empty_e = omega.sieve_index(Subpresheaf.empty(y_e))
+    hollow_e = omega.sieve_index(Subpresheaf.from_sets(y_e, {"V": y_e.carrier("V")}))
+    top_e = omega.top[e_pos]
+    empty_v = omega.sieve_index(Subpresheaf.empty(omega.yonedas[v_pos]))
+    top_v = omega.top[v_pos]
     # vertex-preserving labels: the hollow edge may stay or fill
     assert by_tag["00"].levels[e_pos][hollow_e] == hollow_e
     assert by_tag["01"].levels[e_pos][hollow_e] == top_e
