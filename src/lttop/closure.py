@@ -284,10 +284,10 @@ def presheaf_corpus(category, max_total=DEFAULT_CORPUS_BOUND, up_to_iso=True):
     """Every presheaf with at most ``max_total`` elements, one per iso class.
 
     Generator tables are assigned one at a time, pruning with every
-    relation that becomes decidable; survivors get the full functoriality
-    check.
-    Isomorph rejection hashes a canonical form obtained by minimizing over
-    per-level renamings.  Built once per (category, max_total, up_to_iso);
+    relation that becomes decidable.  Isomorph rejection hashes a
+    canonical form obtained by minimizing over per-level renamings, before
+    any presheaf is built; the first tables of each class get the full
+    functoriality check.  Built once per (category, max_total, up_to_iso);
     categories are cached singletons.
     """
     gens = list(category.generators)
@@ -304,12 +304,9 @@ def presheaf_corpus(category, max_total=DEFAULT_CORPUS_BOUND, up_to_iso=True):
 
         def assign(pos):
             if pos == len(gens):
-                carriers = {c: tuple(range(size_of[c])) for c in category.objects}
-                try:
-                    P = FinitePresheaf(category, carriers, dict(tables))
-                except FunctorialityError:
-                    return
                 if up_to_iso:
+                    # isomorphic tables are all functorial or all not, so a
+                    # key whose first member is rejected stays seen
                     key = _canonical_key(
                         category,
                         tuple(size_of[c] for c in category.objects),
@@ -318,7 +315,11 @@ def presheaf_corpus(category, max_total=DEFAULT_CORPUS_BOUND, up_to_iso=True):
                     if key in seen:
                         return
                     seen.add(key)
-                corpus.append(P)
+                carriers = {c: tuple(range(size_of[c])) for c in category.objects}
+                try:
+                    corpus.append(FinitePresheaf(category, carriers, dict(tables)))
+                except FunctorialityError:
+                    pass
                 return
             g = gens[pos]
             for table in itertools.product(range(size_of[g.source]), repeat=size_of[g.target]):
@@ -342,11 +343,11 @@ class FactorizationReport(Record):
     __slots__ = ("separated", "complete", "separated_witness", "complete_witness")
 
 
-def _restriction_key(g, sub):
-    bits = sub.bits
+def _restriction_key(g, kept):
+    """g's components read at a subobject's kept cells, level by level."""
     return tuple(
-        tuple(component[x] for x in range(len(component)) if bits >> offset + x & 1)
-        for component, offset in zip(g.components, g.source.bit_offsets())
+        tuple(map(component.__getitem__, cells))
+        for component, cells in zip(g.components, kept)
     )
 
 
@@ -368,10 +369,11 @@ def default_ambients(category, max_total=DEFAULT_AMBIENT_BOUND):
 
 @lru_cache(maxsize=None)
 def _dense_proper_subobjects(A, j):
-    """The dense proper subobjects of A, in enumeration order, each paired
-    with its restriction as a presheaf.  Built once per (A, j)."""
+    """The dense proper subobjects of A, in enumeration order, each with
+    its restriction as a presheaf and its kept cell positions per level.
+    Built once per (A, j)."""
     return tuple(
-        (s, sub_as_presheaf(s)[0])
+        (s, sub_as_presheaf(s)[0], tuple(s.level_indices(c) for c in A.category.objects))
         for s in enumerate_subpresheaves(A)
         if not s.is_full and is_dense_via_closure(j, s)
     )
@@ -397,10 +399,10 @@ def factorization_check(B, j, ambients, budget=DEFAULT_SEARCH_BUDGET):
             count += 1
             if count > budget:
                 raise CorpusTooLarge(f"more than {budget} morphisms from {A} to {B}", count, budget)
-            for s, _ in dense:
-                key = _restriction_key(g, s)
+            for s, _, kept in dense:
+                key = _restriction_key(g, kept)
                 extensions.setdefault(s.bits, {}).setdefault(key, []).append(g)
-        for s, restricted in dense:
+        for s, restricted, _ in dense:
             table = extensions.get(s.bits, {})
             if sep_witness is None:
                 for key, gs in table.items():

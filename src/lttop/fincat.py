@@ -382,8 +382,9 @@ def build_index_category(kind, dim=None, max_dim=DEFAULT_MAX_DIM):
     """Build one of the five built-in index categories.
 
     ``kind`` is one of ``set``, ``graph``, ``reflgraph``, ``bicolgraph``,
-    ``semisimplex`` or ``simplex``; the latter two require ``dim``.  The
-    dimension is refused above ``max_dim`` (subobject lattices explode).
+    ``semisimplex`` or ``simplex``; the latter two require ``dim``, and
+    ``bicolgraph`` refuses one.  The dimension is refused above
+    ``max_dim`` (subobject lattices explode).
     """
     key = kind.strip().lower()
     if ":" in key:
@@ -401,6 +402,8 @@ def build_index_category(kind, dim=None, max_dim=DEFAULT_MAX_DIM):
             raise ValueError(f"{kind!r} has fixed dimension {forced_dim}")
         dim = forced_dim
     if family == FAMILY_BICOLOR:
+        if dim is not None:
+            raise ValueError(f"{kind!r} has no dimension")
         return _cached_category(family, None)
     if dim is None:
         raise ValueError(f"{kind!r} needs a dimension")

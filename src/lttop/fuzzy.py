@@ -9,6 +9,7 @@ meet (ambient membership).
 """
 
 import itertools
+from functools import lru_cache
 
 from .fincat import Record
 
@@ -191,6 +192,65 @@ class QClosureViolation(Record):
         return f"quasitopos closure axiom {self.axiom} fails: {self.context}"
 
 
+@lru_cache(maxsize=1)
+def _qclosure_tables(L, max_carrier, square_carrier):
+    """What ``verify_qclosure`` reads that does not depend on the operator.
+
+    Returns (meet, below, ambients, comparable, squares):
+
+    * ``below(s, t)``: the order on per-element subobject tuples;
+    * ``ambients``: per fuzzy set of the corpus, in corpus order,
+      (A, subs, index, strong): its ``_subobject_tuples``, the subobject ->
+      position index, and whether each subobject is strong;
+    * ``comparable``: per small ambient, in corpus order, its corpus
+      position, the pairs (p, q) with subs[p] <= subs[q] in (p, q) order,
+      and each position's up-set as a bitmask;
+    * ``squares``: per (B, A, mapping) with B and A small, in that loop
+      order, B's and A's corpus positions, the mapping, and the position
+      among A's subobjects of each of B's subobjects pulled back.
+
+    Only the latest (algebra, bounds) is kept; algebras are keyed by
+    identity.
+    """
+    meet = L.meet_table()
+    leq = [[L.leq(a, b) for b in L.elements()] for a in L.elements()]
+
+    def below(s, t):
+        return all(a is None or (b is not None and leq[a][b]) for a, b in zip(s, t))
+
+    corpus = fuzzy_corpus(L, max_carrier)
+    ambients = []
+    for A in corpus:
+        ambient = A.membership
+        subs = _subobject_tuples(L, ambient)
+        index = {sub: pos for pos, sub in enumerate(subs)}
+        strong = [all(m is None or m == a for m, a in zip(sub, ambient)) for sub in subs]
+        ambients.append((A, subs, index, strong))
+    small = [pos for pos, A in enumerate(corpus) if A.size <= square_carrier]
+    comparable = []
+    for a in small:
+        subs = ambients[a][1]
+        pairs = [
+            (p, q)
+            for p, s1 in enumerate(subs)
+            for q, s2 in enumerate(subs)
+            if below(s1, s2)
+        ]
+        up = [0] * len(subs)
+        for p, q in pairs:
+            up[p] |= 1 << q
+        comparable.append((a, pairs, up))
+    squares = []
+    for b in small:
+        subs_b = ambients[b][1]
+        for a in small:
+            A, _, index_a, _ = ambients[a]
+            for mapping in fuzzy_morphisms(A, corpus[b]):
+                pulled = [index_a[_pull(meet, A.membership, mapping, sub)] for sub in subs_b]
+                squares.append((b, a, mapping, pulled))
+    return meet, below, ambients, comparable, squares
+
+
 def verify_qclosure(op, L, max_carrier=DEFAULT_FUZZY_CARRIER, square_carrier=2):
     """Check the five closure-operator axioms over the fuzzy corpus.
 
@@ -199,67 +259,55 @@ def verify_qclosure(op, L, max_carrier=DEFAULT_FUZZY_CARRIER, square_carrier=2):
     pairs and genuine squares, over carriers up to ``square_carrier``.
     Returns None or the first violation found.
 
-    Each ambient's subobjects are enumerated once per call, as per-element
-    tuples of membership-or-None, with their closures, a subobject ->
-    position index, and each closure's position.  This works because a
-    closure is again a subobject of the same ambient, and so is a pullback
-    along a morphism into it: idempotence and pullback stability compare
-    positions, and monotonicity compares precomputed closures.  The loops
-    and their order are those of the direct check on ``FuzzySubset``
-    objects, so the first violation is the same; such objects are built
-    only for a violation's context.
+    Everything that does not depend on the operator is built once per
+    algebra and bounds by ``_qclosure_tables``: each ambient's subobjects
+    as per-element tuples of membership-or-None with a subobject ->
+    position index, the comparable pairs, and the positions of pulled-back
+    subobjects.  A call computes only the closures and their positions.
+    This works because a closure is again a subobject of the same ambient,
+    and so is a pullback along a morphism into it: idempotence,
+    strongness, monotonicity and pullback stability compare positions.
+    The loops and their order are those of the direct check on
+    ``FuzzySubset`` objects, so the first violation is the same; such
+    objects are built only for a violation's context.
     """
-    meet = L.meet_table()
-    leq = [[L.leq(a, b) for b in L.elements()] for a in L.elements()]
-
-    def below(s, t):
-        return all(a is None or (b is not None and leq[a][b]) for a, b in zip(s, t))
-
-    def strong(sub, ambient):
-        return all(m is None or m == a for m, a in zip(sub, ambient))
-
-    corpus = fuzzy_corpus(L, max_carrier)
-    small = [A for A in corpus if A.size <= square_carrier]
-    tables = {}  # small ambient's memberships -> subs, closures, closed_at, index
-    for A in corpus:
+    meet, below, ambients, comparable, squares = _qclosure_tables(
+        L, max_carrier, square_carrier
+    )
+    closed_ats = []
+    for A, subs, index, strong in ambients:
         ambient = A.membership
-        subs = _subobject_tuples(L, ambient)
         closures = [_close(op, meet, ambient, sub) for sub in subs]
-        index = {sub: pos for pos, sub in enumerate(subs)}
         closed_at = [index[closed] for closed in closures]
-        for sub, closed, pos in zip(subs, closures, closed_at):
+        for p, (sub, closed, pos) in enumerate(zip(subs, closures, closed_at)):
             if not below(sub, closed):
                 return QClosureViolation("increasing", (A, FuzzySubset.from_tuple(A, sub)))
             if closed_at[pos] != pos:
                 return QClosureViolation("idempotent", (A, FuzzySubset.from_tuple(A, sub)))
-            if strong(sub, ambient) and not strong(closed, ambient):
+            if strong[p] and not strong[pos]:
                 return QClosureViolation("strongness", (A, FuzzySubset.from_tuple(A, sub)))
-        if A.size <= square_carrier:
-            tables[ambient] = subs, closures, closed_at, index
-    for A in small:
-        subs, closures, _, _ = tables[A.membership]
-        for s1, c1 in zip(subs, closures):
-            for s2, c2 in zip(subs, closures):
-                if below(s1, s2) and not below(c1, c2):
-                    return QClosureViolation(
-                        "monotone",
-                        (A, FuzzySubset.from_tuple(A, s1), FuzzySubset.from_tuple(A, s2)),
-                    )
-    for B in small:
-        subs_b, _, closed_at_b, _ = tables[B.membership]
-        for A in small:
-            _, _, closed_at_a, index_a = tables[A.membership]
-            ambient = A.membership
-            for mapping in fuzzy_morphisms(A, B):
-                # position of each pulled-back subobject among A's; the
-                # closure of sub k pulls back to pulled[closed_at_b[k]]
-                pulled = [index_a[_pull(meet, ambient, mapping, sub)] for sub in subs_b]
-                for k, pos in enumerate(pulled):
-                    if closed_at_a[pos] != pulled[closed_at_b[k]]:
-                        return QClosureViolation(
-                            "pullback-stability",
-                            (A, B, mapping, FuzzySubset.from_tuple(B, subs_b[k])),
-                        )
+        closed_ats.append(closed_at)
+    for a, pairs, up in comparable:
+        closed_at = closed_ats[a]
+        for p, q in pairs:
+            if not up[closed_at[p]] >> closed_at[q] & 1:
+                A, subs = ambients[a][:2]
+                return QClosureViolation(
+                    "monotone",
+                    (A, FuzzySubset.from_tuple(A, subs[p]), FuzzySubset.from_tuple(A, subs[q])),
+                )
+    for b, a, mapping, pulled in squares:
+        # the closure of B's sub k pulls back to pulled[closed_at_b[k]]
+        closed_at_a = closed_ats[a]
+        lhs = [closed_at_a[pos] for pos in pulled]
+        rhs = [pulled[pos] for pos in closed_ats[b]]
+        if lhs != rhs:
+            k = next(k for k, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
+            A, B = ambients[a][0], ambients[b][0]
+            return QClosureViolation(
+                "pullback-stability",
+                (A, B, mapping, FuzzySubset.from_tuple(B, ambients[b][1][k])),
+            )
     return None
 
 

@@ -139,6 +139,7 @@ def test_max_dim_is_validated_and_named_in_the_cap_error():
         (["omega", "--category", "simplex:"], "bad dimension '' in 'simplex:'"),
         (["topologies", "--category", "simplex:x"], "bad dimension 'x' in 'simplex:x'"),
         (["omega", "--category", "graph:one"], "bad dimension 'one' in 'graph:one'"),
+        (["topologies", "--category", "bicolgraph:7"], "'bicolgraph:7' has no dimension"),
     ],
 )
 def test_bad_level_or_dimension_is_reported_before_any_output(argv, message):

@@ -15,6 +15,7 @@ from lttop.presheaf import (
     yoneda,
 )
 from lttop.closure import (
+    _canonical_key,
     boundary_tuples,
     classify,
     closure_recursive,
@@ -380,3 +381,19 @@ def test_corpus_is_deduplicated_and_valid():
 def test_corpus_counts_without_iso_rejection_are_larger():
     raw = presheaf_corpus(GRAPH, 3, up_to_iso=False)
     assert len(raw) > len(presheaf_corpus(GRAPH, 3))
+
+
+@pytest.mark.parametrize("kind,count", [("graph", 107), ("reflgraph", 16), ("semisimplex:2", 362)])
+def test_corpus_counts_at_bound_6(kind, count):
+    # the counts ``verify --corpus-bound 6`` reports
+    assert len(presheaf_corpus(build_index_category(kind), 6)) == count
+
+
+def test_every_presheaf_has_its_class_in_the_deduplicated_corpus():
+    def key(P):
+        sizes = tuple(len(level) for level in P.carriers)
+        return _canonical_key(GRAPH, sizes, tuple(P.action_table(g) for g in GRAPH.generators))
+
+    kept = [key(P) for P in presheaf_corpus(GRAPH, 4)]
+    assert len(set(kept)) == len(kept)
+    assert {key(P) for P in presheaf_corpus(GRAPH, 4, up_to_iso=False)} == set(kept)

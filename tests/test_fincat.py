@@ -89,6 +89,11 @@ def test_dimension_cap_and_unknown_kind():
         build_index_category("dodecahedron")
     with pytest.raises(ValueError):
         build_index_category("graph", 2)
+    # bicolgraph has no simplex dimension at all, not even 0
+    with pytest.raises(ValueError, match="'bicolgraph:7' has no dimension"):
+        build_index_category("bicolgraph:7")
+    with pytest.raises(ValueError, match="'bicolgraph' has no dimension"):
+        build_index_category("bicolgraph", 0)
 
 
 def test_face_interchange_identity():

@@ -105,6 +105,31 @@ def test_verify_qclosure_matches_the_direct_reference(verify_qclosure_reference)
     assert axioms >= {None, "increasing", "idempotent", "monotone", "pullback-stability"}
 
 
+def test_verify_qclosure_follows_the_algebra_and_the_bounds(verify_qclosure_reference):
+    # calls switch the algebra or the bounds between them, and each must
+    # read its own tables.  A nucleus-form operator's failures already show
+    # on one-element carriers, so bounds (2, 2) and (1, 1) agree on every
+    # verdict; square bound 0 drops the monotone and pullback checks, which
+    # is what tells bounds apart here
+    L3, L4 = CHAIN3, diamond()
+    maps = {
+        L3: list(itertools.product(L3.elements(), repeat=L3.size)),
+        # the nuclei, four maps that fail only on squares, one not increasing
+        L4: [nu.mapping for nu in enumerate_nuclei(L4)]
+        + [(0, 3, 2, 3), (0, 1, 3, 3), (3, 3, 2, 3), (2, 1, 2, 3), (0, 0, 0, 0)],
+    }
+    steps = [(L3, 2, 2), (L3, 1, 1), (L3, 1, 0), (L4, 1, 0), (L4, 2, 2), (L4, 1, 1), (L3, 2, 2)]
+    axioms = set()
+    for L, max_carrier, square_carrier in steps:
+        ops = [QClosureOperator.trivial()] + [nucleus_op(Nucleus(L, m)) for m in maps[L]]
+        for op in ops:
+            got = verify_qclosure(op, L, max_carrier, square_carrier)
+            want = verify_qclosure_reference(op, L, max_carrier, square_carrier)
+            assert got == want, (str(op), max_carrier, square_carrier)
+            axioms.add(None if got is None else got.axiom)
+    assert axioms >= {None, "increasing", "monotone", "pullback-stability"}
+
+
 def test_pullback_of_a_subobject():
     A = FuzzySet(CHAIN3, ("a", "b", "c"), (2, 1, 2))
     B = FuzzySet(CHAIN3, ("x", "y"), (1, 2))
