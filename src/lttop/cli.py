@@ -166,7 +166,7 @@ def _suite_counts(out):
     return ok
 
 
-def _suite_closures(out, corpus_bound=4):
+def _suite_closures(out, corpus_bound):
     ok = True
     for kind in ("graph", "reflgraph", "semisimplex:2"):
         category = build_index_category(kind)
@@ -196,7 +196,7 @@ def _suite_closures(out, corpus_bound=4):
     return ok
 
 
-def _suite_criteria(out, corpus_bound=4, ambient_bound=2):
+def _suite_criteria(out, corpus_bound, ambient_bound):
     ok = True
     for kind in ("graph", "reflgraph"):
         category = build_index_category(kind)

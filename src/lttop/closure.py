@@ -7,12 +7,15 @@ the per-dimension recursion driven by the bit string (copy a level, or
 fill every cell whose faces already lie in the closed level below).
 
 The classifier decides separated/complete/sheaf from cell counts over
-incidence tuples; ``factorization_check`` is its brute-force counterpart,
-counting actual factorizations through dense subobjects over a corpus of
-ambient presheaves.
+incidence tuples; ``factorization_check`` is its counterpart from the
+definition: over a corpus of ambient presheaves A, it extends every map
+out of each dense subobject of A along the inclusion, through the Yoneda
+search of ``presheaf.morphism_search``, and counts the extensions (at
+most one for separated, exactly one for a sheaf).
 """
 
 import itertools
+from contextlib import closing
 from functools import lru_cache
 
 from .fincat import FAMILY_FULL, FAMILY_SEMI, Record, face
@@ -21,18 +24,17 @@ from .presheaf import (
     BoundExceeded,
     FinitePresheaf,
     FunctorialityError,
+    PresheafMorphism,
     Subpresheaf,
     _simplex_faces,
-    enumerate_morphisms,
+    components_of,
     enumerate_subpresheaves,
+    morphism_search,
     parallel_cells,
-    sub_as_presheaf,
     yoneda,
 )
 from .topology import DegeneracyIncompatible, _check_word
 
-DEFAULT_CORPUS_BOUND = 6
-DEFAULT_AMBIENT_BOUND = 3
 DEFAULT_SEARCH_BUDGET = 200_000
 
 
@@ -280,7 +282,7 @@ def _run_pair_check(tables, g1, g2, path, size_of):
 
 
 @lru_cache(maxsize=None)
-def presheaf_corpus(category, max_total=DEFAULT_CORPUS_BOUND, up_to_iso=True):
+def presheaf_corpus(category, max_total, up_to_iso=True):
     """Every presheaf with at most ``max_total`` elements, one per iso class.
 
     Generator tables are assigned one at a time, pruning with every
@@ -336,22 +338,14 @@ def presheaf_corpus(category, max_total=DEFAULT_CORPUS_BOUND, up_to_iso=True):
     return tuple(corpus)
 
 
-# -- brute-force factorization oracle --------------------------------------
+# -- factorization oracle: extending maps along dense monos ----------------
 
 
 class FactorizationReport(Record):
     __slots__ = ("separated", "complete", "separated_witness", "complete_witness")
 
 
-def _restriction_key(g, kept):
-    """g's components read at a subobject's kept cells, level by level."""
-    return tuple(
-        tuple(map(component.__getitem__, cells))
-        for component, cells in zip(g.components, kept)
-    )
-
-
-def default_ambients(category, max_total=DEFAULT_AMBIENT_BOUND):
+def default_ambients(category, max_total):
     """Corpus of ambient objects: everything small plus the Yoneda objects.
 
     The Yoneda objects are always included because the hollow inclusion
@@ -369,54 +363,55 @@ def default_ambients(category, max_total=DEFAULT_AMBIENT_BOUND):
 
 @lru_cache(maxsize=None)
 def _dense_proper_subobjects(A, j):
-    """The dense proper subobjects of A, in enumeration order, each with
-    its restriction as a presheaf and its kept cell positions per level.
-    Built once per (A, j)."""
+    """The dense proper subobjects of A, in enumeration order.  Built once
+    per (A, j)."""
     return tuple(
-        (s, sub_as_presheaf(s)[0], tuple(s.level_indices(c) for c in A.category.objects))
-        for s in enumerate_subpresheaves(A)
-        if not s.is_full and is_dense_via_closure(j, s)
+        s for s in enumerate_subpresheaves(A) if not s.is_full and is_dense_via_closure(j, s)
     )
 
 
-def factorization_check(B, j, ambients, budget=DEFAULT_SEARCH_BUDGET):
-    """Count factorizations through dense subobjects, the slow honest way.
+def factorization_check(B, j, ambients):
+    """Decide separated and complete by extending maps out of dense subobjects.
 
-    For every ambient A, every dense proper subobject A' of A, and every
-    morphism f: A' -> B, a separated B admits at most one extension of f
-    to A and a complete B at least one.  Density is decided through the
-    topology's own closure, not through its tag.
+    For every ambient A, every dense proper subobject s of A, and every
+    natural map f: s -> B, a separated B admits at most one extension of f
+    to A and a complete B at least one (Johnstone, Sketches of an
+    Elephant, A4.3-A4.4).  One Yoneda search lists each f over s's cells
+    and then continues over A's other cells, stopping at two extensions.
+    Density is decided through the topology's own closure, not through
+    its tag.  Witnesses are (A, s, f) and (A, s, f, (g1, g2)), with f given
+    by its components on s's cells and g1 != g2 maps A -> B that agree on
+    s.  More than ``DEFAULT_SEARCH_BUDGET`` maps f out of the dense
+    subobjects of one ambient raise ``CorpusTooLarge``.
     """
+    budget = DEFAULT_SEARCH_BUDGET
     sep_witness = None
     comp_witness = None
     for A in ambients:
-        dense = _dense_proper_subobjects(A, j)
-        if not dense:
-            continue
-        extensions = {}
         count = 0
-        for g in enumerate_morphisms(A, B):
-            count += 1
-            if count > budget:
-                raise CorpusTooLarge(f"more than {budget} morphisms from {A} to {B}", count, budget)
-            for s, _, kept in dense:
-                key = _restriction_key(g, kept)
-                extensions.setdefault(s.bits, {}).setdefault(key, []).append(g)
-        for s, restricted, _ in dense:
-            table = extensions.get(s.bits, {})
-            if sep_witness is None:
-                for key, gs in table.items():
-                    if len(gs) > 1:
-                        sep_witness = (A, s, key, tuple(gs[:2]))
-                        break
-            if comp_witness is None:
-                for f in enumerate_morphisms(restricted, B):
-                    key = tuple(f.components)
-                    if key not in table:
-                        comp_witness = (A, s, f)
-                        break
-        if sep_witness is not None and comp_witness is not None:
-            break
+        full = (1 << A.total_size) - 1
+        for s in _dense_proper_subobjects(A, j):
+            restrict = morphism_search(A, B, s.bits)
+            extend = morphism_search(A, B, full & ~s.bits)
+            image = [None] * A.total_size
+            for _ in restrict(image):
+                count += 1
+                if count > budget:
+                    message = f"more than {budget} morphisms from dense subobjects of {A} to {B}"
+                    raise CorpusTooLarge(message, count, budget)
+                with closing(extend(image)) as search:
+                    extensions = [tuple(image) for _ in itertools.islice(search, 2)]
+                if len(extensions) == 1:
+                    continue
+                if not extensions and comp_witness is None:
+                    comp_witness = (A, s, components_of(A, B, image, s.bits))
+                elif len(extensions) == 2 and sep_witness is None:
+                    g1, g2 = (
+                        PresheafMorphism(A, B, components_of(A, B, g, full)) for g in extensions
+                    )
+                    sep_witness = (A, s, components_of(A, B, image, s.bits), (g1, g2))
+                if sep_witness is not None and comp_witness is not None:
+                    return FactorizationReport(False, False, sep_witness, comp_witness)
     return FactorizationReport(
         separated=sep_witness is None,
         complete=comp_witness is None,

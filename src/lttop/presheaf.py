@@ -438,83 +438,76 @@ class PresheafMorphism(Record):
         return None
 
 
-def sub_as_presheaf(sub):
-    """Materialize a subpresheaf as a presheaf plus its inclusion data.
+def morphism_search(source, target, bits):
+    """The Yoneda search for natural maps source -> target over the source
+    cells whose bits are set in ``bits``, lowest bit (last level) first.
 
-    Returns ``(presheaf, embed)`` where embed maps (object, new index) to
-    the ambient index.
+    Returns ``extend(image)``, a generator that yields each time ``image``
+    has been extended to a natural map on those cells.  ``image`` holds,
+    per source bit, the target bit it is sent to or None; what it already
+    holds must be natural and closed under the source's actions.
+
+    Sending a cell x of level c to a cell y of target(c) sends act(f, x)
+    to act(f, y) for every f into c (Yoneda), so x's orbit is paired with
+    y's bit for bit: ``sieve_orbits`` lists both in y(c)'s order.  A cell
+    that an earlier orbit reached is forced; every other cell branches
+    over target(c), keeping each y whose orbit agrees with the image so
+    far.  Each branch undoes its writes in ``finally``, so the shared image
+    is restored even when the caller abandons the search.
     """
-    ambient = sub.presheaf
-    cat = ambient.category
-    chosen = {c: sub.level_indices(c) for c in cat.objects}
-    new_index = {c: {x: i for i, x in enumerate(chosen[c])} for c in cat.objects}
-    carriers = {c: tuple(ambient.carrier(c)[x] for x in chosen[c]) for c in cat.objects}
-    gen_actions = {}
-    for g in cat.generators:
-        gen_actions[g] = tuple(
-            new_index[g.source][ambient.act(g, x)] for x in chosen[g.target]
+    orbits = source.sieve_orbits()
+    targets = target.sieve_orbits()
+    steps = []
+    for c, offset, level in reversed(
+        tuple(zip(source.category.objects, source.bit_offsets(), source.carriers))
+    ):
+        choices = [targets[(c, y)] for y in range(len(target.carrier(c)))]
+        steps += (
+            (offset + x, orbits[(c, x)], choices)
+            for x in range(len(level))
+            if bits >> offset + x & 1
         )
-    restricted = FinitePresheaf(cat, carriers, gen_actions, validate=False)
-    embed = {c: dict(enumerate(chosen[c])) for c in cat.objects}
-    return restricted, embed
+
+    def extend(image, n=0):
+        while n < len(steps) and image[steps[n][0]] is not None:
+            n += 1
+        if n == len(steps):
+            yield
+            return
+        _, orbit, choices = steps[n]
+        for paired in choices:
+            written = []
+            try:
+                for a, b in zip(orbit, paired):
+                    if image[a] is None:
+                        image[a] = b
+                        written.append(a)
+                    elif image[a] != b:
+                        break
+                else:
+                    yield from extend(image, n + 1)
+            finally:
+                for a in written:
+                    image[a] = None
+
+    return extend
+
+
+def components_of(source, target, image, bits):
+    """Per level, the target indices ``image`` gives the source cells in
+    ``bits``, in index order."""
+    return tuple(
+        tuple(image[offset + x] - t_offset for x in range(len(level)) if bits >> offset + x & 1)
+        for level, offset, t_offset in zip(
+            source.carriers, source.bit_offsets(), target.bit_offsets()
+        )
+    )
 
 
 def enumerate_morphisms(source, target):
-    """Yield every natural transformation source -> target.
-
-    Backtracks element by element, lowest level first, intersecting the
-    candidate images allowed by naturality with already-assigned elements.
-    """
-    cat = source.category
-    elements = list(source.elements())
-    position = {e: n for n, e in enumerate(elements)}
-    # constraints[(n)] = list of (generator, other position, side)
-    constraints = [[] for _ in elements]
-    for g in cat.generators:
-        for x in range(len(source.carrier(g.target))):
-            e_t = position[(g.target, x)]
-            e_s = position[(g.source, source.act(g, x))]
-            late, early = max(e_t, e_s), min(e_t, e_s)
-            side = "target" if late == e_t else "source"
-            constraints[late].append((g, x, early, side))
-
-    n_elements = len(elements)
-    assignment = [None] * n_elements
-
-    def candidates(n):
-        c, x = elements[n]
-        opts = None
-        for g, gx, early, side in constraints[n]:
-            if side == "target":
-                # assigning the acted-on element: act_target(g, y) must match
-                want = assignment[early]
-                pool = opts if opts is not None else range(len(target.carrier(c)))
-                opts = [y for y in pool if target.act(g, y) == want]
-            else:
-                forced = target.act(g, assignment[early])
-                if opts is None:
-                    opts = [forced]
-                else:
-                    opts = [y for y in opts if y == forced]
-            if not opts:
-                return []
-        if opts is None:
-            opts = list(range(len(target.carrier(c))))
-        return opts
-
-    def search(n):
-        if n == n_elements:
-            comps = []
-            cursor = 0
-            for c in cat.objects:
-                size = len(source.carrier(c))
-                comps.append(tuple(assignment[cursor : cursor + size]))
-                cursor += size
-            yield PresheafMorphism(source, target, tuple(comps))
-            return
-        for y in candidates(n):
-            assignment[n] = y
-            yield from search(n + 1)
-            assignment[n] = None
-
-    yield from search(0)
+    """Yield every natural transformation source -> target: the Yoneda
+    search of ``morphism_search`` over all of the source's cells."""
+    full = (1 << source.total_size) - 1
+    image = [None] * source.total_size
+    for _ in morphism_search(source, target, full)(image):
+        yield PresheafMorphism(source, target, components_of(source, target, image, full))

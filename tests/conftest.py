@@ -14,14 +14,17 @@ from lttop.fuzzy import (
     pullback_fuzzy,
     subobjects_of,
 )
+from lttop.closure import FactorizationReport, is_dense_via_closure
 from lttop.fincat import face
 from lttop.lattice import FiniteHeytingAlgebra
 from lttop.presheaf import (
     EnumerationBoundExceeded,
+    FinitePresheaf,
     Subpresheaf,
     boundary,
     enumerate_morphisms,
-    sub_as_presheaf,
+    enumerate_subpresheaves,
+    morphism_search,
     yoneda,
 )
 from lttop.topology import TopologyViolation
@@ -87,16 +90,17 @@ def verify_qclosure_reference():
 
 def _boundary_tuples(B, k):
     """Incidence tuples (x_k, ..., x_0) of every morphism from the hollow
-    k-simplex into B, found by enumerating the morphisms: the reference for
-    ``closure.boundary_tuples``."""
-    hollow_presheaf, _ = sub_as_presheaf(boundary(B.category, k))
-    positions = [
-        hollow_presheaf.label_index(k - 1, face(k, i)) for i in range(k, -1, -1)
-    ]
+    k-simplex into B, found by the morphism search over the boundary's
+    cells in y(k): the reference for ``closure.boundary_tuples``."""
+    hollow = boundary(B.category, k)
+    yk = hollow.presheaf
+    pos = B.category.obj_index(k - 1)
+    facets = [yk.bit_offsets()[pos] + yk.label_index(k - 1, face(k, i)) for i in range(k, -1, -1)]
+    offset = B.bit_offsets()[pos]
+    image = [None] * yk.total_size
     tuples = set()
-    for h in enumerate_morphisms(hollow_presheaf, B):
-        comp = h.components[B.category.obj_index(k - 1)]
-        tuples.add(tuple(comp[p] for p in positions))
+    for _ in morphism_search(yk, B, hollow.bits)(image):
+        tuples.add(tuple(image[p] - offset for p in facets))
     return tuples
 
 
@@ -110,6 +114,71 @@ def _is_boundary_tuple(B, k, tup):
 def boundary_tuples_reference():
     """(all tuples, membership test) by boundary-morphism enumeration."""
     return _boundary_tuples, _is_boundary_tuple
+
+
+def _restricted_presheaf(sub):
+    """A subpresheaf materialized as a presheaf on its own cells, in
+    ``level_indices`` order."""
+    ambient = sub.presheaf
+    cat = ambient.category
+    chosen = {c: sub.level_indices(c) for c in cat.objects}
+    new_index = {c: {x: i for i, x in enumerate(chosen[c])} for c in cat.objects}
+    carriers = {c: tuple(ambient.carrier(c)[x] for x in chosen[c]) for c in cat.objects}
+    gen_actions = {
+        g: tuple(new_index[g.source][ambient.act(g, x)] for x in chosen[g.target])
+        for g in cat.generators
+    }
+    return FinitePresheaf(cat, carriers, gen_actions, validate=False)
+
+
+def _factorization_check(B, j, ambients):
+    """Separated and complete by listing every morphism A -> B, keying it
+    by its restriction to each dense proper subobject s, and looking up
+    every morphism out of s materialized as a presheaf: the reference for
+    ``closure.factorization_check``, which extends maps out of s."""
+    sep_witness = None
+    comp_witness = None
+    for A in ambients:
+        dense = [
+            (s, tuple(s.level_indices(c) for c in A.category.objects))
+            for s in enumerate_subpresheaves(A)
+            if not s.is_full and is_dense_via_closure(j, s)
+        ]
+        if not dense:
+            continue
+        extensions = {}
+        for g in enumerate_morphisms(A, B):
+            for s, kept in dense:
+                key = tuple(
+                    tuple(map(component.__getitem__, cells))
+                    for component, cells in zip(g.components, kept)
+                )
+                extensions.setdefault(s.bits, {}).setdefault(key, []).append(g)
+        for s, _ in dense:
+            table = extensions.get(s.bits, {})
+            if sep_witness is None:
+                for key, gs in table.items():
+                    if len(gs) > 1:
+                        sep_witness = (A, s, key, tuple(gs[:2]))
+                        break
+            if comp_witness is None:
+                for f in enumerate_morphisms(_restricted_presheaf(s), B):
+                    if f.components not in table:
+                        comp_witness = (A, s, f.components)
+                        break
+        if sep_witness is not None and comp_witness is not None:
+            break
+    return FactorizationReport(
+        separated=sep_witness is None,
+        complete=comp_witness is None,
+        separated_witness=sep_witness,
+        complete_witness=comp_witness,
+    )
+
+
+@pytest.fixture(scope="session")
+def factorization_reference():
+    return _factorization_check
 
 
 def _composable_pairs(category):

@@ -310,6 +310,52 @@ def test_verify_counts_suite():
     assert "counts suite:" in text and "PASS" in text
 
 
+VERIFY_ALL = [
+    "suite counts:",
+    "  topology count on set: expected 2, got {'constrained': 2, 'brute': 2} (methods agree) PASS",
+    "  topology count on graph: expected 4, got {'constrained': 4, 'brute': 4} (methods agree) PASS",
+    "  topology count on reflgraph: expected 3, got {'constrained': 3, 'brute': 3} (methods agree) PASS",
+    "  topology count on bicolgraph: expected 8, got {'brute': 8} (methods agree) PASS",
+    "  topology count on semisimplex:2: expected 8, got {'constrained': 8, 'brute': 8} (methods agree) PASS",
+    "  topology count on simplex:2: expected 4, got {'constrained': 4, 'brute': 4} (methods agree) PASS",
+    "counts suite: set:2 graph:4 reflgraph:3 bicolgraph:8 semisimplex:2:8 simplex:2:4 — PASS",
+    "suite closures:",
+    "  closure via characteristic map vs recursive on graph: 520 instances PASS",
+    "  closure via characteristic map vs recursive on reflgraph: 45 instances PASS",
+    "  closure via characteristic map vs recursive on semisimplex:2: 1384 instances PASS",
+    "closures suite — PASS",
+    "suite criteria:",
+    "  cell-count classifier vs factorization counts on graph: 18 objects x 4 topologies PASS",
+    "  cell-count classifier vs factorization counts on reflgraph: 5 objects x 3 topologies PASS",
+    "criteria suite — PASS",
+    "suite fuzzy:",
+    "  nucleus count on chain2: expected 2, got 2 PASS",
+    "  nucleus count on chain3: expected 4, got 4 PASS",
+    "  nucleus count on diamond: expected 4, got 4 PASS",
+    "  closure axioms for join-with-1/2 on chain5: PASS",
+    "  sheaves over chain5 are the sets with membership >= 1/2: PASS",
+    "fuzzy suite — PASS",
+    "verification: PASS",
+]
+
+
+def test_verify_all_at_the_default_bounds_prints_every_line():
+    code, text = run(["verify", "--suite", "all"])
+    assert code == 0
+    assert text.splitlines() == VERIFY_ALL
+
+
+def test_verify_reports_an_exceeded_search_budget(monkeypatch):
+    from lttop import closure
+
+    monkeypatch.setattr(closure, "DEFAULT_SEARCH_BUDGET", 3)
+    code, text = run(["verify", "--suite", "criteria"])
+    assert code == 2
+    errors = [line for line in text.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "more than 3 morphisms" in errors[0]
+    assert "Traceback" not in text
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [

@@ -14,7 +14,9 @@ from lttop.presheaf import (
     enumerate_subpresheaves,
     yoneda,
 )
+from lttop import closure
 from lttop.closure import (
+    CorpusTooLarge,
     _canonical_key,
     boundary_tuples,
     classify,
@@ -364,6 +366,58 @@ def test_classifier_agrees_with_the_factorization_oracle(kind, corpus_bound, amb
             observed = factorization_check(B, j, ambients)
             assert predicted.separated == observed.separated, (B, j.tag)
             assert predicted.complete == observed.complete, (B, j.tag)
+
+
+def restriction_to(g, sub):
+    """g's components read at the cells of ``sub``, level by level."""
+    return tuple(
+        tuple(component[x] for x in sub.level_indices(c))
+        for c, component in zip(sub.presheaf.category.objects, g.components)
+    )
+
+
+@pytest.mark.parametrize("kind,corpus_bound,ambient_bound", [
+    ("graph", 6, 4),
+    ("reflgraph", 6, 4),
+    ("semisimplex:2", 4, 2),
+    ("simplex:2", 5, 3),
+])
+def test_factorization_check_matches_the_reference(
+    kind, corpus_bound, ambient_bound, factorization_reference
+):
+    category = build_index_category(kind)
+    topologies = enumerate_topologies(category)
+    ambients = default_ambients(category, ambient_bound)
+    for B in presheaf_corpus(category, corpus_bound):
+        for j in topologies:
+            report = factorization_check(B, j, ambients)
+            expected = factorization_reference(B, j, ambients)
+            assert (report.separated, report.complete) == (
+                expected.separated,
+                expected.complete,
+            ), (B, j.tag)
+            if report.separated_witness is not None:
+                A, sub, f, (g1, g2) = report.separated_witness
+                assert A in ambients and sub.presheaf == A and not sub.is_full
+                assert is_dense_via_closure(j, sub)
+                for g in (g1, g2):
+                    assert (g.source, g.target) == (A, B)
+                    assert g.naturality_violation() is None
+                    assert restriction_to(g, sub) == f
+                assert g1.components != g2.components
+            if report.complete_witness is not None:
+                A, sub, f = report.complete_witness
+                assert is_dense_via_closure(j, sub) and not sub.is_full
+                assert all(restriction_to(g, sub) != f for g in enumerate_morphisms(A, B))
+
+
+def test_factorization_budget_is_read_at_call_time(monkeypatch):
+    j = construct_bitstring_topology(GRAPH, "01")
+    ambients = default_ambients(GRAPH, 0)
+    monkeypatch.setattr(closure, "DEFAULT_SEARCH_BUDGET", 3)
+    with pytest.raises(CorpusTooLarge, match="more than 3 morphisms") as caught:
+        factorization_check(COMPLETE2, j, ambients)
+    assert caught.value.bound == 3 and caught.value.count > 3
 
 
 def test_corpus_is_deduplicated_and_valid():

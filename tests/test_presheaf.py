@@ -17,7 +17,6 @@ from lttop.presheaf import (
     generated_subpresheaf,
     ith_face,
     strip_degeneracies,
-    sub_as_presheaf,
     yoneda,
 )
 
@@ -340,31 +339,44 @@ def brute_morphisms(A, B):
     return sorted(found)
 
 
+def brute_size(A, B):
+    """How many component families ``brute_morphisms`` filters."""
+    size = 1
+    for source, target in zip(A.carriers, B.carriers):
+        size *= len(target) ** len(source)
+    return size
+
+
 def test_enumerate_morphisms_matches_brute_force():
+    from lttop.closure import presheaf_corpus
+
     loop = FinitePresheaf(GRAPH, {0: ("v",), 1: ("l",)}, {face(1, 1): (0,), face(1, 0): (0,)})
     path = FinitePresheaf(
         GRAPH,
         {0: ("a", "b", "c"), 1: ("ab", "bc")},
         {face(1, 1): (0, 1), face(1, 0): (1, 2)},
     )
-    for A, B in [(path, loop), (loop, path), (path, path)]:
-        fast = sorted(h.components for h in enumerate_morphisms(A, B))
-        assert fast == brute_morphisms(A, B)
+    empty = FinitePresheaf(GRAPH, {}, {face(1, 1): (), face(1, 0): ()})
+    cases = [(path, loop), (loop, path), (path, path), (empty, path), (path, empty)]
+    for kind in ("graph", "reflgraph", "bicolgraph", "semisimplex:2", "simplex:2"):
+        category = build_index_category(kind)
+        corpus = presheaf_corpus(category, 3)
+        cases += itertools.product(corpus, repeat=2)
+        if kind != "graph":
+            ys = [yoneda(category, k) for k in category.objects]
+            cases += [(y, P) for y in ys for P in corpus]
+            cases += [(P, y) for y in ys for P in corpus]
+            cases += [(y, z) for y in ys for z in ys if brute_size(y, z) <= 50_000]
+    assert any(brute_size(A, B) > 1000 for A, B in cases)
+    for A, B in cases:
+        fast = [h.components for h in enumerate_morphisms(A, B)]
+        assert len(fast) == len(set(fast)), (A, B)
+        assert sorted(fast) == brute_morphisms(A, B), (A, B)
+    assert len(list(enumerate_morphisms(empty, path))) == 1
+    assert list(enumerate_morphisms(path, empty)) == []
     # morphisms out of a Yoneda object correspond to cells of the target
     y1 = yoneda(GRAPH, 1)
     assert len(list(enumerate_morphisms(y1, path))) == len(path.carrier(1))
-
-
-def test_sub_as_presheaf_round_trip():
-    y2 = yoneda(SEMI2, 2)
-    hollow = boundary(SEMI2, 2)
-    restricted, embed = sub_as_presheaf(hollow)
-    assert restricted.functoriality_violation() is None
-    assert restricted.total_size == hollow.size
-    for c in SEMI2.objects:
-        pos = SEMI2.obj_index(c)
-        for new, old in embed[c].items():
-            assert restricted.carrier(c)[new] == y2.carrier(c)[old]
 
 
 def test_enumeration_bound_is_enforced():
