@@ -9,12 +9,10 @@ meet (ambient membership).
 """
 
 import itertools
-from functools import lru_cache
 
 from .fincat import Record
 
 DEFAULT_FUZZY_CARRIER = 3
-_NAMES = ("a", "b", "c", "d")
 
 
 class FuzzySet(Record):
@@ -52,20 +50,6 @@ class FuzzySubset(Record):
     @property
     def carrier_indices(self):
         return tuple(idx for idx, _ in self.members)
-
-    def as_tuple(self):
-        """Per ambient element, its membership in the subobject or None."""
-        out = [None] * self.ambient.size
-        for i, m in self.members:
-            out[i] = m
-        return tuple(out)
-
-    @staticmethod
-    def from_tuple(ambient, memberships):
-        """The inverse of ``as_tuple``."""
-        return FuzzySubset(
-            ambient, tuple((i, m) for i, m in enumerate(memberships) if m is not None)
-        )
 
     @property
     def is_strong(self):
@@ -111,32 +95,16 @@ class QClosureOperator(Record):
         return "trivial" if self.kind == "trivial" else f"nucleus {self.nucleus}"
 
 
-# Subobjects of an ambient with memberships ``ambient`` are written, inside
-# the kernels below, as per-element tuples of membership-or-None; ``meet`` is
-# the algebra's meet table.
-
-
-def _close(op, meet, ambient, sub):
-    """The closure of a subobject: every element at its ambient membership
-    (trivial), or the nucleus of the membership met with the ambient one."""
-    if op.kind == "trivial":
-        return ambient
-    phi = op.nucleus.mapping
-    return tuple(None if m is None else meet[phi[m]][a] for m, a in zip(sub, ambient))
-
-
-def _pull(meet, ambient, mapping, sub):
-    """The pullback of a subobject of the codomain along ``mapping``."""
-    return tuple(
-        None if sub[j] is None else meet[a][sub[j]] for a, j in zip(ambient, mapping)
-    )
-
-
 def fuzzy_closure(op, sub):
-    """Apply a closure operator to a fuzzy subobject."""
+    """Apply a closure operator to a fuzzy subobject: every element at its
+    ambient membership (trivial), or the nucleus of the membership met with
+    the ambient one."""
     A = sub.ambient
-    closed = _close(op, A.algebra.meet_table(), A.membership, sub.as_tuple())
-    return FuzzySubset.from_tuple(A, closed)
+    if op.kind == "trivial":
+        return full_subset(A)
+    L = A.algebra
+    phi = op.nucleus.mapping
+    return FuzzySubset(A, tuple((i, L.meet(phi[m], A.membership[i])) for i, m in sub.members))
 
 
 def is_dense_fuzzy(op, sub):
@@ -150,39 +118,38 @@ def fuzzy_corpus(L, max_carrier=DEFAULT_FUZZY_CARRIER):
     """Every fuzzy set over L with carrier a prefix of a, b, c, ..."""
     out = []
     for n in range(max_carrier + 1):
-        names = _NAMES[:n]
+        names = tuple(chr(ord("a") + i) if i < 26 else f"a{i}" for i in range(n))
         for membership in itertools.product(range(L.size), repeat=n):
             out.append(FuzzySet(L, names, membership))
     return tuple(out)
 
 
-def _subobject_tuples(L, ambient):
-    """Every subobject of an ambient, by chosen carrier (smaller carriers
-    first, then lexicographically), then by lowered memberships."""
-    down = [[m for m in L.elements() if L.leq(m, a)] for a in ambient]
-    out = []
-    for chosen in itertools.chain.from_iterable(
-        itertools.combinations(range(len(ambient)), r) for r in range(len(ambient) + 1)
-    ):
-        for membs in itertools.product(*(down[i] for i in chosen)):
-            sub = [None] * len(ambient)
-            for i, m in zip(chosen, membs):
-                sub[i] = m
-            out.append(tuple(sub))
-    return out
-
-
 def subobjects_of(A):
-    """All fuzzy subobjects of A: subsets with pointwise-lowered memberships."""
+    """All fuzzy subobjects of A: subsets with pointwise-lowered memberships,
+    by chosen carrier (smaller carriers first, then lexicographically), then
+    by lowered memberships."""
+    L = A.algebra
+    down = [[m for m in L.elements() if L.leq(m, a)] for a in A.membership]
     return tuple(
-        FuzzySubset.from_tuple(A, sub) for sub in _subobject_tuples(A.algebra, A.membership)
+        FuzzySubset(A, tuple(zip(chosen, membs)))
+        for r in range(A.size + 1)
+        for chosen in itertools.combinations(range(A.size), r)
+        for membs in itertools.product(*(down[i] for i in chosen))
     )
 
 
 def pullback_fuzzy(A, B, mapping, sub):
     """Pullback of a subobject of B along a morphism mapping: A -> B."""
-    pulled = _pull(A.algebra.meet_table(), A.membership, mapping, sub.as_tuple())
-    return FuzzySubset.from_tuple(A, pulled)
+    L = A.algebra
+    theirs = dict(sub.members)
+    return FuzzySubset(
+        A,
+        tuple(
+            (i, L.meet(A.membership[i], theirs[j]))
+            for i, j in enumerate(mapping)
+            if j in theirs
+        ),
+    )
 
 
 class QClosureViolation(Record):
@@ -192,122 +159,50 @@ class QClosureViolation(Record):
         return f"quasitopos closure axiom {self.axiom} fails: {self.context}"
 
 
-@lru_cache(maxsize=1)
-def _qclosure_tables(L, max_carrier, square_carrier):
-    """What ``verify_qclosure`` reads that does not depend on the operator.
-
-    Returns (meet, below, ambients, comparable, squares):
-
-    * ``below(s, t)``: the order on per-element subobject tuples;
-    * ``ambients``: per fuzzy set of the corpus, in corpus order,
-      (A, subs, index, strong): its ``_subobject_tuples``, the subobject ->
-      position index, and whether each subobject is strong;
-    * ``comparable``: per small ambient, in corpus order, its corpus
-      position, the pairs (p, q) with subs[p] <= subs[q] in (p, q) order,
-      and each position's up-set as a bitmask;
-    * ``squares``: per (B, A, mapping) with B and A small, in that loop
-      order, B's and A's corpus positions, the mapping, and the position
-      among A's subobjects of each of B's subobjects pulled back.
-
-    Only the latest (algebra, bounds) is kept; algebras are keyed by
-    identity.
-    """
-    meet = L.meet_table()
-    leq = [[L.leq(a, b) for b in L.elements()] for a in L.elements()]
-
-    def below(s, t):
-        return all(a is None or (b is not None and leq[a][b]) for a, b in zip(s, t))
-
-    corpus = fuzzy_corpus(L, max_carrier)
-    ambients = []
-    for A in corpus:
-        ambient = A.membership
-        subs = _subobject_tuples(L, ambient)
-        index = {sub: pos for pos, sub in enumerate(subs)}
-        strong = [all(m is None or m == a for m, a in zip(sub, ambient)) for sub in subs]
-        ambients.append((A, subs, index, strong))
-    small = [pos for pos, A in enumerate(corpus) if A.size <= square_carrier]
-    comparable = []
-    for a in small:
-        subs = ambients[a][1]
-        pairs = [
-            (p, q)
-            for p, s1 in enumerate(subs)
-            for q, s2 in enumerate(subs)
-            if below(s1, s2)
-        ]
-        up = [0] * len(subs)
-        for p, q in pairs:
-            up[p] |= 1 << q
-        comparable.append((a, pairs, up))
-    squares = []
-    for b in small:
-        subs_b = ambients[b][1]
-        for a in small:
-            A, _, index_a, _ = ambients[a]
-            for mapping in fuzzy_morphisms(A, corpus[b]):
-                pulled = [index_a[_pull(meet, A.membership, mapping, sub)] for sub in subs_b]
-                squares.append((b, a, mapping, pulled))
-    return meet, below, ambients, comparable, squares
-
-
 def verify_qclosure(op, L, max_carrier=DEFAULT_FUZZY_CARRIER, square_carrier=2):
     """Check the five closure-operator axioms over the fuzzy corpus.
 
-    Increasing, idempotence, and strongness preservation run over carriers
-    up to ``max_carrier``; monotonicity and pullback stability, which need
-    pairs and genuine squares, over carriers up to ``square_carrier``.
-    Returns None or the first violation found.
+    Increasing, idempotence, and strongness preservation are checked on
+    carriers up to ``max_carrier``; monotonicity and pullback stability,
+    which need pairs and genuine squares, on carriers up to
+    ``square_carrier``.  Returns None or the first violation found.
 
-    Everything that does not depend on the operator is built once per
-    algebra and bounds by ``_qclosure_tables``: each ambient's subobjects
-    as per-element tuples of membership-or-None with a subobject ->
-    position index, the comparable pairs, and the positions of pulled-back
-    subobjects.  A call computes only the closures and their positions.
-    This works because a closure is again a subobject of the same ambient,
-    and so is a pullback along a morphism into it: idempotence,
-    strongness, monotonicity and pullback stability compare positions.
-    The loops and their order are those of the direct check on
-    ``FuzzySubset`` objects, so the first violation is the same; such
-    objects are built only for a violation's context.
+    Only the fuzzy sets with at most one element are visited, which is
+    exact because every operator kind acts element by element: the trivial
+    and the nucleus-induced closure of a subobject at an element depend
+    only on that element's membership and ambient membership.  Pullbacks,
+    the subobject order and strongness are element-wise too, so a
+    violation on a larger fuzzy set reappears, for the same axiom, on the
+    one-element fuzzy set of the offending element alone.  The corpus lists
+    those before any larger set, so the first violation is the one the
+    full bounds would find, with the same context.
     """
-    meet, below, ambients, comparable, squares = _qclosure_tables(
-        L, max_carrier, square_carrier
-    )
-    closed_ats = []
-    for A, subs, index, strong in ambients:
-        ambient = A.membership
-        closures = [_close(op, meet, ambient, sub) for sub in subs]
-        closed_at = [index[closed] for closed in closures]
-        for p, (sub, closed, pos) in enumerate(zip(subs, closures, closed_at)):
-            if not below(sub, closed):
-                return QClosureViolation("increasing", (A, FuzzySubset.from_tuple(A, sub)))
-            if closed_at[pos] != pos:
-                return QClosureViolation("idempotent", (A, FuzzySubset.from_tuple(A, sub)))
-            if strong[p] and not strong[pos]:
-                return QClosureViolation("strongness", (A, FuzzySubset.from_tuple(A, sub)))
-        closed_ats.append(closed_at)
-    for a, pairs, up in comparable:
-        closed_at = closed_ats[a]
-        for p, q in pairs:
-            if not up[closed_at[p]] >> closed_at[q] & 1:
-                A, subs = ambients[a][:2]
-                return QClosureViolation(
-                    "monotone",
-                    (A, FuzzySubset.from_tuple(A, subs[p]), FuzzySubset.from_tuple(A, subs[q])),
-                )
-    for b, a, mapping, pulled in squares:
-        # the closure of B's sub k pulls back to pulled[closed_at_b[k]]
-        closed_at_a = closed_ats[a]
-        lhs = [closed_at_a[pos] for pos in pulled]
-        rhs = [pulled[pos] for pos in closed_ats[b]]
-        if lhs != rhs:
-            k = next(k for k, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
-            A, B = ambients[a][0], ambients[b][0]
-            return QClosureViolation(
-                "pullback-stability",
-                (A, B, mapping, FuzzySubset.from_tuple(B, ambients[b][1][k])),
-            )
+    corpus = fuzzy_corpus(L, min(max_carrier, 1))
+    small = [A for A in corpus if A.size <= square_carrier]
+    for A in corpus:
+        for sub in subobjects_of(A):
+            closed = fuzzy_closure(op, sub)
+            if not sub.leq(closed):
+                return QClosureViolation("increasing", (A, sub))
+            if fuzzy_closure(op, closed) != closed:
+                return QClosureViolation("idempotent", (A, sub))
+            if sub.is_strong and not closed.is_strong:
+                return QClosureViolation("strongness", (A, sub))
+    for A in small:
+        subs = subobjects_of(A)
+        for s1 in subs:
+            for s2 in subs:
+                if s1.leq(s2) and not fuzzy_closure(op, s1).leq(fuzzy_closure(op, s2)):
+                    return QClosureViolation("monotone", (A, s1, s2))
+    for B in small:
+        subs_b = subobjects_of(B)
+        for A in small:
+            for mapping in fuzzy_morphisms(A, B):
+                for sub in subs_b:
+                    lhs = fuzzy_closure(op, pullback_fuzzy(A, B, mapping, sub))
+                    rhs = pullback_fuzzy(A, B, mapping, fuzzy_closure(op, sub))
+                    if lhs != rhs:
+                        return QClosureViolation("pullback-stability", (A, B, mapping, sub))
     return None
 
 

@@ -135,12 +135,6 @@ class FiniteHeytingAlgebra:
             raise ValueError(f"no meet of {self.names[a]} and {self.names[b]}")
         return v
 
-    def meet_table(self):
-        """``meet_table()[a][b] == meet(a, b)``, for lattices only."""
-        if any(None in row for row in self._meet):
-            raise ValueError("not every pair of elements has a meet")
-        return self._meet
-
     def join(self, a, b):
         v = self._join[a][b]
         if v is None:

@@ -290,42 +290,29 @@ def tag_topology(j):
 # -- enumeration ---------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _composite_tables(omega):
-    """Per level c: (bit of f, l, bits of f o g) for every cell f: l -> c
-    of y(c), where bits of f o g is indexed by the packed bit of each cell
-    g of y(l) and holds the packed bit of f o g in y(c).  Rows run from
-    the highest level down: those cells reach the most, so
-    ``_transitive_at`` can stop early."""
-    offsets = [y.bit_offsets() for y in omega.yonedas]
-    tables = []
-    for y, off_c in zip(omega.yonedas, offsets):
-        rows = []
-        for l, cells in enumerate(y.carriers):
-            y_l, off_l = omega.yonedas[l], offsets[l]
-            for f in range(len(cells)):
-                composite = [0] * y_l.total_size
-                for k, gs in enumerate(y_l.carriers):
-                    for i, g in enumerate(gs):
-                        composite[off_l[k] + i] = 1 << off_c[k] + y.act(g, f)
-                rows.append((off_c[l] + f, l, tuple(composite)))
-        tables.append(tuple(reversed(rows)))
-    return tuple(tables)
-
-
-def _transitive_at(composites, m, c):
+def _transitive_at(omega, m, c):
     """Whether m_c <= m_c.m = {f o g | f in m_c, g in m_(dom f)}, with m
-    the packed least covering sieves."""
+    the packed least covering sieves.  The orbit row of a cell f: l -> c
+    of y(c) holds the bit of f o g for every cell g of y(l), from y(l)'s
+    highest bit down, so g at bit b of y(l) is entry len(row) - 1 - b.
+    Rows are read from the highest level down: those cells reach the
+    most, so the loop can stop early."""
+    y = omega.yonedas[c]
+    obj_index = omega.category.obj_index
+    offsets = y.bit_offsets()
     mc = m[c]
     reach = 0
-    for bit, l, composite in composites[c]:
+    for (level, f), row in reversed(y.sieve_orbits().items()):
         if not mc & ~reach:
             break
-        if mc >> bit & 1:
+        l = obj_index(level)
+        if mc >> offsets[l] + f & 1:
             ml = m[l]
-            for g, fg in enumerate(composite):
-                if ml >> g & 1:
-                    reach |= fg
+            top = len(row) - 1
+            while ml:
+                g = ml.bit_length() - 1
+                reach |= 1 << row[top - g]
+                ml ^= 1 << g
     return not mc & ~reach
 
 
@@ -346,9 +333,8 @@ def _enumerate_covering(omega):
     cat = omega.category
     n = len(cat.objects)
     packed = omega.packed
-    composites = _composite_tables(omega)
     # transitivity at c can be tested once every level l with a cell l -> c is chosen
-    ready_at = [max(l for _, l, _ in rows) for rows in composites]
+    ready_at = [max(cat.obj_index(l) for l, _ in y.sieve_orbits()) for y in omega.yonedas]
     gens = [(cat.obj_index(g.source), cat.obj_index(g.target), omega.action_table(g)) for g in cat.generators]
     m = [None] * n  # sieve indices
     bits = [None] * n  # and their integers
@@ -368,7 +354,7 @@ def _enumerate_covering(omega):
             bits[pos] = sieve
             if any(bits[d] & ~packed[d][t[m[c]]] for d, c, t in stability):
                 continue
-            if all(_transitive_at(composites, bits, c) for c in ready):
+            if all(_transitive_at(omega, bits, c) for c in ready):
                 choose(pos + 1)
 
     choose(0)

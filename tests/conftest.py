@@ -50,8 +50,8 @@ def sieve_pullback():
 
 def _verify_qclosure(op, L, max_carrier=DEFAULT_FUZZY_CARRIER, square_carrier=2):
     """The five closure-operator axioms checked directly on ``FuzzySubset``
-    objects, closing both sides of every comparison: the reference for
-    ``verify_qclosure``'s per-ambient tables."""
+    objects over every fuzzy set within the bounds: the reference for
+    ``verify_qclosure``, which visits the one-element sets only."""
     corpus = fuzzy_corpus(L, max_carrier)
     small = [A for A in corpus if A.size <= square_carrier]
     for A in corpus:

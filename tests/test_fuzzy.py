@@ -98,19 +98,21 @@ def test_verify_qclosure_matches_the_direct_reference(verify_qclosure_reference)
             nucleus_op(Nucleus(algebra, mapping))
             for mapping in itertools.product(algebra.elements(), repeat=algebra.size)
         ]
-        for op in ops:
-            got = verify_qclosure(op, algebra, max_carrier=2)
-            assert got == verify_qclosure_reference(op, algebra, max_carrier=2), str(op)
+        # the reference walks every fuzzy set within the bounds, the check
+        # only the one-element ones
+        for op, max_carrier in itertools.product(ops, (2, 3)):
+            got = verify_qclosure(op, algebra, max_carrier)
+            want = verify_qclosure_reference(op, algebra, max_carrier)
+            assert got == want, (str(op), max_carrier)
             axioms.add(None if got is None else got.axiom)
     assert axioms >= {None, "increasing", "idempotent", "monotone", "pullback-stability"}
 
 
 def test_verify_qclosure_follows_the_algebra_and_the_bounds(verify_qclosure_reference):
-    # calls switch the algebra or the bounds between them, and each must
-    # read its own tables.  A nucleus-form operator's failures already show
-    # on one-element carriers, so bounds (2, 2) and (1, 1) agree on every
-    # verdict; square bound 0 drops the monotone and pullback checks, which
-    # is what tells bounds apart here
+    # calls switch the algebra or the bounds between them.  A nucleus-form
+    # operator's failures already show on one-element carriers, so bounds
+    # (2, 2) and (1, 1) agree on every verdict; square bound 0 drops the
+    # monotone and pullback checks, which is what tells bounds apart here
     L3, L4 = CHAIN3, diamond()
     maps = {
         L3: list(itertools.product(L3.elements(), repeat=L3.size)),
@@ -128,6 +130,15 @@ def test_verify_qclosure_follows_the_algebra_and_the_bounds(verify_qclosure_refe
             assert got == want, (str(op), max_carrier, square_carrier)
             axioms.add(None if got is None else got.axiom)
     assert axioms >= {None, "increasing", "monotone", "pullback-stability"}
+
+
+def test_corpus_names_every_element():
+    corpus = fuzzy_corpus(chain(2), 5)
+    assert len(corpus) == 1 + 2 + 4 + 8 + 16 + 32
+    names = corpus[-1].elements
+    assert names[:4] == ("a", "b", "c", "d")
+    assert len(set(names)) == 5
+    assert all(A.elements == names[: A.size] for A in corpus)
 
 
 def test_pullback_of_a_subobject():

@@ -12,7 +12,7 @@ from lttop.topology import (
     DegeneracyIncompatible,
     LTTopology,
     _bitstring_levels,
-    _composite_tables,
+    _covering_map,
     _transitive_at,
     construct_bitstring_topology,
     degeneracy_compatible,
@@ -268,15 +268,28 @@ def test_transitivity_prune_matches_the_reference(verify_topology_reference, ord
         if category.dim is not None and category.dim > 2:
             continue
         omega = classifying_object(category)
-        composites = _composite_tables(omega)
         for m, j in covering_sieve_maps(omega, order_algebra):
             masks = [omega.packed[pos][least] for pos, least in enumerate(m)]
-            transitive = all(_transitive_at(composites, masks, c) for c in range(len(m)))
+            transitive = all(_transitive_at(omega, masks, c) for c in range(len(m)))
             accepted = verify_topology_reference(j) is None
             assert transitive == accepted, (kind, m)
             verdicts.add(accepted)
     # some stable candidates are not transitive, so the prune is exercised
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize(
+    "kind, dim, misses", [("semisimplex", 3, 64), ("simplex", 3, 20), ("bicolgraph", None, 24)]
+)
+def test_brute_route_builds_level_maps_only_for_topologies(kind, dim, misses):
+    # stability and transitivity prune every choice that is not a topology,
+    # so each level map is built once per topology and level, and the
+    # final check reads them back from the cache
+    category = build_index_category(kind, dim)
+    _covering_map.cache_clear()
+    found = enumerate_topologies(category, "brute")
+    assert len(found) * len(category.objects) == misses
+    assert _covering_map.cache_info().misses == misses
 
 
 def test_reflgraph_word_10_is_rejected_with_a_witness():
