@@ -159,26 +159,27 @@ class QClosureViolation(Record):
         return f"quasitopos closure axiom {self.axiom} fails: {self.context}"
 
 
-def verify_qclosure(op, L, max_carrier=DEFAULT_FUZZY_CARRIER, square_carrier=2):
-    """Check the five closure-operator axioms over the fuzzy corpus.
+def verify_qclosure(op, L, max_carrier=1):
+    """Check the five closure-operator axioms on the fuzzy sets over L with
+    at most one element.  Returns None or the first violation found.
 
-    Increasing, idempotence, and strongness preservation are checked on
-    carriers up to ``max_carrier``; monotonicity and pullback stability,
-    which need pairs and genuine squares, on carriers up to
-    ``square_carrier``.  Returns None or the first violation found.
+    Increasing, idempotence and strongness preservation are checked on
+    every subobject of each of those sets; monotonicity and pullback
+    stability on every pair of their subobjects and every square between
+    them.  ``max_carrier`` is accepted for callers that bound the corpus,
+    but it is clamped to 1: any bound of 1 or more visits the same sets, 0
+    only the empty fuzzy set.
 
-    Only the fuzzy sets with at most one element are visited, which is
-    exact because every operator kind acts element by element: the trivial
-    and the nucleus-induced closure of a subobject at an element depend
-    only on that element's membership and ambient membership.  Pullbacks,
-    the subobject order and strongness are element-wise too, so a
-    violation on a larger fuzzy set reappears, for the same axiom, on the
+    This is exact because every operator kind acts element by element: the
+    trivial and the nucleus-induced closure of a subobject at an element
+    depend only on that element's membership and ambient membership.
+    Pullbacks, the subobject order and strongness are element-wise too, so
+    a violation on a larger fuzzy set reappears, for the same axiom, on the
     one-element fuzzy set of the offending element alone.  The corpus lists
-    those before any larger set, so the first violation is the one the
-    full bounds would find, with the same context.
+    those before any larger set, so the first violation is the one a larger
+    bound would find, with the same context.
     """
     corpus = fuzzy_corpus(L, min(max_carrier, 1))
-    small = [A for A in corpus if A.size <= square_carrier]
     for A in corpus:
         for sub in subobjects_of(A):
             closed = fuzzy_closure(op, sub)
@@ -188,15 +189,15 @@ def verify_qclosure(op, L, max_carrier=DEFAULT_FUZZY_CARRIER, square_carrier=2):
                 return QClosureViolation("idempotent", (A, sub))
             if sub.is_strong and not closed.is_strong:
                 return QClosureViolation("strongness", (A, sub))
-    for A in small:
+    for A in corpus:
         subs = subobjects_of(A)
         for s1 in subs:
             for s2 in subs:
                 if s1.leq(s2) and not fuzzy_closure(op, s1).leq(fuzzy_closure(op, s2)):
                     return QClosureViolation("monotone", (A, s1, s2))
-    for B in small:
+    for B in corpus:
         subs_b = subobjects_of(B)
-        for A in small:
+        for A in corpus:
             for mapping in fuzzy_morphisms(A, B):
                 for sub in subs_b:
                     lhs = fuzzy_closure(op, pullback_fuzzy(A, B, mapping, sub))
