@@ -48,12 +48,13 @@ def sieve_pullback():
     return _sieve_pullback
 
 
-def _verify_qclosure(op, L, max_carrier=DEFAULT_FUZZY_CARRIER, square_carrier=2):
+def _verify_qclosure(op, L, max_carrier=DEFAULT_FUZZY_CARRIER):
     """The five closure-operator axioms checked directly on ``FuzzySubset``
-    objects over every fuzzy set within the bounds: the reference for
+    objects over every fuzzy set with at most ``max_carrier`` elements
+    (pairs and squares on at most two): the reference for
     ``verify_qclosure``, which visits the one-element sets only."""
     corpus = fuzzy_corpus(L, max_carrier)
-    small = [A for A in corpus if A.size <= square_carrier]
+    small = [A for A in corpus if A.size <= 2]
     for A in corpus:
         for sub in subobjects_of(A):
             closed = fuzzy_closure(op, sub)
