@@ -62,27 +62,30 @@ def _closure_from_chi(j, chi):
 
 
 def closure_recursive(word, sub):
-    """Dimension-by-dimension closure: copy on bit 0, fill by faces on bit 1."""
+    """Dimension-by-dimension closure: copy on bit 0, fill by faces on bit 1.
+
+    A level fills as every cell outside the coface masks of the absent
+    cells one level down (``FinitePresheaf.coface_masks``).
+    """
     A = sub.presheaf
     cat = A.category
     if cat.family not in (FAMILY_SEMI, FAMILY_FULL):
         raise ValueError("the recursive closure needs a simplex category")
     _check_word(cat, word)
     offsets = A.bit_offsets()
+    cofaces = A.coface_masks()
     bits = sub.bits
     for k in cat.objects:
         if word[k] == "0":
             continue
-        size = len(A.carrier(k))
-        filled = (1 << size) - 1  # level 0 fills completely
+        full = (1 << len(A.carrier(k))) - 1
+        filled = full  # level 0 fills completely
         if k > 0:
-            tables = [A.action_table(face(k, i)) for i in range(k + 1)]
-            below = offsets[k - 1]
-            filled = 0
-            for x in range(size):
-                if all(bits >> below + t[x] & 1 for t in tables):
-                    filled |= 1 << x
-        bits = bits & ~((1 << size) - 1 << offsets[k]) | filled << offsets[k]
+            below = bits >> offsets[k - 1]
+            for y, mask in enumerate(cofaces[k - 1]):
+                if not below >> y & 1:
+                    filled &= ~mask
+        bits = bits & ~(full << offsets[k]) | filled << offsets[k]
     return Subpresheaf(A, bits)
 
 
@@ -230,23 +233,70 @@ def _size_vectors(category, max_total):
     return sizes
 
 
-def _canonical_key(category, sizes, tables):
-    perms = [list(itertools.permutations(range(s))) for s in sizes]
-    best = None
-    for combo in itertools.product(*perms):
-        renamed = []
-        for g, table in zip(category.generators, tables):
-            src = category.obj_index(g.source)
-            tgt = category.obj_index(g.target)
-            inv_tgt = combo[tgt]
-            new = [None] * len(table)
-            for x, v in enumerate(table):
-                new[inv_tgt[x]] = combo[src][v]
-            renamed.append(tuple(new))
-        key = tuple(renamed)
-        if best is None or key < best:
-            best = key
-    return sizes, best
+def _is_least(category, sizes, tables):
+    """Whether no per-level renaming sends ``tables`` to a table tuple that
+    sorts before it.
+
+    Renaming level c by a permutation p_c sends the table t of a generator
+    g: a -> b to t' with t'[p_b[x]] = p_a[t[x]].  The search fixes a
+    renaming one entry of t' at a time, in the order the tuple sorts by:
+    for position i of b it tries each cell x not yet named (unless one
+    already holds name i), and names t[x] with the least name still free on
+    a if it has none, since any other would sort later.  It stops at the
+    first entry below the candidate's and drops a branch at the first entry
+    above it, so only renamings that tie so far are extended.
+    """
+    ends = [
+        (category.obj_index(g.source), category.obj_index(g.target)) for g in category.generators
+    ]
+    name = [[None] * n for n in sizes]  # per level: cell -> new name
+    cell = [[None] * n for n in sizes]  # per level: new name -> cell
+    given = [0] * len(sizes)  # per level: names 0 .. given - 1 are taken
+
+    def take(level, x):
+        name[level][x] = given[level]
+        cell[level][given[level]] = x
+        given[level] += 1
+
+    def drop(level, x):
+        given[level] -= 1
+        cell[level][given[level]] = name[level][x] = None
+
+    def beaten(pos, i):
+        # entries before position i of table pos tie with the candidate's
+        while pos < len(tables) and i == len(tables[pos]):
+            pos, i = pos + 1, 0
+        if pos == len(tables):
+            return False
+        tgt = ends[pos][1]
+        if cell[tgt][i] is not None:
+            return lands(pos, i, cell[tgt][i])
+        for x in range(sizes[tgt]):
+            if name[tgt][x] is None:
+                take(tgt, x)  # names are taken in order, so x gets name i
+                hit = lands(pos, i, x)
+                drop(tgt, x)
+                if hit:
+                    return True
+        return False
+
+    def lands(pos, i, x):
+        # entry i of the renamed table pos, with cell x on position i
+        src = ends[pos][0]
+        y = tables[pos][x]
+        want = tables[pos][i]
+        new = name[src][y]
+        if new is None:
+            new = given[src]
+            if new != want:
+                return new < want
+            take(src, y)
+            hit = beaten(pos, i + 1)
+            drop(src, y)
+            return hit
+        return new < want if new != want else beaten(pos, i + 1)
+
+    return not beaten(0, 0)
 
 
 def _pair_checks(category):
@@ -286,16 +336,19 @@ def presheaf_corpus(category, max_total, up_to_iso=True):
     """Every presheaf with at most ``max_total`` elements, one per iso class.
 
     Generator tables are assigned one at a time, pruning with every
-    relation that becomes decidable.  Isomorph rejection hashes a
-    canonical form obtained by minimizing over per-level renamings, before
-    any presheaf is built; the first tables of each class get the full
-    functoriality check.  Built once per (category, max_total, up_to_iso);
-    categories are cached singletons.
+    relation that becomes decidable.  Isomorphs are rejected orderly
+    (Read 1978; McKay, J. Algorithms 1998), before any presheaf is built:
+    for each size vector the tables are visited in lexicographic order of
+    their tuple, and the pair checks and functoriality are invariant under
+    per-level renaming, so the first member of a class that is reached is
+    the least of its orbit.  A candidate is kept exactly when it is that
+    least member (``_is_least``), and then gets the full functoriality
+    check.  Built once per (category, max_total, up_to_iso); categories
+    are cached singletons.
     """
     gens = list(category.generators)
     checks = _pair_checks(category)
     corpus = []
-    seen = set()
     for sizes in _size_vectors(category, max_total):
         size_of = dict(zip(category.objects, sizes))
         if any(
@@ -306,17 +359,8 @@ def presheaf_corpus(category, max_total, up_to_iso=True):
 
         def assign(pos):
             if pos == len(gens):
-                if up_to_iso:
-                    # isomorphic tables are all functorial or all not, so a
-                    # key whose first member is rejected stays seen
-                    key = _canonical_key(
-                        category,
-                        tuple(size_of[c] for c in category.objects),
-                        tuple(tables[g] for g in gens),
-                    )
-                    if key in seen:
-                        return
-                    seen.add(key)
+                if up_to_iso and not _is_least(category, sizes, tuple(tables[g] for g in gens)):
+                    return
                 carriers = {c: tuple(range(size_of[c])) for c in category.objects}
                 try:
                     corpus.append(FinitePresheaf(category, carriers, dict(tables)))

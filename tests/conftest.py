@@ -14,8 +14,8 @@ from lttop.fuzzy import (
     pullback_fuzzy,
     subobjects_of,
 )
-from lttop.closure import FactorizationReport, is_dense_via_closure
-from lttop.fincat import face
+from lttop.closure import FactorizationReport, is_dense_via_closure, presheaf_corpus
+from lttop.fincat import FAMILY_FULL, FAMILY_SEMI, face
 from lttop.lattice import FiniteHeytingAlgebra
 from lttop.presheaf import (
     EnumerationBoundExceeded,
@@ -27,7 +27,7 @@ from lttop.presheaf import (
     morphism_search,
     yoneda,
 )
-from lttop.topology import TopologyViolation
+from lttop.topology import TopologyViolation, _check_word
 
 
 def _sieve_pullback(category, u, sieve):
@@ -180,6 +180,91 @@ def _factorization_check(B, j, ambients):
 @pytest.fixture(scope="session")
 def factorization_reference():
     return _factorization_check
+
+
+def _canonical_key(category, sizes, tables):
+    """The sizes and the least generator-table tuple over every product of
+    per-level permutations: the isomorphism-class key that the orderly
+    ``closure._is_least`` replaces."""
+    perms = [list(itertools.permutations(range(s))) for s in sizes]
+    best = None
+    for combo in itertools.product(*perms):
+        renamed = []
+        for g, table in zip(category.generators, tables):
+            src = category.obj_index(g.source)
+            tgt = category.obj_index(g.target)
+            inv_tgt = combo[tgt]
+            new = [None] * len(table)
+            for x, v in enumerate(table):
+                new[inv_tgt[x]] = combo[src][v]
+            renamed.append(tuple(new))
+        key = tuple(renamed)
+        if best is None or key < best:
+            best = key
+    return sizes, best
+
+
+def _presheaf_key(P):
+    sizes = tuple(len(level) for level in P.carriers)
+    tables = tuple(P.action_table(g) for g in P.category.generators)
+    return _canonical_key(P.category, sizes, tables)
+
+
+@pytest.fixture(scope="session")
+def canonical_key():
+    """The canonical key of a presheaf's generator tables."""
+    return _presheaf_key
+
+
+def _keyed_corpus(category, max_total):
+    """The corpus without isomorph rejection, keeping the first presheaf
+    of each canonical key: the reference for ``presheaf_corpus``, whose
+    orderly test keeps the same member of each class in the same order."""
+    seen = set()
+    corpus = []
+    for P in presheaf_corpus(category, max_total, up_to_iso=False):
+        key = _presheaf_key(P)
+        if key not in seen:
+            seen.add(key)
+            corpus.append(P)
+    return tuple(corpus)
+
+
+@pytest.fixture(scope="session")
+def corpus_reference():
+    return _keyed_corpus
+
+
+def _closure_recursive(word, sub):
+    """Copy a level on bit 0; on bit 1 fill every cell whose k + 1 faces,
+    read off the face tables, lie in the closed level below: the reference
+    for ``closure_recursive``, which reads cached coface masks."""
+    A = sub.presheaf
+    cat = A.category
+    if cat.family not in (FAMILY_SEMI, FAMILY_FULL):
+        raise ValueError("the recursive closure needs a simplex category")
+    _check_word(cat, word)
+    offsets = A.bit_offsets()
+    bits = sub.bits
+    for k in cat.objects:
+        if word[k] == "0":
+            continue
+        size = len(A.carrier(k))
+        filled = (1 << size) - 1  # level 0 fills completely
+        if k > 0:
+            tables = [A.action_table(face(k, i)) for i in range(k + 1)]
+            below = offsets[k - 1]
+            filled = 0
+            for x in range(size):
+                if all(bits >> below + t[x] & 1 for t in tables):
+                    filled |= 1 << x
+        bits = bits & ~((1 << size) - 1 << offsets[k]) | filled << offsets[k]
+    return Subpresheaf(A, bits)
+
+
+@pytest.fixture(scope="session")
+def closure_recursive_reference():
+    return _closure_recursive
 
 
 def _composable_pairs(category):

@@ -17,7 +17,6 @@ from lttop.presheaf import (
 from lttop import closure
 from lttop.closure import (
     CorpusTooLarge,
-    _canonical_key,
     boundary_tuples,
     classify,
     closure_recursive,
@@ -443,11 +442,55 @@ def test_corpus_counts_at_bound_6(kind, count):
     assert len(presheaf_corpus(build_index_category(kind), 6)) == count
 
 
-def test_every_presheaf_has_its_class_in_the_deduplicated_corpus():
-    def key(P):
-        sizes = tuple(len(level) for level in P.carriers)
-        return _canonical_key(GRAPH, sizes, tuple(P.action_table(g) for g in GRAPH.generators))
+@pytest.mark.parametrize("kind,bound,count", [
+    ("graph", 7, 287),
+    ("graph", 8, 817),
+    ("semisimplex:2", 7, 1899),
+])
+def test_corpus_counts_at_larger_bounds(kind, bound, count):
+    # the counts the canonical-key route gives
+    assert len(presheaf_corpus(build_index_category(kind), bound)) == count
 
-    kept = [key(P) for P in presheaf_corpus(GRAPH, 4)]
+
+def test_every_presheaf_has_its_class_in_the_deduplicated_corpus(canonical_key):
+    kept = [canonical_key(P) for P in presheaf_corpus(GRAPH, 4)]
     assert len(set(kept)) == len(kept)
-    assert {key(P) for P in presheaf_corpus(GRAPH, 4, up_to_iso=False)} == set(kept)
+    assert {canonical_key(P) for P in presheaf_corpus(GRAPH, 4, up_to_iso=False)} == set(kept)
+
+
+@pytest.mark.parametrize("kind,top", [
+    ("set", 6), ("graph", 6), ("reflgraph", 6), ("bicolgraph", 6), ("semisimplex:2", 6),
+    ("simplex:2", 5), ("semisimplex:3", 5), ("simplex:3", 5),
+])
+def test_corpus_matches_the_canonical_key_reference(kind, top, corpus_reference):
+    # the same member of each class, table for table, in the same order
+    category = build_index_category(kind)
+    for bound in range(top + 1):
+        assert presheaf_corpus(category, bound) == corpus_reference(category, bound), bound
+
+
+@pytest.mark.parametrize(
+    "kind", ["graph", "reflgraph", "semisimplex:2", "simplex:2", "semisimplex:3"]
+)
+def test_recursive_closure_matches_the_reference(kind, closure_recursive_reference):
+    category = build_index_category(kind)
+    words = ["".join(bits) for bits in itertools.product("01", repeat=category.dim + 1)]
+    for P in presheaf_corpus(category, 5):
+        for sub in enumerate_subpresheaves(P):
+            for word in words:
+                expected = closure_recursive_reference(word, sub)
+                assert closure_recursive(word, sub) == expected, (P, sub, word)
+
+
+@pytest.mark.parametrize("kind,word", [
+    ("bicolgraph", "01"),
+    ("graph", "x2"), ("graph", "011"), ("graph", "1 "), ("semisimplex:2", "01"),
+])
+def test_recursive_closure_errors_match_the_reference(kind, word, closure_recursive_reference):
+    category = build_index_category(kind)
+    empty = Subpresheaf.empty(yoneda(category, category.objects[-1]))
+    with pytest.raises(ValueError) as got:
+        closure_recursive(word, empty)
+    with pytest.raises(ValueError) as expected:
+        closure_recursive_reference(word, empty)
+    assert str(got.value) == str(expected.value)
