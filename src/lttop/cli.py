@@ -196,18 +196,17 @@ def _suite_closures(out, corpus_bound):
     return ok
 
 
-def _suite_criteria(out, corpus_bound, ambient_bound):
+def _suite_criteria(out, corpus_bound):
     ok = True
     for kind in ("graph", "reflgraph"):
         category = build_index_category(kind)
         topologies = enumerate_topologies(category)
         corpus = closure_mod.presheaf_corpus(category, corpus_bound)
-        ambients = closure_mod.default_ambients(category, ambient_bound)
         disagreements = 0
         for B in corpus:
             for j in topologies:
                 predicted = closure_mod.classify(B, j.tag)
-                observed = closure_mod.factorization_check(B, j, ambients)
+                observed = closure_mod.factorization_check(B, j)
                 if (
                     predicted.separated != observed.separated
                     or predicted.complete != observed.complete
@@ -271,7 +270,7 @@ def cmd_verify(args, out):
     names = list(SUITES) if args.suite == "all" else [args.suite]
     kwargs = {
         "closures": {"corpus_bound": args.corpus_bound},
-        "criteria": {"corpus_bound": args.corpus_bound, "ambient_bound": args.ambient_bound},
+        "criteria": {"corpus_bound": args.corpus_bound},
     }
     all_ok = True
     for name in names:
@@ -316,7 +315,7 @@ def build_parser():
     p = sub.add_parser("verify", help="run the verification suites")
     p.add_argument("--suite", default="all", choices=["all", *SUITES])
     p.add_argument("--corpus-bound", type=int, default=4, help="max cells per corpus object")
-    p.add_argument("--ambient-bound", type=int, default=2, help="max cells per ambient object")
+    p.add_argument("--ambient-bound", type=int, default=2, help="no effect; must be >= 0")
     p.set_defaults(func=cmd_verify)
     return parser
 

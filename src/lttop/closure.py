@@ -8,10 +8,11 @@ fill every cell whose faces already lie in the closed level below).
 
 The classifier decides separated/complete/sheaf from cell counts over
 incidence tuples; ``factorization_check`` is its counterpart from the
-definition: over a corpus of ambient presheaves A, it extends every map
-out of each dense subobject of A along the inclusion, through the Yoneda
-search of ``presheaf.morphism_search``, and counts the extensions (at
-most one for separated, exactly one for a sheaf).
+definition: for every level c it extends every map out of each dense
+proper sieve S on c along S -> y(c), through the Yoneda search of
+``presheaf.morphism_search``, and counts the extensions (at most one for
+separated, exactly one for a sheaf).  The representables suffice, so no
+corpus of ambient presheaves and no size bound is involved.
 """
 
 import itertools
@@ -28,10 +29,8 @@ from .presheaf import (
     Subpresheaf,
     _simplex_faces,
     components_of,
-    enumerate_subpresheaves,
     morphism_search,
     parallel_cells,
-    yoneda,
 )
 from .topology import DegeneracyIncompatible, _check_word
 
@@ -304,8 +303,9 @@ def _pair_checks(category):
 
     For composable generators g1: a -> b, g2: b -> c, the composite action
     must agree with the composite's canonical factorization.  Returns, for
-    each position in the generator order, the list of checks that become
-    decidable once that generator's table is assigned.
+    each position in the generator order, the checks that become decidable
+    once that generator's table is assigned, each as (position of g1,
+    position of g2, positions along the canonical path, index of c).
     """
     gens = list(category.generators)
     order = {g: n for n, g in enumerate(gens)}
@@ -314,25 +314,23 @@ def _pair_checks(category):
         for g2 in gens:
             if g1.target != g2.source:
                 continue
-            composite = category.compose(g2, g1)
-            path = category.factor(composite)
-            involved = [order[g1], order[g2]] + [order[h] for h in path]
-            checks[max(involved)].append((g1, g2, tuple(path)))
+            path = tuple(order[h] for h in category.factor(category.compose(g2, g1)))
+            check = (order[g1], order[g2], path, category.obj_index(g2.target))
+            checks[max(check[0], check[1], *path)].append(check)
     return checks
 
 
-def _run_pair_check(tables, g1, g2, path, size_of):
+def _run_pair_check(tables, check, sizes):
     # X(g2 o g1) = X(g1) o X(g2); the left side comes from the canonical path
-    via = list(range(size_of[g2.target]))
+    pos1, pos2, path, target = check
+    via = range(sizes[target])
     for h in path:
-        table = tables[h]
-        via = [table[v] for v in via]
-    direct = [tables[g1][tables[g2][x]] for x in range(size_of[g2.target])]
-    return via == direct
+        via = map(tables[h].__getitem__, via)
+    return list(via) == list(map(tables[pos1].__getitem__, tables[pos2]))
 
 
 @lru_cache(maxsize=None)
-def presheaf_corpus(category, max_total, up_to_iso=True):
+def presheaf_corpus(category, max_total):
     """Every presheaf with at most ``max_total`` elements, one per iso class.
 
     Generator tables are assigned one at a time, pruning with every
@@ -343,39 +341,33 @@ def presheaf_corpus(category, max_total, up_to_iso=True):
     per-level renaming, so the first member of a class that is reached is
     the least of its orbit.  A candidate is kept exactly when it is that
     least member (``_is_least``), and then gets the full functoriality
-    check.  Built once per (category, max_total, up_to_iso); categories
-    are cached singletons.
+    check.  Built once per (category, max_total); categories are cached
+    singletons.
     """
     gens = list(category.generators)
+    ends = [(category.obj_index(g.source), category.obj_index(g.target)) for g in gens]
     checks = _pair_checks(category)
     corpus = []
     for sizes in _size_vectors(category, max_total):
-        size_of = dict(zip(category.objects, sizes))
-        if any(
-            size_of[g.target] > 0 and size_of[g.source] == 0 for g in gens
-        ):
+        if any(sizes[tgt] > 0 and sizes[src] == 0 for src, tgt in ends):
             continue
-        tables = {}
+        tables = [None] * len(gens)
 
         def assign(pos):
             if pos == len(gens):
-                if up_to_iso and not _is_least(category, sizes, tuple(tables[g] for g in gens)):
+                if not _is_least(category, sizes, tuple(tables)):
                     return
-                carriers = {c: tuple(range(size_of[c])) for c in category.objects}
+                carriers = {c: tuple(range(n)) for c, n in zip(category.objects, sizes)}
                 try:
-                    corpus.append(FinitePresheaf(category, carriers, dict(tables)))
+                    corpus.append(FinitePresheaf(category, carriers, dict(zip(gens, tables))))
                 except FunctorialityError:
                     pass
                 return
-            g = gens[pos]
-            for table in itertools.product(range(size_of[g.source]), repeat=size_of[g.target]):
-                tables[g] = table
-                if all(
-                    _run_pair_check(tables, g1, g2, path, size_of)
-                    for g1, g2, path in checks[pos]
-                ):
+            src, tgt = ends[pos]
+            for table in itertools.product(range(sizes[src]), repeat=sizes[tgt]):
+                tables[pos] = table
+                if all(_run_pair_check(tables, check, sizes) for check in checks[pos]):
                     assign(pos + 1)
-                del tables[g]
 
         assign(0)
     corpus.sort(key=lambda P: (P.total_size, tuple(len(l) for l in P.carriers)))
@@ -389,71 +381,64 @@ class FactorizationReport(Record):
     __slots__ = ("separated", "complete", "separated_witness", "complete_witness")
 
 
-def default_ambients(category, max_total):
-    """Corpus of ambient objects: everything small plus the Yoneda objects.
+def factorization_check(B, j):
+    """Decide separated and complete by extending maps along dense sieves.
 
-    The Yoneda objects are always included because the hollow inclusion
-    into y(k) is the discriminating dense mono for both directions of the
-    classifier; small ambients add soundness coverage beyond it.
-    """
-    ambients = list(presheaf_corpus(category, max_total))
-    if category.family in (FAMILY_SEMI, FAMILY_FULL):
-        for k in category.objects:
-            yk = yoneda(category, k)
-            if yk not in ambients:
-                ambients.append(yk)
-    return tuple(ambients)
+    For the Grothendieck topology J of j, B is separated (a sheaf) iff
+    every map S -> B out of a covering sieve S on c extends at most once
+    (exactly once) along S -> y(c) (Mac Lane & Moerdijk, Sheaves in
+    Geometry and Logic, III.4 and V.3-V.4).  The covering sieves are the
+    dense ones, j_c(S) = top, read off j; the top sieve needs no check.
+    One Yoneda search lists each f: S -> B and then continues over y(c)'s
+    other cells, stopping at two extensions.
 
+    Complete on its own needs only the representables too, in these
+    categories.  Every cell is a degeneracy of a unique nondegenerate cell
+    (Eilenberg-Zilber; trivially so in the semi-simplicial and bicolored
+    categories), so a map out of a dense A' of A extends one nondegenerate
+    level-k cell x at a time, in order of level, from A'' = A' plus the
+    cells already added.  Each step extends along the sieve x*(A'') on k,
+    which is dense as a pullback of a dense subobject.  It contains every
+    non-surjective h, since x.h is then a degeneracy of a cell of lower
+    level, and the surjective h outside it have distinct images x.h, so a
+    map on the sieve extends to A'' plus x exactly as it extends to y(k).
 
-@lru_cache(maxsize=None)
-def _dense_proper_subobjects(A, j):
-    """The dense proper subobjects of A, in enumeration order.  Built once
-    per (A, j)."""
-    return tuple(
-        s for s in enumerate_subpresheaves(A) if not s.is_full and is_dense_via_closure(j, s)
-    )
-
-
-def factorization_check(B, j, ambients):
-    """Decide separated and complete by extending maps out of dense subobjects.
-
-    For every ambient A, every dense proper subobject s of A, and every
-    natural map f: s -> B, a separated B admits at most one extension of f
-    to A and a complete B at least one (Johnstone, Sketches of an
-    Elephant, A4.3-A4.4).  One Yoneda search lists each f over s's cells
-    and then continues over A's other cells, stopping at two extensions.
-    Density is decided through the topology's own closure, not through
-    its tag.  Witnesses are (A, s, f) and (A, s, f, (g1, g2)), with f given
-    by its components on s's cells and g1 != g2 maps A -> B that agree on
-    s.  More than ``DEFAULT_SEARCH_BUDGET`` maps f out of the dense
-    subobjects of one ambient raise ``CorpusTooLarge``.
+    Witnesses are (y(c), S, f) and (y(c), S, f, (g1, g2)), with f given by
+    its components on S's cells and g1 != g2 maps y(c) -> B that agree on
+    S.  More than ``DEFAULT_SEARCH_BUDGET`` maps f out of the dense sieves
+    on one c raise ``CorpusTooLarge``.
     """
     budget = DEFAULT_SEARCH_BUDGET
+    omega = j.omega
     sep_witness = None
     comp_witness = None
-    for A in ambients:
+    for yc, sieves, packed, mapping, top in zip(
+        omega.yonedas, omega.sieves, omega.packed, j.levels, omega.top
+    ):
         count = 0
-        full = (1 << A.total_size) - 1
-        for s in _dense_proper_subobjects(A, j):
-            restrict = morphism_search(A, B, s.bits)
-            extend = morphism_search(A, B, full & ~s.bits)
-            image = [None] * A.total_size
+        full = packed[top]
+        for S, bits, closed in zip(sieves[:top], packed, mapping):
+            if closed != top:
+                continue
+            restrict = morphism_search(yc, B, bits)
+            extend = morphism_search(yc, B, full & ~bits)
+            image = [None] * yc.total_size
             for _ in restrict(image):
                 count += 1
                 if count > budget:
-                    message = f"more than {budget} morphisms from dense subobjects of {A} to {B}"
+                    message = f"more than {budget} morphisms from dense sieves of {yc} to {B}"
                     raise CorpusTooLarge(message, count, budget)
                 with closing(extend(image)) as search:
                     extensions = [tuple(image) for _ in itertools.islice(search, 2)]
                 if len(extensions) == 1:
                     continue
                 if not extensions and comp_witness is None:
-                    comp_witness = (A, s, components_of(A, B, image, s.bits))
+                    comp_witness = (yc, S, components_of(yc, B, image, bits))
                 elif len(extensions) == 2 and sep_witness is None:
                     g1, g2 = (
-                        PresheafMorphism(A, B, components_of(A, B, g, full)) for g in extensions
+                        PresheafMorphism(yc, B, components_of(yc, B, g, full)) for g in extensions
                     )
-                    sep_witness = (A, s, components_of(A, B, image, s.bits), (g1, g2))
+                    sep_witness = (yc, S, components_of(yc, B, image, bits), (g1, g2))
                 if sep_witness is not None and comp_witness is not None:
                     return FactorizationReport(False, False, sep_witness, comp_witness)
     return FactorizationReport(

@@ -20,6 +20,7 @@ from lttop.lattice import FiniteHeytingAlgebra
 from lttop.presheaf import (
     EnumerationBoundExceeded,
     FinitePresheaf,
+    FunctorialityError,
     Subpresheaf,
     boundary,
     enumerate_morphisms,
@@ -133,10 +134,11 @@ def _restricted_presheaf(sub):
 
 
 def _factorization_check(B, j, ambients):
-    """Separated and complete by listing every morphism A -> B, keying it
-    by its restriction to each dense proper subobject s, and looking up
-    every morphism out of s materialized as a presheaf: the reference for
-    ``closure.factorization_check``, which extends maps out of s."""
+    """Separated and complete by listing every morphism A -> B, for every
+    ambient A, keying it by its restriction to each dense proper subobject
+    s, and looking up every morphism out of s materialized as a presheaf:
+    the reference for ``closure.factorization_check``, which extends maps
+    out of the dense sieves of the representables alone."""
     sep_witness = None
     comp_witness = None
     for A in ambients:
@@ -216,13 +218,48 @@ def canonical_key():
     return _presheaf_key
 
 
+@lru_cache(maxsize=None)
+def _raw_corpus(category, max_total):
+    """Every presheaf with at most ``max_total`` elements, isomorphs
+    included: every product of generator tables per size vector, kept when
+    ``FinitePresheaf`` validates it.  Ordered like ``presheaf_corpus``: by
+    total size and size vector, then tables in lexicographic order."""
+    corpus = []
+    for sizes in itertools.product(range(max_total + 1), repeat=len(category.objects)):
+        if sum(sizes) > max_total:
+            continue
+        carriers = {c: tuple(range(n)) for c, n in zip(category.objects, sizes)}
+        choices = [
+            itertools.product(
+                range(sizes[category.obj_index(g.source)]),
+                repeat=sizes[category.obj_index(g.target)],
+            )
+            for g in category.generators
+        ]
+        for tables in itertools.product(*choices):
+            try:
+                corpus.append(
+                    FinitePresheaf(category, carriers, dict(zip(category.generators, tables)))
+                )
+            except FunctorialityError:
+                pass
+    corpus.sort(key=lambda P: (P.total_size, tuple(len(l) for l in P.carriers)))
+    return tuple(corpus)
+
+
+@pytest.fixture(scope="session")
+def raw_corpus():
+    return _raw_corpus
+
+
+@lru_cache(maxsize=None)
 def _keyed_corpus(category, max_total):
-    """The corpus without isomorph rejection, keeping the first presheaf
-    of each canonical key: the reference for ``presheaf_corpus``, whose
-    orderly test keeps the same member of each class in the same order."""
+    """The raw corpus, keeping the first presheaf of each canonical key:
+    the reference for ``presheaf_corpus``, whose orderly test keeps the
+    same member of each class in the same order."""
     seen = set()
     corpus = []
-    for P in presheaf_corpus(category, max_total, up_to_iso=False):
+    for P in _raw_corpus(category, max_total):
         key = _presheaf_key(P)
         if key not in seen:
             seen.add(key)
@@ -233,6 +270,22 @@ def _keyed_corpus(category, max_total):
 @pytest.fixture(scope="session")
 def corpus_reference():
     return _keyed_corpus
+
+
+def _reference_ambients(category, max_total):
+    """The corpus up to ``max_total`` elements plus every Yoneda object: the
+    ambients of the key-table factorization reference."""
+    ambients = list(presheaf_corpus(category, max_total))
+    for c in category.objects:
+        yc = yoneda(category, c)
+        if yc not in ambients:
+            ambients.append(yc)
+    return tuple(ambients)
+
+
+@pytest.fixture(scope="session")
+def reference_ambients():
+    return _reference_ambients
 
 
 def _closure_recursive(word, sub):

@@ -28,7 +28,6 @@ from lttop.closure import (
     classify,
     closure_recursive,
     closure_via_chi,
-    default_ambients,
     factorization_check,
     k_simple,
     presheaf_corpus,
@@ -166,15 +165,21 @@ def test_criterion_3_closure_equivalence():
 
 
 def test_criterion_4_classification_theorem():
-    """classify vs the brute factorization oracle, both directions."""
-    ambient_bounds = {"graph": 3, "reflgraph": 4, "semisimplex:2": 3}
+    """classify vs the factorization oracle on the representables, both
+    directions: the bound-6 corpora, and every presheaf with at most four
+    cells on the larger simplex categories."""
+    corpora = {
+        kind: (CORPORA[kind], TOPOLOGIES[kind]) for kind in ("graph", "reflgraph", "semisimplex:2")
+    }
+    for kind in ("simplex:2", "semisimplex:3", "simplex:3"):
+        category = build_index_category(kind)
+        corpora[kind] = (presheaf_corpus(category, 4), enumerate_topologies(category))
     pairs = 0
-    for kind, bound in ambient_bounds.items():
-        ambients = default_ambients(CATEGORIES[kind], bound)
-        for B in CORPORA[kind]:
-            for j in TOPOLOGIES[kind]:
+    for kind, (corpus, topologies) in corpora.items():
+        for B in corpus:
+            for j in topologies:
                 predicted = classify(B, j.tag)
-                observed = factorization_check(B, j, ambients)
+                observed = factorization_check(B, j)
                 assert predicted.separated == observed.separated, (kind, B, j.tag)
                 assert predicted.complete == observed.complete, (kind, B, j.tag)
                 pairs += 1

@@ -21,7 +21,6 @@ from lttop.closure import (
     classify,
     closure_recursive,
     closure_via_chi,
-    default_ambients,
     factorization_check,
     is_dense_by_bits,
     is_dense_via_closure,
@@ -278,11 +277,11 @@ def test_empty_set_is_separated_not_sheaf_for_the_trivial_topology():
     j = construct_bitstring_topology(one, "1")
     empty = FinitePresheaf(one, {0: ()}, {})
     singleton = FinitePresheaf(one, {0: ("x",)}, {})
-    report = factorization_check(empty, j, (singleton, empty))
+    report = factorization_check(empty, j)
     assert report.separated and not report.complete
     assert classify(empty, "1").separated and not classify(empty, "1").complete
     # the singleton is the terminal object and therefore a sheaf
-    report = factorization_check(singleton, j, (singleton, empty))
+    report = factorization_check(singleton, j)
     assert report.separated and report.complete
 
 
@@ -338,31 +337,32 @@ def test_pullback_subobject_is_levelwise_preimage():
 
 def test_factorization_oracle_finds_the_parallel_edge_pair():
     j = construct_bitstring_topology(GRAPH, "01")
-    ambients = default_ambients(GRAPH, 0)  # just the Yoneda objects
-    report = factorization_check(PARALLEL, j, ambients)
+    report = factorization_check(PARALLEL, j)
     assert not report.separated
     ambient, sub, _, pair = report.separated_witness
-    assert ambient.carrier(1) == (GRAPH.identity(1),)  # the walking edge
+    assert ambient == yoneda(GRAPH, 1)  # the walking edge
     assert sub.level_indices(1) == ()  # its hollow inclusion
     assert len(pair) == 2
     # a simple but incomplete graph admits a morphism with no extension
-    report = factorization_check(PATH, j, ambients)
+    report = factorization_check(PATH, j)
     assert report.separated and not report.complete
 
 
-@pytest.mark.parametrize("kind,corpus_bound,ambient_bound", [
-    ("graph", 4, 2),
-    ("reflgraph", 5, 4),
-    ("semisimplex:2", 4, 2),
+@pytest.mark.parametrize("kind,corpus_bound", [
+    ("graph", 4),
+    ("reflgraph", 5),
+    ("semisimplex:2", 4),
+    ("simplex:2", 4),
+    ("semisimplex:3", 4),
+    ("simplex:3", 4),
 ])
-def test_classifier_agrees_with_the_factorization_oracle(kind, corpus_bound, ambient_bound):
+def test_classifier_agrees_with_the_factorization_oracle(kind, corpus_bound):
     category = build_index_category(kind)
     topologies = enumerate_topologies(category)
-    ambients = default_ambients(category, ambient_bound)
     for B in presheaf_corpus(category, corpus_bound):
         for j in topologies:
             predicted = classify(B, j.tag)
-            observed = factorization_check(B, j, ambients)
+            observed = factorization_check(B, j)
             assert predicted.separated == observed.separated, (B, j.tag)
             assert predicted.complete == observed.complete, (B, j.tag)
 
@@ -380,16 +380,20 @@ def restriction_to(g, sub):
     ("reflgraph", 6, 4),
     ("semisimplex:2", 4, 2),
     ("simplex:2", 5, 3),
+    ("bicolgraph", 5, 3),
 ])
 def test_factorization_check_matches_the_reference(
-    kind, corpus_bound, ambient_bound, factorization_reference
+    kind, corpus_bound, ambient_bound, factorization_reference, reference_ambients
 ):
+    # the oracle reads only the representables; the reference also tries
+    # every presheaf with at most ``ambient_bound`` elements as an ambient
     category = build_index_category(kind)
     topologies = enumerate_topologies(category)
-    ambients = default_ambients(category, ambient_bound)
+    representables = [yoneda(category, c) for c in category.objects]
+    ambients = reference_ambients(category, ambient_bound)
     for B in presheaf_corpus(category, corpus_bound):
         for j in topologies:
-            report = factorization_check(B, j, ambients)
+            report = factorization_check(B, j)
             expected = factorization_reference(B, j, ambients)
             assert (report.separated, report.complete) == (
                 expected.separated,
@@ -397,7 +401,7 @@ def test_factorization_check_matches_the_reference(
             ), (B, j.tag)
             if report.separated_witness is not None:
                 A, sub, f, (g1, g2) = report.separated_witness
-                assert A in ambients and sub.presheaf == A and not sub.is_full
+                assert A in representables and sub.presheaf == A and not sub.is_full
                 assert is_dense_via_closure(j, sub)
                 for g in (g1, g2):
                     assert (g.source, g.target) == (A, B)
@@ -406,16 +410,16 @@ def test_factorization_check_matches_the_reference(
                 assert g1.components != g2.components
             if report.complete_witness is not None:
                 A, sub, f = report.complete_witness
-                assert is_dense_via_closure(j, sub) and not sub.is_full
+                assert A in representables and sub.presheaf == A and not sub.is_full
+                assert is_dense_via_closure(j, sub)
                 assert all(restriction_to(g, sub) != f for g in enumerate_morphisms(A, B))
 
 
 def test_factorization_budget_is_read_at_call_time(monkeypatch):
     j = construct_bitstring_topology(GRAPH, "01")
-    ambients = default_ambients(GRAPH, 0)
     monkeypatch.setattr(closure, "DEFAULT_SEARCH_BUDGET", 3)
     with pytest.raises(CorpusTooLarge, match="more than 3 morphisms") as caught:
-        factorization_check(COMPLETE2, j, ambients)
+        factorization_check(COMPLETE2, j)
     assert caught.value.bound == 3 and caught.value.count > 3
 
 
@@ -431,9 +435,8 @@ def test_corpus_is_deduplicated_and_valid():
     assert (2, 1) in keys and (1, 2) in keys
 
 
-def test_corpus_counts_without_iso_rejection_are_larger():
-    raw = presheaf_corpus(GRAPH, 3, up_to_iso=False)
-    assert len(raw) > len(presheaf_corpus(GRAPH, 3))
+def test_corpus_counts_without_iso_rejection_are_larger(raw_corpus):
+    assert len(raw_corpus(GRAPH, 3)) > len(presheaf_corpus(GRAPH, 3))
 
 
 @pytest.mark.parametrize("kind,count", [("graph", 107), ("reflgraph", 16), ("semisimplex:2", 362)])
@@ -452,10 +455,10 @@ def test_corpus_counts_at_larger_bounds(kind, bound, count):
     assert len(presheaf_corpus(build_index_category(kind), bound)) == count
 
 
-def test_every_presheaf_has_its_class_in_the_deduplicated_corpus(canonical_key):
+def test_every_presheaf_has_its_class_in_the_deduplicated_corpus(canonical_key, raw_corpus):
     kept = [canonical_key(P) for P in presheaf_corpus(GRAPH, 4)]
     assert len(set(kept)) == len(kept)
-    assert {canonical_key(P) for P in presheaf_corpus(GRAPH, 4, up_to_iso=False)} == set(kept)
+    assert {canonical_key(P) for P in raw_corpus(GRAPH, 4)} == set(kept)
 
 
 @pytest.mark.parametrize("kind,top", [
@@ -465,8 +468,10 @@ def test_every_presheaf_has_its_class_in_the_deduplicated_corpus(canonical_key):
 def test_corpus_matches_the_canonical_key_reference(kind, top, corpus_reference):
     # the same member of each class, table for table, in the same order
     category = build_index_category(kind)
+    keyed = corpus_reference(category, top)
     for bound in range(top + 1):
-        assert presheaf_corpus(category, bound) == corpus_reference(category, bound), bound
+        expected = tuple(P for P in keyed if P.total_size <= bound)
+        assert presheaf_corpus(category, bound) == expected, bound
 
 
 @pytest.mark.parametrize(
