@@ -324,8 +324,9 @@ def main(argv=None, out=None):
     out = out if out is not None else sys.stdout
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "classify" and args.topology is None and args.nucleus is None:
-        out.write("error: classify needs --topology or --nucleus\n")
+    if args.command == "classify" and (args.topology is None) == (args.nucleus is None):
+        need = "needs" if args.topology is None else "takes only one of"
+        out.write(f"error: classify {need} --topology or --nucleus\n")
         return INPUT_ERROR
     try:
         if args.max_dim < 0:

@@ -1,10 +1,14 @@
 """Closure operators, density, and the separated/complete/sheaf classifier.
 
-Two closure routes are kept deliberately separate so they can check each
-other: ``closure_via_chi`` reads the closure off the composite of a
-topology with a characteristic function, while ``closure_recursive`` runs
-the per-dimension recursion driven by the bit string (copy a level, or
-fill every cell whose faces already lie in the closed level below).
+Two closure routes: ``closure_via_chi`` reads the closure off the
+composite of a topology with a characteristic function, while
+``closure_recursive`` runs the per-dimension recursion driven by the bit
+string (copy a level, or fill every cell whose faces already lie in the
+closed level below).  The bit-string level maps are the same recursion
+run on the sieves of the representables, so comparing the two routes (the
+closures suite) checks that the recursion commutes with pullback; the
+level maps themselves are checked independently by the constrained
+enumeration agreeing with the brute one.
 
 The classifier decides separated/complete/sheaf from cell counts over
 incidence tuples; ``factorization_check`` is its counterpart from the
@@ -32,7 +36,7 @@ from .presheaf import (
     morphism_search,
     parallel_cells,
 )
-from .topology import DegeneracyIncompatible, _check_word
+from .topology import DegeneracyIncompatible, _check_word, _closed_bits
 
 DEFAULT_SEARCH_BUDGET = 200_000
 
@@ -71,21 +75,7 @@ def closure_recursive(word, sub):
     if cat.family not in (FAMILY_SEMI, FAMILY_FULL):
         raise ValueError("the recursive closure needs a simplex category")
     _check_word(cat, word)
-    offsets = A.bit_offsets()
-    cofaces = A.coface_masks()
-    bits = sub.bits
-    for k in cat.objects:
-        if word[k] == "0":
-            continue
-        full = (1 << len(A.carrier(k))) - 1
-        filled = full  # level 0 fills completely
-        if k > 0:
-            below = bits >> offsets[k - 1]
-            for y, mask in enumerate(cofaces[k - 1]):
-                if not below >> y & 1:
-                    filled &= ~mask
-        bits = bits & ~(full << offsets[k]) | filled << offsets[k]
-    return Subpresheaf(A, bits)
+    return Subpresheaf(A, _closed_bits(word, A, sub.bits))
 
 
 def is_dense_via_closure(j, sub):

@@ -410,7 +410,7 @@ def add_degeneracies(sub_plus):
     semi = sub_plus.presheaf.category
     if semi.family != FAMILY_SEMI:
         raise ValueError("expected a subpresheaf over a semi-simplex category")
-    full_category = build_index_category("simplex", semi.dim)
+    full_category = build_index_category("simplex", semi.dim, max_dim=semi.dim)
     full_yoneda = yoneda(full_category, _yoneda_dimension(sub_plus.presheaf))
     seeds = []
     for l in semi.objects:
@@ -424,7 +424,7 @@ def strip_degeneracies(sub):
     full = sub.presheaf.category
     if full.family != FAMILY_FULL:
         raise ValueError("expected a subpresheaf over a simplex category")
-    semi_category = build_index_category("semisimplex", full.dim)
+    semi_category = build_index_category("semisimplex", full.dim, max_dim=full.dim)
     semi_yoneda = yoneda(semi_category, _yoneda_dimension(sub.presheaf))
     sets = {}
     for l in full.objects:

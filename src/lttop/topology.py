@@ -16,24 +16,25 @@ Two independent routes produce topologies:
   dimension, knows nothing about the constructive family, and serves as
   the oracle.
 * ``construct_bitstring_topology`` / ``method="constrained"`` build the
-  per-dimension family indexed by a bit string: level 0 is the identity or
-  the constant-top map, and each higher level is forced by the incidence
-  tuple of the image except on the all-top fiber, where the bit decides
-  between the boundary and the whole simplex.
+  per-dimension family indexed by a bit string.  For any topology, j_k(S)
+  is the closure of S as a subobject of y(k) (Mac Lane and Moerdijk,
+  V.1-V.2), so each level map is the recursive closure of each sieve S of
+  y(k) under the word: copy a level on bit 0, fill it by faces on bit 1.
 
-Naturality is checked directly only for the degeneracies, whose failing
-square is the witness of a bit string containing "10".  Equality of
-topologies is extensional on the level maps; the bit-string tag is
-metadata only.
+On a degeneracy-carrying category a word containing "10" has no
+topology: its semi-simplicial topology is transported along the
+add/strip-degeneracies bijections, and the failing degeneracy square is
+the witness.  Equality of topologies is extensional on the level maps;
+the bit-string tag is metadata only.
 """
 
 import itertools
 from functools import lru_cache, reduce
 from operator import and_
 
-from .fincat import FAMILY_BICOLOR, FAMILY_FULL, FAMILY_SEMI, Record, build_index_category, face
+from .fincat import FAMILY_BICOLOR, FAMILY_FULL, FAMILY_SEMI, Record, build_index_category
 from .omega import classifying_object
-from .presheaf import Subpresheaf, add_degeneracies, parallel_cells
+from .presheaf import Subpresheaf, add_degeneracies
 
 BICOLOR_LABELS = ("00", "01", "02", "03", "10", "11", "12", "13")
 
@@ -187,67 +188,55 @@ def _check_word(category, word):
         )
 
 
-def _base_level_map(omega, bit):
-    size = len(omega.sieves[0])
-    if size != 2:
-        raise RuntimeError("level 0 of Omega should always be the two-element chain")
-    if bit:
-        return (omega.top[0],) * size
-    return tuple(range(size))
-
-
-def _extend_level_map(omega, k, lower, bit):
-    """The unique level-k map extending ``lower`` with the given bit."""
-    pos = omega.category.obj_index(k)
-    size = omega.level_size(k)
-    top = omega.top[pos]
-    bnd = omega.boundary_index(k)
-    top_below = omega.top[omega.category.obj_index(k - 1)]
-    all_top = tuple(top_below for _ in range(k + 1))
-    tables = [omega.action_table(face(k, i)) for i in range(k, -1, -1)]
-    parallel = parallel_cells(omega.as_presheaf(), k)
-    out = []
-    for x in range(size):
-        if x == top:
-            out.append(top)
+def _closed_bits(word, A, bits):
+    """The closure of the subobject ``bits`` of a simplex presheaf A under
+    the word: copy a level on bit 0, and on bit 1 keep every cell outside
+    the coface masks of the absent cells one level down
+    (``FinitePresheaf.coface_masks``); level 0 fills completely."""
+    offsets = A.bit_offsets()
+    cofaces = A.coface_masks()
+    for k, bit in enumerate(word):
+        if bit == "0":
             continue
-        z = tuple(lower[t[x]] for t in tables)
-        if z == all_top:
-            out.append(top if bit else bnd)
-        else:
-            matches = parallel.get(z, ())
-            if len(matches) != 1:
-                raise RuntimeError(
-                    f"incidence tuple {z} at level {k} has {len(matches)} preimages"
-                )
-            out.append(matches[0])
-    return tuple(out)
+        full = (1 << len(A.carrier(k))) - 1
+        filled = full
+        if k > 0:
+            below = bits >> offsets[k - 1]
+            for y, mask in enumerate(cofaces[k - 1]):
+                if not below >> y & 1:
+                    filled &= ~mask
+        bits = bits & ~(full << offsets[k]) | filled << offsets[k]
+    return bits
 
 
 def _bitstring_levels(omega, word):
-    levels = [_base_level_map(omega, word[0] == "1")]
-    for k in range(1, len(word)):
-        levels.append(_extend_level_map(omega, k, levels[-1], word[k] == "1"))
-    return tuple(levels)
+    """j_k(S) is the closure of S as a subobject of y(k), for every sieve S
+    of every level k."""
+    return tuple(
+        tuple(index[_closed_bits(word, y, s)] for s in packed)
+        for y, packed, index in zip(omega.yonedas, omega.packed, omega._index)
+    )
 
 
 def construct_bitstring_topology(category, word):
     """Build the topology whose closure fills exactly the dimensions with bit 1.
 
     On a degeneracy-carrying category a word containing "10" is rejected:
-    the constructed maps fail naturality with a degeneracy action, and the
-    failing square is attached to the raised error as a witness.
+    the semi-simplicial topology of the word fails naturality with a
+    degeneracy action once transported along ``degeneracy_compatible``, and
+    the failing square is attached to the raised error as a witness.
     """
     _check_word(category, word)
+    if category.family == FAMILY_FULL and "10" in word:
+        semi = build_index_category("semisimplex", category.dim, max_dim=category.dim)
+        _, square = degeneracy_compatible(construct_bitstring_topology(semi, word))
+        raise DegeneracyIncompatible(word, square)
     omega = classifying_object(category)
     j = LTTopology(omega, _bitstring_levels(omega, word), tag=word)
     problem = verify_topology(j)
-    if problem is None:
-        return j
-    if category.family == FAMILY_FULL and "10" in word:
-        square = _naturality_violation(omega, j.levels, category.generators)
-        raise DegeneracyIncompatible(word, square)
-    raise RuntimeError(f"constructed map is not a topology: {problem}")
+    if problem is not None:
+        raise RuntimeError(f"constructed map is not a topology: {problem}")
+    return j
 
 
 # -- tagging -------------------------------------------------------------
@@ -362,24 +351,25 @@ def _enumerate_covering(omega):
 
 
 def _enumerate_constrained(omega):
+    """One topology per bit string, skipping the words with "10" on a
+    degeneracy-carrying category."""
     cat = omega.category
     if cat.family not in (FAMILY_SEMI, FAMILY_FULL):
         raise ValueError("constrained enumeration needs a simplex category")
-    results = []
-    for bits in itertools.product("01", repeat=cat.dim + 1):
-        word = "".join(bits)
-        j = LTTopology(omega, _bitstring_levels(omega, word), tag=word)
-        if verify_topology(j) is None:
-            results.append(j)
-    return results
+    words = ("".join(bits) for bits in itertools.product("01", repeat=cat.dim + 1))
+    return [
+        construct_bitstring_topology(cat, word)
+        for word in words
+        if cat.family == FAMILY_SEMI or "10" not in word
+    ]
 
 
 def enumerate_topologies(category, method="auto"):
     """All topologies on the category, complete and duplicate-free.
 
     ``method`` is "brute" (least covering sieves; every category, and
-    independent of the bit-string family), "constrained" (incidence
-    propagation; simplex categories only), or "auto" (constrained on
+    independent of the bit-string family), "constrained" (the recursive
+    closure of each sieve; simplex categories only), or "auto" (constrained on
     simplex categories, brute on bicolored graphs).
     """
     omega = classifying_object(category)
@@ -444,7 +434,7 @@ def degeneracy_compatible(j):
     category = omega_semi.category
     if category.family != FAMILY_SEMI:
         raise ValueError("expected a topology over a semi-simplex category")
-    full_cat = build_index_category("simplex", category.dim)
+    full_cat = build_index_category("simplex", category.dim, max_dim=category.dim)
     omega_full = classifying_object(full_cat)
     to_full, to_semi = degeneracy_translation(omega_semi, omega_full)
     transported = []

@@ -26,6 +26,7 @@ from lttop.presheaf import (
     enumerate_morphisms,
     enumerate_subpresheaves,
     morphism_search,
+    parallel_cells,
     yoneda,
 )
 from lttop.topology import TopologyViolation, _check_word
@@ -318,6 +319,62 @@ def _closure_recursive(word, sub):
 @pytest.fixture(scope="session")
 def closure_recursive_reference():
     return _closure_recursive
+
+
+def _base_level_map(omega, bit):
+    size = len(omega.sieves[0])
+    if size != 2:
+        raise RuntimeError("level 0 of Omega should always be the two-element chain")
+    if bit:
+        return (omega.top[0],) * size
+    return tuple(range(size))
+
+
+def _extend_level_map(omega, k, lower, bit):
+    """The unique level-k map extending ``lower`` with the given bit."""
+    pos = omega.category.obj_index(k)
+    size = omega.level_size(k)
+    top = omega.top[pos]
+    bnd = omega.boundary_index(k)
+    top_below = omega.top[omega.category.obj_index(k - 1)]
+    all_top = tuple(top_below for _ in range(k + 1))
+    tables = [omega.action_table(face(k, i)) for i in range(k, -1, -1)]
+    parallel = parallel_cells(omega.as_presheaf(), k)
+    out = []
+    for x in range(size):
+        if x == top:
+            out.append(top)
+            continue
+        z = tuple(lower[t[x]] for t in tables)
+        if z == all_top:
+            out.append(top if bit else bnd)
+        else:
+            matches = parallel.get(z, ())
+            if len(matches) != 1:
+                raise RuntimeError(
+                    f"incidence tuple {z} at level {k} has {len(matches)} preimages"
+                )
+            out.append(matches[0])
+    return tuple(out)
+
+
+def _bitstring_levels(omega, word):
+    levels = [_base_level_map(omega, word[0] == "1")]
+    for k in range(1, len(word)):
+        levels.append(_extend_level_map(omega, k, levels[-1], word[k] == "1"))
+    return tuple(levels)
+
+
+@pytest.fixture(scope="session")
+def bitstring_levels_reference():
+    """Level maps of a bit string built through Omega instead of by closing
+    sieves: level 0 is the identity or the constant-top map, and each
+    higher level is forced by the incidence tuple of the image except on
+    the all-top fiber, where the bit decides between the boundary and the
+    whole simplex.  Defined for every word, "10" on the degeneracy side
+    included, where the maps fail naturality: the reference for
+    ``topology._bitstring_levels``."""
+    return _bitstring_levels
 
 
 def _composable_pairs(category):

@@ -268,6 +268,64 @@ def test_degenerate_word_is_an_input_error(tmp_path):
     assert code == 2  # file errors also land on exit 2
 
 
+POINT_2 = {
+    "category": "simplex:2",
+    "levels": {"0": ["v"], "1": ["lv"], "2": ["llv"]},
+    "actions": {
+        "d1_0": {"lv": "v"},
+        "d1_1": {"lv": "v"},
+        "d2_0": {"llv": "lv"},
+        "d2_1": {"llv": "lv"},
+        "d2_2": {"llv": "lv"},
+        "s0_0": {"v": "lv"},
+        "s1_0": {"lv": "llv"},
+        "s1_1": {"lv": "llv"},
+    },
+}
+
+NO_TOPOLOGY = (
+    "error: bit string {word!r} contains '10'; no topology with this closure pattern "
+    "commutes with the degeneracy actions (naturality square for (0,0) fails at sieve "
+    "{sieve}: level map then action gives {filled} but action then level map gives {hollow})\n"
+)
+
+
+def test_degenerate_word_names_its_failing_square(tmp_path):
+    # the square of the collapse s_0: 1 -> 0 at the empty sieve: the hollow
+    # edge with its collapsed loops on one side, the whole edge on the other
+    point = write(tmp_path, "point.json", REFL_POINT)
+    sub = write(tmp_path, "sub.json", {"of": "point", "levels": {"0": [], "1": []}})
+    code, text = run(["closure", "--topology", "10", "--input", point, "--sub", sub])
+    assert code == 2
+    assert text == NO_TOPOLOGY.format(
+        word="10",
+        sieve="0:{} 1:{}",
+        filled="0:{(0),(1)} 1:{(0,0),(0,1),(1,1)}",
+        hollow="0:{(0),(1)} 1:{(0,0),(1,1)}",
+    )
+    point = write(tmp_path, "point2.json", POINT_2)
+    sub = write(tmp_path, "sub2.json", {"of": "point", "levels": {"0": [], "1": [], "2": []}})
+    code, text = run(["closure", "--topology", "100", "--input", point, "--sub", sub])
+    assert code == 2
+    assert text == NO_TOPOLOGY.format(
+        word="100",
+        sieve="0:{} 1:{} 2:{}",
+        filled="0:{(0),(1)} 1:{(0,0),(0,1),(1,1)} 2:{(0,0,0),(0,0,1),(0,1,1),(1,1,1)}",
+        hollow="0:{(0),(1)} 1:{(0,0),(1,1)} 2:{(0,0,0),(1,1,1)}",
+    )
+
+
+def test_classify_takes_one_route(tmp_path):
+    graph = write(tmp_path, "g.json", PATH_GRAPH)
+    nucleus = write(tmp_path, "nucleus.json", NUCLEUS_DOC)
+    code, text = run(["classify", "--topology", "01", "--nucleus", nucleus, "--input", graph])
+    assert code == 2
+    assert text == "error: classify takes only one of --topology or --nucleus\n"
+    code, text = run(["classify", "--input", graph])
+    assert code == 2
+    assert text == "error: classify needs --topology or --nucleus\n"
+
+
 def test_classify_validates_its_word_like_closure(tmp_path):
     point = write(tmp_path, "point.json", REFL_POINT)
     for word in ("0x", "10", "011"):

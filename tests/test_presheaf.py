@@ -418,6 +418,17 @@ def test_stripping_a_vertex_with_its_loop_gives_the_bare_vertex():
     assert back == full
 
 
+def test_degeneracy_transport_keeps_the_dimension_above_the_default_cap():
+    # the sibling category is built at the dimension of the given one
+    semi5 = build_index_category("semisimplex", 5, max_dim=5)
+    full5 = build_index_category("simplex", 5, max_dim=5)
+    point = Subpresheaf.full(yoneda(semi5, 0))
+    lifted = add_degeneracies(point)
+    assert lifted == Subpresheaf.full(yoneda(full5, 0))
+    assert lifted.size == 6  # the vertex and its degeneracy at each level
+    assert strip_degeneracies(lifted) == point
+
+
 def functoriality_witness(P, reference):
     """The generator check's answer, after asserting that it and the
     all-pairs reference both pass or both fail, and that a returned

@@ -5,6 +5,7 @@ import itertools
 
 import pytest
 
+from lttop import omega as omega_module
 from lttop.fincat import build_index_category, degeneracy
 from lttop.omega import classifying_object
 from lttop.presheaf import Subpresheaf
@@ -12,7 +13,9 @@ from lttop.topology import (
     DegeneracyIncompatible,
     LTTopology,
     _bitstring_levels,
+    _cell_tables,
     _covering_map,
+    _naturality_violation,
     _transitive_at,
     construct_bitstring_topology,
     degeneracy_compatible,
@@ -222,14 +225,16 @@ def single_entry_mutations(j):
                     yield LTTopology(j.omega, tuple(levels))
 
 
-def verification_candidates(order_algebra):
-    """(source, candidate) pairs for the cross-check with the reference."""
+def verification_candidates(order_algebra, bitstring_levels_reference):
+    """(source, candidate) pairs for the cross-check with the reference.
+    The words are built by the incidence-tuple reference, which also gives
+    the non-natural maps of the words with "10" on the degeneracy side."""
     for family, dim in itertools.product(("semisimplex", "simplex"), range(4)):
         category = build_index_category(family, dim)
         omega = classifying_object(category)
         for bits in itertools.product("01", repeat=dim + 1):
             word = "".join(bits)
-            levels = _bitstring_levels(omega, word)
+            levels = bitstring_levels_reference(omega, word)
             yield f"word {word} on {category.kind}", LTTopology(omega, levels)
     for kind in BUILT_INS:
         category = build_index_category(kind)
@@ -248,9 +253,11 @@ def verification_candidates(order_algebra):
             yield f"raw endomaps on {kind}", j
 
 
-def test_verify_matches_the_axiom_by_axiom_reference(verify_topology_reference, order_algebra):
+def test_verify_matches_the_axiom_by_axiom_reference(
+    verify_topology_reference, order_algebra, bitstring_levels_reference
+):
     reached = set()
-    for source, j in verification_candidates(order_algebra):
+    for source, j in verification_candidates(order_algebra, bitstring_levels_reference):
         problem = verify_topology(j)
         expected = verify_topology_reference(j)
         assert (problem is None) == (expected is None), (source, j.levels, problem, expected)
@@ -290,6 +297,66 @@ def test_brute_route_builds_level_maps_only_for_topologies(kind, dim, misses):
     found = enumerate_topologies(category, "brute")
     assert len(found) * len(category.objects) == misses
     assert _covering_map.cache_info().misses == misses
+
+
+def bit_strings(category):
+    return ["".join(bits) for bits in itertools.product("01", repeat=category.dim + 1)]
+
+
+def test_closed_sieves_match_the_incidence_tuple_reference(bitstring_levels_reference):
+    # the level maps read off the recursive closure equal the ones forced
+    # through Omega's incidence tuples on every word that is a topology
+    for family, dim in itertools.product(("semisimplex", "simplex"), range(4)):
+        category = build_index_category(family, dim)
+        omega = classifying_object(category)
+        for word in bit_strings(category):
+            if family == "simplex" and "10" in word:
+                continue
+            assert _bitstring_levels(omega, word) == bitstring_levels_reference(omega, word), (
+                category.kind, word,
+            )
+    # the words with "10" are rejected with the square the reference maps fail
+    checked = 0
+    for kind in ("reflgraph", "simplex:2", "simplex:3"):
+        category = build_index_category(kind)
+        omega = classifying_object(category)
+        for word in bit_strings(category):
+            if "10" not in word:
+                continue
+            reference = bitstring_levels_reference(omega, word)
+            square = _naturality_violation(omega, reference, category.generators)
+            with pytest.raises(DegeneracyIncompatible) as err:
+                construct_bitstring_topology(category, word)
+            assert square is not None
+            assert err.value.witness == square, (kind, word)
+            assert str(err.value) == str(DegeneracyIncompatible(word, square))
+            checked += 1
+    assert checked == 1 + 4 + 11
+
+
+@pytest.fixture
+def lifted_sieve_bound(monkeypatch):
+    """Lifts the sieve bound so Omega builds at dimension 4, and drops every
+    cached Omega and table afterwards, so no later test meets a dimension-4
+    Omega that was built past the bound."""
+    monkeypatch.setattr(omega_module, "DEFAULT_SIEVE_BOUND", 7580)
+    yield
+    classifying_object.cache_clear()
+    _cell_tables.cache_clear()
+    _covering_map.cache_clear()
+
+
+@pytest.mark.parametrize("family, words", [("semisimplex", 32), ("simplex", 6)])
+def test_closed_sieves_match_the_reference_in_dimension_four(
+    family, words, lifted_sieve_bound, bitstring_levels_reference
+):
+    category = build_index_category(family, 4)
+    omega = classifying_object(category)
+    assert omega.level_sizes() == (2, 5, 19, 167, 7580)
+    valid = [w for w in bit_strings(category) if family == "semisimplex" or "10" not in w]
+    assert len(valid) == words
+    for word in valid:
+        assert _bitstring_levels(omega, word) == bitstring_levels_reference(omega, word), word
 
 
 def test_reflgraph_word_10_is_rejected_with_a_witness():
