@@ -68,14 +68,20 @@ def closure_recursive(word, sub):
     """Dimension-by-dimension closure: copy on bit 0, fill by faces on bit 1.
 
     A level fills as every cell outside the coface masks of the absent
-    cells one level down (``FinitePresheaf.coface_masks``).
+    cells one level down (``FinitePresheaf.closure_plan``).
     """
     A = sub.presheaf
-    cat = A.category
-    if cat.family not in (FAMILY_SEMI, FAMILY_FULL):
-        raise ValueError("the recursive closure needs a simplex category")
-    _check_word(cat, word)
+    _check_recursive_word(A.category, word)
     return Subpresheaf(A, _closed_bits(word, A, sub.bits))
+
+
+@lru_cache(maxsize=None)
+def _check_recursive_word(category, word):
+    # A rejected pair raises and is not cached, so the cache holds at most
+    # the 2 ** (dim + 1) valid words of each simplex category.
+    if category.family not in (FAMILY_SEMI, FAMILY_FULL):
+        raise ValueError("the recursive closure needs a simplex category")
+    _check_word(category, word)
 
 
 def is_dense_via_closure(j, sub):
@@ -331,7 +337,14 @@ def presheaf_corpus(category, max_total):
     per-level renaming, so the first member of a class that is reached is
     the least of its orbit.  A candidate is kept exactly when it is that
     least member (``_is_least``), and then gets the full functoriality
-    check.  Built once per (category, max_total); categories are cached
+    check.
+
+    The test runs on every prefix of tables, and only a least prefix is
+    extended.  That is exact: every table of a size vector has a fixed
+    length, so a renaming that sorts a prefix lower sorts each completion
+    of it lower too, and a least tuple has only least prefixes.  The last
+    prefix is the whole tuple, so the same presheaves come out in the same
+    order.  Built once per (category, max_total); categories are cached
     singletons.
     """
     gens = list(category.generators)
@@ -345,8 +358,6 @@ def presheaf_corpus(category, max_total):
 
         def assign(pos):
             if pos == len(gens):
-                if not _is_least(category, sizes, tuple(tables)):
-                    return
                 carriers = {c: tuple(range(n)) for c, n in zip(category.objects, sizes)}
                 try:
                     corpus.append(FinitePresheaf(category, carriers, dict(zip(gens, tables))))
@@ -356,7 +367,9 @@ def presheaf_corpus(category, max_total):
             src, tgt = ends[pos]
             for table in itertools.product(range(sizes[src]), repeat=sizes[tgt]):
                 tables[pos] = table
-                if all(_run_pair_check(tables, check, sizes) for check in checks[pos]):
+                if all(
+                    _run_pair_check(tables, check, sizes) for check in checks[pos]
+                ) and _is_least(category, sizes, tuple(tables[: pos + 1])):
                     assign(pos + 1)
 
         assign(0)

@@ -44,8 +44,8 @@ class FinitePresheaf:
     sending positions of carrier(b) to positions of carrier(a).  Instances
     are immutable after construction; two derived tables are built on first
     use and kept: the orbit table (``sieve_orbits``, in ``_orbit_cache``)
-    and, over a simplex category, the coface masks (``coface_masks``, in
-    ``_coface_cache``) that the recursive closure reads.
+    and, over a simplex category, the closure plan (``closure_plan``, in
+    ``_plan_cache``) that the recursive closure reads.
     """
 
     def __init__(self, category, carriers, gen_actions, validate=True):
@@ -57,7 +57,7 @@ class FinitePresheaf:
         self._offsets = tuple(sum(sizes[pos + 1 :]) for pos in range(len(sizes)))
         self._actions = self._extend_actions()
         self._orbit_cache = None
-        self._coface_cache = None
+        self._plan_cache = None
         if validate:
             problem = self.functoriality_violation()
             if problem is not None:
@@ -179,25 +179,33 @@ class FinitePresheaf:
             self._orbit_cache = orbits
         return self._orbit_cache
 
-    def coface_masks(self):
-        """For each level k >= 1 (entry k - 1), one mask per level-(k-1)
-        cell y: bit x is set when the level-k cell x has y as a face.
+    def closure_plan(self):
+        """Per level k: (offset, full, below, cofaces), where ``offset`` is
+        the bit of cell 0, ``full`` the mask of all level-k cells, ``below``
+        the offset of level k - 1, and ``cofaces`` one mask per level-(k-1)
+        cell y with bit x set when the level-k cell x has y as a face.  At
+        level 0, ``below`` is 0 and ``cofaces`` is empty.
 
         Cached; simplex categories only.  A level-k cell has all its faces
         in a set of level-(k-1) cells exactly when it is in none of the
-        masks of the cells outside that set.
+        coface masks of the cells outside that set.
         """
-        if self._coface_cache is None:
+        if self._plan_cache is None:
             _simplex_faces(self.category)
             plan = []
-            for k in self.category.objects[1:]:
-                masks = [0] * len(self.carrier(k - 1))
-                for i in range(k + 1):
-                    for x, y in enumerate(self.action_table(face(k, i))):
-                        masks[y] |= 1 << x
-                plan.append(tuple(masks))
-            self._coface_cache = tuple(plan)
-        return self._coface_cache
+            below = 0
+            for k, offset in zip(self.category.objects, self._offsets):
+                cofaces = []
+                if k:
+                    cofaces = [0] * len(self.carrier(k - 1))
+                    for i in range(k + 1):
+                        for x, y in enumerate(self.action_table(face(k, i))):
+                            cofaces[y] |= 1 << x
+                full = (1 << len(self.carrier(k))) - 1
+                plan.append((offset, full, below, tuple(cofaces)))
+                below = offset
+            self._plan_cache = tuple(plan)
+        return self._plan_cache
 
 
 @lru_cache(maxsize=None)

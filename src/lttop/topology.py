@@ -192,20 +192,17 @@ def _closed_bits(word, A, bits):
     """The closure of the subobject ``bits`` of a simplex presheaf A under
     the word: copy a level on bit 0, and on bit 1 keep every cell outside
     the coface masks of the absent cells one level down
-    (``FinitePresheaf.coface_masks``); level 0 fills completely."""
-    offsets = A.bit_offsets()
-    cofaces = A.coface_masks()
-    for k, bit in enumerate(word):
+    (``FinitePresheaf.closure_plan``); level 0 fills completely."""
+    for bit, (offset, full, below, cofaces) in zip(word, A.closure_plan()):
         if bit == "0":
             continue
-        full = (1 << len(A.carrier(k))) - 1
         filled = full
-        if k > 0:
-            below = bits >> offsets[k - 1]
-            for y, mask in enumerate(cofaces[k - 1]):
-                if not below >> y & 1:
-                    filled &= ~mask
-        bits = bits & ~(full << offsets[k]) | filled << offsets[k]
+        absent = ~bits >> below & (1 << len(cofaces)) - 1
+        while absent and filled:
+            low = absent & -absent
+            filled &= ~cofaces[low.bit_length() - 1]
+            absent ^= low
+        bits = bits & ~(full << offset) | filled << offset
     return bits
 
 

@@ -292,7 +292,7 @@ def reference_ambients():
 def _closure_recursive(word, sub):
     """Copy a level on bit 0; on bit 1 fill every cell whose k + 1 faces,
     read off the face tables, lie in the closed level below: the reference
-    for ``closure_recursive``, which reads cached coface masks."""
+    for ``closure_recursive``, which reads the cached closure plan."""
     A = sub.presheaf
     cat = A.category
     if cat.family not in (FAMILY_SEMI, FAMILY_FULL):

@@ -403,6 +403,30 @@ def test_verify_all_at_the_default_bounds_prints_every_line():
     assert text.splitlines() == VERIFY_ALL
 
 
+@pytest.mark.parametrize("suite, lines", [
+    ("closures", [
+        "suite closures:",
+        "  closure via characteristic map vs recursive on graph: 8624 instances PASS",
+        "  closure via characteristic map vs recursive on reflgraph: 327 instances PASS",
+        "  closure via characteristic map vs recursive on semisimplex:2: 46568 instances PASS",
+        "closures suite — PASS",
+        "verification: PASS",
+    ]),
+    ("criteria", [
+        "suite criteria:",
+        "  cell-count classifier vs factorization counts on graph: 107 objects x 4 topologies PASS",
+        "  cell-count classifier vs factorization counts on reflgraph: 16 objects x 3 topologies PASS",
+        "criteria suite — PASS",
+        "verification: PASS",
+    ]),
+])
+def test_verify_at_corpus_bound_6_prints_every_line(suite, lines):
+    # the corpus bound the benchmark's verify workload runs
+    code, text = run(["verify", "--suite", suite, "--corpus-bound", "6"])
+    assert code == 0
+    assert text.splitlines() == lines
+
+
 def test_verify_reports_an_exceeded_search_budget(monkeypatch):
     from lttop import closure
 

@@ -449,10 +449,27 @@ def test_corpus_counts_at_bound_6(kind, count):
     ("graph", 7, 287),
     ("graph", 8, 817),
     ("semisimplex:2", 7, 1899),
+    ("reflgraph", 7, 29),
+    ("simplex:1", 7, 29),
 ])
 def test_corpus_counts_at_larger_bounds(kind, bound, count):
     # the counts the canonical-key route gives
     assert len(presheaf_corpus(build_index_category(kind), bound)) == count
+
+
+@pytest.mark.parametrize("kind", ["graph", "reflgraph", "semisimplex:2"])
+def test_least_table_tuples_have_only_least_prefixes(kind, raw_corpus):
+    # the invariant that lets presheaf_corpus prune at every table prefix
+    category = build_index_category(kind)
+    least = 0
+    for P in raw_corpus(category, 4):
+        sizes = tuple(len(level) for level in P.carriers)
+        tables = tuple(P.action_table(g) for g in category.generators)
+        if closure._is_least(category, sizes, tables):
+            least += 1
+            for pos in range(len(tables)):
+                assert closure._is_least(category, sizes, tables[:pos]), (P, pos)
+    assert least == len(presheaf_corpus(category, 4))
 
 
 def test_every_presheaf_has_its_class_in_the_deduplicated_corpus(canonical_key, raw_corpus):
