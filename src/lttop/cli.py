@@ -32,17 +32,8 @@ from .topology import (
 OK, VERIFY_FAILED, INPUT_ERROR = 0, 1, 2
 
 
-def _category(args):
-    try:
-        return build_index_category(args.category, max_dim=args.max_dim)
-    except DimensionCapExceeded as exc:
-        raise ValueError(
-            f"dimension {exc.dim} exceeds the cap {exc.cap}; pass --max-dim {exc.dim} to override"
-        ) from None
-
-
 def cmd_omega(args, out):
-    category = _category(args)
+    category = build_index_category(args.category, max_dim=args.max_dim)
     if args.dot and args.level is None:
         raise docio.DocumentError("--dot needs --level")
     level = _parse_level(category, args.level) if args.level is not None else None
@@ -70,7 +61,7 @@ def _parse_level(category, text):
 
 
 def cmd_topologies(args, out):
-    category = _category(args)
+    category = build_index_category(args.category, max_dim=args.max_dim)
     topologies = enumerate_topologies(category, method=args.method)
     label = "label" if category.family == FAMILY_BICOLOR else "bits"
     out.write(f"{len(topologies)} topologies on {category.kind}\n")
@@ -83,7 +74,7 @@ def cmd_topologies(args, out):
 
 
 def cmd_closure(args, out):
-    P = docio.presheaf_from_doc(docio.load_json(args.input))
+    P = docio.presheaf_from_doc(docio.load_json(args.input), max_dim=args.max_dim)
     category = P.category
     sub = docio.subobject_from_doc(docio.load_json(args.sub), P)
     j = topology_by_tag(category, args.topology)
@@ -103,7 +94,7 @@ def cmd_closure(args, out):
 def cmd_classify(args, out):
     if args.nucleus is not None:
         return _classify_fuzzy(args, out)
-    P = docio.presheaf_from_doc(docio.load_json(args.input))
+    P = docio.presheaf_from_doc(docio.load_json(args.input), max_dim=args.max_dim)
     report = closure_mod.classify(P, args.topology)
     out.write(f"separated: {report.separated}\n")
     out.write(f"complete: {report.complete}\n")
@@ -332,6 +323,12 @@ def main(argv=None, out=None):
         if args.max_dim < 0:
             raise ValueError(f"--max-dim must be >= 0, got {args.max_dim}")
         return args.func(args, out)
+    except DimensionCapExceeded as exc:
+        out.write(
+            f"error: dimension {exc.dim} exceeds the cap {exc.cap}; "
+            f"pass --max-dim {exc.dim} to override\n"
+        )
+        return INPUT_ERROR
     except (docio.DocumentError, DegeneracyIncompatible, ValueError, OSError, BoundExceeded) as exc:
         out.write(f"error: {exc}\n")
         return INPUT_ERROR

@@ -109,9 +109,20 @@ def k_simple(B, k):
     tuples makes no difference here: unrealizable tuples have no cells.
     """
     _simplex_faces(B.category)
+    return _shared_cells(B, k) is None
+
+
+def _shared_cells(B, k):
+    """The first incidence tuple with more than one level-k cell, with
+    those cells, or None; at k = 0, every vertex when there are two or
+    more."""
     if k == 0:
-        return len(B.carrier(0)) <= 1
-    return all(len(v) <= 1 for v in parallel_cells(B, k).values())
+        vertices = len(B.carrier(0))
+        return tuple(range(vertices)) if vertices > 1 else None
+    for tup, cells in parallel_cells(B, k).items():
+        if len(cells) > 1:
+            return tup, tuple(cells)
+    return None
 
 
 def boundary_tuples(B, k):
@@ -165,9 +176,16 @@ def k_complete(B, k):
     fillers over boundaries that map into B.
     """
     _simplex_faces(B.category)
+    return _unfilled_boundary(B, k) is None
+
+
+def _unfilled_boundary(B, k):
+    """The least boundary-realizable tuple with no level-k cell, or None;
+    at k = 0, the empty tuple when there is no vertex."""
     if k == 0:
-        return len(B.carrier(0)) >= 1
-    return boundary_tuples(B, k) <= parallel_cells(B, k).keys()
+        return None if B.carrier(0) else ()
+    missing = boundary_tuples(B, k) - parallel_cells(B, k).keys()
+    return min(missing) if missing else None
 
 
 def k_exact(B, k):
@@ -192,20 +210,10 @@ def classify(B, word):
     for k in cat.objects:
         if word[k] != "1":
             continue
-        if k == 0:
-            vertices = len(B.carrier(0))
-            if vertices > 1:
-                witnesses.append((k, "simple", tuple(range(vertices))))
-            if vertices < 1:
-                witnesses.append((k, "complete", ()))
-            continue
-        found = parallel_cells(B, k)
-        shared = [(tup, tuple(cells)) for tup, cells in found.items() if len(cells) > 1]
-        if shared:
-            witnesses.append((k, "simple", shared[0]))
-        missing = [tup for tup in boundary_tuples(B, k) if tup not in found]
-        if missing:
-            witnesses.append((k, "complete", min(missing)))
+        for kind, witness in (("simple", _shared_cells), ("complete", _unfilled_boundary)):
+            data = witness(B, k)
+            if data is not None:
+                witnesses.append((k, kind, data))
     kinds = {kind for _, kind, _ in witnesses}
     return ClassifyReport("simple" not in kinds, "complete" not in kinds, tuple(witnesses))
 

@@ -10,7 +10,13 @@ they are returned.
 import json
 
 from . import lattice
-from .fincat import FAMILY_BICOLOR, build_index_category, normal_form
+from .fincat import (
+    DEFAULT_MAX_DIM,
+    FAMILY_BICOLOR,
+    DimensionCapExceeded,
+    build_index_category,
+    normal_form,
+)
 from .fuzzy import FuzzySet
 from .lattice import FiniteHeytingAlgebra
 from .presheaf import FinitePresheaf, Subpresheaf
@@ -85,12 +91,17 @@ def load_json(path):
             raise DocumentError(f"{path}: not valid JSON ({exc})") from exc
 
 
-def presheaf_from_doc(doc):
-    """{"category": kind, "levels": {obj: [names]}, "actions": {gen: {elem: image}}}"""
+def presheaf_from_doc(doc, max_dim=DEFAULT_MAX_DIM):
+    """{"category": kind, "levels": {obj: [names]}, "actions": {gen: {elem: image}}}
+
+    A category above the cap ``max_dim`` raises ``DimensionCapExceeded``.
+    """
     kind = _require(doc, "category", str)
     _known_keys(doc, ("category", "levels", "actions"))
     try:
-        category = build_index_category(kind)
+        category = build_index_category(kind, max_dim=max_dim)
+    except DimensionCapExceeded:
+        raise
     except ValueError as exc:
         raise DocumentError(str(exc)) from exc
     levels = _require(doc, "levels", dict)

@@ -2,19 +2,19 @@
 
 A topology is read through its covering sieves (Mac Lane and Moerdijk,
 Sheaves in Geometry and Logic, III.2 and V.1): J(c) = j^-1(top) is a
-principal filter up(m_c) of Omega(c), and j_c(S) = {f: l -> c | f*S >= m_l}.
-``verify_topology`` checks a candidate that way: each level map fixes top,
-is idempotent, and equals the map its own least covering sieves determine,
-which preserves meets and is natural by construction.
+principal filter up(m_c) of Omega(c), J is a subpresheaf of Omega, and j
+is its characteristic map, j_c(S) = {f: l -> c | f*S >= m_l}.
+``verify_topology`` checks a candidate that way, reading chi_J with the
+kernel ``omega.characteristic_function`` that serves every other
+subobject.
 
 Two independent routes produce topologies:
 
 * ``enumerate_topologies(..., method="brute")`` searches exhaustively over
   least covering sieves, keeping a stable, transitive choice of one sieve
-  per level and reading the level maps back with the same kernel
-  (``_covering_map``) the check uses.  It runs on every category at every
-  dimension, knows nothing about the constructive family, and serves as
-  the oracle.
+  per level and reading the level maps off chi_J, as the check does.  It
+  runs on every category at every dimension, knows nothing about the
+  constructive family, and serves as the oracle.
 * ``construct_bitstring_topology`` / ``method="constrained"`` build the
   per-dimension family indexed by a bit string.  For any topology, j_k(S)
   is the closure of S as a subobject of y(k) (Mac Lane and Moerdijk,
@@ -29,11 +29,11 @@ the bit-string tag is metadata only.
 """
 
 import itertools
-from functools import lru_cache, reduce
+from functools import reduce
 from operator import and_
 
 from .fincat import FAMILY_BICOLOR, FAMILY_FULL, FAMILY_SEMI, Record, build_index_category
-from .omega import classifying_object
+from .omega import characteristic_function, classifying_object
 from .presheaf import Subpresheaf, add_degeneracies
 
 BICOLOR_LABELS = ("00", "01", "02", "03", "10", "11", "12", "13")
@@ -79,9 +79,6 @@ class LTTopology(Record):
     def level_map(self, c):
         return self.levels[self.omega.category.obj_index(c)]
 
-    def __hash__(self):
-        return hash((self.omega.category.kind, self.levels))
-
     def __str__(self):
         name = self.tag if self.tag is not None else "untagged"
         return f"LTTopology[{name}] on {self.omega.category.kind}"
@@ -90,10 +87,13 @@ class LTTopology(Record):
 def verify_topology(j):
     """None if j is a Lawvere-Tierney topology, else a witness.
 
-    Each level map must fix top, be idempotent, and equal the map its own
-    least covering sieves determine: with m_c the meet of j_c^-1(top),
-    j_c(S) = {f: l -> c | f*S >= m_l}.  Such a map preserves meets and is
-    natural for any m, so the three checks are complete.
+    j is a topology iff it fixes top, is idempotent, its covering sieves
+    J = j^-1(top) form a subpresheaf of Omega (stability), and j = chi_J
+    (Mac Lane and Moerdijk, V.1).  J(c) is a filter of the finite lattice
+    Omega(c), so it is up(m_c) for the meet m_c of j_c^-1(top).  An
+    unstable m is reported as (S, g): the sieve S on g's target is in J
+    but g*S is not.  Otherwise the first entry where j differs from chi_J
+    is reported as (S, j(S), chi_J(S)).
     """
     omega = j.omega
     cat = omega.category
@@ -107,51 +107,30 @@ def verify_topology(j):
             if mapping[mapping[x]] != mapping[x]:
                 return TopologyViolation("idempotent", c, (x,))
         least.append(index[reduce(and_, (packed[s] for s, v in enumerate(mapping) if v == top))])
-    least = tuple(least)
-    for pos, (c, mapping) in enumerate(zip(cat.objects, j.levels)):
-        for x, want in enumerate(_covering_map(omega, least, pos)):
+    covering = _covering_sieves(omega, least)
+    unstable = covering.closure_violation()
+    if unstable is not None:
+        g, x = unstable
+        return TopologyViolation("covering", g.target, (x, g))
+    chi = characteristic_function(covering, omega)
+    for c, mapping, wanted in zip(cat.objects, j.levels, chi.components):
+        for x, want in enumerate(wanted):
             if mapping[x] != want:
                 return TopologyViolation("covering", c, (x, mapping[x], want))
     return None
 
 
-@lru_cache(maxsize=None)
-def _cell_tables(omega):
-    """Per level c: (l, pullback table of f) for every cell f: l -> c of
-    y(c), from y(c)'s highest bit down."""
-    return tuple(
-        tuple(
-            (l, omega.action_table(f))
-            for l, cells in enumerate(y.carriers)
-            for f in reversed(cells)
-        )
-        for y in omega.yonedas
-    )
-
-
-@lru_cache(maxsize=128)
-def _covering_map(omega, least, c):
-    """j_c(S) = {f: l -> c | f*S >= m_l} for every sieve S on level c, as
-    sieve indices, given the tuple of indices m_l of each level's least
-    covering sieve; None where those cells are not a sieve.  Reads m_l only
-    for the levels l with a cell l -> c.  Memoised because the brute route
-    builds a complete choice's maps and ``verify_topology`` reads them back
-    at once; the bound keeps a process that verifies many candidates from
-    holding every map it ever built."""
-    cells = _cell_tables(omega)[c]
-    above = {}  # per level l: the sieves S >= m_l, as a bitmask over their indices
-    for l, _ in cells:
-        if l not in above:
-            m = omega.packed[l][least[l]]
-            above[l] = sum(1 << s for s, p in enumerate(omega.packed[l]) if p & m == m)
-    index = omega._index[c]
-    out = []
-    for s in range(len(omega.sieves[c])):
-        sieve = 0
-        for l, table in cells:
-            sieve = sieve << 1 | above[l] >> table[s] & 1
-        out.append(index.get(sieve))
-    return tuple(out)
+def _covering_sieves(omega, least):
+    """J = up(m) as a subobject of Omega: every sieve above its level's
+    least covering sieve m_c, given the index of each m_c."""
+    Omega = omega.as_presheaf()
+    bits = 0
+    for offset, packed, m in zip(Omega.bit_offsets(), omega.packed, least):
+        mask = packed[m]
+        for s, sieve in enumerate(packed):
+            if sieve & mask == mask:
+                bits |= 1 << offset + s
+    return Subpresheaf(Omega, bits)
 
 
 def _naturality_violation(omega, levels, generators):
@@ -311,10 +290,9 @@ def _enumerate_covering(omega):
     m_c <= m_c.m = {f o g | f in m_c, g in m_(dom f)} (transitivity:
     m_c.m is the least sieve R with f*R >= m_(dom f) for every f in m_c,
     and it must contain m_c).
-    Both tests read the sieve integers; the level maps
-    j_c(S) = {f: l -> c | f*S >= m_l} are built only for a complete choice,
-    once, and ``verify_topology`` then checks them.  Knows nothing of the
-    bit strings.
+    Both tests read the sieve integers; the level maps are read off chi_J
+    only for a complete choice, with J = up(m), and ``verify_topology``
+    then checks them.  Knows nothing of the bit strings.
     """
     cat = omega.category
     n = len(cat.objects)
@@ -328,8 +306,8 @@ def _enumerate_covering(omega):
 
     def choose(pos):
         if pos == n:
-            least = tuple(m)
-            j = LTTopology(omega, tuple(_covering_map(omega, least, c) for c in range(n)))
+            chi = characteristic_function(_covering_sieves(omega, m), omega)
+            j = LTTopology(omega, chi.components)
             if verify_topology(j) is None:
                 results.append(j)
             return

@@ -131,6 +131,27 @@ def test_max_dim_is_validated_and_named_in_the_cap_error():
     assert code == 0 and text.startswith("2 topologies on simplex:0")
 
 
+def test_max_dim_reaches_the_documents(tmp_path):
+    # the cap applies to a document's category as to --category, and the
+    # cap error names the flag that lifts it
+    empty5 = write(tmp_path, "empty5.json", {"category": "semisimplex:5", "levels": {}, "actions": {}})
+    code, text = run(["classify", "--topology", "000000", "--input", empty5])
+    assert code == 2
+    assert text == "error: dimension 5 exceeds the cap 4; pass --max-dim 5 to override\n"
+    code, text = run(["--max-dim", "5", "classify", "--topology", "000000", "--input", empty5])
+    assert code == 0 and text == "separated: True\ncomplete: True\nsheaf: True\n"
+    empty3 = write(tmp_path, "empty3.json", {"category": "semisimplex:3", "levels": {}, "actions": {}})
+    sub3 = write(tmp_path, "sub3.json", {"of": "empty3", "levels": {}})
+    for argv in (
+        ["classify", "--topology", "0000", "--input", empty3],
+        ["closure", "--topology", "0000", "--input", empty3, "--sub", sub3],
+    ):
+        code, text = run(["--max-dim", "2", *argv])
+        assert code == 2
+        assert text == "error: dimension 3 exceeds the cap 2; pass --max-dim 3 to override\n"
+        assert run(argv)[0] == 0
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

@@ -6,15 +6,15 @@ import itertools
 import pytest
 
 from lttop import omega as omega_module
+from lttop import topology as topology_module
 from lttop.fincat import build_index_category, degeneracy
-from lttop.omega import classifying_object
+from lttop.omega import characteristic_function, classifying_object
 from lttop.presheaf import Subpresheaf
 from lttop.topology import (
     DegeneracyIncompatible,
     LTTopology,
     _bitstring_levels,
-    _cell_tables,
-    _covering_map,
+    _covering_sieves,
     _naturality_violation,
     _transitive_at,
     construct_bitstring_topology,
@@ -268,7 +268,8 @@ def test_verify_matches_the_axiom_by_axiom_reference(
 
 def test_transitivity_prune_matches_the_reference(verify_topology_reference, order_algebra):
     # a stable m is transitive, m_c <= m_c.m at every level, exactly when
-    # its covering-sieve map j_m is a topology
+    # its covering-sieve map j_m is a topology; and chi of J = up(m) is j_m,
+    # level map for level map
     verdicts = set()
     for kind in BUILT_INS:
         category = build_index_category(kind)
@@ -276,6 +277,9 @@ def test_transitivity_prune_matches_the_reference(verify_topology_reference, ord
             continue
         omega = classifying_object(category)
         for m, j in covering_sieve_maps(omega, order_algebra):
+            J = _covering_sieves(omega, m)
+            assert J.closure_violation() is None, (kind, m)
+            assert characteristic_function(J, omega).components == j.levels, (kind, m)
             masks = [omega.packed[pos][least] for pos, least in enumerate(m)]
             transitive = all(_transitive_at(omega, masks, c) for c in range(len(m)))
             accepted = verify_topology_reference(j) is None
@@ -285,18 +289,53 @@ def test_transitivity_prune_matches_the_reference(verify_topology_reference, ord
     assert verdicts == {True, False}
 
 
+@pytest.mark.parametrize("kind", ["semisimplex:3", "simplex:3"])
+def test_covering_sieves_of_each_topology_classify_its_level_maps(kind):
+    # at dimension 3: the least covering sieves of each brute topology give
+    # back its covering sieves, and chi of those gives back its level maps
+    category = build_index_category(kind)
+    omega = classifying_object(category)
+    for j in enumerate_topologies(category, "brute"):
+        covered = {
+            c: [x for x, v in enumerate(j.level_map(c)) if v == omega.top_at(c)]
+            for c in category.objects
+        }
+        # a filter's meet is its sieve with the least integer
+        least = [min(covered[c]) for c in category.objects]
+        J = _covering_sieves(omega, least)
+        assert J == Subpresheaf.from_indices(omega.as_presheaf(), covered), (kind, j.tag)
+        assert characteristic_function(J, omega).components == j.levels, (kind, j.tag)
+
+
+def test_unstable_covering_sieves_are_reported_with_the_failing_generator(omega_graph):
+    # the vertex level covers only with the full sieve, the edge level with
+    # the empty one: pulling the empty edge sieve back gives an uncovered
+    # vertex sieve
+    levels = (tuple(range(2)), (omega_graph.top[1],) * omega_graph.level_size(1))
+    problem = verify_topology(LTTopology(omega_graph, levels))
+    assert problem is not None and problem.kind == "covering"
+    x, g = problem.witness
+    assert problem.level == g.target == 1 and g in GRAPH.generators
+    assert omega_graph.act(g, x) != omega_graph.top[0]
+
+
 @pytest.mark.parametrize(
-    "kind, dim, misses", [("semisimplex", 3, 64), ("simplex", 3, 20), ("bicolgraph", None, 24)]
+    "kind, dim, calls", [("semisimplex", 3, 32), ("simplex", 3, 10), ("bicolgraph", None, 16)]
 )
-def test_brute_route_builds_level_maps_only_for_topologies(kind, dim, misses):
+def test_brute_route_builds_level_maps_only_for_topologies(kind, dim, calls, monkeypatch):
     # stability and transitivity prune every choice that is not a topology,
-    # so each level map is built once per topology and level, and the
-    # final check reads them back from the cache
+    # so chi of the covering sieves is read twice per topology: once to
+    # build its level maps and once by the final check
     category = build_index_category(kind, dim)
-    _covering_map.cache_clear()
+    counted = []
+
+    def counting(sub, omega):
+        counted.append(sub)
+        return characteristic_function(sub, omega)
+
+    monkeypatch.setattr(topology_module, "characteristic_function", counting)
     found = enumerate_topologies(category, "brute")
-    assert len(found) * len(category.objects) == misses
-    assert _covering_map.cache_info().misses == misses
+    assert 2 * len(found) == len(counted) == calls
 
 
 def bit_strings(category):
@@ -337,13 +376,11 @@ def test_closed_sieves_match_the_incidence_tuple_reference(bitstring_levels_refe
 @pytest.fixture
 def lifted_sieve_bound(monkeypatch):
     """Lifts the sieve bound so Omega builds at dimension 4, and drops every
-    cached Omega and table afterwards, so no later test meets a dimension-4
-    Omega that was built past the bound."""
+    cached Omega afterwards, with the tables it holds, so no later test
+    meets a dimension-4 Omega that was built past the bound."""
     monkeypatch.setattr(omega_module, "DEFAULT_SIEVE_BOUND", 7580)
     yield
     classifying_object.cache_clear()
-    _cell_tables.cache_clear()
-    _covering_map.cache_clear()
 
 
 @pytest.mark.parametrize("family, words", [("semisimplex", 32), ("simplex", 6)])
@@ -421,6 +458,16 @@ def test_equality_is_extensional_and_ignores_tags(omega_graph):
     assert hash(a) == hash(b)
     retagged = tag_topology(b)
     assert retagged.tag == "01"
+
+
+def test_equal_topologies_over_different_categories_hash_alike():
+    # Omega of set and of simplex:0 is the same two-element chain, so their
+    # identity topologies have equal level maps and compare equal
+    a = identity_topology(classifying_object(build_index_category("set")))
+    c = identity_topology(classifying_object(build_index_category("simplex:0")))
+    assert a.omega is not c.omega
+    assert a == c and hash(a) == hash(c)
+    assert len({a, c}) == 1
 
 
 def test_topology_by_tag_and_serialization():
