@@ -25,6 +25,7 @@ from .omega import characteristic_function, classifying_object, hasse_covers, ha
 from .presheaf import BoundExceeded, enumerate_subpresheaves
 from .topology import (
     DegeneracyIncompatible,
+    _closed_bits,
     enumerate_topologies,
     topology_by_tag,
 )
@@ -162,21 +163,9 @@ def _suite_closures(out, corpus_bound):
     for kind in ("graph", "reflgraph", "semisimplex:2"):
         category = build_index_category(kind)
         topologies = enumerate_topologies(category)
-        omega = classifying_object(category)
-        corpus = closure_mod.presheaf_corpus(category, corpus_bound)
-        checked = 0
-        mismatch = None
-        for P in corpus:
-            for sub in enumerate_subpresheaves(P):
-                # chi_sub does not depend on j: compute it once per subobject
-                chi = characteristic_function(sub, omega)
-                for j in topologies:
-                    via_chi = closure_mod._closure_from_chi(j, chi)
-                    recursive = closure_mod.closure_recursive(j.tag, sub)
-                    checked += 1
-                    if via_chi != recursive:
-                        mismatch = (P, sub, j.tag)
-                        break
+        for j in topologies:
+            closure_mod._check_recursive_word(category, j.tag)
+        checked, mismatch = _first_closure_mismatch(category, topologies, corpus_bound)
         good = mismatch is None
         ok = ok and good
         out.write(
@@ -185,6 +174,26 @@ def _suite_closures(out, corpus_bound):
         )
     out.write("closures suite — PASS\n" if ok else "closures suite — FAIL\n")
     return ok
+
+
+def _first_closure_mismatch(category, topologies, corpus_bound):
+    """Compare the two closure routes on every (corpus subobject, topology)
+    instance up to the first on which they disagree.
+
+    Returns the number of instances checked and that (P, sub, word), or
+    None when they all agree.
+    """
+    omega = classifying_object(category)
+    checked = 0
+    for P in closure_mod.presheaf_corpus(category, corpus_bound):
+        for sub in enumerate_subpresheaves(P):
+            # chi_sub does not depend on j: compute and group it once per subobject
+            groups = closure_mod._chi_groups(characteristic_function(sub, omega))
+            for j in topologies:
+                checked += 1
+                if closure_mod._closure_bits(j, groups) != _closed_bits(j.tag, P, sub.bits):
+                    return checked, (P, sub, j.tag)
+    return checked, None
 
 
 def _suite_criteria(out, corpus_bound):

@@ -4,11 +4,15 @@ Two closure routes: ``closure_via_chi`` reads the closure off the
 composite of a topology with a characteristic function, while
 ``closure_recursive`` runs the per-dimension recursion driven by the bit
 string (copy a level, or fill every cell whose faces already lie in the
-closed level below).  The bit-string level maps are the same recursion
-run on the sieves of the representables, so comparing the two routes (the
-closures suite) checks that the recursion commutes with pullback; the
-level maps themselves are checked independently by the constrained
-enumeration agreeing with the brute one.
+closed level below).  The chi route groups chi's cells by sieve once
+(``_chi_groups``: per level, one cell mask per distinct sieve), and each
+topology ORs together the masks of the sieves it sends to the top sieve
+(``_closure_bits``), so the closures of one subobject under many
+topologies share one chi and one grouping.  The bit-string level maps are
+the same recursion run on the sieves of the representables, so comparing
+the two routes (the closures suite) checks that the recursion commutes
+with pullback; the level maps themselves are checked independently by the
+constrained enumeration agreeing with the brute one.
 
 The classifier decides separated/complete/sheaf from cell counts over
 incidence tuples; ``factorization_check`` is its counterpart from the
@@ -47,21 +51,32 @@ class CorpusTooLarge(BoundExceeded):
 
 def closure_via_chi(j, sub):
     """The subobject classified by the topology composed with chi."""
-    return _closure_from_chi(j, characteristic_function(sub, j.omega))
+    chi = characteristic_function(sub, j.omega)
+    return Subpresheaf(sub.presheaf, _closure_bits(j, _chi_groups(chi)))
 
 
-def _closure_from_chi(j, chi):
-    """The closure of the subobject that ``chi`` classifies: the cells that
-    j sends to the top sieve."""
-    omega = j.omega
-    bits = 0
-    for components, mapping, top, offset in zip(
-        chi.components, j.levels, omega.top, chi.source.bit_offsets()
-    ):
+def _chi_groups(chi):
+    """Per level, one (sieve index, cell mask) pair for each distinct value
+    of ``chi``: the mask holds, in the source's bit layout, the cells that
+    chi sends to that sieve."""
+    groups = []
+    for components, offset in zip(chi.components, chi.source.bit_offsets()):
+        masks = {}
         for x, sieve in enumerate(components):
+            masks[sieve] = masks.get(sieve, 0) | 1 << offset + x
+        groups.append(tuple(masks.items()))
+    return tuple(groups)
+
+
+def _closure_bits(j, groups):
+    """The closure as an integer: the OR of the cell masks of ``groups``
+    (``_chi_groups``) whose sieve j sends to the top sieve."""
+    bits = 0
+    for level, mapping, top in zip(groups, j.levels, j.omega.top):
+        for sieve, mask in level:
             if mapping[sieve] == top:
-                bits |= 1 << offset + x
-    return Subpresheaf(chi.source, bits)
+                bits |= mask
+    return bits
 
 
 def closure_recursive(word, sub):

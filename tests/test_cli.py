@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import lttop
 from lttop.cli import main
+from lttop.presheaf import Subpresheaf
 
 PATH_GRAPH = {
     "category": "graph",
@@ -545,3 +546,34 @@ def test_any_input_exits_0_1_or_2(doc_dir, command, first, second, method, max_d
         argv = ["--max-dim", str(max_dim), *argv]
     code, _ = run(argv)
     assert code in (0, 1, 2)
+
+
+def test_verify_closures_reports_the_first_mismatch(monkeypatch):
+    from lttop import cli
+    from lttop.topology import _closed_bits
+
+    calls = []
+
+    def disagree(word, P, bits):
+        # flip one cell of the recursive closure on the 3rd and 30th graph instances
+        closed = _closed_bits(word, P, bits)
+        if P.category.kind != "graph":
+            return closed
+        calls.append((P, bits, word))
+        return closed ^ 1 if len(calls) in (3, 30) else closed
+
+    monkeypatch.setattr(cli, "_closed_bits", disagree)
+    code, text = run(["verify", "--suite", "closures"])
+    assert code == 1
+    assert len(calls) == 3
+    P, bits, word = calls[2]
+    first = str((P, Subpresheaf(P, bits), word))
+    assert text.splitlines() == [
+        "suite closures:",
+        f"  closure via characteristic map vs recursive on graph: 3 instances FAIL {first}",
+        "  closure via characteristic map vs recursive on reflgraph: 45 instances PASS",
+        "  closure via characteristic map vs recursive on semisimplex:2: 1384 instances PASS",
+        "closures suite — FAIL",
+        "verification: FAIL",
+    ]
+    assert "Traceback" not in text

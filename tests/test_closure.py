@@ -7,8 +7,10 @@ import random
 import pytest
 
 from lttop.fincat import build_index_category, degeneracy, face
+from lttop.omega import characteristic_function, classifying_object, pullback_of_true
 from lttop.presheaf import (
     FinitePresheaf,
+    PresheafMorphism,
     Subpresheaf,
     enumerate_morphisms,
     enumerate_subpresheaves,
@@ -34,6 +36,9 @@ from lttop.topology import construct_bitstring_topology, enumerate_topologies
 GRAPH = build_index_category("graph")
 REFL = build_index_category("reflgraph")
 SEMI2 = build_index_category("semisimplex", 2)
+BUILTINS_UP_TO_DIM_3 = ["set", "graph", "reflgraph", "bicolgraph"] + [
+    f"{family}:{dim}" for family in ("semisimplex", "simplex") for dim in (0, 1, 2, 3)
+]
 
 
 def graph_presheaf(vertices, edges):
@@ -118,6 +123,27 @@ def test_the_two_closure_routes_agree(kind):
         for sub in enumerate_subpresheaves(P):
             for j in topologies:
                 assert closure_via_chi(j, sub) == closure_recursive(j.tag, sub)
+
+
+@pytest.mark.parametrize("kind", BUILTINS_UP_TO_DIM_3)
+def test_chi_route_is_the_pullback_of_true_along_j_after_chi(kind):
+    # every sieve S of every y(c): the grouped kernel against j o chi_S,
+    # composed here cell by cell and pulled back along true
+    category = build_index_category(kind)
+    omega = classifying_object(category)
+    for j in enumerate_topologies(category):
+        for sieves in omega.sieves:
+            for S in sieves:
+                chi = characteristic_function(S, omega)
+                composite = PresheafMorphism(
+                    chi.source,
+                    chi.target,
+                    tuple(
+                        tuple(mapping[x] for x in component)
+                        for mapping, component in zip(j.levels, chi.components)
+                    ),
+                )
+                assert closure_via_chi(j, S) == pullback_of_true(composite, omega), (j.tag, S)
 
 
 def test_density():
