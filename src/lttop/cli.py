@@ -21,12 +21,13 @@ from .fincat import (
     DimensionCapExceeded,
     build_index_category,
 )
-from .omega import characteristic_function, classifying_object, hasse_covers, hasse_dot, sieve_label
+from .omega import classifying_object, hasse_covers, hasse_dot, sieve_label
 from .presheaf import BoundExceeded, enumerate_subpresheaves
 from .topology import (
     DegeneracyIncompatible,
     _closed_bits,
     enumerate_topologies,
+    least_covering_sieves,
     topology_by_tag,
 )
 
@@ -180,19 +181,20 @@ def _first_closure_mismatch(category, topologies, corpus_bound):
     """Compare the two closure routes on every (corpus subobject, topology)
     instance up to the first on which they disagree.
 
-    Returns the number of instances checked and that (P, sub, word), or
-    None when they all agree.
+    Returns the number of instances checked and that (n, P, sub, word),
+    with n the position of P in ``presheaf_corpus(category, corpus_bound)``,
+    or None when they all agree.
     """
-    omega = classifying_object(category)
+    least = [least_covering_sieves(j) for j in topologies]
     checked = 0
-    for P in closure_mod.presheaf_corpus(category, corpus_bound):
+    for n, P in enumerate(closure_mod.presheaf_corpus(category, corpus_bound)):
         for sub in enumerate_subpresheaves(P):
             # chi_sub does not depend on j: compute and group it once per subobject
-            groups = closure_mod._chi_groups(characteristic_function(sub, omega))
-            for j in topologies:
+            groups = closure_mod._chi_groups(sub)
+            for j, m in zip(topologies, least):
                 checked += 1
-                if closure_mod._closure_bits(j, groups) != _closed_bits(j.tag, P, sub.bits):
-                    return checked, (P, sub, j.tag)
+                if closure_mod._closure_bits(m, groups) != _closed_bits(j.tag, P, sub.bits):
+                    return checked, (n, P, sub, j.tag)
     return checked, None
 
 

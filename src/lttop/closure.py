@@ -4,9 +4,13 @@ Two closure routes: ``closure_via_chi`` reads the closure off the
 composite of a topology with a characteristic function, while
 ``closure_recursive`` runs the per-dimension recursion driven by the bit
 string (copy a level, or fill every cell whose faces already lie in the
-closed level below).  The chi route groups chi's cells by sieve once
+closed level below).  A topology's covering sieves at c are the sieves
+above its least covering sieve m_c (``topology.least_covering_sieves``),
+so the chi route keeps a cell x of level c iff chi(x) = x*A' >= m_c and
+looks nothing up in Omega once m is read: it groups chi's cells by sieve
+integer once
 (``_chi_groups``: per level, one cell mask per distinct sieve), and each
-topology ORs together the masks of the sieves it sends to the top sieve
+topology ORs together the masks of the sieves that contain its m_c
 (``_closure_bits``), so the closures of one subobject under many
 topologies share one chi and one grouping.  The bit-string level maps are
 the same recursion run on the sieves of the representables, so comparing
@@ -17,7 +21,7 @@ constrained enumeration agreeing with the brute one.
 The classifier decides separated/complete/sheaf from cell counts over
 incidence tuples; ``factorization_check`` is its counterpart from the
 definition: for every level c it extends every map out of each dense
-proper sieve S on c along S -> y(c), through the Yoneda search of
+proper sieve S on c (S >= m_c) along S -> y(c), through the Yoneda search of
 ``presheaf.morphism_search``, and counts the extensions (at most one for
 separated, exactly one for a sheaf).  The representables suffice, so no
 corpus of ambient presheaves and no size bound is involved.
@@ -28,7 +32,7 @@ from contextlib import closing
 from functools import lru_cache
 
 from .fincat import FAMILY_FULL, FAMILY_SEMI, Record, face
-from .omega import characteristic_function
+from .omega import _chi_at
 from .presheaf import (
     BoundExceeded,
     FinitePresheaf,
@@ -40,7 +44,7 @@ from .presheaf import (
     morphism_search,
     parallel_cells,
 )
-from .topology import DegeneracyIncompatible, _check_word, _closed_bits
+from .topology import DegeneracyIncompatible, _check_word, _closed_bits, least_covering_sieves
 
 DEFAULT_SEARCH_BUDGET = 200_000
 
@@ -50,31 +54,37 @@ class CorpusTooLarge(BoundExceeded):
 
 
 def closure_via_chi(j, sub):
-    """The subobject classified by the topology composed with chi."""
-    chi = characteristic_function(sub, j.omega)
-    return Subpresheaf(sub.presheaf, _closure_bits(j, _chi_groups(chi)))
+    """The subobject classified by the topology composed with chi: the
+    cells x of each level c with chi(x) = x*sub >= m_c."""
+    if sub.presheaf.category is not j.omega.category:
+        raise ValueError("subobject and topology live over different categories")
+    return Subpresheaf(sub.presheaf, _closure_bits(least_covering_sieves(j), _chi_groups(sub)))
 
 
-def _chi_groups(chi):
-    """Per level, one (sieve index, cell mask) pair for each distinct value
-    of ``chi``: the mask holds, in the source's bit layout, the cells that
-    chi sends to that sieve."""
+def _chi_groups(sub):
+    """Per level, one (sieve, cell mask) pair for each distinct value of
+    chi_sub: the sieve is x*sub as an integer in y(c)'s bit layout, and the
+    mask holds, in the presheaf's bit layout, the cells x with that sieve."""
+    A = sub.presheaf
+    # the orbit table is keyed by every cell of A, in level order
+    sieves = iter(_chi_at(sub, A.sieve_orbits()))
     groups = []
-    for components, offset in zip(chi.components, chi.source.bit_offsets()):
+    for level, offset in zip(A.carriers, A.bit_offsets()):
         masks = {}
-        for x, sieve in enumerate(components):
+        for x, sieve in zip(range(len(level)), sieves):
             masks[sieve] = masks.get(sieve, 0) | 1 << offset + x
         groups.append(tuple(masks.items()))
     return tuple(groups)
 
 
-def _closure_bits(j, groups):
+def _closure_bits(least, groups):
     """The closure as an integer: the OR of the cell masks of ``groups``
-    (``_chi_groups``) whose sieve j sends to the top sieve."""
+    (``_chi_groups``) whose sieve contains its level's least covering sieve
+    (``least_covering_sieves``)."""
     bits = 0
-    for level, mapping, top in zip(groups, j.levels, j.omega.top):
+    for level, m in zip(groups, least):
         for sieve, mask in level:
-            if mapping[sieve] == top:
+            if sieve & m == m:
                 bits |= mask
     return bits
 
@@ -414,7 +424,8 @@ def factorization_check(B, j):
     every map S -> B out of a covering sieve S on c extends at most once
     (exactly once) along S -> y(c) (Mac Lane & Moerdijk, Sheaves in
     Geometry and Logic, III.4 and V.3-V.4).  The covering sieves are the
-    dense ones, j_c(S) = top, read off j; the top sieve needs no check.
+    dense ones, S >= m_c (``least_covering_sieves``); the top sieve needs
+    no check.
     One Yoneda search lists each f: S -> B and then continues over y(c)'s
     other cells, stopping at two extensions.
 
@@ -438,13 +449,13 @@ def factorization_check(B, j):
     omega = j.omega
     sep_witness = None
     comp_witness = None
-    for yc, sieves, packed, mapping, top in zip(
-        omega.yonedas, omega.sieves, omega.packed, j.levels, omega.top
+    for yc, sieves, packed, m in zip(
+        omega.yonedas, omega.sieves, omega.packed, least_covering_sieves(j)
     ):
         count = 0
-        full = packed[top]
-        for S, bits, closed in zip(sieves[:top], packed, mapping):
-            if closed != top:
+        full = packed[-1]
+        for S, bits in zip(sieves[:-1], packed):
+            if bits & m != m:
                 continue
             restrict = morphism_search(yc, B, bits)
             extend = morphism_search(yc, B, full & ~bits)

@@ -254,12 +254,13 @@ def verify_nucleus(L, mapping):
     return None
 
 
-def enumerate_nuclei(L, bound=DEFAULT_NUCLEUS_BOUND):
+def enumerate_nuclei(L):
     """All nuclei on L, each exactly once, in lexicographic mapping order.
 
     Searches only monotone increasing maps fixing the top element (all
     derivable consequences of the axioms), then filters by the axioms.
     """
+    bound = DEFAULT_NUCLEUS_BOUND
     if L.size > bound:
         raise ValueError(f"|L| = {L.size} exceeds the nucleus enumeration bound {bound}")
     rank = {a: sum(1 for b in L.elements() if L.leq(b, a)) for a in L.elements()}

@@ -17,7 +17,6 @@ category.
 
 from functools import lru_cache
 
-from .fincat import FAMILY_BICOLOR
 from .presheaf import (
     BoundExceeded,
     FinitePresheaf,
@@ -25,7 +24,6 @@ from .presheaf import (
     Subpresheaf,
     _principal,
     _yoneda_dimension,
-    boundary,
     enumerate_subpresheaves,
     yoneda,
 )
@@ -59,16 +57,16 @@ class OmegaObject:
         # the empty sieve is the integer 0 and the full one the largest
         self.top = tuple(len(level) - 1 for level in self.sieves)
         self.bottom = (0,) * len(self.sieves)
-        self._boundary = None
         carriers = {c: tuple(range(len(level))) for c, level in zip(category.objects, self.sieves)}
         gen_actions = {}
         for c, yc, level in zip(category.objects, self.yonedas, self.sieves):
             # Omega(g)(S) = g*S is chi_S at the cell g: d -> c of y(c)
             gens = [g for g in category.generators if g.target == c]
             cells = [(g.source, yc.label_index(g.source, g)) for g in gens]
-            pulled = [_chi_at(s, self._index, cells) for s in level]
+            pulled = [_chi_at(s, cells) for s in level]
             for n, g in enumerate(gens):
-                gen_actions[g] = tuple(row[n] for row in pulled)
+                index = self._index[category.obj_index(g.source)]
+                gen_actions[g] = tuple(index[row[n]] for row in pulled)
         self._presheaf = FinitePresheaf(category, carriers, gen_actions, validate=False)
 
     # -- lookups --------------------------------------------------------
@@ -93,17 +91,6 @@ class OmegaObject:
     def top_at(self, c):
         return self.top[self.category.obj_index(c)]
 
-    def boundary_index(self, k):
-        """Index of the boundary sieve at a simplex level k >= 0."""
-        if self.category.family == FAMILY_BICOLOR:
-            raise ValueError("boundaries only exist over simplex categories")
-        if self._boundary is None:
-            self._boundary = tuple(
-                self._index[pos][boundary(self.category, c).bits]
-                for pos, c in enumerate(self.category.objects)
-            )
-        return self._boundary[self.category.obj_index(k)]
-
     # -- the classifying presheaf itself ---------------------------------
 
     def as_presheaf(self):
@@ -124,19 +111,18 @@ def classifying_object(category):
 # -- characteristic functions ------------------------------------------
 
 
-def _chi_at(sub, index, cells):
-    """Sieve indices of chi_sub at the given (level, position) cells of its
-    presheaf; ``index`` maps each level's sieve integers to sieve indices."""
-    A = sub.presheaf
-    orbits = A.sieve_orbits()
-    obj_index = A.category.obj_index
+def _chi_at(sub, cells):
+    """chi_sub at the given (level, position) cells of its presheaf: for
+    each cell x of level c, the sieve x*sub as an integer in y(c)'s bit
+    layout."""
+    orbits = sub.presheaf.sieve_orbits()
     bits = sub.bits
     out = []
-    for c, x in cells:
+    for cell in cells:
         sieve = 0
-        for p in orbits[(c, x)]:
+        for p in orbits[cell]:
             sieve = sieve << 1 | bits >> p & 1
-        out.append(index[obj_index(c)][sieve])
+        out.append(sieve)
     return out
 
 
@@ -149,12 +135,12 @@ def characteristic_function(sub, omega):
     if A.category is not omega.category:
         raise ValueError("subpresheaf and classifying object live over different categories")
     # the orbit table is keyed by every cell of A, in level order
-    flat = _chi_at(sub, omega._index, A.sieve_orbits())
+    flat = _chi_at(sub, A.sieve_orbits())
     components = []
     end = 0
-    for level in A.carriers:
+    for level, index in zip(A.carriers, omega._index):
         start, end = end, end + len(level)
-        components.append(tuple(flat[start:end]))
+        components.append(tuple(map(index.__getitem__, flat[start:end])))
     return PresheafMorphism(A, omega.as_presheaf(), tuple(components))
 
 

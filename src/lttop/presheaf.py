@@ -335,7 +335,7 @@ def generated_subpresheaf(presheaf, seeds):
     return Subpresheaf(presheaf, bits)
 
 
-def enumerate_subpresheaves(presheaf, bound=DEFAULT_ENUMERATION_BOUND):
+def enumerate_subpresheaves(presheaf):
     """All action-closed level-wise subsets, sorted by their integers.
 
     A subpresheaf is the union of the principal subpresheaves of its cells,
@@ -343,8 +343,8 @@ def enumerate_subpresheaves(presheaf, bound=DEFAULT_ENUMERATION_BOUND):
     one exactly once.
     """
     total = presheaf.total_size
-    if total > bound:
-        raise EnumerationBoundExceeded(total, bound)
+    if total > DEFAULT_ENUMERATION_BOUND:
+        raise EnumerationBoundExceeded(total, DEFAULT_ENUMERATION_BOUND)
     principals = dict.fromkeys(_principal(orbit) for orbit in presheaf.sieve_orbits().values())
     found = {0}
     for p in principals:

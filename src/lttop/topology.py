@@ -4,9 +4,12 @@ A topology is read through its covering sieves (Mac Lane and Moerdijk,
 Sheaves in Geometry and Logic, III.2 and V.1): J(c) = j^-1(top) is a
 principal filter up(m_c) of Omega(c), J is a subpresheaf of Omega, and j
 is its characteristic map, j_c(S) = {f: l -> c | f*S >= m_l}.
-``verify_topology`` checks a candidate that way, reading chi_J with the
-kernel ``omega.characteristic_function`` that serves every other
-subobject.
+``least_covering_sieves`` reads m off a topology, one sieve integer per
+level, and every consumer tests ``S & m == m`` on plain integers: the
+closures and the dense sieves of ``closure``, and the tags here, whose bit
+at level c says whether m_c is a proper sieve.  ``verify_topology`` checks
+a candidate against m, reading chi_J with the kernel
+``omega.characteristic_function`` that serves every other subobject.
 
 Two independent routes produce topologies:
 
@@ -90,24 +93,20 @@ def verify_topology(j):
     j is a topology iff it fixes top, is idempotent, its covering sieves
     J = j^-1(top) form a subpresheaf of Omega (stability), and j = chi_J
     (Mac Lane and Moerdijk, V.1).  J(c) is a filter of the finite lattice
-    Omega(c), so it is up(m_c) for the meet m_c of j_c^-1(top).  An
-    unstable m is reported as (S, g): the sieve S on g's target is in J
-    but g*S is not.  Otherwise the first entry where j differs from chi_J
-    is reported as (S, j(S), chi_J(S)).
+    Omega(c), so it is up(m_c) for the meet m_c of j_c^-1(top)
+    (``least_covering_sieves``).  An unstable m is reported as (S, g): the
+    sieve S on g's target is in J but g*S is not.  Otherwise the first
+    entry where j differs from chi_J is reported as (S, j(S), chi_J(S)).
     """
     omega = j.omega
     cat = omega.category
-    least = []
-    for c, mapping, top, packed, index in zip(
-        cat.objects, j.levels, omega.top, omega.packed, omega._index
-    ):
+    for c, mapping, top in zip(cat.objects, j.levels, omega.top):
         if mapping[top] != top:
             return TopologyViolation("true", c, (top, mapping[top]))
-        for x in range(len(packed)):
+        for x in range(len(mapping)):
             if mapping[mapping[x]] != mapping[x]:
                 return TopologyViolation("idempotent", c, (x,))
-        least.append(index[reduce(and_, (packed[s] for s, v in enumerate(mapping) if v == top))])
-    covering = _covering_sieves(omega, least)
+    covering = _covering_sieves(omega, least_covering_sieves(j))
     unstable = covering.closure_violation()
     if unstable is not None:
         g, x = unstable
@@ -120,15 +119,26 @@ def verify_topology(j):
     return None
 
 
+def least_covering_sieves(j):
+    """Per level, the least covering sieve m_c as an integer: the AND of
+    the sieves j_c sends to top, starting from the full sieve.  For a
+    topology J(c) = up(m_c), so the closure of A' in A holds the cells x
+    of level c with x*A' >= m_c."""
+    omega = j.omega
+    return tuple(
+        reduce(and_, (packed[s] for s, v in enumerate(mapping) if v == top), packed[top])
+        for mapping, top, packed in zip(j.levels, omega.top, omega.packed)
+    )
+
+
 def _covering_sieves(omega, least):
     """J = up(m) as a subobject of Omega: every sieve above its level's
-    least covering sieve m_c, given the index of each m_c."""
+    least covering sieve m_c, given each m_c as an integer."""
     Omega = omega.as_presheaf()
     bits = 0
     for offset, packed, m in zip(Omega.bit_offsets(), omega.packed, least):
-        mask = packed[m]
         for s, sieve in enumerate(packed):
-            if sieve & mask == mask:
+            if sieve & m == m:
                 bits |= 1 << offset + s
     return Subpresheaf(Omega, bits)
 
@@ -218,37 +228,23 @@ def construct_bitstring_topology(category, word):
 # -- tagging -------------------------------------------------------------
 
 
-def _simplex_tag(omega, levels):
-    bits = []
-    for c in omega.category.objects:
-        pos = omega.category.obj_index(c)
-        bnd = omega.boundary_index(c)
-        bits.append("1" if levels[pos][bnd] == omega.top[pos] else "0")
-    return "".join(bits)
-
-
-def _bicolor_tag(omega, levels):
-    cat = omega.category
-    v_pos, e_pos, e2_pos = (cat.obj_index(c) for c in ("V", "E", "E'"))
-    vertex_bit = 1 if levels[v_pos][omega.bottom[v_pos]] == omega.top[v_pos] else 0
-    # the hollow edge: both vertices of the edge and nothing else
-    hollow_e, hollow_e2 = (
-        omega.sieve_index(Subpresheaf.from_indices(omega.yonedas[pos], {"V": (0, 1)}))
-        for pos in (e_pos, e2_pos)
-    )
-    edge_digit = (1 if levels[e_pos][hollow_e] == omega.top[e_pos] else 0) + (
-        2 if levels[e2_pos][hollow_e2] == omega.top[e2_pos] else 0
-    )
-    return f"{vertex_bit}{edge_digit}"
-
-
 def tag_topology(j):
-    """Attach the closure-pattern tag read off from the level maps."""
+    """Attach the closure-pattern tag read off the least covering sieves.
+
+    The bit of level c is 1 iff j_c sends some proper sieve to top, that
+    is, iff m_c is not the full sieve.  On y(k) every proper sieve lies in
+    the boundary (a sieve holding a surjection holds its composite with a
+    section, the identity), and on y(E) and y(E') in the hollow edge, so
+    the bit says whether j_c closes the boundary.  A bicolored label is the
+    V bit followed by the digit E + 2 E'.
+    """
     omega = j.omega
+    proper = [m != packed[-1] for m, packed in zip(least_covering_sieves(j), omega.packed)]
     if omega.category.family == FAMILY_BICOLOR:
-        tag = _bicolor_tag(omega, j.levels)
+        v, e, e2 = proper  # the levels V, E, E'
+        tag = f"{v:d}{e + 2 * e2}"
     else:
-        tag = _simplex_tag(omega, j.levels)
+        tag = "".join(f"{p:d}" for p in proper)
     return LTTopology(omega, j.levels, tag=tag)
 
 
@@ -306,7 +302,7 @@ def _enumerate_covering(omega):
 
     def choose(pos):
         if pos == n:
-            chi = characteristic_function(_covering_sieves(omega, m), omega)
+            chi = characteristic_function(_covering_sieves(omega, bits), omega)
             j = LTTopology(omega, chi.components)
             if verify_topology(j) is None:
                 results.append(j)

@@ -335,7 +335,7 @@ def _extend_level_map(omega, k, lower, bit):
     pos = omega.category.obj_index(k)
     size = omega.level_size(k)
     top = omega.top[pos]
-    bnd = omega.boundary_index(k)
+    bnd = omega.sieve_index(boundary(omega.category, k))
     top_below = omega.top[omega.category.obj_index(k - 1)]
     all_top = tuple(top_below for _ in range(k + 1))
     tables = [omega.action_table(face(k, i)) for i in range(k, -1, -1)]

@@ -23,7 +23,7 @@ from lttop.lattice import (
     verify_nucleus,
 )
 from lttop.omega import classifying_object
-from lttop.presheaf import enumerate_subpresheaves, ith_face, parallel_cells
+from lttop.presheaf import boundary, enumerate_subpresheaves, ith_face, parallel_cells
 from lttop.closure import (
     classify,
     closure_recursive,
@@ -114,7 +114,7 @@ def test_criterion_2_omega_structure(order_algebra):
         all_top = tuple(omega.top[k - 1] for _ in range(k + 1))
         for tup, members in lookup.items():
             if tup == all_top:
-                assert set(members) == {omega.boundary_index(k), omega.top[k]}
+                assert set(members) == {omega.sieve_index(boundary(category, k)), omega.top[k]}
             else:
                 assert len(members) == 1
     # surjectivity holds at k = 1 (the corrected statement; k = 2 cannot hold)
@@ -208,7 +208,7 @@ def test_criterion_5_degeneracy_filter():
     assert witness["input_sieve"].size == 0
     assert witness["map_then_action"].is_full
     hollow = witness["action_then_map"]
-    assert hollow == omega_refl.sieves[1][omega_refl.boundary_index(1)]
+    assert hollow == boundary(omega_refl.category, 1)
     print("criterion 5 (degeneracy filter {00,01,11} pass, 10 fails at the collapse square): PASS")
 
 

@@ -550,6 +550,8 @@ def test_any_input_exits_0_1_or_2(doc_dir, command, first, second, method, max_d
 
 def test_verify_closures_reports_the_first_mismatch(monkeypatch):
     from lttop import cli
+    from lttop.closure import presheaf_corpus
+    from lttop.fincat import build_index_category
     from lttop.topology import _closed_bits
 
     calls = []
@@ -567,7 +569,10 @@ def test_verify_closures_reports_the_first_mismatch(monkeypatch):
     assert code == 1
     assert len(calls) == 3
     P, bits, word = calls[2]
-    first = str((P, Subpresheaf(P, bits), word))
+    # the witness names P by its position in the default-bound corpus
+    corpus = presheaf_corpus(build_index_category("graph"), 4)
+    n = next(i for i, Q in enumerate(corpus) if Q is P)
+    first = str((n, P, Subpresheaf(P, bits), word))
     assert text.splitlines() == [
         "suite closures:",
         f"  closure via characteristic map vs recursive on graph: 3 instances FAIL {first}",
@@ -577,3 +582,32 @@ def test_verify_closures_reports_the_first_mismatch(monkeypatch):
         "verification: FAIL",
     ]
     assert "Traceback" not in text
+
+
+def test_verify_closures_witness_names_the_corpus_position(monkeypatch):
+    # a mismatch past the first corpus presheaf is named by its position in
+    # presheaf_corpus(graph, corpus bound), so the instance can be replayed
+    from lttop import cli
+    from lttop.closure import presheaf_corpus
+    from lttop.fincat import build_index_category
+    from lttop.topology import _closed_bits
+
+    calls = []
+
+    def disagree(word, P, bits):
+        closed = _closed_bits(word, P, bits)
+        if P.category.kind != "graph":
+            return closed
+        calls.append((P, bits, word))
+        return closed ^ 1 if len(calls) == 30 else closed
+
+    monkeypatch.setattr(cli, "_closed_bits", disagree)
+    code, text = run(["verify", "--suite", "closures", "--corpus-bound", "3"])
+    assert code == 1
+    P, bits, word = calls[-1]
+    corpus = presheaf_corpus(build_index_category("graph"), 3)
+    n = next(i for i, Q in enumerate(corpus) if Q is P)
+    assert n > 0
+    witness = str((n, P, Subpresheaf(P, bits), word))
+    line = f"  closure via characteristic map vs recursive on graph: 30 instances FAIL {witness}"
+    assert text.splitlines()[1] == line

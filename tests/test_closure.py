@@ -66,6 +66,12 @@ def test_discrete_closure_changes_nothing():
         assert closure_via_chi(j, sub) == sub
 
 
+def test_closure_rejects_a_subobject_over_another_category():
+    j = construct_bitstring_topology(REFL, "01")
+    with pytest.raises(ValueError, match="different categories"):
+        closure_via_chi(j, Subpresheaf.empty(PATH))
+
+
 def test_trivial_closure_fills_everything():
     j = construct_bitstring_topology(GRAPH, "11")
     sub = Subpresheaf.empty(PATH)

@@ -75,9 +75,12 @@ def test_nucleus_enumeration_matches_brute_force(make, expected):
     assert len(fast) == expected
 
 
-def test_nucleus_bound():
+def test_nucleus_bound(monkeypatch):
+    from lttop import lattice
+
+    monkeypatch.setattr(lattice, "DEFAULT_NUCLEUS_BOUND", 3)
     with pytest.raises(ValueError):
-        enumerate_nuclei(boolean(2), bound=3)
+        enumerate_nuclei(boolean(2))
 
 
 def test_verify_nucleus_examples():

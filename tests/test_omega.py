@@ -15,6 +15,7 @@ from lttop.omega import (
 from lttop.presheaf import (
     FinitePresheaf,
     Subpresheaf,
+    boundary,
     enumerate_morphisms,
     enumerate_subpresheaves,
     ith_face,
@@ -222,7 +223,7 @@ def test_incidence_structure(omega_semi2):
         collisions = {t: v for t, v in lookup.items() if len(v) > 1}
         assert set(collisions) == {all_top}
         assert set(collisions[all_top]) == {
-            omega_semi2.boundary_index(k),
+            omega_semi2.sieve_index(boundary(omega_semi2.category, k)),
             omega_semi2.top[k],
         }
 
@@ -232,7 +233,7 @@ def test_incidence_examples(omega_semi2):
     omega = omega_semi2.as_presheaf()
     # the top sieve and the boundary are exactly the cells over (top1,) * 3
     assert parallel_cells(omega, 2)[(top1,) * 3] == [
-        omega_semi2.boundary_index(2),
+        omega_semi2.sieve_index(boundary(omega_semi2.category, 2)),
         omega_semi2.top[2],
     ]
     # three copies of a vertex sieve cannot bound a triangle

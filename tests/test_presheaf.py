@@ -379,12 +379,14 @@ def test_enumerate_morphisms_matches_brute_force():
     assert len(list(enumerate_morphisms(y1, path))) == len(path.carrier(1))
 
 
-def test_enumeration_bound_is_enforced():
+def test_enumeration_bound_is_enforced(monkeypatch):
+    from lttop import presheaf
     from lttop.presheaf import EnumerationBoundExceeded
 
     y2 = yoneda(SEMI2, 2)
+    monkeypatch.setattr(presheaf, "DEFAULT_ENUMERATION_BOUND", 3)
     with pytest.raises(EnumerationBoundExceeded):
-        enumerate_subpresheaves(y2, bound=3)
+        enumerate_subpresheaves(y2)
 
 
 def test_membership_transfer_through_degeneracies():

@@ -7,10 +7,12 @@ import pytest
 
 from lttop import omega as omega_module
 from lttop import topology as topology_module
-from lttop.fincat import build_index_category, degeneracy
+from lttop.closure import is_dense_by_bits
+from lttop.fincat import FAMILY_BICOLOR, FAMILY_FULL, build_index_category, degeneracy
 from lttop.omega import characteristic_function, classifying_object
-from lttop.presheaf import Subpresheaf
+from lttop.presheaf import Subpresheaf, boundary
 from lttop.topology import (
+    BICOLOR_LABELS,
     DegeneracyIncompatible,
     LTTopology,
     _bitstring_levels,
@@ -20,6 +22,7 @@ from lttop.topology import (
     construct_bitstring_topology,
     degeneracy_compatible,
     enumerate_topologies,
+    least_covering_sieves,
     tag_topology,
     topology_by_tag,
     verify_topology,
@@ -99,7 +102,7 @@ def test_boundary_goes_to_top_exactly_on_one_bits():
         j = construct_bitstring_topology(semi2, word)
         for k in semi2.objects:
             pos = semi2.obj_index(k)
-            bnd = omega.boundary_index(k)
+            bnd = omega.sieve_index(boundary(semi2, k))
             expected = omega.top[pos] if word[k] == "1" else bnd
             assert j.levels[pos][bnd] == expected
 
@@ -277,10 +280,10 @@ def test_transitivity_prune_matches_the_reference(verify_topology_reference, ord
             continue
         omega = classifying_object(category)
         for m, j in covering_sieve_maps(omega, order_algebra):
-            J = _covering_sieves(omega, m)
+            masks = [omega.packed[pos][least] for pos, least in enumerate(m)]
+            J = _covering_sieves(omega, masks)
             assert J.closure_violation() is None, (kind, m)
             assert characteristic_function(J, omega).components == j.levels, (kind, m)
-            masks = [omega.packed[pos][least] for pos, least in enumerate(m)]
             transitive = all(_transitive_at(omega, masks, c) for c in range(len(m)))
             accepted = verify_topology_reference(j) is None
             assert transitive == accepted, (kind, m)
@@ -301,7 +304,7 @@ def test_covering_sieves_of_each_topology_classify_its_level_maps(kind):
             for c in category.objects
         }
         # a filter's meet is its sieve with the least integer
-        least = [min(covered[c]) for c in category.objects]
+        least = [omega.packed[pos][min(covered[c])] for pos, c in enumerate(category.objects)]
         J = _covering_sieves(omega, least)
         assert J == Subpresheaf.from_indices(omega.as_presheaf(), covered), (kind, j.tag)
         assert characteristic_function(J, omega).components == j.levels, (kind, j.tag)
@@ -317,6 +320,67 @@ def test_unstable_covering_sieves_are_reported_with_the_failing_generator(omega_
     x, g = problem.witness
     assert problem.level == g.target == 1 and g in GRAPH.generators
     assert omega_graph.act(g, x) != omega_graph.top[0]
+
+
+def boundary_tag(j):
+    """The tag read off j's level maps at the boundary sieves: on a simplex
+    category bit k says whether j_k sends the boundary of y(k) to top; on
+    bicolored graphs the V bit says whether j_V sends the empty sieve to top
+    and the digit adds 1 (2) when j_E (j_E') sends the hollow edge to top."""
+    omega = j.omega
+    cat = omega.category
+
+    def covers(c, sieve):
+        pos = cat.obj_index(c)
+        return j.levels[pos][omega.sieve_index(sieve)] == omega.top[pos]
+
+    if cat.family != FAMILY_BICOLOR:
+        return "".join("1" if covers(c, boundary(cat, c)) else "0" for c in cat.objects)
+    vertex = covers("V", Subpresheaf.empty(omega.yonedas[cat.obj_index("V")]))
+    hollow = [
+        covers(c, Subpresheaf.from_indices(omega.yonedas[cat.obj_index(c)], {"V": (0, 1)}))
+        for c in ("E", "E'")
+    ]
+    return f"{vertex:d}{hollow[0] + 2 * hollow[1]}"
+
+
+@pytest.mark.parametrize("kind", [k for k in BUILT_INS if k != "bicolgraph"])
+def test_least_covering_sieves_are_the_density_criterion(kind):
+    # a sieve S of y(k) covers under the word exactly when it is dense by
+    # the bits: S >= m_k iff S is full at every dimension whose bit is 0
+    category = build_index_category(kind)
+    omega = classifying_object(category)
+    for word in bit_strings(category):
+        if category.family == FAMILY_FULL and "10" in word:
+            continue
+        least = least_covering_sieves(construct_bitstring_topology(category, word))
+        for sieves, m in zip(omega.sieves, least):
+            for S in sieves:
+                assert (S.bits & m == m) == is_dense_by_bits(word, S), (kind, word, S)
+
+
+def test_least_covering_sieves_of_the_bicolored_labels():
+    # label vd, read off the level maps: m_V is empty iff v = 1, and m_E
+    # (m_E') is proper iff the E (E') bit of d is set
+    category = build_index_category("bicolgraph")
+    omega = classifying_object(category)
+    full = {c: omega.packed[pos][-1] for pos, c in enumerate(category.objects)}
+    found = enumerate_topologies(category)
+    assert sorted(boundary_tag(j) for j in found) == sorted(BICOLOR_LABELS)
+    for j in found:
+        m = dict(zip(category.objects, least_covering_sieves(j)))
+        label = boundary_tag(j)
+        v, d = int(label[0]), int(label[1])
+        assert (m["V"] == 0) == (v == 1), label
+        assert (m["E"] != full["E"]) == bool(d & 1), label
+        assert (m["E'"] != full["E'"]) == bool(d & 2), label
+
+
+@pytest.mark.parametrize("kind", BUILT_INS)
+def test_tags_read_off_m_match_the_boundary_reading(kind):
+    for j in enumerate_topologies(build_index_category(kind), "brute"):
+        untagged = LTTopology(j.omega, j.levels)
+        assert tag_topology(untagged).tag == boundary_tag(j), (kind, j.levels)
 
 
 @pytest.mark.parametrize(
