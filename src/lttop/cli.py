@@ -181,20 +181,39 @@ def _first_closure_mismatch(category, topologies, corpus_bound):
     """Compare the two closure routes on every (corpus subobject, topology)
     instance up to the first on which they disagree.
 
-    Returns the number of instances checked and that (n, P, sub, word),
+    The instances run in corpus order, then subobject order, then topology
+    order.  All subobjects of one corpus presheaf P are lanes of one
+    integer, so each route runs once per (P, topology); the first failing
+    instance of P is the lowest lane that differs under any topology, and
+    within that lane the first such topology.  Returns the number of
+    instances checked up to and including it and that (n, P, sub, word),
     with n the position of P in ``presheaf_corpus(category, corpus_bound)``,
     or None when they all agree.
     """
     least = [least_covering_sieves(j) for j in topologies]
     checked = 0
     for n, P in enumerate(closure_mod.presheaf_corpus(category, corpus_bound)):
-        for sub in enumerate_subpresheaves(P):
-            # chi_sub does not depend on j: compute and group it once per subobject
-            groups = closure_mod._chi_groups(sub)
-            for j, m in zip(topologies, least):
-                checked += 1
-                if closure_mod._closure_bits(m, groups) != _closed_bits(j.tag, P, sub.bits):
-                    return checked, (n, P, sub, j.tag)
+        # every subobject of P is one lane of a single integer
+        subs = enumerate_subpresheaves(P)
+        stride = P.total_size
+        bits = lanes = 0
+        for s, sub in enumerate(subs):
+            bits |= sub.bits << s * stride
+            lanes |= 1 << s * stride
+        first = None  # (lane, topology position) of the first mismatch
+        for t, (j, m) in enumerate(zip(topologies, least)):
+            diff = closure_mod._closure_bits(m, P, bits, lanes) ^ _closed_bits(
+                j.tag, P, bits, lanes
+            )
+            if diff:
+                # the empty presheaf has one lane, 0 bits wide
+                s = ((diff & -diff).bit_length() - 1) // stride if stride else 0
+                if first is None or s < first[0]:
+                    first = (s, t)
+        if first is not None:
+            s, t = first
+            return checked + s * len(topologies) + t + 1, (n, P, subs[s], topologies[t].tag)
+        checked += len(subs) * len(topologies)
     return checked, None
 
 

@@ -6,17 +6,17 @@ composite of a topology with a characteristic function, while
 string (copy a level, or fill every cell whose faces already lie in the
 closed level below).  A topology's covering sieves at c are the sieves
 above its least covering sieve m_c (``topology.least_covering_sieves``),
-so the chi route keeps a cell x of level c iff chi(x) = x*A' >= m_c and
-looks nothing up in Omega once m is read: it groups chi's cells by sieve
-integer once
-(``_chi_groups``: per level, one cell mask per distinct sieve), and each
-topology ORs together the masks of the sieves that contain its m_c
-(``_closure_bits``), so the closures of one subobject under many
-topologies share one chi and one grouping.  The bit-string level maps are
-the same recursion run on the sieves of the representables, so comparing
-the two routes (the closures suite) checks that the recursion commutes
-with pullback; the level maps themselves are checked independently by the
-constrained enumeration agreeing with the brute one.
+so the chi route keeps a cell x of level c iff chi(x) = x*A' >= m_c, that
+is, iff x.f lies in A' for every f in m_c, and looks nothing up in Omega
+once m is read (``_closure_bits``).  Both kernels, ``_closure_bits`` here
+and ``topology._closed_bits``, close many subobjects of one presheaf at
+once, one per lane of a single integer: every subobject shares the
+presheaf's orbits, its closure plan and each topology's m, so the closures
+suite runs each route once per (presheaf, topology).  The bit-string level
+maps are the same recursion run on the sieves of the representables, so
+comparing the two routes (the closures suite) checks that the recursion
+commutes with pullback; the level maps themselves are checked
+independently by the constrained enumeration agreeing with the brute one.
 
 The classifier decides separated/complete/sheaf from cell counts over
 incidence tuples; ``factorization_check`` is its counterpart from the
@@ -32,7 +32,6 @@ from contextlib import closing
 from functools import lru_cache
 
 from .fincat import FAMILY_FULL, FAMILY_SEMI, Record, face
-from .omega import _chi_at
 from .presheaf import (
     BoundExceeded,
     FinitePresheaf,
@@ -55,45 +54,45 @@ class CorpusTooLarge(BoundExceeded):
 
 def closure_via_chi(j, sub):
     """The subobject classified by the topology composed with chi: the
-    cells x of each level c with chi(x) = x*sub >= m_c."""
+    cells x of each level c with chi(x) = x*sub >= m_c, by the one-lane
+    call of ``_closure_bits``."""
     if sub.presheaf.category is not j.omega.category:
         raise ValueError("subobject and topology live over different categories")
-    return Subpresheaf(sub.presheaf, _closure_bits(least_covering_sieves(j), _chi_groups(sub)))
-
-
-def _chi_groups(sub):
-    """Per level, one (sieve, cell mask) pair for each distinct value of
-    chi_sub: the sieve is x*sub as an integer in y(c)'s bit layout, and the
-    mask holds, in the presheaf's bit layout, the cells x with that sieve."""
     A = sub.presheaf
+    return Subpresheaf(A, _closure_bits(least_covering_sieves(j), A, sub.bits))
+
+
+def _closure_bits(least, A, bits, lanes=1):
+    """The closures of subobjects of A under the topology with least
+    covering sieves ``least`` (``least_covering_sieves``), one per lane as
+    in ``topology._closed_bits``.
+
+    A cell x of level c stays in a lane iff x.f lies in that lane for every
+    f in m_c: the AND of ``bits >> p`` over the orbit positions p of x
+    (``FinitePresheaf.sieve_orbits``) that m_c selects.
+    """
     # the orbit table is keyed by every cell of A, in level order
-    sieves = iter(_chi_at(sub, A.sieve_orbits()))
-    groups = []
-    for level, offset in zip(A.carriers, A.bit_offsets()):
-        masks = {}
-        for x, sieve in zip(range(len(level)), sieves):
-            masks[sieve] = masks.get(sieve, 0) | 1 << offset + x
-        groups.append(tuple(masks.items()))
-    return tuple(groups)
-
-
-def _closure_bits(least, groups):
-    """The closure as an integer: the OR of the cell masks of ``groups``
-    (``_chi_groups``) whose sieve contains its level's least covering sieve
-    (``least_covering_sieves``)."""
-    bits = 0
-    for level, m in zip(groups, least):
-        for sieve, mask in level:
-            if sieve & m == m:
-                bits |= mask
-    return bits
+    orbits = iter(A.sieve_orbits().values())
+    closed = 0
+    for level, offset, m in zip(A.carriers, A.bit_offsets(), least):
+        for x, orbit in zip(range(len(level)), orbits):
+            if not x:
+                # the orbit lists y(c)'s cells from its highest bit down
+                top = len(orbit) - 1
+                chosen = [top - b for b in range(m.bit_length()) if m >> b & 1]
+            keep = lanes
+            for i in chosen:
+                keep &= bits >> orbit[i]
+            closed |= keep << offset + x
+    return closed
 
 
 def closure_recursive(word, sub):
     """Dimension-by-dimension closure: copy on bit 0, fill by faces on bit 1.
 
     A level fills as every cell outside the coface masks of the absent
-    cells one level down (``FinitePresheaf.closure_plan``).
+    cells one level down (``FinitePresheaf.closure_plan``), by the
+    one-lane call of ``topology._closed_bits``.
     """
     A = sub.presheaf
     _check_recursive_word(A.category, word)

@@ -177,20 +177,36 @@ def _check_word(category, word):
         )
 
 
-def _closed_bits(word, A, bits):
-    """The closure of the subobject ``bits`` of a simplex presheaf A under
-    the word: copy a level on bit 0, and on bit 1 keep every cell outside
-    the coface masks of the absent cells one level down
-    (``FinitePresheaf.closure_plan``); level 0 fills completely."""
+def _closed_bits(word, A, bits, lanes=1):
+    """The closures of subobjects of a simplex presheaf A under the word:
+    copy a level on bit 0, and on bit 1 keep every cell outside the coface
+    masks of the absent cells one level down
+    (``FinitePresheaf.closure_plan``); level 0 fills completely.
+
+    ``bits`` holds one subobject per lane: lane s is bits s * n to
+    s * n + n - 1 with n = ``A.total_size``, in A's layout, and ``lanes``
+    has a 1 at each lane's base.  With one lane a bit-1 level walks the
+    absent cells one level down, as the bit-string level maps do once per
+    sieve.  With more, it walks every cell y one level down and clears y's
+    coface mask in exactly the lanes that lack y; the closures suite puts
+    the empty subobject in every batch, which lacks them all anyway.
+    """
     for bit, (offset, full, below, cofaces) in zip(word, A.closure_plan()):
         if bit == "0":
             continue
-        filled = full
-        absent = ~bits >> below & (1 << len(cofaces)) - 1
-        while absent and filled:
-            low = absent & -absent
-            filled &= ~cofaces[low.bit_length() - 1]
-            absent ^= low
+        if lanes == 1:
+            filled = full
+            absent = ~bits >> below & (1 << len(cofaces)) - 1
+            while absent and filled:
+                low = absent & -absent
+                filled &= ~cofaces[low.bit_length() - 1]
+                absent ^= low
+        else:
+            missing = ~bits >> below
+            full *= lanes
+            filled = full
+            for y, coface in enumerate(cofaces):
+                filled &= ~(coface * (missing >> y & lanes))
         bits = bits & ~(full << offset) | filled << offset
     return bits
 

@@ -548,30 +548,62 @@ def test_any_input_exits_0_1_or_2(doc_dir, command, first, second, method, max_d
     assert code in (0, 1, 2)
 
 
-def test_verify_closures_reports_the_first_mismatch(monkeypatch):
+def _flip_graph_instances(monkeypatch, corpus_bound, flips):
+    """Make the recursive route of the closures suite disagree on the graph
+    instances at the given 1-based positions of the suite's order (corpus
+    presheaf, then subobject, then topology), one cell flipped in each.
+
+    The suite closes every subobject of a presheaf at once, one lane each,
+    so the injection flips the cell at the base of the instance's lane.
+    Returns the graph instances as (P, bits, word) in that order and the
+    presheaves the recursive route was called on.
+    """
     from lttop import cli
     from lttop.closure import presheaf_corpus
     from lttop.fincat import build_index_category
-    from lttop.topology import _closed_bits
+    from lttop.presheaf import enumerate_subpresheaves
+    from lttop.topology import _closed_bits, enumerate_topologies
 
-    calls = []
+    category = build_index_category("graph")
+    words = [j.tag for j in enumerate_topologies(category)]
+    instances = [
+        (P, sub.bits, word)
+        for P in presheaf_corpus(category, corpus_bound)
+        for sub in enumerate_subpresheaves(P)
+        for word in words
+    ]
+    flipped = {instances[k - 1] for k in flips}
+    called = []
 
-    def disagree(word, P, bits):
-        # flip one cell of the recursive closure on the 3rd and 30th graph instances
-        closed = _closed_bits(word, P, bits)
-        if P.category.kind != "graph":
+    def disagree(word, P, bits, lanes):
+        closed = _closed_bits(word, P, bits, lanes)
+        if P.category is not category:
             return closed
-        calls.append((P, bits, word))
-        return closed ^ 1 if len(calls) in (3, 30) else closed
+        called.append(P)
+        stride = P.total_size
+        for s, sub in enumerate(enumerate_subpresheaves(P)):
+            if (P, sub.bits, word) in flipped:
+                closed ^= 1 << s * stride
+        return closed
 
     monkeypatch.setattr(cli, "_closed_bits", disagree)
+    return instances, called
+
+
+def test_verify_closures_reports_the_first_mismatch(monkeypatch):
+    from lttop.closure import presheaf_corpus
+    from lttop.fincat import build_index_category
+
+    # flip one cell of the recursive closure on the 3rd and 30th graph instances
+    instances, called = _flip_graph_instances(monkeypatch, 4, (3, 30))
     code, text = run(["verify", "--suite", "closures"])
     assert code == 1
-    assert len(calls) == 3
-    P, bits, word = calls[2]
+    P, bits, word = instances[2]
     # the witness names P by its position in the default-bound corpus
     corpus = presheaf_corpus(build_index_category("graph"), 4)
     n = next(i for i, Q in enumerate(corpus) if Q is P)
+    # the suite stops at the presheaf of the first mismatch
+    assert set(called) == set(corpus[: n + 1])
     first = str((n, P, Subpresheaf(P, bits), word))
     assert text.splitlines() == [
         "suite closures:",
@@ -587,27 +619,42 @@ def test_verify_closures_reports_the_first_mismatch(monkeypatch):
 def test_verify_closures_witness_names_the_corpus_position(monkeypatch):
     # a mismatch past the first corpus presheaf is named by its position in
     # presheaf_corpus(graph, corpus bound), so the instance can be replayed
-    from lttop import cli
     from lttop.closure import presheaf_corpus
     from lttop.fincat import build_index_category
-    from lttop.topology import _closed_bits
 
-    calls = []
-
-    def disagree(word, P, bits):
-        closed = _closed_bits(word, P, bits)
-        if P.category.kind != "graph":
-            return closed
-        calls.append((P, bits, word))
-        return closed ^ 1 if len(calls) == 30 else closed
-
-    monkeypatch.setattr(cli, "_closed_bits", disagree)
+    instances, _ = _flip_graph_instances(monkeypatch, 3, (30,))
     code, text = run(["verify", "--suite", "closures", "--corpus-bound", "3"])
     assert code == 1
-    P, bits, word = calls[-1]
+    P, bits, word = instances[29]
     corpus = presheaf_corpus(build_index_category("graph"), 3)
     n = next(i for i, Q in enumerate(corpus) if Q is P)
     assert n > 0
     witness = str((n, P, Subpresheaf(P, bits), word))
     line = f"  closure via characteristic map vs recursive on graph: 30 instances FAIL {witness}"
     assert text.splitlines()[1] == line
+
+
+def test_first_closure_mismatch_takes_the_lowest_lane_first(monkeypatch):
+    # two mismatches in one presheaf: an earlier lane under a later
+    # topology, and a later lane under an earlier one; the suite's order
+    # visits every topology of a subobject before the next subobject
+    from lttop import cli
+    from lttop.closure import presheaf_corpus
+    from lttop.fincat import build_index_category
+    from lttop.presheaf import enumerate_subpresheaves
+    from lttop.topology import enumerate_topologies
+
+    category = build_index_category("graph")
+    topologies = enumerate_topologies(category)
+    T = len(topologies)
+    corpus = presheaf_corpus(category, 4)
+    n = next(i for i, P in enumerate(corpus) if len(enumerate_subpresheaves(P)) >= 5)
+    before = sum(len(enumerate_subpresheaves(P)) for P in corpus[:n]) * T
+    early, late = (2, T - 1), (4, 0)  # (lane, topology position)
+    flips = [before + s * T + t + 1 for s, t in (late, early)]
+    _flip_graph_instances(monkeypatch, 4, flips)
+    checked, mismatch = cli._first_closure_mismatch(category, topologies, 4)
+    s, t = early
+    assert checked == before + s * T + t + 1
+    sub = enumerate_subpresheaves(corpus[n])[s]
+    assert mismatch == (n, corpus[n], sub, topologies[t].tag)

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from lttop.fincat import build_index_category, degeneracy, face
+from lttop.fincat import FAMILY_BICOLOR, build_index_category, degeneracy, face
 from lttop.omega import characteristic_function, classifying_object, pullback_of_true
 from lttop.presheaf import (
     FinitePresheaf,
@@ -31,7 +31,12 @@ from lttop.closure import (
     k_simple,
     presheaf_corpus,
 )
-from lttop.topology import construct_bitstring_topology, enumerate_topologies
+from lttop.topology import (
+    _closed_bits,
+    construct_bitstring_topology,
+    enumerate_topologies,
+    least_covering_sieves,
+)
 
 GRAPH = build_index_category("graph")
 REFL = build_index_category("reflgraph")
@@ -131,9 +136,41 @@ def test_the_two_closure_routes_agree(kind):
                 assert closure_via_chi(j, sub) == closure_recursive(j.tag, sub)
 
 
+@pytest.mark.parametrize(
+    "kind", ["graph", "reflgraph", "semisimplex:2", "simplex:2", "bicolgraph"]
+)
+def test_each_lane_of_a_batched_closure_is_the_one_lane_closure(kind):
+    # every subobject of a corpus presheaf is one lane of a single integer,
+    # as the closures suite lays them out, and in the reverse order; the
+    # corpus starts with the empty presheaf, whose lanes are 0 bits wide
+    category = build_index_category(kind)
+    simplex = category.family != FAMILY_BICOLOR
+    topologies = enumerate_topologies(category)
+    corpus = presheaf_corpus(category, 5)
+    assert corpus[0].total_size == 0
+    batches = [(P, enumerate_subpresheaves(P)) for P in corpus]
+    for P, subs in batches + [(P, subs[::-1]) for P, subs in batches]:
+        stride = P.total_size
+        bits = lanes = 0
+        for s, sub in enumerate(subs):
+            bits |= sub.bits << s * stride
+            lanes |= 1 << s * stride
+        lane = (1 << stride) - 1
+        for j in topologies:
+            chi = closure._closure_bits(least_covering_sieves(j), P, bits, lanes)
+            assert not chi >> len(subs) * stride, (P, j.tag)
+            rec = _closed_bits(j.tag, P, bits, lanes) if simplex else 0
+            assert not rec >> len(subs) * stride, (P, j.tag)
+            for s, sub in enumerate(subs):
+                assert chi >> s * stride & lane == closure_via_chi(j, sub).bits, (P, sub, j.tag)
+                if simplex:
+                    one = closure_recursive(j.tag, sub).bits
+                    assert rec >> s * stride & lane == one, (P, sub, j.tag)
+
+
 @pytest.mark.parametrize("kind", BUILTINS_UP_TO_DIM_3)
 def test_chi_route_is_the_pullback_of_true_along_j_after_chi(kind):
-    # every sieve S of every y(c): the grouped kernel against j o chi_S,
+    # every sieve S of every y(c): the closure kernel against j o chi_S,
     # composed here cell by cell and pulled back along true
     category = build_index_category(kind)
     omega = classifying_object(category)
