@@ -55,6 +55,7 @@ class FinitePresheaf:
         self._label_index = tuple({x: i for i, x in enumerate(level)} for level in self.carriers)
         sizes = [len(level) for level in self.carriers]
         self._offsets = tuple(sum(sizes[pos + 1 :]) for pos in range(len(sizes)))
+        self.total_size = sum(sizes)
         self._actions = self._extend_actions()
         self._orbit_cache = None
         self._plan_cache = None
@@ -128,10 +129,6 @@ class FinitePresheaf:
         for c in self.category.objects:
             for i in range(len(self.carrier(c))):
                 yield c, i
-
-    @property
-    def total_size(self):
-        return sum(len(level) for level in self.carriers)
 
     def __eq__(self, other):
         if not isinstance(other, FinitePresheaf):

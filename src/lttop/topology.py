@@ -8,16 +8,17 @@ is its characteristic map, j_c(S) = {f: l -> c | f*S >= m_l}.
 level, and every consumer tests ``S & m == m`` on plain integers: the
 closures and the dense sieves of ``closure``, and the tags here, whose bit
 at level c says whether m_c is a proper sieve.  ``verify_topology`` checks
-a candidate against m, reading chi_J with the kernel
-``omega.characteristic_function`` that serves every other subobject.
+the axioms on Omega's own tables: j fixes top, is idempotent, sends to top
+exactly up(m), and commutes with every generator action.
 
 Two independent routes produce topologies:
 
 * ``enumerate_topologies(..., method="brute")`` searches exhaustively over
   least covering sieves, keeping a stable, transitive choice of one sieve
-  per level and reading the level maps off chi_J, as the check does.  It
-  runs on every category at every dimension, knows nothing about the
-  constructive family, and serves as the oracle.
+  per level and reading the level maps off chi_J for each complete
+  choice, which ``verify_topology`` then checks.  It runs on every
+  category at every dimension, knows nothing about the constructive
+  family, and serves as the oracle.
 * ``construct_bitstring_topology`` / ``method="constrained"`` build the
   per-dimension family indexed by a bit string.  For any topology, j_k(S)
   is the closure of S as a subobject of y(k) (Mac Lane and Moerdijk,
@@ -63,7 +64,10 @@ class DegeneracyIncompatible(ValueError):
 
 
 class TopologyViolation(Record):
-    __slots__ = ("kind", "level", "witness")  # kind: "true" | "idempotent" | "covering"
+    # kind: "true" (witness (top, j(top))) | "idempotent" (x,) | "covering":
+    # (x, j(x)) for a sieve x >= m_c that j_c misses, or (x, g) for the
+    # first sieve x on g's target whose naturality square fails
+    __slots__ = ("kind", "level", "witness")
 
     def __str__(self):
         return f"{self.kind} fails at level {self.level}, witness {self.witness}"
@@ -90,13 +94,18 @@ class LTTopology(Record):
 def verify_topology(j):
     """None if j is a Lawvere-Tierney topology, else a witness.
 
-    j is a topology iff it fixes top, is idempotent, its covering sieves
-    J = j^-1(top) form a subpresheaf of Omega (stability), and j = chi_J
-    (Mac Lane and Moerdijk, V.1).  J(c) is a filter of the finite lattice
-    Omega(c), so it is up(m_c) for the meet m_c of j_c^-1(top)
-    (``least_covering_sieves``).  An unstable m is reported as (S, g): the
-    sieve S on g's target is in J but g*S is not.  Otherwise the first
-    entry where j differs from chi_J is reported as (S, j(S), chi_J(S)).
+    A topology is a natural j: Omega -> Omega that fixes top, is idempotent
+    and preserves meets (Mac Lane and Moerdijk, V.1).  The check reads only
+    Omega's tables: j fixes top, j is idempotent, j_c^-1(top) is exactly
+    up(m_c) for the least covering sieves m (``least_covering_sieves``), and
+    j_d(g*S) = g*(j_c(S)) for every generator g: d -> c.  That is exact:
+    for f: l -> c, f is in j_c(S) iff f*(j_c(S)) = top iff (naturality)
+    j_l(f*S) = top iff f*S >= m_l, so j is the characteristic map of
+    up(m), and it preserves meets because f*(S & T) >= m_l iff both
+    f*S >= m_l and f*T >= m_l.  Conversely a topology is natural, and its
+    covering sieves form a filter, so up(m) is all of them.  A sieve
+    x >= m_c with j_c(x) != top is reported as (x, j(x)); a failing square
+    as (x, g), x the first failing sieve on g's target.
     """
     omega = j.omega
     cat = omega.category
@@ -106,16 +115,15 @@ def verify_topology(j):
         for x in range(len(mapping)):
             if mapping[mapping[x]] != mapping[x]:
                 return TopologyViolation("idempotent", c, (x,))
-    covering = _covering_sieves(omega, least_covering_sieves(j))
-    unstable = covering.closure_violation()
-    if unstable is not None:
-        g, x = unstable
-        return TopologyViolation("covering", g.target, (x, g))
-    chi = characteristic_function(covering, omega)
-    for c, mapping, wanted in zip(cat.objects, j.levels, chi.components):
-        for x, want in enumerate(wanted):
-            if mapping[x] != want:
-                return TopologyViolation("covering", c, (x, mapping[x], want))
+    least = least_covering_sieves(j)
+    for c, mapping, top, packed, m in zip(cat.objects, j.levels, omega.top, omega.packed, least):
+        for x, sieve in enumerate(packed):
+            if sieve & m == m and mapping[x] != top:
+                return TopologyViolation("covering", c, (x, mapping[x]))
+    square = _naturality_violation(omega, j.levels, cat.generators)
+    if square is not None:
+        g = square["generator"]
+        return TopologyViolation("covering", g.target, (square["input_index"], g))
     return None
 
 
@@ -145,7 +153,8 @@ def _covering_sieves(omega, least):
 
 def _naturality_violation(omega, levels, generators):
     """The first failing square j_d . g* = g* . j_c over the given
-    generators g: d -> c, as a dict of sieves, or None."""
+    generators g: d -> c, as a dict of sieves and the input sieve's index,
+    or None."""
     cat = omega.category
     for g in generators:
         src = cat.obj_index(g.source)
@@ -158,6 +167,7 @@ def _naturality_violation(omega, levels, generators):
                 return {
                     "generator": g,
                     "input_level": g.target,
+                    "input_index": x,
                     "input_sieve": omega.sieves[tgt][x],
                     "map_then_action": omega.sieves[src][rhs],
                     "action_then_map": omega.sieves[src][lhs],

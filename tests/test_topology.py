@@ -384,12 +384,12 @@ def test_tags_read_off_m_match_the_boundary_reading(kind):
 
 
 @pytest.mark.parametrize(
-    "kind, dim, calls", [("semisimplex", 3, 32), ("simplex", 3, 10), ("bicolgraph", None, 16)]
+    "kind, dim, calls", [("semisimplex", 3, 16), ("simplex", 3, 5), ("bicolgraph", None, 8)]
 )
 def test_brute_route_builds_level_maps_only_for_topologies(kind, dim, calls, monkeypatch):
     # stability and transitivity prune every choice that is not a topology,
-    # so chi of the covering sieves is read twice per topology: once to
-    # build its level maps and once by the final check
+    # so chi of the covering sieves is read once per topology, to build its
+    # level maps; the final check reads Omega's tables only
     category = build_index_category(kind, dim)
     counted = []
 
@@ -399,7 +399,7 @@ def test_brute_route_builds_level_maps_only_for_topologies(kind, dim, calls, mon
 
     monkeypatch.setattr(topology_module, "characteristic_function", counting)
     found = enumerate_topologies(category, "brute")
-    assert 2 * len(found) == len(counted) == calls
+    assert len(found) == len(counted) == calls
 
 
 def bit_strings(category):
@@ -437,6 +437,36 @@ def test_closed_sieves_match_the_incidence_tuple_reference(bitstring_levels_refe
     assert checked == 1 + 4 + 11
 
 
+@pytest.mark.parametrize("kind, words", [("reflgraph", 1), ("simplex:2", 4), ("simplex:3", 11)])
+def test_verify_names_the_degeneracy_square_of_each_10_word(
+    kind, words, bitstring_levels_reference
+):
+    # the reference maps of a word with "10" fail naturality, and the check
+    # names the generator and input sieve of the rejection's witness
+    category = build_index_category(kind)
+    omega = classifying_object(category)
+    rejected = [w for w in bit_strings(category) if "10" in w]
+    for word in rejected:
+        problem = verify_topology(LTTopology(omega, bitstring_levels_reference(omega, word)))
+        with pytest.raises(DegeneracyIncompatible) as err:
+            construct_bitstring_topology(category, word)
+        square = err.value.witness
+        assert problem is not None and problem.kind == "covering", (kind, word, problem)
+        x, g = problem.witness
+        assert problem.level == g.target and g == square["generator"], (kind, word)
+        assert omega.sieves[category.obj_index(g.target)][x] == square["input_sieve"], (kind, word)
+    assert len(rejected) == words
+
+
+def test_constrained_route_builds_no_omega_orbit_table():
+    # the check reads Omega's generator tables, never its orbit table
+    classifying_object.cache_clear()
+    for family, dim in itertools.product(("semisimplex", "simplex"), range(4)):
+        category = build_index_category(family, dim)
+        enumerate_topologies(category, "constrained")
+        assert classifying_object(category).as_presheaf()._orbit_cache is None, category.kind
+
+
 @pytest.fixture
 def lifted_sieve_bound(monkeypatch):
     """Lifts the sieve bound so Omega builds at dimension 4, and drops every
@@ -458,6 +488,27 @@ def test_closed_sieves_match_the_reference_in_dimension_four(
     assert len(valid) == words
     for word in valid:
         assert _bitstring_levels(omega, word) == bitstring_levels_reference(omega, word), word
+
+
+def test_dimension_four_topologies_verify_and_brute_agrees(lifted_sieve_bound):
+    # every constrained topology passes, a one-entry change at level 4
+    # fails, and on semisimplex:4 the brute route finds the same maps
+    for kind, count in (("semisimplex:4", 32), ("simplex:4", 6)):
+        category = build_index_category(kind)
+        omega = classifying_object(category)
+        top = omega.top[4]
+        found = enumerate_topologies(category, "constrained")
+        assert len(found) == count
+        for j in found:
+            assert verify_topology(j) is None, (kind, j.tag)
+            level = list(j.levels[4])
+            level[0] = 0 if level[0] == top else top
+            mutated = LTTopology(omega, j.levels[:4] + (tuple(level),))
+            assert verify_topology(mutated) is not None, (kind, j.tag)
+        if kind == "semisimplex:4":
+            brute = enumerate_topologies(category, "brute")
+            assert [j.levels for j in brute] == [j.levels for j in found]
+            assert [j.tag for j in brute] == [j.tag for j in found]
 
 
 def test_reflgraph_word_10_is_rejected_with_a_witness():
