@@ -384,22 +384,28 @@ def test_tags_read_off_m_match_the_boundary_reading(kind):
 
 
 @pytest.mark.parametrize(
-    "kind, dim, calls", [("semisimplex", 3, 16), ("simplex", 3, 5), ("bicolgraph", None, 8)]
+    "kind, dim, calls", [("semisimplex", 3, 32), ("simplex", 3, 10), ("bicolgraph", None, 16)]
 )
 def test_brute_route_builds_level_maps_only_for_topologies(kind, dim, calls, monkeypatch):
     # stability and transitivity prune every choice that is not a topology,
-    # so chi of the covering sieves is read once per topology, to build its
-    # level maps; the final check reads Omega's tables only
+    # so each complete choice makes one chi read, to build its level maps,
+    # and one check, which passes and reads Omega's tables only
     category = build_index_category(kind, dim)
     counted = []
 
-    def counting(sub, omega):
-        counted.append(sub)
+    def counting_chi(sub, omega):
+        counted.append("chi")
         return characteristic_function(sub, omega)
 
-    monkeypatch.setattr(topology_module, "characteristic_function", counting)
+    def counting_verify(j):
+        counted.append("verify")
+        return verify_topology(j)
+
+    monkeypatch.setattr(topology_module, "characteristic_function", counting_chi)
+    monkeypatch.setattr(topology_module, "verify_topology", counting_verify)
     found = enumerate_topologies(category, "brute")
-    assert len(found) == len(counted) == calls
+    assert counted == ["chi", "verify"] * len(found)
+    assert 2 * len(found) == len(counted) == calls
 
 
 def bit_strings(category):
