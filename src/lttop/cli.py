@@ -22,7 +22,7 @@ from .fincat import (
     build_index_category,
 )
 from .omega import classifying_object, hasse_covers, hasse_dot, sieve_label
-from .presheaf import BoundExceeded, enumerate_subpresheaves
+from .presheaf import BoundExceeded, Subpresheaf, subpresheaf_bits
 from .topology import (
     DegeneracyIncompatible,
     _closed_bits,
@@ -112,11 +112,7 @@ def _classify_fuzzy(args, out):
     if problem is not None:
         raise docio.DocumentError(f"map is not a nucleus: {problem}")
     B = docio.fuzzyset_from_doc(docio.load_json(args.input))
-    if B.algebra.size != algebra.size or any(
-        B.algebra.leq(a, b) != algebra.leq(a, b)
-        for a in range(algebra.size)
-        for b in range(algebra.size)
-    ):
+    if not B.algebra.same_order(algebra):
         raise docio.DocumentError("fuzzy set and nucleus use different algebras")
     op = fuzzy.QClosureOperator.from_nucleus(lattice.Nucleus(algebra, mapping))
     flags = fuzzy.classify_fuzzy(B, op)
@@ -194,11 +190,11 @@ def _first_closure_mismatch(category, topologies, corpus_bound):
     checked = 0
     for n, P in enumerate(closure_mod.presheaf_corpus(category, corpus_bound)):
         # every subobject of P is one lane of a single integer
-        subs = enumerate_subpresheaves(P)
+        subs = subpresheaf_bits(P)
         stride = P.total_size
         bits = lanes = 0
-        for s, sub in enumerate(subs):
-            bits |= sub.bits << s * stride
+        for s, sub_bits in enumerate(subs):
+            bits |= sub_bits << s * stride
             lanes |= 1 << s * stride
         first = None  # (lane, topology position) of the first mismatch
         for t, (j, m) in enumerate(zip(topologies, least)):
@@ -212,7 +208,8 @@ def _first_closure_mismatch(category, topologies, corpus_bound):
                     first = (s, t)
         if first is not None:
             s, t = first
-            return checked + s * len(topologies) + t + 1, (n, P, subs[s], topologies[t].tag)
+            witness = Subpresheaf(P, subs[s])
+            return checked + s * len(topologies) + t + 1, (n, P, witness, topologies[t].tag)
         checked += len(subs) * len(topologies)
     return checked, None
 

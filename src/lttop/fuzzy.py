@@ -95,16 +95,24 @@ class QClosureOperator(Record):
         return "trivial" if self.kind == "trivial" else f"nucleus {self.nucleus}"
 
 
+def _closed_at(op, L, a, s):
+    """The closure at one element of ambient membership a whose subobject
+    membership is s, or None where the subobject leaves it out: a under the
+    trivial operator, else (nucleus of s) meet a, and None stays None."""
+    if op.kind == "trivial":
+        return a
+    return None if s is None else L.meet(op.nucleus.mapping[s], a)
+
+
 def fuzzy_closure(op, sub):
     """Apply a closure operator to a fuzzy subobject: every element at its
     ambient membership (trivial), or the nucleus of the membership met with
     the ambient one."""
     A = sub.ambient
-    if op.kind == "trivial":
-        return full_subset(A)
     L = A.algebra
-    phi = op.nucleus.mapping
-    return FuzzySubset(A, tuple((i, L.meet(phi[m], A.membership[i])) for i, m in sub.members))
+    theirs = dict(sub.members)
+    closed = ((i, _closed_at(op, L, a, theirs.get(i))) for i, a in enumerate(A.membership))
+    return FuzzySubset(A, tuple((i, c) for i, c in closed if c is not None))
 
 
 def is_dense_fuzzy(op, sub):
@@ -159,6 +167,19 @@ class QClosureViolation(Record):
         return f"quasitopos closure axiom {self.axiom} fails: {self.context}"
 
 
+def _require_algebra(op, L):
+    """Refuse an operator whose nucleus orders its indices unlike L does."""
+    if op.kind == "nucleus" and not op.nucleus.algebra.same_order(L):
+        raise ValueError("the closure operator's nucleus lives over a different algebra")
+
+
+def _one_element(L, a):
+    """The one-element fuzzy set at membership a and its subobjects, as
+    ``fuzzy_corpus`` and ``subobjects_of`` list them."""
+    A = fuzzy_corpus(L, 1)[1 + a]
+    return A, subobjects_of(A)
+
+
 def verify_qclosure(op, L, max_carrier=1):
     """Check the five closure-operator axioms on the fuzzy sets over L with
     at most one element.  Returns None or the first violation found.
@@ -178,32 +199,62 @@ def verify_qclosure(op, L, max_carrier=1):
     one-element fuzzy set of the offending element alone.  The corpus lists
     those before any larger set, so the first violation is the one a larger
     bound would find, with the same context.
+
+    The check runs on pairs (a, s) of algebra indices: a is the element's
+    ambient membership and s its membership in the subobject, None when the
+    subobject leaves the element out, else some s <= a.  These pairs are
+    exactly the subobjects of the one-element set, listed in
+    ``subobjects_of`` order, and every axiom reads off them exactly:
+    closure is ``_closed_at``; s is below t when s is None, or t is not and
+    s <= t; a subobject is strong when s is None or s = a; and the one
+    carrier map from a' into b, which exists iff a' <= b, pulls s back to
+    a' meet s.  The empty fuzzy set is skipped: its one subobject passes
+    every axiom, and a square that involves it compares two subobjects of
+    the empty set, which are equal.  Fuzzy-set and subobject records are
+    built only for a violation's context, from the same positions of
+    ``fuzzy_corpus`` and ``subobjects_of``.
     """
-    corpus = fuzzy_corpus(L, min(max_carrier, 1))
-    for A in corpus:
-        for sub in subobjects_of(A):
-            closed = fuzzy_closure(op, sub)
-            if not sub.leq(closed):
-                return QClosureViolation("increasing", (A, sub))
-            if fuzzy_closure(op, closed) != closed:
-                return QClosureViolation("idempotent", (A, sub))
-            if sub.is_strong and not closed.is_strong:
-                return QClosureViolation("strongness", (A, sub))
-    for A in corpus:
-        subs = subobjects_of(A)
-        for s1 in subs:
-            for s2 in subs:
-                if s1.leq(s2) and not fuzzy_closure(op, s1).leq(fuzzy_closure(op, s2)):
-                    return QClosureViolation("monotone", (A, s1, s2))
-    for B in corpus:
-        subs_b = subobjects_of(B)
-        for A in corpus:
-            for mapping in fuzzy_morphisms(A, B):
-                for sub in subs_b:
-                    lhs = fuzzy_closure(op, pullback_fuzzy(A, B, mapping, sub))
-                    rhs = pullback_fuzzy(A, B, mapping, fuzzy_closure(op, sub))
-                    if lhs != rhs:
-                        return QClosureViolation("pullback-stability", (A, B, mapping, sub))
+    _require_algebra(op, L)
+    memberships = L.elements() if max_carrier >= 1 else ()
+    subs = [[None, *(s for s in L.elements() if L.leq(s, a))] for a in memberships]
+    closed = []
+
+    def below(s, t):
+        return s is None or (t is not None and L.leq(s, t))
+
+    for a in memberships:
+        closed.append([])
+        for k, s in enumerate(subs[a]):
+            c = _closed_at(op, L, a, s)
+            closed[a].append(c)
+            axiom = None
+            if not below(s, c):
+                axiom = "increasing"
+            elif _closed_at(op, L, a, c) != c:
+                axiom = "idempotent"
+            elif s in (None, a) and c not in (None, a):
+                axiom = "strongness"
+            if axiom is not None:
+                A, subs_a = _one_element(L, a)
+                return QClosureViolation(axiom, (A, subs_a[k]))
+    for a in memberships:
+        pairs = list(zip(subs[a], closed[a]))
+        for k1, (s1, c1) in enumerate(pairs):
+            for k2, (s2, c2) in enumerate(pairs):
+                if below(s1, s2) and not below(c1, c2):
+                    A, subs_a = _one_element(L, a)
+                    return QClosureViolation("monotone", (A, subs_a[k1], subs_a[k2]))
+    for b in memberships:
+        for a in memberships:
+            if not L.leq(a, b):
+                continue
+            for k, (s, c) in enumerate(zip(subs[b], closed[b])):
+                lhs = _closed_at(op, L, a, None if s is None else L.meet(a, s))
+                rhs = None if c is None else L.meet(a, c)
+                if lhs != rhs:
+                    A, _ = _one_element(L, a)
+                    B, subs_b = _one_element(L, b)
+                    return QClosureViolation("pullback-stability", (A, B, (0,), subs_b[k]))
     return None
 
 
@@ -220,6 +271,7 @@ def classify_fuzzy(B, op):
     element and the only sheaf is the one-element set at top.
     ``fuzzy_factorization_check`` is the brute-force reference for both.
     """
+    _require_algebra(op, B.algebra)
     if op.kind == "nucleus":
         image = set(op.nucleus.mapping)
         return {

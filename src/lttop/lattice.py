@@ -77,6 +77,11 @@ class FiniteHeytingAlgebra:
     def leq(self, a, b):
         return bool(self._up[a] >> b & 1)
 
+    def same_order(self, other):
+        """Whether ``other`` has the same elements in the same order; names
+        are not compared."""
+        return self._up == other._up
+
     def _derive(self):
         # the meet of a and b, when it exists, is the unique element whose
         # down-set equals down(a) & down(b); dually for joins via up-sets

@@ -332,8 +332,8 @@ def generated_subpresheaf(presheaf, seeds):
     return Subpresheaf(presheaf, bits)
 
 
-def enumerate_subpresheaves(presheaf):
-    """All action-closed level-wise subsets, sorted by their integers.
+def subpresheaf_bits(presheaf):
+    """The integers of all action-closed level-wise subsets, sorted.
 
     A subpresheaf is the union of the principal subpresheaves of its cells,
     so closing {empty} under joins with each distinct principal lists every
@@ -346,7 +346,12 @@ def enumerate_subpresheaves(presheaf):
     found = {0}
     for p in principals:
         found |= {s | p for s in found}
-    return tuple(Subpresheaf(presheaf, s) for s in sorted(found))
+    return sorted(found)
+
+
+def enumerate_subpresheaves(presheaf):
+    """All subpresheaves, sorted by their integers (``subpresheaf_bits``)."""
+    return tuple(Subpresheaf(presheaf, s) for s in subpresheaf_bits(presheaf))
 
 
 # -- Yoneda objects, faces, boundaries ---------------------------------

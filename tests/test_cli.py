@@ -375,6 +375,26 @@ def test_non_nucleus_map_is_an_input_error(tmp_path):
     assert code == 2 and "not a nucleus" in text
 
 
+def test_fuzzy_set_and_nucleus_over_different_algebras_is_an_input_error(tmp_path):
+    nucleus = write(tmp_path, "nucleus.json", NUCLEUS_DOC)
+    chain3 = write(
+        tmp_path,
+        "chain3.json",
+        {"algebra": "chain3", "carrier": ["a"], "membership": {"a": "1/2"}},
+    )
+    code, text = run(["classify", "--nucleus", nucleus, "--input", chain3])
+    assert (code, text) == (2, "error: fuzzy set and nucleus use different algebras\n")
+    # the same chain under other names is the same algebra
+    names = ["n0", "n1", "n2", "n3", "n4"]
+    renamed = {
+        "algebra": {"elements": names, "covers": [list(p) for p in zip(names, names[1:])]},
+        "carrier": ["a", "b"],
+        "membership": {"a": "n2", "b": "n4"},
+    }
+    code, text = run(["classify", "--nucleus", nucleus, "--input", write(tmp_path, "r.json", renamed)])
+    assert (code, text) == (0, "separated: True\nsheaf: True\n")
+
+
 def test_verify_fuzzy_suite():
     code, text = run(["verify", "--suite", "fuzzy"])
     assert code == 0
@@ -658,3 +678,27 @@ def test_first_closure_mismatch_takes_the_lowest_lane_first(monkeypatch):
     assert checked == before + s * T + t + 1
     sub = enumerate_subpresheaves(corpus[n])[s]
     assert mismatch == (n, corpus[n], sub, topologies[t].tag)
+
+
+def test_first_closure_mismatch_builds_no_subpresheaf_when_the_routes_agree(monkeypatch):
+    # the lanes are read off the subobject integers; a Subpresheaf is built
+    # only for a mismatch witness
+    from lttop import cli
+    from lttop.closure import presheaf_corpus
+    from lttop.fincat import build_index_category
+    from lttop.topology import enumerate_topologies
+
+    category = build_index_category("graph")
+    topologies = enumerate_topologies(category)
+    presheaf_corpus(category, 4)
+    built = []
+    init = Subpresheaf.__init__
+
+    def counted_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Subpresheaf, "__init__", counted_init)
+    checked, mismatch = cli._first_closure_mismatch(category, topologies, 4)
+    assert mismatch is None and checked > 0
+    assert built == []

@@ -5,8 +5,9 @@ import itertools
 
 import pytest
 
+from lttop import docio, fuzzy
 from lttop.docio import NAMED_ALGEBRAS
-from lttop.lattice import Nucleus, chain, diamond, enumerate_nuclei
+from lttop.lattice import Nucleus, chain, diamond, enumerate_nuclei, pentagon
 from lttop.fuzzy import (
     FuzzySet,
     FuzzySubset,
@@ -128,6 +129,64 @@ def test_verify_qclosure_follows_the_algebra_and_the_bounds(verify_qclosure_refe
             assert got == want, (str(op), max_carrier)
             axioms.add(None if got is None else got.axiom)
     assert axioms >= {None, "increasing", "monotone", "pullback-stability"}
+
+
+def test_verify_qclosure_matches_the_reference_on_chain4_and_the_pentagon(
+    verify_qclosure_reference,
+):
+    # every endomap of two larger algebras, one of them not distributive,
+    # at the bound where the reference walks the same one-element sets
+    axioms = set()
+    for algebra in (docio.NAMED_ALGEBRAS["chain4"](), pentagon()):
+        ops = [QClosureOperator.trivial()] + [
+            nucleus_op(Nucleus(algebra, mapping))
+            for mapping in itertools.product(algebra.elements(), repeat=algebra.size)
+        ]
+        for op in ops:
+            got = verify_qclosure(op, algebra, 1)
+            assert got == verify_qclosure_reference(op, algebra, 1), str(op)
+            axioms.add(None if got is None else got.axiom)
+    assert axioms >= {"idempotent", "monotone", "pullback-stability"}
+
+
+def test_a_passing_check_builds_no_fuzzy_subobject(monkeypatch):
+    # the check runs on (membership, sub-membership) pairs; records are
+    # built only for a violation's context
+    calls = []
+    init = FuzzySubset.__init__
+
+    def counted_init(self, *args):
+        calls.append("FuzzySubset")
+        init(self, *args)
+
+    def counted(name):
+        def never(*args):
+            calls.append(name)
+
+        return never
+
+    monkeypatch.setattr(FuzzySubset, "__init__", counted_init)
+    monkeypatch.setattr(fuzzy, "fuzzy_closure", counted("fuzzy_closure"))
+    monkeypatch.setattr(fuzzy, "pullback_fuzzy", counted("pullback_fuzzy"))
+    ops = [QClosureOperator.trivial()] + [nucleus_op(nu) for nu in enumerate_nuclei(CHAIN5)]
+    for op in ops:
+        assert verify_qclosure(op, CHAIN5, max_carrier=3) is None
+    assert calls == []
+
+
+def test_an_operator_over_another_algebra_is_refused():
+    op = nucleus_op(Nucleus(CHAIN3, (1, 1, 2)))
+    with pytest.raises(ValueError, match="different algebra"):
+        verify_qclosure(op, CHAIN5)
+    with pytest.raises(ValueError, match="different algebra"):
+        classify_fuzzy(FuzzySet(CHAIN5, ("a",), (1,)), op)
+    # a copy of the algebra with other names orders the same elements
+    renamed = chain(3, ("lo", "mid", "hi"))
+    assert verify_qclosure(op, renamed) is None
+    assert classify_fuzzy(FuzzySet(renamed, ("a",), (0,)), op) == {
+        "separated": True,
+        "sheaf": False,
+    }
 
 
 def test_corpus_names_every_element():

@@ -243,3 +243,10 @@ def test_defective_orders_report_the_same_violations():
         ("a", "b", "c", "d"), [("a", "c"), ("a", "d"), ("b", "c"), ("b", "d")]
     )
     assert verify_heyting(unbounded) == LawViolation("bounds", ())
+
+
+def test_same_order_ignores_names_and_compares_every_pair():
+    assert chain(3).same_order(chain(3, ("lo", "mid", "hi")))
+    assert not chain(3).same_order(chain(4))
+    assert not chain(4).same_order(diamond())
+    assert diamond().same_order(diamond())
