@@ -5,11 +5,13 @@ Subcommands: ``omega`` (print or export classifying objects), ``topologies``
 ``classify`` (separated/complete/sheaf flags for presheaves or fuzzy sets),
 and ``verify`` (the theorem-verification suites).
 
-Exit codes: 0 ok, 1 verification failure, 2 input error or an exceeded
-size bound.  All output is deterministic for fixed inputs and flags.
+Exit codes: 0 ok, 1 verification failure, 2 input error, an exceeded
+size bound, or output closed early.  All output is deterministic for fixed
+inputs and flags.
 """
 
 import argparse
+import os
 import sys
 
 from . import closure as closure_mod
@@ -349,7 +351,17 @@ def main(argv=None, out=None):
     try:
         if args.max_dim < 0:
             raise ValueError(f"--max-dim must be >= 0, got {args.max_dim}")
-        return args.func(args, out)
+        code = args.func(args, out)
+        out.flush()
+        return code
+    except BrokenPipeError:
+        # the reader has gone (``lttop ... | head``): write nothing more, and
+        # send what is still buffered to os.devnull so the shutdown flush
+        # stays quiet
+        if out is sys.stdout:
+            with open(os.devnull, "wb") as devnull:
+                os.dup2(devnull.fileno(), out.fileno())
+        return INPUT_ERROR
     except DimensionCapExceeded as exc:
         out.write(
             f"error: dimension {exc.dim} exceeds the cap {exc.cap}; "

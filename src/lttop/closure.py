@@ -262,7 +262,61 @@ def _size_vectors(category, max_total):
 
 def _is_least(category, sizes, tables):
     """Whether no per-level renaming sends ``tables`` to a table tuple that
-    sorts before it.
+    sorts before it: ``_next_ties`` folded over the tables, from the empty
+    naming."""
+    ends = _generator_ends(category)
+    offsets = _level_offsets(sizes)
+    states = [_empty_naming(sizes)]
+    for (src, tgt), table in zip(ends, tables):
+        states = _next_ties(states, table, src, tgt, offsets, sizes)
+        if states is None:
+            return False
+    return True
+
+
+def _generator_ends(category):
+    # per generator g: a -> b, the level indices of a and b
+    return [
+        (category.obj_index(g.source), category.obj_index(g.target)) for g in category.generators
+    ]
+
+
+def _level_offsets(sizes):
+    # level c's cells sit at offsets[c] .. offsets[c] + sizes[c] - 1 of a flat naming
+    return [sum(sizes[:c]) for c in range(len(sizes))]
+
+
+def _empty_naming(sizes):
+    unnamed = (None,) * sum(sizes)
+    return unnamed, unnamed, (0,) * len(sizes)
+
+
+def _next_ties(states, table, src, tgt, offsets, sizes):
+    """The tie states of a table prefix extended by ``table``, or None when
+    some renaming sorts the extended prefix lower.
+
+    A tie state of a prefix is a partial per-level renaming under which the
+    renamed prefix equals the prefix.  It is three tuples over one flat
+    layout of every level's cells, indexed by level offset plus cell:
+    ``name`` (cell -> new name), ``cell`` (new name -> cell), and
+    ``given`` (per level, names 0 .. given - 1 are taken).  ``table``
+    belongs to a generator g: a -> b with a at level ``src`` and b at level
+    ``tgt``; each state is extended over its positions only (``_tie``).
+    """
+    if not table:
+        return states
+    so, to, n = offsets[src], offsets[tgt], sizes[tgt]
+    ties = []
+    for name, cell, given in states:
+        if _tie(table, 0, src, tgt, so, to, n, list(name), list(cell), list(given), ties):
+            return None
+    return ties
+
+
+def _tie(table, i, src, tgt, so, to, n, name, cell, given, ties):
+    """Whether some extension of the naming sorts ``table`` lower from
+    position i on; each extension that ties the whole table is appended to
+    ``ties``.
 
     Renaming level c by a permutation p_c sends the table t of a generator
     g: a -> b to t' with t'[p_b[x]] = p_a[t[x]].  The search fixes a
@@ -271,59 +325,43 @@ def _is_least(category, sizes, tables):
     already holds name i), and names t[x] with the least name still free on
     a if it has none, since any other would sort later.  It stops at the
     first entry below the candidate's and drops a branch at the first entry
-    above it, so only renamings that tie so far are extended.
+    above it, so only renamings that tie so far are extended.  A branch
+    that stops early leaves the naming changed; the caller drops it.
     """
-    ends = [
-        (category.obj_index(g.source), category.obj_index(g.target)) for g in category.generators
-    ]
-    name = [[None] * n for n in sizes]  # per level: cell -> new name
-    cell = [[None] * n for n in sizes]  # per level: new name -> cell
-    given = [0] * len(sizes)  # per level: names 0 .. given - 1 are taken
-
-    def take(level, x):
-        name[level][x] = given[level]
-        cell[level][given[level]] = x
-        given[level] += 1
-
-    def drop(level, x):
-        given[level] -= 1
-        cell[level][given[level]] = name[level][x] = None
-
-    def beaten(pos, i):
-        # entries before position i of table pos tie with the candidate's
-        while pos < len(tables) and i == len(tables[pos]):
-            pos, i = pos + 1, 0
-        if pos == len(tables):
-            return False
-        tgt = ends[pos][1]
-        if cell[tgt][i] is not None:
-            return lands(pos, i, cell[tgt][i])
-        for x in range(sizes[tgt]):
-            if name[tgt][x] is None:
-                take(tgt, x)  # names are taken in order, so x gets name i
-                hit = lands(pos, i, x)
-                drop(tgt, x)
-                if hit:
-                    return True
+    if i == n:
+        ties.append((tuple(name), tuple(cell), tuple(given)))
         return False
-
-    def lands(pos, i, x):
-        # entry i of the renamed table pos, with cell x on position i
-        src = ends[pos][0]
-        y = tables[pos][x]
-        want = tables[pos][i]
-        new = name[src][y]
+    want = table[i]
+    held = cell[to + i]
+    fresh = held is None
+    # positions 0 .. i - 1 hold names 0 .. i - 1, so a fresh x gets name i
+    for x in [x for x in range(n) if name[to + x] is None] if fresh else (held,):
+        if fresh:
+            name[to + x] = i
+            cell[to + i] = x
+            given[tgt] = i + 1
+        y = so + table[x]
+        new = name[y]
         if new is None:
             new = given[src]
-            if new != want:
-                return new < want
-            take(src, y)
-            hit = beaten(pos, i + 1)
-            drop(src, y)
-            return hit
-        return new < want if new != want else beaten(pos, i + 1)
-
-    return not beaten(0, 0)
+            if new < want:
+                return True
+            if new == want:
+                name[y] = new
+                cell[so + new] = y - so
+                given[src] = new + 1
+                if _tie(table, i + 1, src, tgt, so, to, n, name, cell, given, ties):
+                    return True
+                given[src] = new
+                cell[so + new] = name[y] = None
+        elif new < want:
+            return True
+        elif new == want and _tie(table, i + 1, src, tgt, so, to, n, name, cell, given, ties):
+            return True
+        if fresh:
+            given[tgt] = i
+            cell[to + i] = name[to + x] = None
+    return False
 
 
 def _pair_checks(category):
@@ -374,21 +412,26 @@ def presheaf_corpus(category, max_total):
     The test runs on every prefix of tables, and only a least prefix is
     extended.  That is exact: every table of a size vector has a fixed
     length, so a renaming that sorts a prefix lower sorts each completion
-    of it lower too, and a least tuple has only least prefixes.  The last
-    prefix is the whole tuple, so the same presheaves come out in the same
-    order.  Built once per (category, max_total); categories are cached
-    singletons.
+    of it lower too, and a least tuple has only least prefixes.  Each least
+    prefix carries its tie states forward (``_next_ties``), and a new table
+    is compared only under the renamings that tie the prefix.  That is
+    exact too: a renaming that sorts a completion lower either sorts the
+    prefix lower, which the prefix's own test has ruled out, or ties on it,
+    and the search reaches it from a tie state.  The last prefix is the
+    whole tuple, so the same presheaves come out in the same order.  Built
+    once per (category, max_total); categories are cached singletons.
     """
     gens = list(category.generators)
-    ends = [(category.obj_index(g.source), category.obj_index(g.target)) for g in gens]
+    ends = _generator_ends(category)
     checks = _pair_checks(category)
     corpus = []
     for sizes in _size_vectors(category, max_total):
         if any(sizes[tgt] > 0 and sizes[src] == 0 for src, tgt in ends):
             continue
+        offsets = _level_offsets(sizes)
         tables = [None] * len(gens)
 
-        def assign(pos):
+        def assign(pos, states):
             if pos == len(gens):
                 carriers = {c: tuple(range(n)) for c, n in zip(category.objects, sizes)}
                 try:
@@ -399,12 +442,12 @@ def presheaf_corpus(category, max_total):
             src, tgt = ends[pos]
             for table in itertools.product(range(sizes[src]), repeat=sizes[tgt]):
                 tables[pos] = table
-                if all(
-                    _run_pair_check(tables, check, sizes) for check in checks[pos]
-                ) and _is_least(category, sizes, tuple(tables[: pos + 1])):
-                    assign(pos + 1)
+                if all(_run_pair_check(tables, check, sizes) for check in checks[pos]):
+                    ties = _next_ties(states, table, src, tgt, offsets, sizes)
+                    if ties is not None:
+                        assign(pos + 1, ties)
 
-        assign(0)
+        assign(0, [_empty_naming(sizes)])
     corpus.sort(key=lambda P: (P.total_size, tuple(len(l) for l in P.carriers)))
     return tuple(corpus)
 

@@ -245,10 +245,13 @@ class FiniteIndexCategory:
         self.family = family
         self.dim = dim
         self.objects = tuple(objects)
-        self._hom = {pair: tuple(ms) for pair, ms in hom.items()}
         self.generators = tuple(generators)
+        self._identities = {c: identity_fn(c) for c in self.objects}
+        # the hom sets hold the generator and identity objects themselves, so
+        # a table keyed by one finds the other without calling __eq__
+        own = {f: f for f in (*self.generators, *self._identities.values())}
+        self._hom = {pair: tuple(own.get(f, f) for f in ms) for pair, ms in hom.items()}
         self._compose = compose_fn
-        self._identity = identity_fn
         self._factor = factor_fn
         self._obj_index = {c: i for i, c in enumerate(self.objects)}
 
@@ -262,7 +265,7 @@ class FiniteIndexCategory:
         return self._hom.get((a, b), ())
 
     def identity(self, c):
-        return self._identity(c)
+        return self._identities[c]
 
     def compose(self, g, f):
         """g after f for f: a -> b, g: b -> c."""

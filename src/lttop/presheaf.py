@@ -217,9 +217,11 @@ def _factorizations(category):
 
 @lru_cache(maxsize=None)
 def _generator_composites(category):
-    """(f, g, g o f) for every generator g and every f into g's source."""
+    """(f, g, g o f) for every generator g and every f into g's source, each
+    the hom set's own morphism."""
+    own = {f: f for f in category.all_morphisms()}
     return tuple(
-        (f, g, category.compose(g, f))
+        (f, g, own[category.compose(g, f)])
         for g in category.generators
         for a in category.objects
         for f in category.hom(a, g.source)

@@ -273,6 +273,81 @@ def corpus_reference():
     return _keyed_corpus
 
 
+def _is_least_reference(category, sizes, tables):
+    """Whether no per-level renaming sends ``tables`` to a table tuple that
+    sorts before it.
+
+    Renaming level c by a permutation p_c sends the table t of a generator
+    g: a -> b to t' with t'[p_b[x]] = p_a[t[x]].  The search fixes a
+    renaming one entry of t' at a time, in the order the tuple sorts by:
+    for position i of b it tries each cell x not yet named (unless one
+    already holds name i), and names t[x] with the least name still free on
+    a if it has none, since any other would sort later.  It stops at the
+    first entry below the candidate's and drops a branch at the first entry
+    above it, so only renamings that tie so far are extended.
+
+    The whole search reruns from the empty naming on each call: the
+    reference for ``closure._is_least``, which folds the per-table step of
+    the orderly corpus search over the tables.
+    """
+    ends = [
+        (category.obj_index(g.source), category.obj_index(g.target)) for g in category.generators
+    ]
+    name = [[None] * n for n in sizes]  # per level: cell -> new name
+    cell = [[None] * n for n in sizes]  # per level: new name -> cell
+    given = [0] * len(sizes)  # per level: names 0 .. given - 1 are taken
+
+    def take(level, x):
+        name[level][x] = given[level]
+        cell[level][given[level]] = x
+        given[level] += 1
+
+    def drop(level, x):
+        given[level] -= 1
+        cell[level][given[level]] = name[level][x] = None
+
+    def beaten(pos, i):
+        # entries before position i of table pos tie with the candidate's
+        while pos < len(tables) and i == len(tables[pos]):
+            pos, i = pos + 1, 0
+        if pos == len(tables):
+            return False
+        tgt = ends[pos][1]
+        if cell[tgt][i] is not None:
+            return lands(pos, i, cell[tgt][i])
+        for x in range(sizes[tgt]):
+            if name[tgt][x] is None:
+                take(tgt, x)  # names are taken in order, so x gets name i
+                hit = lands(pos, i, x)
+                drop(tgt, x)
+                if hit:
+                    return True
+        return False
+
+    def lands(pos, i, x):
+        # entry i of the renamed table pos, with cell x on position i
+        src = ends[pos][0]
+        y = tables[pos][x]
+        want = tables[pos][i]
+        new = name[src][y]
+        if new is None:
+            new = given[src]
+            if new != want:
+                return new < want
+            take(src, y)
+            hit = beaten(pos, i + 1)
+            drop(src, y)
+            return hit
+        return new < want if new != want else beaten(pos, i + 1)
+
+    return not beaten(0, 0)
+
+
+@pytest.fixture(scope="session")
+def is_least_reference():
+    return _is_least_reference
+
+
 def _reference_ambients(category, max_total):
     """The corpus up to ``max_total`` elements plus every Yoneda object: the
     ambients of the key-table factorization reference."""

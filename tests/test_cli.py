@@ -8,6 +8,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+try:
+    import fcntl
+except ImportError:  # not on Windows
+    fcntl = None
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -115,6 +120,24 @@ def test_cli_start_up_imports_neither_dataclasses_nor_inspect():
     code, loaded = json.loads(lines[-1])
     assert code == 0 and "lttop.cli" in loaded
     assert "dataclasses" not in loaded and "inspect" not in loaded
+
+
+@pytest.mark.skipif(not hasattr(fcntl, "F_SETPIPE_SZ"), reason="needs a resizable pipe")
+def test_a_reader_that_leaves_early_gets_no_traceback():
+    # like `lttop omega ... | head -1`: the pipe holds one page, so the CLI
+    # is still writing when the reader closes it after the first line
+    src = str(Path(lttop.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    read_end, write_end = os.pipe()
+    fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+    command = [sys.executable, "-m", "lttop.cli", "omega", "--category", "simplex:3", "--level", "3"]
+    with subprocess.Popen(command, stdout=write_end, stderr=subprocess.PIPE, env=env) as proc:
+        os.close(write_end)
+        with open(read_end, "rb", buffering=0) as reader:
+            assert reader.readline() == b"levels: 2, 5, 19, 167\n"
+        stderr = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 2
+    assert "Traceback" not in stderr, stderr
 
 
 def test_max_dim_is_validated_and_named_in_the_cap_error():

@@ -541,6 +541,21 @@ def test_least_table_tuples_have_only_least_prefixes(kind, raw_corpus):
     assert least == len(presheaf_corpus(category, 4))
 
 
+@pytest.mark.parametrize("kind", ["graph", "reflgraph", "semisimplex:2", "bicolgraph"])
+def test_tie_states_give_the_whole_search_verdict_on_every_prefix(
+    kind, raw_corpus, is_least_reference
+):
+    # _is_least carries a prefix's tie states from table to table; the
+    # reference reruns the whole renaming search from the empty naming
+    category = build_index_category(kind)
+    for P in raw_corpus(category, 4):
+        sizes = tuple(len(level) for level in P.carriers)
+        tables = tuple(P.action_table(g) for g in category.generators)
+        for pos in range(len(tables) + 1):
+            expected = is_least_reference(category, sizes, tables[:pos])
+            assert closure._is_least(category, sizes, tables[:pos]) == expected, (P, pos)
+
+
 def test_every_presheaf_has_its_class_in_the_deduplicated_corpus(canonical_key, raw_corpus):
     kept = [canonical_key(P) for P in presheaf_corpus(GRAPH, 4)]
     assert len(set(kept)) == len(kept)

@@ -83,6 +83,35 @@ def test_nucleus_bound(monkeypatch):
         enumerate_nuclei(boolean(2))
 
 
+def join_irreducibles(L):
+    """The elements that are not the join of the elements strictly below
+    them (so not the bottom, the empty join), read off the order."""
+    found = []
+    for a in L.elements():
+        below = L.bottom
+        for b in L.elements():
+            if b != a and L.leq(b, a):
+                below = L.join(below, b)
+        if below != a:
+            found.append(a)
+    return found
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: chain(2), lambda: chain(3), lambda: chain(4), lambda: chain(5), diamond],
+    ids=["chain2", "chain3", "chain4", "chain5", "diamond"],
+)
+def test_a_distributive_algebra_has_one_nucleus_per_set_of_join_irreducibles(make):
+    # the nuclei of a finite distributive lattice L correspond to the
+    # subsets of its join-irreducibles J(L): 2^(n - 1) on chain n, 4 on the
+    # diamond
+    L = make()
+    for a, b, c in itertools.product(L.elements(), repeat=3):
+        assert L.meet(a, L.join(b, c)) == L.join(L.meet(a, b), L.meet(a, c)), (a, b, c)
+    assert len(enumerate_nuclei(L)) == 2 ** len(join_irreducibles(L))
+
+
 def test_verify_nucleus_examples():
     L = chain(3)
     identity = tuple(L.elements())
