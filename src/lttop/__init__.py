@@ -59,6 +59,7 @@ from .closure import (
     closure_recursive,
     closure_via_chi,
     factorization_check,
+    factorization_checks,
     is_dense_by_bits,
     is_dense_via_closure,
     k_complete,

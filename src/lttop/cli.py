@@ -181,7 +181,8 @@ def _first_closure_mismatch(category, topologies, corpus_bound):
 
     The instances run in corpus order, then subobject order, then topology
     order.  All subobjects of one corpus presheaf P are lanes of one
-    integer, so each route runs once per (P, topology); the first failing
+    integer, so the recursive route runs once per (P, topology) and the chi
+    route once per P, sharing each (level, m_c) part; the first failing
     instance of P is the lowest lane that differs under any topology, and
     within that lane the first such topology.  Returns the number of
     instances checked up to and including it and that (n, P, sub, word),
@@ -199,10 +200,9 @@ def _first_closure_mismatch(category, topologies, corpus_bound):
             bits |= sub_bits << s * stride
             lanes |= 1 << s * stride
         first = None  # (lane, topology position) of the first mismatch
-        for t, (j, m) in enumerate(zip(topologies, least)):
-            diff = closure_mod._closure_bits(m, P, bits, lanes) ^ _closed_bits(
-                j.tag, P, bits, lanes
-            )
+        chis = closure_mod._closures_bits(least, P, bits, lanes)
+        for t, (j, chi) in enumerate(zip(topologies, chis)):
+            diff = chi ^ _closed_bits(j.tag, P, bits, lanes)
             if diff:
                 # the empty presheaf has one lane, 0 bits wide
                 s = ((diff & -diff).bit_length() - 1) // stride if stride else 0
@@ -224,9 +224,8 @@ def _suite_criteria(out, corpus_bound):
         corpus = closure_mod.presheaf_corpus(category, corpus_bound)
         disagreements = 0
         for B in corpus:
-            for j in topologies:
+            for j, observed in zip(topologies, closure_mod.factorization_checks(B, topologies)):
                 predicted = closure_mod.classify(B, j.tag)
-                observed = closure_mod.factorization_check(B, j)
                 if (
                     predicted.separated != observed.separated
                     or predicted.complete != observed.complete

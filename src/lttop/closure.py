@@ -7,24 +7,30 @@ string (copy a level, or fill every cell whose faces already lie in the
 closed level below).  A topology's covering sieves at c are the sieves
 above its least covering sieve m_c (``topology.least_covering_sieves``),
 so the chi route keeps a cell x of level c iff chi(x) = x*A' >= m_c, that
-is, iff x.f lies in A' for every f in m_c, and looks nothing up in Omega
-once m is read (``_closure_bits``).  Both kernels, ``_closure_bits`` here
-and ``topology._closed_bits``, close many subobjects of one presheaf at
-once, one per lane of a single integer: every subobject shares the
-presheaf's orbits, its closure plan and each topology's m, so the closures
-suite runs each route once per (presheaf, topology).  The bit-string level
-maps are the same recursion run on the sieves of the representables, so
-comparing the two routes (the closures suite) checks that the recursion
-commutes with pullback; the level maps themselves are checked
-independently by the constrained enumeration agreeing with the brute one.
+is, iff x.g lies in A' for every g of a generating set of m_c (A' is
+action-closed), and looks nothing up in Omega once m is read
+(``_closures_bits``).  Both kernels, ``_closures_bits`` here and
+``topology._closed_bits``, close many subobjects of one presheaf at once,
+one per lane of a single integer: every subobject shares the presheaf's
+orbits and closure plan.  A topology acts on level c only through m_c, so
+the chi kernel takes every topology of the closures suite at once and
+computes each (level, m_c) part once per presheaf; the recursive route
+runs once per (presheaf, topology).  The bit-string level maps are the
+same recursion run on the sieves of the representables, so comparing the
+two routes (the closures suite) checks that the recursion commutes with
+pullback; the level maps themselves are checked independently by the
+constrained enumeration agreeing with the brute one.
 
 The classifier decides separated/complete/sheaf from cell counts over
-incidence tuples; ``factorization_check`` is its counterpart from the
-definition: for every level c it extends every map out of each dense
-proper sieve S on c (S >= m_c) along S -> y(c), through the Yoneda search of
-``presheaf.morphism_search``, and counts the extensions (at most one for
-separated, exactly one for a sheaf).  The representables suffice, so no
-corpus of ambient presheaves and no size bound is involved.
+incidence tuples; ``factorization_checks`` is its counterpart from the
+definition: for every level c and every dense proper sieve S on c
+(S >= m_c) it lists the maps f: S -> B through the Yoneda search of
+``presheaf.morphism_search`` and counts the cells of B(c) whose
+restriction to S is f, which by Yoneda are the extensions of f along
+S -> y(c) (at most one for separated, exactly one for a sheaf).  Each
+(level, dense sieve) is searched once and shared by every topology that
+reaches it.  The representables suffice, so no corpus of ambient
+presheaves and no size bound is involved.
 """
 
 import itertools
@@ -38,10 +44,12 @@ from .presheaf import (
     FunctorialityError,
     PresheafMorphism,
     Subpresheaf,
+    _principal,
     _simplex_faces,
     components_of,
     morphism_search,
     parallel_cells,
+    yoneda,
 )
 from .topology import DegeneracyIncompatible, _check_word, _closed_bits, least_covering_sieves
 
@@ -65,26 +73,77 @@ def closure_via_chi(j, sub):
 def _closure_bits(least, A, bits, lanes=1):
     """The closures of subobjects of A under the topology with least
     covering sieves ``least`` (``least_covering_sieves``), one per lane as
-    in ``topology._closed_bits``.
+    in ``topology._closed_bits``: the one-topology call of
+    ``_closures_bits``."""
+    return _closures_bits([least], A, bits, lanes)[0]
+
+
+def _closures_bits(leasts, A, bits, lanes=1):
+    """For each tuple of least covering sieves in ``leasts``, the closures
+    of subobjects of A under that topology, one per lane.
 
     A cell x of level c stays in a lane iff x.f lies in that lane for every
-    f in m_c: the AND of ``bits >> p`` over the orbit positions p of x
-    (``FinitePresheaf.sieve_orbits``) that m_c selects.
+    f in m_c.  Every lane is action-closed, x.(g o h) = (x.g).h, so it is
+    enough that x.g lies in it for each g of a generating set of m_c
+    (``_generator_positions``): the AND of ``bits >> p`` over those orbit
+    positions p of x (``FinitePresheaf.sieve_orbits``).  A topology acts on
+    level c only through m_c, so each (level, m_c) part is computed once
+    and shared by the topologies with that m_c.
     """
+    category = A.category
     # the orbit table is keyed by every cell of A, in level order
-    orbits = iter(A.sieve_orbits().values())
-    closed = 0
-    for level, offset, m in zip(A.carriers, A.bit_offsets(), least):
-        for x, orbit in zip(range(len(level)), orbits):
-            if not x:
-                # the orbit lists y(c)'s cells from its highest bit down
-                top = len(orbit) - 1
-                chosen = [top - b for b in range(m.bit_length()) if m >> b & 1]
-            keep = lanes
-            for i in chosen:
-                keep &= bits >> orbit[i]
-            closed |= keep << offset + x
+    orbits = tuple(A.sieve_orbits().values())
+    closed = [0] * len(leasts)
+    start = 0
+    for pos, (level, offset) in enumerate(zip(A.carriers, A.bit_offsets())):
+        cells = orbits[start : start + len(level)]
+        start += len(level)
+        parts = {}
+        for t, least in enumerate(leasts):
+            m = least[pos]
+            part = parts.get(m)
+            if part is None:
+                chosen = _generator_positions(category, pos, m)
+                part = 0
+                for x, orbit in enumerate(cells):
+                    keep = lanes
+                    for i in chosen:
+                        keep &= bits >> orbit[i]
+                    part |= keep << offset + x
+                parts[m] = part
+            closed[t] |= part
     return closed
+
+
+@lru_cache(maxsize=None)
+def _generator_positions(category, pos, m):
+    """The orbit positions (``FinitePresheaf.sieve_orbits``) of a set of
+    cells of y(c), c the object at ``pos``, whose principal sieves join to
+    the sieve m.
+
+    Chosen greedily: the cells of m by decreasing principal sieve, each
+    skipped when an earlier choice already covers it.  Dropping every cell
+    that lies in another cell's principal sieve would be wrong: two cells
+    can generate each other (on reflgraph, s and s.r), and both would go.
+    """
+    yc = yoneda(category, category.objects[pos])
+    # the orbit lists y(c)'s cells from its highest bit down
+    top = yc.total_size - 1
+    offsets = yc.bit_offsets()
+    principals = [
+        (offsets[yc.obj_index(l)] + x, _principal(orbit))
+        for (l, x), orbit in yc.sieve_orbits().items()
+    ]
+    principals = [(b, p) for b, p in principals if m >> b & 1]
+    principals.sort(key=lambda cell: -cell[1].bit_count())
+    covered = 0
+    chosen = []
+    for b, principal in principals:
+        if not covered >> b & 1:
+            covered |= principal
+            chosen.append(top - b)
+    assert covered == m, (category.kind, pos, m)
+    return tuple(chosen)
 
 
 def closure_recursive(word, sub):
@@ -452,7 +511,7 @@ def presheaf_corpus(category, max_total):
     return tuple(corpus)
 
 
-# -- factorization oracle: extending maps along dense monos ----------------
+# -- factorization oracle: maps out of dense sieves, by restriction -------
 
 
 class FactorizationReport(Record):
@@ -460,16 +519,29 @@ class FactorizationReport(Record):
 
 
 def factorization_check(B, j):
-    """Decide separated and complete by extending maps along dense sieves.
+    """Decide separated and complete by extending maps along dense sieves:
+    the one-topology call of ``factorization_checks``."""
+    return factorization_checks(B, [j])[0]
+
+
+def factorization_checks(B, topologies):
+    """One ``FactorizationReport`` per topology: separated and complete,
+    decided by extending maps along dense sieves.
 
     For the Grothendieck topology J of j, B is separated (a sheaf) iff
     every map S -> B out of a covering sieve S on c extends at most once
     (exactly once) along S -> y(c) (Mac Lane & Moerdijk, Sheaves in
     Geometry and Logic, III.4 and V.3-V.4).  The covering sieves are the
     dense ones, S >= m_c (``least_covering_sieves``); the top sieve needs
-    no check.
-    One Yoneda search lists each f: S -> B and then continues over y(c)'s
-    other cells, stopping at two extensions.
+    no check.  By Yoneda the maps y(c) -> B are the cells b of B(c), so
+    the extensions of f are the cells whose restriction b|S is f: one
+    Yoneda search (``presheaf.morphism_search``) lists the maps f out of
+    S, and each is looked up among the cells of B(c) keyed by their
+    restriction, read off ``B.sieve_orbits()``.  No cell means B is not
+    complete, two or more that it is not separated.  A topology acts on
+    level c only through m_c, so each (level, dense sieve) that some
+    topology reaches is searched and keyed once, and the topologies share
+    it.
 
     Complete on its own needs only the representables too, in these
     categories.  Every cell is a degeneracy of a unique nondegenerate cell
@@ -482,42 +554,71 @@ def factorization_check(B, j):
     level, and the surjective h outside it have distinct images x.h, so a
     map on the sieve extends to A'' plus x exactly as it extends to y(k).
 
-    Witnesses are (y(c), S, f) and (y(c), S, f, (g1, g2)), with f given by
-    its components on S's cells and g1 != g2 maps y(c) -> B that agree on
-    S.  More than ``DEFAULT_SEARCH_BUDGET`` maps f out of the dense sieves
-    on one c raise ``CorpusTooLarge``.
+    Each topology scans its dense sieves level by level, in sieve order,
+    and stops once it has both witnesses.  Witnesses are (y(c), S, f) and
+    (y(c), S, f, (g1, g2)), with f given by its components on S's cells
+    and g1 != g2 the maps y(c) -> B of the two lowest-indexed cells of
+    B(c) whose restriction to S is f.  More than ``DEFAULT_SEARCH_BUDGET``
+    maps f out of one topology's dense sieves on one c raise
+    ``CorpusTooLarge``.
     """
     budget = DEFAULT_SEARCH_BUDGET
+    orbits = B.sieve_orbits()
+    memo = {}
+
+    def maps_out_of(pos, yc, bits):
+        # the first budget + 1 maps f: S -> B, each as its image over y(c)'s
+        # bits (None off S), with the images of the maps y(c) -> B, in cell
+        # order, that restrict to it
+        if (pos, bits) not in memo:
+            c = B.category.objects[pos]
+            outside = [p for p in range(yc.total_size) if not bits >> p & 1]
+            extensions = {}
+            for b in range(len(B.carriers[pos])):
+                # the map y(c) -> B of b sends y(c)'s bit top - i to orbit[i]
+                g = orbits[(c, b)][::-1]
+                f = list(g)
+                for p in outside:
+                    f[p] = None
+                extensions.setdefault(tuple(f), []).append(g)
+            memo[pos, bits] = found = []
+            image = [None] * yc.total_size
+            with closing(morphism_search(yc, B, bits)(image)) as search:
+                for _ in itertools.islice(search, budget + 1):
+                    f = tuple(image)
+                    found.append((f, extensions.get(f, ())))
+        return memo[pos, bits]
+
+    return [_factorization_report(B, j, maps_out_of, budget) for j in topologies]
+
+
+def _factorization_report(B, j, maps_out_of, budget):
     omega = j.omega
     sep_witness = None
     comp_witness = None
-    for yc, sieves, packed, m in zip(
-        omega.yonedas, omega.sieves, omega.packed, least_covering_sieves(j)
+    for pos, (yc, sieves, packed, m) in enumerate(
+        zip(omega.yonedas, omega.sieves, omega.packed, least_covering_sieves(j))
     ):
         count = 0
         full = packed[-1]
         for S, bits in zip(sieves[:-1], packed):
             if bits & m != m:
                 continue
-            restrict = morphism_search(yc, B, bits)
-            extend = morphism_search(yc, B, full & ~bits)
-            image = [None] * yc.total_size
-            for _ in restrict(image):
+            for f, extensions in maps_out_of(pos, yc, bits):
                 count += 1
                 if count > budget:
                     message = f"more than {budget} morphisms from dense sieves of {yc} to {B}"
                     raise CorpusTooLarge(message, count, budget)
-                with closing(extend(image)) as search:
-                    extensions = [tuple(image) for _ in itertools.islice(search, 2)]
                 if len(extensions) == 1:
                     continue
                 if not extensions and comp_witness is None:
-                    comp_witness = (yc, S, components_of(yc, B, image, bits))
-                elif len(extensions) == 2 and sep_witness is None:
+                    comp_witness = (yc, S, components_of(yc, B, f, bits))
+                elif extensions and sep_witness is None:
                     g1, g2 = (
-                        PresheafMorphism(yc, B, components_of(yc, B, g, full)) for g in extensions
+                        PresheafMorphism(yc, B, components_of(yc, B, g, full))
+                        for g in extensions[:2]
                     )
-                    sep_witness = (yc, S, components_of(yc, B, image, bits), (g1, g2))
+                    sep_witness = (yc, S, components_of(yc, B, f, bits), (g1, g2))
                 if sep_witness is not None and comp_witness is not None:
                     return FactorizationReport(False, False, sep_witness, comp_witness)
     return FactorizationReport(

@@ -1,6 +1,7 @@
 """Fixtures shared across test modules."""
 
 import itertools
+from contextlib import closing
 from functools import lru_cache
 
 import pytest
@@ -14,22 +15,30 @@ from lttop.fuzzy import (
     pullback_fuzzy,
     subobjects_of,
 )
-from lttop.closure import FactorizationReport, is_dense_via_closure, presheaf_corpus
+from lttop import closure
+from lttop.closure import (
+    CorpusTooLarge,
+    FactorizationReport,
+    is_dense_via_closure,
+    presheaf_corpus,
+)
 from lttop.fincat import FAMILY_FULL, FAMILY_SEMI, face
 from lttop.lattice import FiniteHeytingAlgebra
 from lttop.presheaf import (
     EnumerationBoundExceeded,
     FinitePresheaf,
     FunctorialityError,
+    PresheafMorphism,
     Subpresheaf,
     boundary,
+    components_of,
     enumerate_morphisms,
     enumerate_subpresheaves,
     morphism_search,
     parallel_cells,
     yoneda,
 )
-from lttop.topology import TopologyViolation, _check_word
+from lttop.topology import TopologyViolation, _check_word, least_covering_sieves
 
 
 def _sieve_pullback(category, u, sieve):
@@ -183,6 +192,84 @@ def _factorization_check(B, j, ambients):
 @pytest.fixture(scope="session")
 def factorization_reference():
     return _factorization_check
+
+
+def _extension_factorization_check(B, j):
+    """Separated and complete by extending every map out of each dense
+    proper sieve S on c along S -> y(c) with a second Yoneda search, over
+    y(c)'s cells outside S, stopping at two extensions: the reference for
+    ``closure.factorization_checks``, which looks the extensions up among
+    the cells of B(c) keyed by their restriction to S.  Its separated pair
+    is the first two extensions that search finds."""
+    budget = closure.DEFAULT_SEARCH_BUDGET
+    omega = j.omega
+    sep_witness = None
+    comp_witness = None
+    for yc, sieves, packed, m in zip(
+        omega.yonedas, omega.sieves, omega.packed, least_covering_sieves(j)
+    ):
+        count = 0
+        full = packed[-1]
+        for S, bits in zip(sieves[:-1], packed):
+            if bits & m != m:
+                continue
+            restrict = morphism_search(yc, B, bits)
+            extend = morphism_search(yc, B, full & ~bits)
+            image = [None] * yc.total_size
+            for _ in restrict(image):
+                count += 1
+                if count > budget:
+                    message = f"more than {budget} morphisms from dense sieves of {yc} to {B}"
+                    raise CorpusTooLarge(message, count, budget)
+                with closing(extend(image)) as search:
+                    extensions = [tuple(image) for _ in itertools.islice(search, 2)]
+                if len(extensions) == 1:
+                    continue
+                if not extensions and comp_witness is None:
+                    comp_witness = (yc, S, components_of(yc, B, image, bits))
+                elif len(extensions) == 2 and sep_witness is None:
+                    g1, g2 = (
+                        PresheafMorphism(yc, B, components_of(yc, B, g, full)) for g in extensions
+                    )
+                    sep_witness = (yc, S, components_of(yc, B, image, bits), (g1, g2))
+                if sep_witness is not None and comp_witness is not None:
+                    return FactorizationReport(False, False, sep_witness, comp_witness)
+    return FactorizationReport(
+        separated=sep_witness is None,
+        complete=comp_witness is None,
+        separated_witness=sep_witness,
+        complete_witness=comp_witness,
+    )
+
+
+@pytest.fixture(scope="session")
+def extension_factorization_reference():
+    return _extension_factorization_check
+
+
+def _closure_bits(least, A, bits, lanes=1):
+    """The closures of subobjects of A, one per lane, ANDing over every
+    orbit position of m_c: the reference for ``closure._closures_bits``,
+    which ANDs over the positions of a generating set of m_c only."""
+    # the orbit table is keyed by every cell of A, in level order
+    orbits = iter(A.sieve_orbits().values())
+    closed = 0
+    for level, offset, m in zip(A.carriers, A.bit_offsets(), least):
+        for x, orbit in zip(range(len(level)), orbits):
+            if not x:
+                # the orbit lists y(c)'s cells from its highest bit down
+                top = len(orbit) - 1
+                chosen = [top - b for b in range(m.bit_length()) if m >> b & 1]
+            keep = lanes
+            for i in chosen:
+                keep &= bits >> orbit[i]
+            closed |= keep << offset + x
+    return closed
+
+
+@pytest.fixture(scope="session")
+def closure_bits_reference():
+    return _closure_bits
 
 
 def _canonical_key(category, sizes, tables):

@@ -13,7 +13,9 @@ from lttop.presheaf import (
     PresheafMorphism,
     Subpresheaf,
     enumerate_morphisms,
+    _principal,
     enumerate_subpresheaves,
+    subpresheaf_bits,
     yoneda,
 )
 from lttop import closure
@@ -24,6 +26,7 @@ from lttop.closure import (
     closure_recursive,
     closure_via_chi,
     factorization_check,
+    factorization_checks,
     is_dense_by_bits,
     is_dense_via_closure,
     k_complete,
@@ -490,6 +493,139 @@ def test_factorization_budget_is_read_at_call_time(monkeypatch):
     with pytest.raises(CorpusTooLarge, match="more than 3 morphisms") as caught:
         factorization_check(COMPLETE2, j)
     assert caught.value.bound == 3 and caught.value.count > 3
+
+
+@pytest.mark.parametrize("kind,corpus_bound", [
+    ("graph", 6),
+    ("reflgraph", 6),
+    ("semisimplex:2", 5),
+    ("simplex:2", 5),
+    ("bicolgraph", 5),
+    ("semisimplex:3", 4),
+    ("simplex:3", 4),
+])
+def test_shared_factorization_checks_match_the_extension_search(
+    kind, corpus_bound, extension_factorization_reference
+):
+    category = build_index_category(kind)
+    topologies = enumerate_topologies(category)
+    for B in presheaf_corpus(category, corpus_bound):
+        for j, report in zip(topologies, factorization_checks(B, topologies)):
+            expected = extension_factorization_reference(B, j)
+            assert (report.separated, report.complete) == (
+                expected.separated,
+                expected.complete,
+            ), (B, j.tag)
+            assert report.complete_witness == expected.complete_witness, (B, j.tag)
+            if report.separated_witness is None:
+                assert expected.separated_witness is None, (B, j.tag)
+                continue
+            A, sub, f, pair = report.separated_witness
+            assert (A, sub, f) == expected.separated_witness[:3], (B, j.tag)
+            # by Yoneda a map y(c) -> B is the cell it sends the identity to
+            c = next(c for c in category.objects if yoneda(category, c) is A)
+            identity = A.label_index(c, category.identity(c))
+            maps = sorted(enumerate_morphisms(A, B), key=lambda g: g.component(c, identity))
+            lowest = [g for g in maps if restriction_to(g, sub) == f][:2]
+            assert len(lowest) == 2 and pair == tuple(lowest), (B, j.tag)
+
+
+def test_shared_factorization_checks_exceed_the_budget_where_the_reference_does(
+    monkeypatch, extension_factorization_reference
+):
+    # the shared call on the first t + 1 topologies raises iff the reference
+    # first raises on topology t, with the same message, at budget + 1 maps
+    topologies = enumerate_topologies(GRAPH)
+    corpus = presheaf_corpus(GRAPH, 5)
+    raised = 0
+    for budget in range(1, 41):
+        monkeypatch.setattr(closure, "DEFAULT_SEARCH_BUDGET", budget)
+        for B in corpus:
+            expected, error = [], None
+            for j in topologies:
+                try:
+                    expected.append(extension_factorization_reference(B, j))
+                except CorpusTooLarge as exc:
+                    error = exc
+                    break
+            observed = factorization_checks(B, topologies[: len(expected)])
+            assert [(r.separated, r.complete) for r in observed] == [
+                (r.separated, r.complete) for r in expected
+            ], (budget, B)
+            if error is not None:
+                raised += 1
+                with pytest.raises(CorpusTooLarge) as caught:
+                    factorization_checks(B, topologies[: len(expected) + 1])
+                assert str(caught.value) == str(error), (budget, B)
+                assert caught.value.count == error.count == budget + 1, (budget, B)
+                assert caught.value.bound == budget, (budget, B)
+    assert raised  # the budgets reach both outcomes
+
+
+def chosen_cells(category, pos, m):
+    """The principal sieves of y(c)'s cells at the chosen orbit positions
+    of m, c the object at ``pos``."""
+    yc = yoneda(category, category.objects[pos])
+    top = yc.total_size - 1
+    offsets = yc.bit_offsets()
+    principal = {
+        offsets[yc.obj_index(l)] + x: _principal(orbit)
+        for (l, x), orbit in yc.sieve_orbits().items()
+    }
+    return [principal[top - i] for i in closure._generator_positions(category, pos, m)]
+
+
+@pytest.mark.parametrize("kind", BUILTINS_UP_TO_DIM_3)
+def test_each_least_covering_sieve_is_the_join_of_its_chosen_principal_sieves(kind):
+    category = build_index_category(kind)
+    for j in enumerate_topologies(category):
+        for pos, m in enumerate(least_covering_sieves(j)):
+            chosen = chosen_cells(category, pos, m)
+            joined = 0
+            for principal in chosen:
+                assert principal & ~m == 0, (kind, j.tag, pos)
+                joined |= principal
+            assert joined == m, (kind, j.tag, pos)
+            if m == (1 << yoneda(category, category.objects[pos]).total_size) - 1:
+                # the largest principal sieve first: the identity alone
+                assert chosen == [m], (kind, j.tag, pos)
+
+
+def test_cells_that_generate_each_other_keep_one_generator():
+    # on reflgraph, each vertex of y(1) and the degenerate loop on it
+    # generate the same sieve, so dropping every cell that lies in another
+    # cell's principal sieve would drop both of each pair
+    y1 = yoneda(REFL, 1)
+    principals = [_principal(orbit) for orbit in y1.sieve_orbits().values()]
+    pairs = [p for p in set(principals) if principals.count(p) == 2]
+    assert len(pairs) == 2 and len(set(principals)) == 3
+    for p in pairs:
+        assert chosen_cells(REFL, 1, p) == [p]
+    # topology 01 covers at 1 exactly when both vertices are in the sieve
+    (m,) = {least_covering_sieves(j)[1] for j in enumerate_topologies(REFL) if j.tag == "01"}
+    assert m == pairs[0] | pairs[1]
+    assert sorted(chosen_cells(REFL, 1, m)) == sorted(pairs)
+
+
+@pytest.mark.parametrize("kind,corpus_bound", [
+    ("bicolgraph", 5),
+    ("semisimplex:3", 4),
+    ("simplex:3", 4),
+])
+def test_the_shared_chi_kernel_matches_the_all_positions_kernel(
+    kind, corpus_bound, closure_bits_reference
+):
+    # every subobject of each corpus presheaf is one lane of a single integer
+    category = build_index_category(kind)
+    leasts = [least_covering_sieves(j) for j in enumerate_topologies(category)]
+    for P in presheaf_corpus(category, corpus_bound):
+        stride = P.total_size
+        bits = lanes = 0
+        for s, sub_bits in enumerate(subpresheaf_bits(P)):
+            bits |= sub_bits << s * stride
+            lanes |= 1 << s * stride
+        expected = [closure_bits_reference(least, P, bits, lanes) for least in leasts]
+        assert closure._closures_bits(leasts, P, bits, lanes) == expected, P
 
 
 def test_corpus_is_deduplicated_and_valid():
