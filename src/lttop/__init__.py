@@ -55,6 +55,7 @@ from .topology import (
     verify_topology,
 )
 from .closure import (
+    classifications,
     classify,
     closure_recursive,
     closure_via_chi,

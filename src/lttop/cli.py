@@ -221,11 +221,14 @@ def _suite_criteria(out, corpus_bound):
     for kind in ("graph", "reflgraph"):
         category = build_index_category(kind)
         topologies = enumerate_topologies(category)
+        words = [j.tag for j in topologies]
         corpus = closure_mod.presheaf_corpus(category, corpus_bound)
         disagreements = 0
         for B in corpus:
-            for j, observed in zip(topologies, closure_mod.factorization_checks(B, topologies)):
-                predicted = closure_mod.classify(B, j.tag)
+            for predicted, observed in zip(
+                closure_mod.classifications(B, words),
+                closure_mod.factorization_checks(B, topologies),
+            ):
                 if (
                     predicted.separated != observed.separated
                     or predicted.complete != observed.complete

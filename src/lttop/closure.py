@@ -37,7 +37,7 @@ import itertools
 from contextlib import closing
 from functools import lru_cache
 
-from .fincat import FAMILY_FULL, FAMILY_SEMI, Record, face
+from .fincat import FAMILY_FULL, FAMILY_SEMI, Record
 from .presheaf import (
     BoundExceeded,
     FinitePresheaf,
@@ -54,10 +54,12 @@ from .presheaf import (
 from .topology import DegeneracyIncompatible, _check_word, _closed_bits, least_covering_sieves
 
 DEFAULT_SEARCH_BUDGET = 200_000
+DEFAULT_CORPUS_BUDGET = 200_000
 
 
 class CorpusTooLarge(BoundExceeded):
-    """More morphisms into a presheaf than the search budget allows."""
+    """More morphisms into a presheaf than the search budget allows, or
+    more search steps for a corpus than the corpus budget allows."""
 
 
 def closure_via_chi(j, sub):
@@ -227,7 +229,7 @@ def boundary_tuples(B, k):
     n = len(B.carrier(k - 1))
     if k == 1:
         return set(itertools.product(range(n), repeat=2))
-    d = [B.action_table(face(k - 1, i)) for i in range(k)]
+    d = B.face_tables(k - 1)
     by_d0 = {}
     for x in range(n):
         by_d0.setdefault(d[0][x], []).append(x)
@@ -284,21 +286,44 @@ class ClassifyReport(Record):
 
 
 def classify(B, word):
-    """Separated/complete/sheaf flags for the bit-string topology."""
+    """Separated/complete/sheaf flags for the bit-string topology: the
+    one-word call of ``classifications``."""
+    return classifications(B, [word])[0]
+
+
+def classifications(B, words):
+    """One ``ClassifyReport`` per bit string in ``words``.
+
+    A word is checked at each level k whose bit is 1, for two cells over
+    one incidence tuple (``_shared_cells``) and for a boundary with none
+    (``_unfilled_boundary``).  Each level's witnesses are found once and
+    shared by every word that checks that level.
+    """
     cat = B.category
-    _check_word(cat, word)
-    if cat.family == FAMILY_FULL and "10" in word:
-        raise DegeneracyIncompatible(word)  # rejected without building Omega
-    witnesses = []
-    for k in cat.objects:
-        if word[k] != "1":
-            continue
-        for kind, witness in (("simple", _shared_cells), ("complete", _unfilled_boundary)):
-            data = witness(B, k)
-            if data is not None:
-                witnesses.append((k, kind, data))
-    kinds = {kind for _, kind, _ in witnesses}
-    return ClassifyReport("simple" not in kinds, "complete" not in kinds, tuple(witnesses))
+    for word in words:
+        _check_word(cat, word)
+        if cat.family == FAMILY_FULL and "10" in word:
+            raise DegeneracyIncompatible(word)  # rejected without building Omega
+    found = {}
+
+    def witnesses_at(k):
+        if k not in found:
+            found[k] = [
+                (k, kind, data)
+                for kind, witness in (("simple", _shared_cells), ("complete", _unfilled_boundary))
+                for data in [witness(B, k)]
+                if data is not None
+            ]
+        return found[k]
+
+    reports = []
+    for word in words:
+        witnesses = tuple(
+            w for k, bit in zip(cat.objects, word) if bit == "1" for w in witnesses_at(k)
+        )
+        kinds = {kind for _, kind, _ in witnesses}
+        reports.append(ClassifyReport("simple" not in kinds, "complete" not in kinds, witnesses))
+    return reports
 
 
 # -- corpus generation -----------------------------------------------------
@@ -350,9 +375,10 @@ def _empty_naming(sizes):
     return unnamed, unnamed, (0,) * len(sizes)
 
 
-def _next_ties(states, table, src, tgt, offsets, sizes):
+def _next_ties(states, table, src, tgt, offsets, sizes, room=None):
     """The tie states of a table prefix extended by ``table``, or None when
-    some renaming sorts the extended prefix lower.
+    some renaming sorts the extended prefix lower; ``_OutOfRoom`` once
+    there are more than ``room`` of them, when it is given.
 
     A tie state of a prefix is a partial per-level renaming under which the
     renamed prefix equals the prefix.  It is three tuples over one flat
@@ -367,12 +393,16 @@ def _next_ties(states, table, src, tgt, offsets, sizes):
     so, to, n = offsets[src], offsets[tgt], sizes[tgt]
     ties = []
     for name, cell, given in states:
-        if _tie(table, 0, src, tgt, so, to, n, list(name), list(cell), list(given), ties):
+        if _tie(table, 0, src, tgt, so, to, n, list(name), list(cell), list(given), ties, room):
             return None
     return ties
 
 
-def _tie(table, i, src, tgt, so, to, n, name, cell, given, ties):
+class _OutOfRoom(Exception):
+    """More tie states than the corpus budget has room for."""
+
+
+def _tie(table, i, src, tgt, so, to, n, name, cell, given, ties, room):
     """Whether some extension of the naming sorts ``table`` lower from
     position i on; each extension that ties the whole table is appended to
     ``ties``.
@@ -388,6 +418,8 @@ def _tie(table, i, src, tgt, so, to, n, name, cell, given, ties):
     that stops early leaves the naming changed; the caller drops it.
     """
     if i == n:
+        if room is not None and len(ties) == room:
+            raise _OutOfRoom
         ties.append((tuple(name), tuple(cell), tuple(given)))
         return False
     want = table[i]
@@ -409,13 +441,13 @@ def _tie(table, i, src, tgt, so, to, n, name, cell, given, ties):
                 name[y] = new
                 cell[so + new] = y - so
                 given[src] = new + 1
-                if _tie(table, i + 1, src, tgt, so, to, n, name, cell, given, ties):
+                if _tie(table, i + 1, src, tgt, so, to, n, name, cell, given, ties, room):
                     return True
                 given[src] = new
                 cell[so + new] = name[y] = None
         elif new < want:
             return True
-        elif new == want and _tie(table, i + 1, src, tgt, so, to, n, name, cell, given, ties):
+        elif new == want and _tie(table, i + 1, src, tgt, so, to, n, name, cell, given, ties, room):
             return True
         if fresh:
             given[tgt] = i
@@ -448,13 +480,12 @@ def _pair_checks(category):
 def _run_pair_check(tables, check, sizes):
     # X(g2 o g1) = X(g1) o X(g2); the left side comes from the canonical path
     pos1, pos2, path, target = check
-    via = range(sizes[target])
-    for h in path:
+    via = tables[path[0]] if path else range(sizes[target])
+    for h in path[1:]:
         via = map(tables[h].__getitem__, via)
-    return list(via) == list(map(tables[pos1].__getitem__, tables[pos2]))
+    return tuple(via) == tuple(map(tables[pos1].__getitem__, tables[pos2]))
 
 
-@lru_cache(maxsize=None)
 def presheaf_corpus(category, max_total):
     """Every presheaf with at most ``max_total`` elements, one per iso class.
 
@@ -479,20 +510,35 @@ def presheaf_corpus(category, max_total):
     and the search reaches it from a tie state.  The last prefix is the
     whole tuple, so the same presheaves come out in the same order.  Built
     once per (category, max_total); categories are cached singletons.
+
+    The search takes at most ``DEFAULT_CORPUS_BUDGET`` steps, each a table
+    tried or a tie state carried forward, and raises ``CorpusTooLarge``
+    past it.  Tie states count because they can outgrow the tables: n
+    loops at one vertex try 2 tables but carry n! tie states.  Every bound
+    up to 8 fits on the corpus categories of ``verify`` (at most 156 016
+    steps, on semisimplex:2), and the steps grow about fivefold with each
+    step of the bound.
     """
+    return _presheaf_corpus(category, max_total, DEFAULT_CORPUS_BUDGET)
+
+
+@lru_cache(maxsize=None)
+def _presheaf_corpus(category, max_total, budget):
     gens = list(category.generators)
     ends = _generator_ends(category)
     checks = _pair_checks(category)
     corpus = []
+    spent = 0
     for sizes in _size_vectors(category, max_total):
         if any(sizes[tgt] > 0 and sizes[src] == 0 for src, tgt in ends):
             continue
         offsets = _level_offsets(sizes)
+        carriers = {c: tuple(range(n)) for c, n in zip(category.objects, sizes)}
         tables = [None] * len(gens)
 
         def assign(pos, states):
+            nonlocal spent
             if pos == len(gens):
-                carriers = {c: tuple(range(n)) for c, n in zip(category.objects, sizes)}
                 try:
                     corpus.append(FinitePresheaf(category, carriers, dict(zip(gens, tables))))
                 except FunctorialityError:
@@ -500,13 +546,24 @@ def presheaf_corpus(category, max_total):
                 return
             src, tgt = ends[pos]
             for table in itertools.product(range(sizes[src]), repeat=sizes[tgt]):
+                spent += 1
+                if spent > budget:
+                    raise _OutOfRoom
                 tables[pos] = table
                 if all(_run_pair_check(tables, check, sizes) for check in checks[pos]):
-                    ties = _next_ties(states, table, src, tgt, offsets, sizes)
+                    ties = _next_ties(states, table, src, tgt, offsets, sizes, budget - spent)
                     if ties is not None:
+                        spent += len(ties)
                         assign(pos + 1, ties)
 
-        assign(0, [_empty_naming(sizes)])
+        try:
+            assign(0, [_empty_naming(sizes)])
+        except _OutOfRoom:
+            message = (
+                f"the {category.kind} corpus at bound {max_total} needs more than "
+                f"{budget} search steps, the corpus budget"
+            )
+            raise CorpusTooLarge(message, budget + 1, budget) from None
     corpus.sort(key=lambda P: (P.total_size, tuple(len(l) for l in P.carriers)))
     return tuple(corpus)
 
@@ -566,10 +623,9 @@ def factorization_checks(B, topologies):
     orbits = B.sieve_orbits()
     memo = {}
 
-    def maps_out_of(pos, yc, bits):
-        # the first budget + 1 maps f: S -> B, each as its image over y(c)'s
-        # bits (None off S), with the images of the maps y(c) -> B, in cell
-        # order, that restrict to it
+    def maps_out_of(pos, yc, S, bits):
+        # the first budget + 1 maps f: S -> B, each as the number of maps
+        # y(c) -> B that restrict to it and a call that builds its witness
         if (pos, bits) not in memo:
             c = B.category.objects[pos]
             outside = [p for p in range(yc.total_size) if not bits >> p & 1]
@@ -586,10 +642,33 @@ def factorization_checks(B, topologies):
             with closing(morphism_search(yc, B, bits)(image)) as search:
                 for _ in itertools.islice(search, budget + 1):
                     f = tuple(image)
-                    found.append((f, extensions.get(f, ())))
+                    cells = extensions.get(f, ())
+                    found.append((len(cells), _witness(B, yc, S, bits, f, cells)))
         return memo[pos, bits]
 
     return [_factorization_report(B, j, maps_out_of, budget) for j in topologies]
+
+
+def _witness(B, yc, S, bits, f, cells):
+    """A call that builds, once, the witness of a map f: S -> B with the
+    images ``cells`` of the maps y(c) -> B that restrict to it: (y(c), S,
+    f) when there is none, else (y(c), S, f, (g1, g2)) for the first two."""
+    built = []
+
+    def witness():
+        if not built:
+            restricted = components_of(yc, B, f, bits)
+            if not cells:
+                built.append((yc, S, restricted))
+            else:
+                full = (1 << yc.total_size) - 1
+                pair = tuple(
+                    PresheafMorphism(yc, B, components_of(yc, B, g, full)) for g in cells[:2]
+                )
+                built.append((yc, S, restricted, pair))
+        return built[0]
+
+    return witness
 
 
 def _factorization_report(B, j, maps_out_of, budget):
@@ -600,30 +679,20 @@ def _factorization_report(B, j, maps_out_of, budget):
         zip(omega.yonedas, omega.sieves, omega.packed, least_covering_sieves(j))
     ):
         count = 0
-        full = packed[-1]
         for S, bits in zip(sieves[:-1], packed):
             if bits & m != m:
                 continue
-            for f, extensions in maps_out_of(pos, yc, bits):
+            for extensions, witness in maps_out_of(pos, yc, S, bits):
                 count += 1
                 if count > budget:
                     message = f"more than {budget} morphisms from dense sieves of {yc} to {B}"
                     raise CorpusTooLarge(message, count, budget)
-                if len(extensions) == 1:
+                if extensions == 1:
                     continue
                 if not extensions and comp_witness is None:
-                    comp_witness = (yc, S, components_of(yc, B, f, bits))
+                    comp_witness = witness()
                 elif extensions and sep_witness is None:
-                    g1, g2 = (
-                        PresheafMorphism(yc, B, components_of(yc, B, g, full))
-                        for g in extensions[:2]
-                    )
-                    sep_witness = (yc, S, components_of(yc, B, f, bits), (g1, g2))
+                    sep_witness = witness()
                 if sep_witness is not None and comp_witness is not None:
                     return FactorizationReport(False, False, sep_witness, comp_witness)
-    return FactorizationReport(
-        separated=sep_witness is None,
-        complete=comp_witness is None,
-        separated_witness=sep_witness,
-        complete_witness=comp_witness,
-    )
+    return FactorizationReport(sep_witness is None, comp_witness is None, sep_witness, comp_witness)

@@ -145,9 +145,9 @@ class SimplexMorphism(OrderedRecord):
     def __init__(self, source, target, values):
         if len(values) != source + 1:
             raise ValueError(f"expected {source + 1} values, got {values}")
-        if any(v < 0 or v > target for v in values):
+        if values and (min(values) < 0 or max(values) > target):
             raise ValueError(f"values {values} out of range 0..{target}")
-        if any(a > b for a, b in zip(values, values[1:])):
+        if list(values) != sorted(values):
             raise ValueError(f"values {values} are not monotone")
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
@@ -278,6 +278,79 @@ class FiniteIndexCategory:
     def all_morphisms(self):
         for pair in sorted(self._hom, key=lambda p: (self._obj_index[p[0]], self._obj_index[p[1]])):
             yield from self._hom[pair]
+
+
+class MorphismPlan:
+    """A category's morphisms numbered once, in ``all_morphisms()`` order,
+    with everything a presheaf reads by position: ``tables[index[f]]`` is
+    the action of f.
+
+    * ``identities``: per object, the position of its identity;
+    * ``generators``: per generator, (position, level of its source, level
+      of its target), in ``category.generators`` order;
+    * ``words``: (position of f, positions of ``factor(f)``) for every f
+      that is neither an identity nor a generator, so X(f) composes the
+      generator tables along the word;
+    * ``composites``: (f, g, g o f) as positions, for every generator g and
+      every f into its source: the squares functoriality is checked on;
+    * ``columns``: per level c, the (level l, position of f) pairs over
+      l in object order and f in ``reversed(hom(l, c))``, the order of an
+      orbit row (``FinitePresheaf.sieve_orbits``);
+    * ``faces``: over a simplex category, per level k the positions of
+      ``face(k, 0)`` ... ``face(k, k)`` (none at level 0); empty otherwise.
+
+    Built once per category (``morphism_plan``).
+    """
+
+    __slots__ = (
+        "morphisms",
+        "index",
+        "identities",
+        "generators",
+        "words",
+        "composites",
+        "columns",
+        "faces",
+    )
+
+    def __init__(self, category):
+        objects = category.objects
+        level = category.obj_index
+        self.morphisms = tuple(category.all_morphisms())
+        index = self.index = {f: p for p, f in enumerate(self.morphisms)}
+        self.identities = tuple(index[category.identity(c)] for c in objects)
+        self.generators = tuple(
+            (index[g], level(g.source), level(g.target)) for g in category.generators
+        )
+        given = {*self.identities, *(p for p, _, _ in self.generators)}
+        self.words = tuple(
+            (p, tuple(index[g] for g in category.factor(f)))
+            for p, f in enumerate(self.morphisms)
+            if p not in given
+        )
+        self.composites = tuple(
+            (index[f], index[g], index[category.compose(g, f)])
+            for g in category.generators
+            for a in objects
+            for f in category.hom(a, g.source)
+        )
+        self.columns = tuple(
+            tuple(
+                (l, index[f]) for l, a in enumerate(objects) for f in reversed(category.hom(a, c))
+            )
+            for c in objects
+        )
+        self.faces = ()
+        if category.family in (FAMILY_SEMI, FAMILY_FULL):
+            self.faces = tuple(
+                tuple(index[face(k, i)] for i in range(k + 1)) if k else () for k in objects
+            )
+
+
+@lru_cache(maxsize=None)
+def morphism_plan(category):
+    """The category's ``MorphismPlan``; categories are cached singletons."""
+    return MorphismPlan(category)
 
 
 def _build_simplex_category(kind, family, dim):

@@ -18,7 +18,9 @@ category.
 from functools import lru_cache
 
 from .presheaf import (
+    DEFAULT_ENUMERATION_BOUND,
     BoundExceeded,
+    EnumerationBoundExceeded,
     FinitePresheaf,
     PresheafMorphism,
     Subpresheaf,
@@ -44,13 +46,21 @@ class OmegaObject:
 
     def __init__(self, category):
         self.category = category
-        self.yonedas = tuple(yoneda(category, c) for c in category.objects)
+        yonedas = []
         sieves = []
-        for c, yk in zip(category.objects, self.yonedas):
+        for c in category.objects:
+            # y(c) has a cell per morphism into c: check the enumeration
+            # bound before building it, so an oversized level fails fast
+            cells = sum(len(category.hom(l, c)) for l in category.objects)
+            if cells > DEFAULT_ENUMERATION_BOUND:
+                raise EnumerationBoundExceeded(cells, DEFAULT_ENUMERATION_BOUND)
+            yk = yoneda(category, c)
             level = enumerate_subpresheaves(yk)
             if len(level) > DEFAULT_SIEVE_BOUND:
                 raise OmegaBoundExceeded(c, len(level), DEFAULT_SIEVE_BOUND)
+            yonedas.append(yk)
             sieves.append(level)
+        self.yonedas = tuple(yonedas)
         self.sieves = tuple(sieves)
         self.packed = tuple(tuple(s.bits for s in level) for level in self.sieves)
         self._index = tuple({p: i for i, p in enumerate(level)} for level in self.packed)

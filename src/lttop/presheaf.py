@@ -1,19 +1,31 @@
 """Finite presheaves, subpresheaves, and natural transformations.
 
 A presheaf stores one finite carrier per object of the index category and
-one action per generator; actions along arbitrary morphisms are derived
-through the category's factorizations, and functoriality is checked along
-generators (which implies it for every composable pair).  A subpresheaf is
-one integer over the presheaf's cells (``FinitePresheaf.bit_offsets``:
-level 0 in the highest bits), so meets and joins are AND and OR, S <= T is
-``S & ~T == 0``, and sorting the integers sorts by level 0 first.  Every
-subpresheaf is a join of principal ones, the orbits of its cells, and both
-enumeration and generation are read off the cached orbit table.
+one action table per morphism, indexed by the morphism's position in the
+category's numbering (``fincat.morphism_plan``).  The generator tables
+are given; every other table is composed from them along the morphism's
+factorization, and functoriality is checked along generators (which
+implies it for every composable pair).  The package reads tables by
+position; ``act`` and ``action_table`` look a morphism's position up.  A
+subpresheaf is one integer over the presheaf's cells
+(``FinitePresheaf.bit_offsets``: level 0 in the highest bits), so meets
+and joins are AND and OR, S <= T is ``S & ~T == 0``, and sorting the
+integers sorts by level 0 first.  Every subpresheaf is a join of
+principal ones, the orbits of its cells, and both enumeration and
+generation are read off the cached orbit table.
 """
 
 from functools import lru_cache
+from itertools import repeat
 
-from .fincat import FAMILY_FULL, FAMILY_SEMI, Record, build_index_category, face
+from .fincat import (
+    FAMILY_FULL,
+    FAMILY_SEMI,
+    Record,
+    build_index_category,
+    face,
+    morphism_plan,
+)
 
 DEFAULT_ENUMERATION_BOUND = 300
 
@@ -41,54 +53,49 @@ class FinitePresheaf:
 
     ``carriers`` maps each object to an ordered tuple of element labels;
     ``gen_actions`` maps each generator f in hom(a, b) to an index tuple
-    sending positions of carrier(b) to positions of carrier(a).  Instances
-    are immutable after construction; two derived tables are built on first
-    use and kept: the orbit table (``sieve_orbits``, in ``_orbit_cache``)
-    and, over a simplex category, the closure plan (``closure_plan``, in
-    ``_plan_cache``) that the recursive closure reads.
+    sending positions of carrier(b) to positions of carrier(a).  The
+    actions along every morphism are kept as one tuple of tables in the
+    category's numbering (``fincat.morphism_plan``): the identities, the
+    generator tables as given, and every other action composed from them
+    along the morphism's factorization.  Instances are immutable after
+    construction; three derived tables are built on first use and kept:
+    the label index (``label_index``), the orbit table (``sieve_orbits``,
+    in ``_orbit_cache``) and, over a simplex category, the closure plan
+    (``closure_plan``, in ``_plan_cache``) that the recursive closure
+    reads.
     """
 
     def __init__(self, category, carriers, gen_actions, validate=True):
         self.category = category
         self.carriers = tuple(tuple(carriers.get(c, ())) for c in category.objects)
-        self._gen_actions = {g: tuple(gen_actions[g]) for g in category.generators}
-        self._label_index = tuple({x: i for i, x in enumerate(level)} for level in self.carriers)
         sizes = [len(level) for level in self.carriers]
         self._offsets = tuple(sum(sizes[pos + 1 :]) for pos in range(len(sizes)))
         self.total_size = sum(sizes)
-        self._actions = self._extend_actions()
+        plan = morphism_plan(category)
+        self._index = plan.index
+        tables = [None] * len(plan.morphisms)
+        for p, n in zip(plan.identities, sizes):
+            tables[p] = tuple(range(n))
+        for g, (p, src, tgt) in zip(category.generators, plan.generators):
+            table = tables[p] = tuple(gen_actions[g])
+            if len(table) != sizes[tgt]:
+                raise FunctorialityError(f"action table for {g} has the wrong length")
+            if table and (min(table) < 0 or max(table) >= sizes[src]):
+                raise FunctorialityError(f"action table for {g} is out of range")
+        for p, word in plan.words:
+            # X(g1 o ... o gm) = X(gm) o ... o X(g1)
+            out = tables[word[0]]
+            for q in word[1:]:
+                out = tuple(map(tables[q].__getitem__, out))
+            tables[p] = out
+        self._tables = tuple(tables)
+        self._label_index = None
         self._orbit_cache = None
         self._plan_cache = None
         if validate:
             problem = self.functoriality_violation()
             if problem is not None:
                 raise FunctorialityError(str(problem))
-
-    def _extend_actions(self):
-        actions = {}
-        cat = self.category
-        for c in cat.objects:
-            n = len(self.carrier(c))
-            actions[cat.identity(c)] = tuple(range(n))
-        for g, table in self._gen_actions.items():
-            if len(table) != len(self.carrier(g.target)):
-                raise FunctorialityError(f"action table for {g} has the wrong length")
-            limit = len(self.carrier(g.source))
-            if any(not (0 <= v < limit) for v in table):
-                raise FunctorialityError(f"action table for {g} is out of range")
-            actions[g] = table
-        for f, word in _factorizations(cat):
-            actions[f] = self._compose_tables(word)
-        return actions
-
-    def _compose_tables(self, gens):
-        # X(g1 o ... o gm) = X(gm) o ... o X(g1)
-        if not gens:
-            raise FunctorialityError("empty factorization for a non-identity morphism")
-        out = self._gen_actions[gens[0]]
-        for g in gens[1:]:
-            out = tuple(map(self._gen_actions[g].__getitem__, out))
-        return out
 
     def functoriality_violation(self):
         """None if X(g o f) = X(f) . X(g) for every generator g and every f
@@ -100,11 +107,12 @@ class FinitePresheaf:
         X of its composite, and X(h o f) = X(f) . X(h) follows from
         concatenating the words of h and f.
         """
-        actions = self._actions
-        for f, g, gf in _generator_composites(self.category):
-            table_f = actions[f]
-            if actions[gf] != tuple(map(table_f.__getitem__, actions[g])):
-                return (f, g, gf)
+        plan = morphism_plan(self.category)
+        tables = self._tables
+        for f, g, gf in plan.composites:
+            table_f = tables[f]
+            if tables[gf] != tuple(map(table_f.__getitem__, tables[g])):
+                return tuple(map(plan.morphisms.__getitem__, (f, g, gf)))
         return None
 
     # -- basic access -------------------------------------------------
@@ -116,14 +124,23 @@ class FinitePresheaf:
         return self.carriers[self.category.obj_index(c)]
 
     def label_index(self, c, label):
+        if self._label_index is None:
+            self._label_index = tuple(
+                {x: i for i, x in enumerate(level)} for level in self.carriers
+            )
         return self._label_index[self.category.obj_index(c)][label]
 
     def act(self, f, x):
         """Index of X(f)(x) for f in hom(a, b) and x an index into X(b)."""
-        return self._actions[f][x]
+        return self._tables[self._index[f]][x]
 
     def action_table(self, f):
-        return self._actions[f]
+        return self._tables[self._index[f]]
+
+    def face_tables(self, k):
+        """The actions of face(k, 0), ..., face(k, k); simplex categories
+        only, k >= 1."""
+        return [self._tables[p] for p in morphism_plan(self.category).faces[k]]
 
     def elements(self):
         for c in self.category.objects:
@@ -136,7 +153,7 @@ class FinitePresheaf:
         return (
             self.category is other.category
             and self.carriers == other.carriers
-            and self._gen_actions == other._gen_actions
+            and self._tables == other._tables
         )
 
     def __hash__(self):
@@ -160,19 +177,18 @@ class FinitePresheaf:
         Cached.  The principal subpresheaf of a cell is the OR of its
         orbit, so subpresheaf enumeration and generation are joins of
         these rows, and a characteristic function reads the sieve of a cell
-        off its orbit one bit at a time.
+        off its orbit one bit at a time.  A level's rows are its columns
+        (``MorphismPlan.columns``), one shifted action table per morphism,
+        read across.
         """
         if self._orbit_cache is None:
-            cat = self.category
+            plan = morphism_plan(self.category)
+            tables = self._tables
             offsets = self._offsets
             orbits = {}
-            for c in cat.objects:
-                for x in range(len(self.carrier(c))):
-                    orbits[(c, x)] = tuple(
-                        offsets[pos] + self.act(f, x)
-                        for pos, l in enumerate(cat.objects)
-                        for f in reversed(cat.hom(l, c))
-                    )
+            for c, level, columns in zip(self.category.objects, self.carriers, plan.columns):
+                rows = zip(*(map(offsets[l].__add__, tables[p]) for l, p in columns))
+                orbits.update(zip(zip(repeat(c), range(len(level))), rows))
             self._orbit_cache = orbits
         return self._orbit_cache
 
@@ -195,37 +211,14 @@ class FinitePresheaf:
                 cofaces = []
                 if k:
                     cofaces = [0] * len(self.carrier(k - 1))
-                    for i in range(k + 1):
-                        for x, y in enumerate(self.action_table(face(k, i))):
+                    for table in self.face_tables(k):
+                        for x, y in enumerate(table):
                             cofaces[y] |= 1 << x
                 full = (1 << len(self.carrier(k))) - 1
                 plan.append((offset, full, below, tuple(cofaces)))
                 below = offset
             self._plan_cache = tuple(plan)
         return self._plan_cache
-
-
-@lru_cache(maxsize=None)
-def _factorizations(category):
-    """(f, factor(f)) for every morphism that is not an identity or a generator."""
-    given = set(category.generators)
-    given.update(category.identity(c) for c in category.objects)
-    return tuple(
-        (f, tuple(category.factor(f))) for f in category.all_morphisms() if f not in given
-    )
-
-
-@lru_cache(maxsize=None)
-def _generator_composites(category):
-    """(f, g, g o f) for every generator g and every f into g's source, each
-    the hom set's own morphism."""
-    own = {f: f for f in category.all_morphisms()}
-    return tuple(
-        (f, g, own[category.compose(g, f)])
-        for g in category.generators
-        for a in category.objects
-        for f in category.hom(a, g.source)
-    )
 
 
 class Subpresheaf(Record):
@@ -407,7 +400,7 @@ def boundary(category, k):
 
 def parallel_cells(B, k):
     """Map incidence tuple (faces d_k .. d_0) -> list of level-k cells sharing it."""
-    tables = [B.action_table(face(k, i)) for i in range(k, -1, -1)]
+    tables = B.face_tables(k)[::-1]
     table = {}
     for x, incidence in enumerate(zip(*tables)):
         table.setdefault(incidence, []).append(x)

@@ -76,10 +76,12 @@ class TopologyViolation(Record):
 class LTTopology(Record):
     """Per-level endomap of Omega, optionally tagged by its bit string.
 
-    Equality reads ``levels`` only; ``omega`` and ``tag`` are context.
+    Equality reads ``levels`` only; ``omega`` and ``tag`` are context.  The
+    private ``_least`` slot keeps ``least_covering_sieves`` once read; it
+    is not a field, so equality, hashing and pickling do not see it.
     """
 
-    __slots__ = ("omega", "levels", "tag")
+    __slots__ = ("omega", "levels", "tag", "_least")
     _defaults = {"tag": None}
     _compare = ("levels",)
 
@@ -131,12 +133,17 @@ def least_covering_sieves(j):
     """Per level, the least covering sieve m_c as an integer: the AND of
     the sieves j_c sends to top, starting from the full sieve.  For a
     topology J(c) = up(m_c), so the closure of A' in A holds the cells x
-    of level c with x*A' >= m_c."""
-    omega = j.omega
-    return tuple(
-        reduce(and_, (packed[s] for s, v in enumerate(mapping) if v == top), packed[top])
-        for mapping, top, packed in zip(j.levels, omega.top, omega.packed)
-    )
+    of level c with x*A' >= m_c.  Read once per topology and kept in
+    its ``_least`` slot."""
+    least = getattr(j, "_least", None)
+    if least is None:
+        omega = j.omega
+        least = tuple(
+            reduce(and_, (packed[s] for s, v in enumerate(mapping) if v == top), packed[top])
+            for mapping, top, packed in zip(j.levels, omega.top, omega.packed)
+        )
+        object.__setattr__(j, "_least", least)
+    return least
 
 
 def _covering_sieves(omega, least):

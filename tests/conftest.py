@@ -594,6 +594,51 @@ def functoriality_reference():
     return _functoriality_violation
 
 
+def _composed_table(P, f):
+    """X(f), composed here from P's generator tables along
+    ``category.factor(f)``: X(g1 o ... o gm) sends x to
+    X(gm)(... X(g1)(x) ...), and an identity fixes every cell.  The
+    reference for ``FinitePresheaf.action_table``, which reads f's table
+    off the category's numbering."""
+    generators = set(P.category.generators)
+    out = list(range(len(P.carrier(f.target))))
+    if f.is_identity:
+        return tuple(out)
+    for g in P.category.factor(f):
+        assert g in generators, (f, g)
+        table = P.action_table(g)
+        out = [table[x] for x in out]
+    return tuple(out)
+
+
+def _orbit_rows(P):
+    """The orbit table built one ``act`` per (cell, morphism): for each
+    cell (c, x), the bits of X(f)(x) over y(c)'s cells f, from y(c)'s
+    highest bit down.  The reference for ``FinitePresheaf.sieve_orbits``,
+    which reads the rows across one shifted table per morphism."""
+    cat = P.category
+    offsets = P.bit_offsets()
+    return {
+        (c, x): tuple(
+            offsets[pos] + P.act(f, x)
+            for pos, l in enumerate(cat.objects)
+            for f in reversed(cat.hom(l, c))
+        )
+        for c in cat.objects
+        for x in range(len(P.carrier(c)))
+    }
+
+
+@pytest.fixture(scope="session")
+def composed_table():
+    return _composed_table
+
+
+@pytest.fixture(scope="session")
+def orbit_rows_reference():
+    return _orbit_rows
+
+
 @lru_cache(maxsize=None)
 def _order_algebra(omega, pos):
     """The sieves of level ``pos`` of Omega as a FiniteHeytingAlgebra whose

@@ -725,3 +725,98 @@ def test_first_closure_mismatch_builds_no_subpresheaf_when_the_routes_agree(monk
     checked, mismatch = cli._first_closure_mismatch(category, topologies, 4)
     assert mismatch is None and checked > 0
     assert built == []
+
+
+@pytest.mark.parametrize("kind", ["graph", "reflgraph", "semisimplex:2"])
+def test_first_closure_mismatch_hashes_no_morphism_per_presheaf(monkeypatch, kind):
+    # actions, orbits and closure plans are read by morphism position, so
+    # a larger corpus makes no more morphism lookups
+    from lttop import cli
+    from lttop.closure import presheaf_corpus
+    from lttop.fincat import SimplexMorphism, build_index_category
+    from lttop.topology import enumerate_topologies
+
+    category = build_index_category(kind)
+    topologies = enumerate_topologies(category)
+    hashed = []
+    original = SimplexMorphism.__hash__
+
+    def counted_hash(self):
+        hashed.append(self)
+        return original(self)
+
+    counts = []
+    for bound in (3, 5):
+        presheaf_corpus(category, bound)
+        hashed.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(SimplexMorphism, "__hash__", counted_hash)
+            checked, mismatch = cli._first_closure_mismatch(category, topologies, bound)
+        assert mismatch is None and checked > 0
+        counts.append(len(hashed))
+    assert counts[0] == counts[1], counts
+
+
+def test_criteria_suite_finds_each_level_witness_once_per_presheaf(monkeypatch):
+    from collections import Counter
+
+    from lttop import cli, closure
+
+    calls = Counter()
+    for name in ("_shared_cells", "_unfilled_boundary"):
+        original = getattr(closure, name)
+
+        def counted(B, k, name=name, original=original):
+            calls[name, id(B), k] += 1
+            return original(B, k)
+
+        monkeypatch.setattr(closure, name, counted)
+    out = io.StringIO()
+    assert cli._suite_criteria(out, 5)
+    assert calls and max(calls.values()) == 1
+    assert {name for name, _, _ in calls} == {"_shared_cells", "_unfilled_boundary"}
+
+
+def test_omega_refuses_an_oversized_level_before_building_the_larger_ones():
+    # simplex:7 fails at level 3, whose y(3) would have 494 cells; y(4) .. y(7)
+    # are never built, so the refusal takes seconds, not minutes
+    src = str(Path(lttop.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = ["--max-dim", "7", "omega", "--category", "simplex:7"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "lttop.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == "error: carrier has 494 elements, enumeration bound is 300\n"
+    assert "Traceback" not in proc.stderr, proc.stderr
+
+
+def test_verify_reports_an_exceeded_corpus_budget(monkeypatch):
+    from lttop import closure
+
+    # the graph corpus at bound 4 takes 86 steps, the reflgraph one 112
+    monkeypatch.setattr(closure, "DEFAULT_CORPUS_BUDGET", 100)
+    code, text = run(["verify", "--suite", "closures"])
+    assert code == 2
+    lines = text.splitlines()
+    assert lines[1].startswith("  closure via characteristic map vs recursive on graph:")
+    assert lines[2:] == [
+        "error: the reflgraph corpus at bound 4 needs more than 100 search steps, "
+        "the corpus budget"
+    ]
+    assert "Traceback" not in text
+
+
+def test_a_large_corpus_bound_exits_on_the_corpus_budget():
+    from lttop.closure import DEFAULT_CORPUS_BUDGET
+
+    code, text = run(["verify", "--corpus-bound", "12"])
+    assert code == 2
+    errors = [line for line in text.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1
+    assert f"more than {DEFAULT_CORPUS_BUDGET} search steps, the corpus budget" in errors[0]
+    assert "Traceback" not in text

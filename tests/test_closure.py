@@ -736,3 +736,64 @@ def test_recursive_closure_errors_match_the_reference(kind, word, closure_recurs
     with pytest.raises(ValueError) as expected:
         closure_recursive_reference(word, empty)
     assert str(got.value) == str(expected.value)
+
+
+SIMPLEX_BUILTINS = ["set", "graph", "reflgraph"] + [
+    f"{family}:{dim}" for family in ("semisimplex", "simplex") for dim in (2, 3, 4)
+]
+
+
+@pytest.mark.parametrize("kind", SIMPLEX_BUILTINS)
+def test_classifications_are_one_classify_per_word(kind):
+    from lttop.closure import classifications
+    from lttop.fincat import FAMILY_FULL
+
+    category = build_index_category(kind)
+    words = ["".join(bits) for bits in itertools.product("01", repeat=category.dim + 1)]
+    if category.family == FAMILY_FULL:
+        words = [w for w in words if "10" not in w]
+    for B in presheaf_corpus(category, 5):
+        assert classifications(B, words) == [classify(B, w) for w in words], B
+
+
+def test_classifications_reject_a_bad_word_before_any_level_is_read(monkeypatch):
+    from lttop.closure import classifications
+    from lttop.topology import DegeneracyIncompatible
+
+    def unreachable(B, k):
+        raise AssertionError("no level is read for a rejected word")
+
+    monkeypatch.setattr(closure, "_shared_cells", unreachable)
+    B = presheaf_corpus(REFL, 4)[-1]
+    with pytest.raises(DegeneracyIncompatible):
+        classifications(B, ["11", "10"])
+    with pytest.raises(ValueError, match="expected a bit string"):
+        classifications(B, ["11", "1"])
+
+
+def test_least_covering_sieves_are_read_once_and_stay_out_of_the_value():
+    import copy
+
+    j = construct_bitstring_topology(SEMI2, "011")
+    least = least_covering_sieves(j)
+    assert least_covering_sieves(j) is least
+    twin = copy.copy(j)
+    assert twin == j and hash(twin) == hash(j)
+    assert getattr(twin, "_least", None) is None
+    assert least_covering_sieves(twin) == least
+
+
+def test_factorization_witnesses_are_shared_by_the_topologies_that_report_them():
+    # every topology that reaches a map reports the same witness object
+    category = REFL
+    topologies = enumerate_topologies(category)
+    shared = 0
+    for B in presheaf_corpus(category, 5):
+        reports = factorization_checks(B, topologies)
+        for field in ("separated_witness", "complete_witness"):
+            witnesses = [getattr(r, field) for r in reports if getattr(r, field) is not None]
+            for w in witnesses[1:]:
+                if w == witnesses[0]:
+                    assert w is witnesses[0]
+                    shared += 1
+    assert shared

@@ -480,3 +480,74 @@ def test_functoriality_check_rejects_every_mutated_yoneda_table(kind, functorial
                     mutated[g] = table[:x] + (v,) + table[x + 1 :]
                     M = FinitePresheaf(category, carriers, mutated, validate=False)
                     assert functoriality_witness(M, functoriality_reference), (g, x, v)
+
+
+def plan_presheaves(category):
+    """The Yoneda objects, Omega as a presheaf, and the bound-4 corpus."""
+    from lttop.closure import presheaf_corpus
+    from lttop.omega import classifying_object
+
+    yield from (yoneda(category, c) for c in category.objects)
+    yield classifying_object(category).as_presheaf()
+    yield from presheaf_corpus(category, 4)
+
+
+@pytest.mark.parametrize("kind", BUILTINS)
+def test_every_action_table_is_the_generator_tables_composed_along_factor(kind, composed_table):
+    category = build_index_category(kind)
+    morphisms = list(category.all_morphisms())
+    for P in plan_presheaves(category):
+        for f in morphisms:
+            table = P.action_table(f)
+            assert table == composed_table(P, f), (P, f)
+            assert [P.act(f, x) for x in range(len(table))] == list(table)
+
+
+@pytest.mark.parametrize("kind", BUILTINS)
+def test_orbit_rows_match_the_per_act_construction(kind, orbit_rows_reference):
+    category = build_index_category(kind)
+    for P in plan_presheaves(category):
+        # same rows, in the same key order
+        assert list(P.sieve_orbits().items()) == list(orbit_rows_reference(P).items()), P
+
+
+@pytest.mark.parametrize("kind", BUILTINS)
+def test_the_morphism_plan_numbers_every_morphism_once(kind):
+    from lttop.fincat import morphism_plan
+
+    category = build_index_category(kind)
+    plan = morphism_plan(category)
+    assert plan is morphism_plan(category)
+    assert plan.morphisms == tuple(category.all_morphisms())
+    assert all(plan.index[f] == p for p, f in enumerate(plan.morphisms))
+    named = plan.morphisms.__getitem__
+    assert [named(p) for p in plan.identities] == [category.identity(c) for c in category.objects]
+    level = category.obj_index
+    assert [(named(p), src, tgt) for p, src, tgt in plan.generators] == [
+        (g, level(g.source), level(g.target)) for g in category.generators
+    ]
+    for p, word in plan.words:
+        assert [named(q) for q in word] == list(category.factor(named(p)))
+    for f, g, gf in plan.composites:
+        assert named(gf) == category.compose(named(g), named(f))
+    assert len(plan.composites) == sum(
+        len(category.hom(a, g.source)) for g in category.generators for a in category.objects
+    )
+
+
+def test_action_tables_keep_their_length_and_range_messages():
+    with pytest.raises(FunctorialityError, match="has the wrong length"):
+        FinitePresheaf(GRAPH, {0: ("v",), 1: ("e",)}, {face(1, 1): (0, 0), face(1, 0): (0,)})
+    with pytest.raises(FunctorialityError, match="is out of range"):
+        FinitePresheaf(GRAPH, {0: ("v",), 1: ("e",)}, {face(1, 1): (1,), face(1, 0): (0,)})
+    with pytest.raises(FunctorialityError, match="is out of range"):
+        FinitePresheaf(GRAPH, {0: ("v",), 1: ("e",)}, {face(1, 1): (0,), face(1, 0): (-1,)})
+
+
+def test_labels_are_indexed_on_first_use():
+    P = yoneda(SEMI2, 2)
+    carriers = {c: P.carrier(c) for c in SEMI2.objects}
+    fresh = FinitePresheaf(SEMI2, carriers, {g: P.action_table(g) for g in SEMI2.generators})
+    assert fresh._label_index is None
+    assert fresh.label_index(1, face(2, 0)) == P.label_index(1, face(2, 0))
+    assert fresh._label_index is not None
