@@ -6,8 +6,8 @@ Subcommands: ``omega`` (print or export classifying objects), ``topologies``
 and ``verify`` (the theorem-verification suites).
 
 Exit codes: 0 ok, 1 verification failure, 2 input error, an exceeded
-size bound, or output closed early.  All output is deterministic for fixed
-inputs and flags.
+size bound, or output that cannot be written (closed early, or a full
+disk).  All output is deterministic for fixed inputs and flags.
 """
 
 import argparse
@@ -343,9 +343,26 @@ def build_parser():
 
 
 def main(argv=None, out=None):
+    """Run one command with ``argv`` (default ``sys.argv[1:]``), writing to
+    ``out`` (default stdout), and return its exit code."""
     out = out if out is not None else sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    try:
+        code = _run(args, out)
+        out.flush()
+        return code
+    except OSError:
+        # the output takes no more (``lttop ... | head``, a full disk): write
+        # nothing more, and send what is still buffered to os.devnull so the
+        # last flush stays quiet
+        if out is sys.stdout:
+            with open(os.devnull, "wb") as devnull:
+                os.dup2(devnull.fileno(), out.fileno())
+        return INPUT_ERROR
+
+
+def _run(args, out):
+    """Run the command, or write its input error to ``out``; return the code."""
     if args.command == "classify" and (args.topology is None) == (args.nucleus is None):
         need = "needs" if args.topology is None else "takes only one of"
         out.write(f"error: classify {need} --topology or --nucleus\n")
@@ -353,17 +370,9 @@ def main(argv=None, out=None):
     try:
         if args.max_dim < 0:
             raise ValueError(f"--max-dim must be >= 0, got {args.max_dim}")
-        code = args.func(args, out)
-        out.flush()
-        return code
+        return args.func(args, out)
     except BrokenPipeError:
-        # the reader has gone (``lttop ... | head``): write nothing more, and
-        # send what is still buffered to os.devnull so the shutdown flush
-        # stays quiet
-        if out is sys.stdout:
-            with open(os.devnull, "wb") as devnull:
-                os.dup2(devnull.fileno(), out.fileno())
-        return INPUT_ERROR
+        raise  # the reader has gone: an output error, for main
     except DimensionCapExceeded as exc:
         out.write(
             f"error: dimension {exc.dim} exceeds the cap {exc.cap}; "
@@ -375,5 +384,21 @@ def main(argv=None, out=None):
         return INPUT_ERROR
 
 
+def console_entry():
+    """The ``lttop`` process: run ``main``, flush stdout and stderr, and end
+    with ``os._exit``.
+
+    No output depends on the interpreter's teardown (module cleanup, the
+    final garbage collection, freeing every object), so it is skipped;
+    ``atexit`` handlers and finalizers do not run.  An exception that
+    escapes ``main``, such as argparse's ``SystemExit``, ends the process
+    the normal way.
+    """
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console_entry()

@@ -140,6 +140,131 @@ def test_a_reader_that_leaves_early_gets_no_traceback():
     assert "Traceback" not in stderr, stderr
 
 
+def cli_env(unbuffered=False):
+    """The environment of a ``python -m lttop.cli`` process run from this tree."""
+    env = dict(os.environ, PYTHONPATH=str(Path(lttop.__file__).resolve().parents[1]))
+    env.update(PYTHONIOENCODING="utf-8", COLUMNS="80")
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("target", ["closed pipe", "/dev/full"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["omega", "--category", "graph"],
+        ["omega", "--category", "nosuch"],
+        ["--max-dim", "-1", "omega", "--category", "set"],
+        ["classify", "--input", "doc.json"],
+    ],
+)
+def test_output_that_cannot_be_written_exits_2_quietly(argv, target, unbuffered):
+    # the error paths too go through the flush that handles a gone reader:
+    # their message is written after the reader has left
+    if target == "closed pipe":
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        sink = os.fdopen(write_end, "wb")
+    elif os.path.exists(target):
+        sink = open(target, "wb")
+    else:
+        pytest.skip(f"no {target}")
+    with sink:
+        proc = subprocess.run(
+            [sys.executable, "-m", "lttop.cli", *argv],
+            stdout=sink,
+            stderr=subprocess.PIPE,
+            env=cli_env(unbuffered),
+            timeout=60,
+        )
+    assert proc.returncode == 2 and proc.stderr == b""
+
+
+CATALOG_CATEGORIES = [
+    "set",
+    "graph",
+    "reflgraph",
+    "bicolgraph",
+    *(f"{family}:{n}" for family in ("semisimplex", "simplex") for n in (1, 2, 3)),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, to_file",
+    [
+        *(
+            ([command, "--category", kind], 0, False)
+            for command in ("omega", "topologies")
+            for kind in CATALOG_CATEGORIES
+        ),
+        (["omega", "--category", "simplex:3", "--level", "3", "--dot"], 0, True),
+        (["omega", "--category", "nosuch"], 2, False),
+        (["omega", "--category", "graph", "--bogus"], 2, False),
+        (["--help"], 0, False),
+    ],
+)
+def test_the_process_writes_what_main_writes(argv, code, to_file, tmp_path, capsys, monkeypatch):
+    # the process ends with os._exit: it must lose no output and keep the
+    # exit codes, argparse's usage error and --help included
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        want_code = main(argv)
+    except SystemExit as exc:
+        want_code = exc.code
+    want = capsys.readouterr()
+    assert want_code == code
+    path = tmp_path / "stdout"
+    with open(path, "wb") as sink:
+        proc = subprocess.run(
+            [sys.executable, "-m", "lttop.cli", *argv],
+            stdout=sink if to_file else subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=cli_env(),
+            timeout=60,
+        )
+    stdout = path.read_bytes() if to_file else proc.stdout
+    assert proc.returncode == code
+    assert stdout == want.out.encode("utf-8")
+    assert proc.stderr == want.err.encode("utf-8")
+    if argv[-1] == "--bogus":
+        assert proc.stderr.startswith(b"usage: lttop ")
+
+
+@pytest.mark.parametrize("launch", ["python -m", "console script"])
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["topologies", "--category", "graph"], 0), (["omega", "--category", "nosuch"], 2)],
+)
+def test_the_process_entry_skips_interpreter_teardown(launch, argv, code):
+    # the saving is the teardown os._exit skips: an atexit handler, which
+    # runs at the start of teardown, must not run, however the CLI starts
+    if launch == "python -m":
+        start = "import runpy\nrunpy.run_module('lttop.cli', run_name='__main__')\n"
+    else:
+        # as the wrapper setuptools writes for [project.scripts]
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["lttop"]
+        module, name = target.split(":")
+        start = f"from {module} import {name}\nsys.exit({name}())\n"
+    program = (
+        "import atexit, os, sys\n"
+        "atexit.register(os.write, 2, b'atexit handler ran')\n"
+        f"sys.argv = ['lttop', *{argv!r}]\n" + start
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", program], env=cli_env(), capture_output=True, timeout=60
+    )
+    assert proc.returncode == code
+    assert proc.stderr == b""
+    assert proc.stdout == run(argv)[1].encode("utf-8")
+    # a library caller still gets the code back, in a process that goes on
+    assert main(argv, out=io.StringIO()) == code
+
+
 def test_max_dim_is_validated_and_named_in_the_cap_error():
     code, text = run(["--max-dim", "-1", "omega", "--category", "simplex:2"])
     assert code == 2 and text == "error: --max-dim must be >= 0, got -1\n"
