@@ -24,10 +24,11 @@ from .fincat import (
     build_index_category,
 )
 from .omega import classifying_object, hasse_covers, hasse_dot, sieve_label
-from .presheaf import BoundExceeded, Subpresheaf, subpresheaf_bits
+from .presheaf import BoundExceeded, Subpresheaf, pack_lanes, subpresheaf_bits
 from .topology import (
     DegeneracyIncompatible,
     _closed_bits,
+    _closures_bits,
     enumerate_topologies,
     least_covering_sieves,
     topology_by_tag,
@@ -181,7 +182,8 @@ def _first_closure_mismatch(category, topologies, corpus_bound):
 
     The instances run in corpus order, then subobject order, then topology
     order.  All subobjects of one corpus presheaf P are lanes of one
-    integer, so the recursive route runs once per (P, topology) and the chi
+    integer (``pack_lanes``, whose stride locates the lane of a differing
+    bit), so the recursive route runs once per (P, topology) and the chi
     route once per P, sharing each (level, m_c) part; the first failing
     instance of P is the lowest lane that differs under any topology, and
     within that lane the first such topology.  Returns the number of
@@ -194,18 +196,13 @@ def _first_closure_mismatch(category, topologies, corpus_bound):
     for n, P in enumerate(closure_mod.presheaf_corpus(category, corpus_bound)):
         # every subobject of P is one lane of a single integer
         subs = subpresheaf_bits(P)
-        stride = P.total_size
-        bits = lanes = 0
-        for s, sub_bits in enumerate(subs):
-            bits |= sub_bits << s * stride
-            lanes |= 1 << s * stride
+        bits, lanes, stride = pack_lanes(P, subs)
         first = None  # (lane, topology position) of the first mismatch
-        chis = closure_mod._closures_bits(least, P, bits, lanes)
+        chis = _closures_bits(least, P, bits, lanes)
         for t, (j, chi) in enumerate(zip(topologies, chis)):
             diff = chi ^ _closed_bits(j.tag, P, bits, lanes)
             if diff:
-                # the empty presheaf has one lane, 0 bits wide
-                s = ((diff & -diff).bit_length() - 1) // stride if stride else 0
+                s = ((diff & -diff).bit_length() - 1) // stride
                 if first is None or s < first[0]:
                     first = (s, t)
         if first is not None:

@@ -8,18 +8,19 @@ closed level below).  A topology's covering sieves at c are the sieves
 above its least covering sieve m_c (``topology.least_covering_sieves``),
 so the chi route keeps a cell x of level c iff chi(x) = x*A' >= m_c, that
 is, iff x.g lies in A' for every g of a generating set of m_c (A' is
-action-closed), and looks nothing up in Omega once m is read
-(``_closures_bits``).  Both kernels, ``_closures_bits`` here and
-``topology._closed_bits``, close many subobjects of one presheaf at once,
-one per lane of a single integer: every subobject shares the presheaf's
-orbits and closure plan.  A topology acts on level c only through m_c, so
-the chi kernel takes every topology of the closures suite at once and
-computes each (level, m_c) part once per presheaf; the recursive route
-runs once per (presheaf, topology).  The bit-string level maps are the
-same recursion run on the sieves of the representables, so comparing the
-two routes (the closures suite) checks that the recursion commutes with
-pullback; the level maps themselves are checked independently by the
-constrained enumeration agreeing with the brute one.
+action-closed), and looks nothing up in Omega once m is read.  Both
+kernels live in ``topology``, ``_closures_bits`` (chi) and
+``_closed_bits`` (recursive), and close many subobjects of one presheaf at
+once, one per lane of a single integer (``presheaf.pack_lanes``): every
+subobject shares the presheaf's orbits and closure plan.  A topology acts
+on level c only through m_c, so the chi kernel takes every topology of the
+closures suite at once and computes each (level, m_c) part once per
+presheaf; the recursive route runs once per (presheaf, topology).  The
+level maps of the two enumeration routes are the same kernels run on the
+sieves of the representables, so comparing the closure routes (the
+closures suite) checks that the recursion commutes with pullback on every
+corpus presheaf, and the constrained enumeration agreeing with the brute
+one checks it on the representables.
 
 The classifier decides separated/complete/sheaf from cell counts over
 incidence tuples; ``factorization_checks`` is its counterpart from the
@@ -44,14 +45,18 @@ from .presheaf import (
     FunctorialityError,
     PresheafMorphism,
     Subpresheaf,
-    _principal,
     _simplex_faces,
     components_of,
     morphism_search,
     parallel_cells,
-    yoneda,
 )
-from .topology import DegeneracyIncompatible, _check_word, _closed_bits, least_covering_sieves
+from .topology import (
+    DegeneracyIncompatible,
+    _check_word,
+    _closed_bits,
+    _closures_bits,
+    least_covering_sieves,
+)
 
 DEFAULT_SEARCH_BUDGET = 200_000
 DEFAULT_CORPUS_BUDGET = 200_000
@@ -64,88 +69,12 @@ class CorpusTooLarge(BoundExceeded):
 
 def closure_via_chi(j, sub):
     """The subobject classified by the topology composed with chi: the
-    cells x of each level c with chi(x) = x*sub >= m_c, by the one-lane
-    call of ``_closure_bits``."""
+    cells x of each level c with chi(x) = x*sub >= m_c, by the one-lane,
+    one-topology call of ``topology._closures_bits``."""
     if sub.presheaf.category is not j.omega.category:
         raise ValueError("subobject and topology live over different categories")
     A = sub.presheaf
-    return Subpresheaf(A, _closure_bits(least_covering_sieves(j), A, sub.bits))
-
-
-def _closure_bits(least, A, bits, lanes=1):
-    """The closures of subobjects of A under the topology with least
-    covering sieves ``least`` (``least_covering_sieves``), one per lane as
-    in ``topology._closed_bits``: the one-topology call of
-    ``_closures_bits``."""
-    return _closures_bits([least], A, bits, lanes)[0]
-
-
-def _closures_bits(leasts, A, bits, lanes=1):
-    """For each tuple of least covering sieves in ``leasts``, the closures
-    of subobjects of A under that topology, one per lane.
-
-    A cell x of level c stays in a lane iff x.f lies in that lane for every
-    f in m_c.  Every lane is action-closed, x.(g o h) = (x.g).h, so it is
-    enough that x.g lies in it for each g of a generating set of m_c
-    (``_generator_positions``): the AND of ``bits >> p`` over those orbit
-    positions p of x (``FinitePresheaf.sieve_orbits``).  A topology acts on
-    level c only through m_c, so each (level, m_c) part is computed once
-    and shared by the topologies with that m_c.
-    """
-    category = A.category
-    # the orbit table is keyed by every cell of A, in level order
-    orbits = tuple(A.sieve_orbits().values())
-    closed = [0] * len(leasts)
-    start = 0
-    for pos, (level, offset) in enumerate(zip(A.carriers, A.bit_offsets())):
-        cells = orbits[start : start + len(level)]
-        start += len(level)
-        parts = {}
-        for t, least in enumerate(leasts):
-            m = least[pos]
-            part = parts.get(m)
-            if part is None:
-                chosen = _generator_positions(category, pos, m)
-                part = 0
-                for x, orbit in enumerate(cells):
-                    keep = lanes
-                    for i in chosen:
-                        keep &= bits >> orbit[i]
-                    part |= keep << offset + x
-                parts[m] = part
-            closed[t] |= part
-    return closed
-
-
-@lru_cache(maxsize=None)
-def _generator_positions(category, pos, m):
-    """The orbit positions (``FinitePresheaf.sieve_orbits``) of a set of
-    cells of y(c), c the object at ``pos``, whose principal sieves join to
-    the sieve m.
-
-    Chosen greedily: the cells of m by decreasing principal sieve, each
-    skipped when an earlier choice already covers it.  Dropping every cell
-    that lies in another cell's principal sieve would be wrong: two cells
-    can generate each other (on reflgraph, s and s.r), and both would go.
-    """
-    yc = yoneda(category, category.objects[pos])
-    # the orbit lists y(c)'s cells from its highest bit down
-    top = yc.total_size - 1
-    offsets = yc.bit_offsets()
-    principals = [
-        (offsets[yc.obj_index(l)] + x, _principal(orbit))
-        for (l, x), orbit in yc.sieve_orbits().items()
-    ]
-    principals = [(b, p) for b, p in principals if m >> b & 1]
-    principals.sort(key=lambda cell: -cell[1].bit_count())
-    covered = 0
-    chosen = []
-    for b, principal in principals:
-        if not covered >> b & 1:
-            covered |= principal
-            chosen.append(top - b)
-    assert covered == m, (category.kind, pos, m)
-    return tuple(chosen)
+    return Subpresheaf(A, _closures_bits([least_covering_sieves(j)], A, sub.bits)[0])
 
 
 def closure_recursive(word, sub):

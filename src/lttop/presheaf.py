@@ -344,6 +344,31 @@ def subpresheaf_bits(presheaf):
     return sorted(found)
 
 
+def pack_lanes(presheaf, subs):
+    """Subobject integers of a presheaf as the lanes of one integer, the
+    form both closure kernels take (``topology._closed_bits`` and
+    ``topology._closures_bits``).
+
+    Returns (bits, lanes, stride): lane s holds ``subs[s]`` at bits
+    s * stride to s * stride + stride - 1, and ``lanes`` has a 1 at each
+    lane's base.  The stride is the presheaf's size rounded up to whole
+    bytes, at least one byte (so the empty presheaf packs too), and the
+    lanes are joined as bytes, in time linear in the packed size.
+    """
+    width = (presheaf.total_size + 7) // 8 or 1
+    bits = int.from_bytes(b"".join(s.to_bytes(width, "little") for s in subs), "little")
+    lanes = int.from_bytes((b"\1" + bytes(width - 1)) * len(subs), "little")
+    return bits, lanes, 8 * width
+
+
+def unpack_lanes(bits, stride, count):
+    """The ``count`` lane integers of ``bits`` laid out by ``pack_lanes``
+    with that ``stride``."""
+    width = stride // 8
+    data = bits.to_bytes(width * count, "little")
+    return [int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
+
+
 def enumerate_subpresheaves(presheaf):
     """All subpresheaves, sorted by their integers (``subpresheaf_bits``)."""
     return tuple(Subpresheaf(presheaf, s) for s in subpresheaf_bits(presheaf))

@@ -11,19 +11,25 @@ at level c says whether m_c is a proper sieve.  ``verify_topology`` checks
 the axioms on Omega's own tables: j fixes top, is idempotent, sends to top
 exactly up(m), and commutes with every generator action.
 
-Two independent routes produce topologies:
+For any topology, j_c(S) is the closure of S as a subobject of y(c)
+(Mac Lane and Moerdijk, V.1-V.2), so both routes below read a level map
+through a closure kernel on y(c), one call per level: every sieve of y(c)
+is one lane of a single integer (``presheaf.pack_lanes``).  The kernels,
+``_closures_bits`` (chi) and ``_closed_bits`` (recursive), are the ones
+the closures of ``closure`` run, and comparing the two routes compares
+the two kernels on every representable.  Two independent routes produce
+topologies:
 
 * ``enumerate_topologies(..., method="brute")`` searches exhaustively over
   least covering sieves, keeping a stable, transitive choice of one sieve
-  per level and reading the level maps off chi_J for each complete
-  choice, which ``verify_topology`` then checks.  It runs on every
-  category at every dimension, knows nothing about the constructive
-  family, and serves as the oracle.
+  per level; the chi kernel reads the level maps of every complete choice
+  at once, f in j_c(S) iff f*S >= m_(dom f), and ``verify_topology``
+  checks each.  It runs on every category at every dimension, knows
+  nothing about the constructive family, and serves as the oracle.
 * ``construct_bitstring_topology`` / ``method="constrained"`` build the
-  per-dimension family indexed by a bit string.  For any topology, j_k(S)
-  is the closure of S as a subobject of y(k) (Mac Lane and Moerdijk,
-  V.1-V.2), so each level map is the recursive closure of each sieve S of
-  y(k) under the word: copy a level on bit 0, fill it by faces on bit 1.
+  per-dimension family indexed by a bit string: each level map is the
+  recursive closure of each sieve S of y(k) under the word, copy a level
+  on bit 0, fill it by faces on bit 1.
 
 On a degeneracy-carrying category a word containing "10" has no
 topology: its semi-simplicial topology is transported along the
@@ -33,12 +39,12 @@ the bit-string tag is metadata only.
 """
 
 import itertools
-from functools import reduce
+from functools import lru_cache, partial, reduce
 from operator import and_
 
 from .fincat import FAMILY_BICOLOR, FAMILY_FULL, FAMILY_SEMI, Record, build_index_category
-from .omega import characteristic_function, classifying_object
-from .presheaf import Subpresheaf, add_degeneracies
+from .omega import classifying_object
+from .presheaf import _principal, add_degeneracies, pack_lanes, unpack_lanes, yoneda
 
 BICOLOR_LABELS = ("00", "01", "02", "03", "10", "11", "12", "13")
 
@@ -146,18 +152,6 @@ def least_covering_sieves(j):
     return least
 
 
-def _covering_sieves(omega, least):
-    """J = up(m) as a subobject of Omega: every sieve above its level's
-    least covering sieve m_c, given each m_c as an integer."""
-    Omega = omega.as_presheaf()
-    bits = 0
-    for offset, packed, m in zip(Omega.bit_offsets(), omega.packed, least):
-        for s, sieve in enumerate(packed):
-            if sieve & m == m:
-                bits |= 1 << offset + s
-    return Subpresheaf(Omega, bits)
-
-
 def _naturality_violation(omega, levels, generators):
     """The first failing square j_d . g* = g* . j_c over the given
     generators g: d -> c, as a dict of sieves and the input sieve's index,
@@ -195,46 +189,118 @@ def _check_word(category, word):
 
 
 def _closed_bits(word, A, bits, lanes=1):
-    """The closures of subobjects of a simplex presheaf A under the word:
-    copy a level on bit 0, and on bit 1 keep every cell outside the coface
-    masks of the absent cells one level down
-    (``FinitePresheaf.closure_plan``); level 0 fills completely.
-
-    ``bits`` holds one subobject per lane: lane s is bits s * n to
-    s * n + n - 1 with n = ``A.total_size``, in A's layout, and ``lanes``
-    has a 1 at each lane's base.  With one lane a bit-1 level walks the
-    absent cells one level down, as the bit-string level maps do once per
-    sieve.  With more, it walks every cell y one level down and clears y's
-    coface mask in exactly the lanes that lack y; the closures suite puts
-    the empty subobject in every batch, which lacks them all anyway.
+    """The closures of subobjects of a simplex presheaf A under the word,
+    one per lane as ``presheaf.pack_lanes`` lays them out (one subobject is
+    one lane, with ``lanes`` = 1): copy a level on bit 0, and on bit 1 keep
+    every cell outside the coface masks of the absent cells one level down
+    (``FinitePresheaf.closure_plan``); level 0 fills completely.  A bit-1
+    level walks every cell y one level down and clears y's coface mask in
+    exactly the lanes that lack y.
     """
     for bit, (offset, full, below, cofaces) in zip(word, A.closure_plan()):
         if bit == "0":
             continue
-        if lanes == 1:
-            filled = full
-            absent = ~bits >> below & (1 << len(cofaces)) - 1
-            while absent and filled:
-                low = absent & -absent
-                filled &= ~cofaces[low.bit_length() - 1]
-                absent ^= low
-        else:
-            missing = ~bits >> below
-            full *= lanes
-            filled = full
-            for y, coface in enumerate(cofaces):
-                filled &= ~(coface * (missing >> y & lanes))
+        missing = ~bits >> below
+        full *= lanes
+        filled = full
+        for y, coface in enumerate(cofaces):
+            filled &= ~(coface * (missing >> y & lanes))
         bits = bits & ~(full << offset) | filled << offset
     return bits
 
 
+def _closures_bits(leasts, A, bits, lanes=1):
+    """For each tuple of least covering sieves in ``leasts``, the closures
+    of subobjects of A under that topology, one per lane as in
+    ``_closed_bits``.
+
+    A cell x of level c stays in a lane iff x.f lies in that lane for every
+    f in m_c.  Every lane is action-closed, x.(g o h) = (x.g).h, so it is
+    enough that x.g lies in it for each g of a generating set of m_c
+    (``_generator_positions``): the AND of ``bits >> p`` over those orbit
+    positions p of x (``FinitePresheaf.sieve_orbits``).  A topology acts on
+    level c only through m_c, so each (level, m_c) part is computed once
+    and shared by the topologies with that m_c.
+    """
+    category = A.category
+    # the orbit table is keyed by every cell of A, in level order
+    orbits = tuple(A.sieve_orbits().values())
+    closed = [0] * len(leasts)
+    start = 0
+    for pos, (level, offset) in enumerate(zip(A.carriers, A.bit_offsets())):
+        cells = orbits[start : start + len(level)]
+        start += len(level)
+        parts = {}
+        for t, least in enumerate(leasts):
+            m = least[pos]
+            part = parts.get(m)
+            if part is None:
+                chosen = _generator_positions(category, pos, m)
+                part = 0
+                for x, orbit in enumerate(cells):
+                    keep = lanes
+                    for i in chosen:
+                        keep &= bits >> orbit[i]
+                    part |= keep << offset + x
+                parts[m] = part
+            closed[t] |= part
+    return closed
+
+
+@lru_cache(maxsize=None)
+def _generator_positions(category, pos, m):
+    """The orbit positions (``FinitePresheaf.sieve_orbits``) of a set of
+    cells of y(c), c the object at ``pos``, whose principal sieves join to
+    the sieve m.
+
+    Chosen greedily: the cells of m by decreasing principal sieve, each
+    skipped when an earlier choice already covers it.  Dropping every cell
+    that lies in another cell's principal sieve would be wrong: two cells
+    can generate each other (on reflgraph, s and s.r), and both would go.
+    """
+    yc = yoneda(category, category.objects[pos])
+    # the orbit lists y(c)'s cells from its highest bit down
+    top = yc.total_size - 1
+    offsets = yc.bit_offsets()
+    principals = [
+        (offsets[yc.obj_index(l)] + x, _principal(orbit))
+        for (l, x), orbit in yc.sieve_orbits().items()
+    ]
+    principals = [(b, p) for b, p in principals if m >> b & 1]
+    principals.sort(key=lambda cell: -cell[1].bit_count())
+    covered = 0
+    chosen = []
+    for b, principal in principals:
+        if not covered >> b & 1:
+            covered |= principal
+            chosen.append(top - b)
+    assert covered == m, (category.kind, pos, m)
+    return tuple(chosen)
+
+
+def _level_maps(omega, kernel):
+    """Level maps for one or more topologies: j_c(S) is the closure of the
+    sieve S as a subobject of y(c).  Every sieve of a level is one lane of
+    a single integer (``pack_lanes``), and ``kernel(y, bits, lanes)``
+    closes them all, one integer per topology; returns one tuple of level
+    maps per topology."""
+    levels = []
+    for y, packed, index in zip(omega.yonedas, omega.packed, omega._index):
+        bits, lanes, stride = pack_lanes(y, packed)
+        levels.append(
+            [
+                tuple(map(index.__getitem__, unpack_lanes(closed, stride, len(packed))))
+                for closed in kernel(y, bits, lanes)
+            ]
+        )
+    return list(zip(*levels))
+
+
 def _bitstring_levels(omega, word):
-    """j_k(S) is the closure of S as a subobject of y(k), for every sieve S
-    of every level k."""
-    return tuple(
-        tuple(index[_closed_bits(word, y, s)] for s in packed)
-        for y, packed, index in zip(omega.yonedas, omega.packed, omega._index)
-    )
+    """j_k(S) is the closure of S as a subobject of y(k) under the word, for
+    every sieve S of every level k, one ``_closed_bits`` call per level."""
+    (levels,) = _level_maps(omega, lambda y, bits, lanes: [_closed_bits(word, y, bits, lanes)])
+    return levels
 
 
 def construct_bitstring_topology(category, word):
@@ -319,9 +385,11 @@ def _enumerate_covering(omega):
     m_c <= m_c.m = {f o g | f in m_c, g in m_(dom f)} (transitivity:
     m_c.m is the least sieve R with f*R >= m_(dom f) for every f in m_c,
     and it must contain m_c).
-    Both tests read the sieve integers; the level maps are read off chi_J
-    only for a complete choice, with J = up(m), and ``verify_topology``
-    then checks them.  Knows nothing of the bit strings.
+    Both tests read the sieve integers.  The level maps of every complete
+    choice are then read through the chi kernel ``_closures_bits``, one
+    call per level for all the choices: j_c(S) holds the cells f of y(c)
+    with f*S >= m_(dom f), the closure of S in y(c).  ``verify_topology``
+    checks each.  Knows nothing of the bit strings.
     """
     cat = omega.category
     n = len(cat.objects)
@@ -331,14 +399,11 @@ def _enumerate_covering(omega):
     gens = [(cat.obj_index(g.source), cat.obj_index(g.target), omega.action_table(g)) for g in cat.generators]
     m = [None] * n  # sieve indices
     bits = [None] * n  # and their integers
-    results = []
+    choices = []
 
     def choose(pos):
         if pos == n:
-            chi = characteristic_function(_covering_sieves(omega, bits), omega)
-            j = LTTopology(omega, chi.components)
-            if verify_topology(j) is None:
-                results.append(j)
+            choices.append(tuple(bits))
             return
         stability = [(d, c, t) for d, c, t in gens if max(d, c) == pos]
         ready = [c for c in range(n) if ready_at[c] == pos]
@@ -351,7 +416,9 @@ def _enumerate_covering(omega):
                 choose(pos + 1)
 
     choose(0)
-    return results
+    maps = _level_maps(omega, partial(_closures_bits, choices))
+    found = (LTTopology(omega, levels) for levels in maps)
+    return [j for j in found if verify_topology(j) is None]
 
 
 def _enumerate_constrained(omega):

@@ -249,7 +249,7 @@ def extension_factorization_reference():
 
 def _closure_bits(least, A, bits, lanes=1):
     """The closures of subobjects of A, one per lane, ANDing over every
-    orbit position of m_c: the reference for ``closure._closures_bits``,
+    orbit position of m_c: the reference for ``topology._closures_bits``,
     which ANDs over the positions of a generating set of m_c only."""
     # the orbit table is keyed by every cell of A, in level order
     orbits = iter(A.sieve_orbits().values())
@@ -270,6 +270,25 @@ def _closure_bits(least, A, bits, lanes=1):
 @pytest.fixture(scope="session")
 def closure_bits_reference():
     return _closure_bits
+
+
+def _covering_sieves(omega, least):
+    """J = up(m) as a subobject of Omega: every sieve above its level's
+    least covering sieve m_c, given each m_c as an integer."""
+    Omega = omega.as_presheaf()
+    bits = 0
+    for offset, packed, m in zip(Omega.bit_offsets(), omega.packed, least):
+        for s, sieve in enumerate(packed):
+            if sieve & m == m:
+                bits |= 1 << offset + s
+    return Subpresheaf(Omega, bits)
+
+
+@pytest.fixture(scope="session")
+def covering_sieves():
+    """J = up(m) as a subobject of Omega, whose chi is the reference for the
+    level maps the brute route reads through ``topology._closures_bits``."""
+    return _covering_sieves
 
 
 def _canonical_key(category, sizes, tables):

@@ -722,14 +722,15 @@ def _flip_graph_instances(monkeypatch, corpus_bound, flips):
     presheaf, then subobject, then topology), one cell flipped in each.
 
     The suite closes every subobject of a presheaf at once, one lane each,
-    so the injection flips the cell at the base of the instance's lane.
+    so the injection flips the cell at the base of the instance's lane, at
+    the stride ``pack_lanes`` lays the lanes out with.
     Returns the graph instances as (P, bits, word) in that order and the
     presheaves the recursive route was called on.
     """
     from lttop import cli
     from lttop.closure import presheaf_corpus
     from lttop.fincat import build_index_category
-    from lttop.presheaf import enumerate_subpresheaves
+    from lttop.presheaf import enumerate_subpresheaves, pack_lanes
     from lttop.topology import _closed_bits, enumerate_topologies
 
     category = build_index_category("graph")
@@ -748,8 +749,9 @@ def _flip_graph_instances(monkeypatch, corpus_bound, flips):
         if P.category is not category:
             return closed
         called.append(P)
-        stride = P.total_size
-        for s, sub in enumerate(enumerate_subpresheaves(P)):
+        subs = enumerate_subpresheaves(P)
+        _, _, stride = pack_lanes(P, [sub.bits for sub in subs])
+        for s, sub in enumerate(subs):
             if (P, sub.bits, word) in flipped:
                 closed ^= 1 << s * stride
         return closed

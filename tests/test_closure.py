@@ -36,6 +36,8 @@ from lttop.closure import (
 )
 from lttop.topology import (
     _closed_bits,
+    _closures_bits,
+    _generator_positions,
     construct_bitstring_topology,
     enumerate_topologies,
     least_covering_sieves,
@@ -160,7 +162,7 @@ def test_each_lane_of_a_batched_closure_is_the_one_lane_closure(kind):
             lanes |= 1 << s * stride
         lane = (1 << stride) - 1
         for j in topologies:
-            chi = closure._closure_bits(least_covering_sieves(j), P, bits, lanes)
+            (chi,) = _closures_bits([least_covering_sieves(j)], P, bits, lanes)
             assert not chi >> len(subs) * stride, (P, j.tag)
             rec = _closed_bits(j.tag, P, bits, lanes) if simplex else 0
             assert not rec >> len(subs) * stride, (P, j.tag)
@@ -572,7 +574,7 @@ def chosen_cells(category, pos, m):
         offsets[yc.obj_index(l)] + x: _principal(orbit)
         for (l, x), orbit in yc.sieve_orbits().items()
     }
-    return [principal[top - i] for i in closure._generator_positions(category, pos, m)]
+    return [principal[top - i] for i in _generator_positions(category, pos, m)]
 
 
 @pytest.mark.parametrize("kind", BUILTINS_UP_TO_DIM_3)
@@ -625,7 +627,7 @@ def test_the_shared_chi_kernel_matches_the_all_positions_kernel(
             bits |= sub_bits << s * stride
             lanes |= 1 << s * stride
         expected = [closure_bits_reference(least, P, bits, lanes) for least in leasts]
-        assert closure._closures_bits(leasts, P, bits, lanes) == expected, P
+        assert _closures_bits(leasts, P, bits, lanes) == expected, P
 
 
 def test_corpus_is_deduplicated_and_valid():

@@ -16,7 +16,10 @@ from lttop.presheaf import (
     enumerate_subpresheaves,
     generated_subpresheaf,
     ith_face,
+    pack_lanes,
     strip_degeneracies,
+    subpresheaf_bits,
+    unpack_lanes,
     yoneda,
 )
 
@@ -297,6 +300,31 @@ def test_every_enumerated_subpresheaf_is_closed_and_no_double_counting(level_mas
     for s in subs:
         assert s.closure_violation() is None
     assert list(subs) == brute_subpresheaves(P, level_masks)
+
+
+def test_unpacked_lanes_give_back_the_packed_subobjects():
+    # the subobject lists of the bound-4 corpora and every Omega level up to
+    # dimension 3, in the lane layout both closure kernels take: each lane
+    # is the presheaf's size rounded up to whole bytes, at least one byte
+    from lttop.closure import presheaf_corpus
+    from lttop.omega import classifying_object
+
+    lists = [
+        (P, subpresheaf_bits(P))
+        for kind in ("graph", "reflgraph", "semisimplex:2")
+        for P in presheaf_corpus(build_index_category(kind), 4)
+    ]
+    empty, subs = lists[0]
+    assert empty.total_size == 0 and subs == [0]
+    assert pack_lanes(empty, subs) == (0, 1, 8)
+    for kind in BUILTINS:
+        omega = classifying_object(build_index_category(kind))
+        lists += [(y, list(packed)) for y, packed in zip(omega.yonedas, omega.packed)]
+    for P, subs in lists:
+        bits, lanes, stride = pack_lanes(P, subs)
+        assert stride % 8 == 0 and stride - 8 < max(P.total_size, 1) <= stride, P
+        assert lanes == sum(1 << s * stride for s in range(len(subs))), P
+        assert unpack_lanes(bits, stride, len(subs)) == subs, P
 
 
 def test_functoriality_validation_catches_bad_actions():

@@ -16,7 +16,7 @@ from lttop.topology import (
     DegeneracyIncompatible,
     LTTopology,
     _bitstring_levels,
-    _covering_sieves,
+    _closures_bits,
     _naturality_violation,
     _transitive_at,
     construct_bitstring_topology,
@@ -269,7 +269,9 @@ def test_verify_matches_the_axiom_by_axiom_reference(
     assert reached == {None, "true", "idempotent", "meet", "naturality"}
 
 
-def test_transitivity_prune_matches_the_reference(verify_topology_reference, order_algebra):
+def test_transitivity_prune_matches_the_reference(
+    verify_topology_reference, order_algebra, covering_sieves
+):
     # a stable m is transitive, m_c <= m_c.m at every level, exactly when
     # its covering-sieve map j_m is a topology; and chi of J = up(m) is j_m,
     # level map for level map
@@ -281,7 +283,7 @@ def test_transitivity_prune_matches_the_reference(verify_topology_reference, ord
         omega = classifying_object(category)
         for m, j in covering_sieve_maps(omega, order_algebra):
             masks = [omega.packed[pos][least] for pos, least in enumerate(m)]
-            J = _covering_sieves(omega, masks)
+            J = covering_sieves(omega, masks)
             assert J.closure_violation() is None, (kind, m)
             assert characteristic_function(J, omega).components == j.levels, (kind, m)
             transitive = all(_transitive_at(omega, masks, c) for c in range(len(m)))
@@ -293,7 +295,7 @@ def test_transitivity_prune_matches_the_reference(verify_topology_reference, ord
 
 
 @pytest.mark.parametrize("kind", ["semisimplex:3", "simplex:3"])
-def test_covering_sieves_of_each_topology_classify_its_level_maps(kind):
+def test_covering_sieves_of_each_topology_classify_its_level_maps(kind, covering_sieves):
     # at dimension 3: the least covering sieves of each brute topology give
     # back its covering sieves, and chi of those gives back its level maps
     category = build_index_category(kind)
@@ -305,7 +307,7 @@ def test_covering_sieves_of_each_topology_classify_its_level_maps(kind):
         }
         # a filter's meet is its sieve with the least integer
         least = [omega.packed[pos][min(covered[c])] for pos, c in enumerate(category.objects)]
-        J = _covering_sieves(omega, least)
+        J = covering_sieves(omega, least)
         assert J == Subpresheaf.from_indices(omega.as_presheaf(), covered), (kind, j.tag)
         assert characteristic_function(J, omega).components == j.levels, (kind, j.tag)
 
@@ -384,28 +386,30 @@ def test_tags_read_off_m_match_the_boundary_reading(kind):
 
 
 @pytest.mark.parametrize(
-    "kind, dim, calls", [("semisimplex", 3, 32), ("simplex", 3, 10), ("bicolgraph", None, 16)]
+    "kind, dim, calls", [("semisimplex", 3, 16), ("simplex", 3, 5), ("bicolgraph", None, 8)]
 )
 def test_brute_route_builds_level_maps_only_for_topologies(kind, dim, calls, monkeypatch):
     # stability and transitivity prune every choice that is not a topology,
-    # so each complete choice makes one chi read, to build its level maps,
-    # and one check, which passes and reads Omega's tables only
+    # so the chi kernel reads the level maps of every complete choice in one
+    # call per level, and each choice gets one check, which passes and reads
+    # Omega's tables only
     category = build_index_category(kind, dim)
-    counted = []
+    kernel = []
+    verified = []
 
-    def counting_chi(sub, omega):
-        counted.append("chi")
-        return characteristic_function(sub, omega)
+    def counting_closures(leasts, A, bits, lanes=1):
+        kernel.append(len(leasts))
+        return _closures_bits(leasts, A, bits, lanes)
 
     def counting_verify(j):
-        counted.append("verify")
+        verified.append(j)
         return verify_topology(j)
 
-    monkeypatch.setattr(topology_module, "characteristic_function", counting_chi)
+    monkeypatch.setattr(topology_module, "_closures_bits", counting_closures)
     monkeypatch.setattr(topology_module, "verify_topology", counting_verify)
     found = enumerate_topologies(category, "brute")
-    assert counted == ["chi", "verify"] * len(found)
-    assert 2 * len(found) == len(counted) == calls
+    assert kernel == [len(found)] * len(category.objects)
+    assert len(verified) == len(found) == calls
 
 
 def bit_strings(category):
@@ -464,13 +468,31 @@ def test_verify_names_the_degeneracy_square_of_each_10_word(
     assert len(rejected) == words
 
 
+def omega_orbit_tables(method, kinds):
+    """The categories among ``kinds`` whose Omega gets an orbit table when
+    their topologies are enumerated by ``method`` from a cold Omega cache."""
+    classifying_object.cache_clear()
+    built = []
+    for kind in kinds:
+        category = build_index_category(kind)
+        enumerate_topologies(category, method)
+        if classifying_object(category).as_presheaf()._orbit_cache is not None:
+            built.append(kind)
+    return built
+
+
+SIMPLEX_UP_TO_3 = [f"{family}:{dim}" for family in ("semisimplex", "simplex") for dim in range(4)]
+
+
 def test_constrained_route_builds_no_omega_orbit_table():
     # the check reads Omega's generator tables, never its orbit table
-    classifying_object.cache_clear()
-    for family, dim in itertools.product(("semisimplex", "simplex"), range(4)):
-        category = build_index_category(family, dim)
-        enumerate_topologies(category, "constrained")
-        assert classifying_object(category).as_presheaf()._orbit_cache is None, category.kind
+    assert omega_orbit_tables("constrained", SIMPLEX_UP_TO_3) == []
+
+
+def test_brute_route_builds_no_omega_orbit_table():
+    # the level maps are read through the chi kernel on the representables,
+    # not as chi of up(m) over Omega's orbit table
+    assert omega_orbit_tables("brute", SIMPLEX_UP_TO_3 + ["bicolgraph"]) == []
 
 
 @pytest.fixture
@@ -498,7 +520,7 @@ def test_closed_sieves_match_the_reference_in_dimension_four(
 
 def test_dimension_four_topologies_verify_and_brute_agrees(lifted_sieve_bound):
     # every constrained topology passes, a one-entry change at level 4
-    # fails, and on semisimplex:4 the brute route finds the same maps
+    # fails, and the brute route finds the same maps and tags
     for kind, count in (("semisimplex:4", 32), ("simplex:4", 6)):
         category = build_index_category(kind)
         omega = classifying_object(category)
@@ -511,10 +533,9 @@ def test_dimension_four_topologies_verify_and_brute_agrees(lifted_sieve_bound):
             level[0] = 0 if level[0] == top else top
             mutated = LTTopology(omega, j.levels[:4] + (tuple(level),))
             assert verify_topology(mutated) is not None, (kind, j.tag)
-        if kind == "semisimplex:4":
-            brute = enumerate_topologies(category, "brute")
-            assert [j.levels for j in brute] == [j.levels for j in found]
-            assert [j.tag for j in brute] == [j.tag for j in found]
+        brute = enumerate_topologies(category, "brute")
+        assert [j.levels for j in brute] == [j.levels for j in found], kind
+        assert [j.tag for j in brute] == [j.tag for j in found], kind
 
 
 def test_reflgraph_word_10_is_rejected_with_a_witness():
