@@ -5,14 +5,20 @@ Subcommands: ``omega`` (print or export classifying objects), ``topologies``
 ``classify`` (separated/complete/sheaf flags for presheaves or fuzzy sets),
 and ``verify`` (the theorem-verification suites).
 
+One table, ``COMMANDS``, gives each subcommand's handler, help and
+options.  ``parse_args`` reads a well-formed command line straight off
+it; any other (``--help``, a usage error, an abbreviated option or an
+``--option=value``) goes to the argparse parser ``build_parser`` makes
+from the same table, so argparse is imported only for those.
+
 Exit codes: 0 ok, 1 verification failure, 2 input error, an exceeded
 size bound, or output that cannot be written (closed early, or a full
 disk).  All output is deterministic for fixed inputs and flags.
 """
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 
 from . import closure as closure_mod
 from . import docio, fuzzy, lattice
@@ -21,12 +27,12 @@ from .fincat import (
     FAMILY_FULL,
     FAMILY_SEMI,
     DimensionCapExceeded,
+    Record,
     build_index_category,
 )
 from .omega import classifying_object, hasse_covers, hasse_dot, sieve_label
 from .presheaf import BoundExceeded, Subpresheaf, pack_lanes, subpresheaf_bits
 from .topology import (
-    DegeneracyIncompatible,
     _closed_bits,
     _closures_bits,
     enumerate_topologies,
@@ -299,51 +305,140 @@ def cmd_verify(args, out):
     return OK if all_ok else VERIFY_FAILED
 
 
+FLAG = "store_true"  # the type of an option that takes no value
+
+
+class Option(Record):
+    """One option of the command line, as ``add_argument`` takes it.
+
+    ``type`` converts the value (``str`` or ``int``), or is ``FLAG`` for
+    an option that is true when given and takes no value.
+    """
+
+    __slots__ = ("flag", "type", "default", "choices", "required", "help")
+    _defaults = {"type": str, "default": None, "choices": None, "required": False, "help": None}
+
+    @property
+    def dest(self):
+        """The attribute the value is stored as, named as argparse names it."""
+        return self.flag[2:].replace("-", "_")
+
+
+GLOBAL_OPTIONS = (Option("--max-dim", int, default=4, help="cap on simplex dimensions"),)
+# name: (handler, help, options)
+COMMANDS = {
+    "omega": (cmd_omega, "print a classifying object", (
+        Option("--category", required=True),
+        Option("--level"),
+        Option("--dot", FLAG, default=False),
+    )),
+    "topologies": (cmd_topologies, "enumerate all topologies", (
+        Option("--category", required=True),
+        Option("--method", default="auto", choices=("auto", "brute", "constrained")),
+    )),
+    "closure": (cmd_closure, "close a subobject under a topology", (
+        Option("--topology", required=True, help="bit string, or bicolored label"),
+        Option("--input", required=True, help="presheaf document"),
+        Option("--sub", required=True, help="subobject document"),
+    )),
+    "classify": (cmd_classify, "separated/complete/sheaf flags", (
+        Option("--topology", help="bit string (presheaf route)"),
+        Option("--nucleus", help="nucleus document (fuzzy route)"),
+        Option("--input", required=True, help="presheaf or fuzzy-set document"),
+    )),
+    "verify": (cmd_verify, "run the verification suites", (
+        Option("--suite", default="all", choices=("all", *SUITES)),
+        Option("--corpus-bound", int, default=4, help="max cells per corpus object"),
+        Option("--ambient-bound", int, default=2, help="no effect; must be >= 0"),
+    )),
+}
+
+
 def build_parser():
+    """The argparse parser of ``GLOBAL_OPTIONS`` and ``COMMANDS``."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="lttop",
         description="Topologies, closure operators, and sheaf classification "
         "on finite presheaf toposes and fuzzy sets.",
     )
-    parser.add_argument("--max-dim", type=int, default=4, help="cap on simplex dimensions")
+    _add_options(parser, GLOBAL_OPTIONS)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("omega", help="print a classifying object")
-    p.add_argument("--category", required=True)
-    p.add_argument("--level", default=None)
-    p.add_argument("--dot", action="store_true")
-    p.set_defaults(func=cmd_omega)
-
-    p = sub.add_parser("topologies", help="enumerate all topologies")
-    p.add_argument("--category", required=True)
-    p.add_argument("--method", default="auto", choices=["auto", "brute", "constrained"])
-    p.set_defaults(func=cmd_topologies)
-
-    p = sub.add_parser("closure", help="close a subobject under a topology")
-    p.add_argument("--topology", required=True, help="bit string, or bicolored label")
-    p.add_argument("--input", required=True, help="presheaf document")
-    p.add_argument("--sub", required=True, help="subobject document")
-    p.set_defaults(func=cmd_closure)
-
-    p = sub.add_parser("classify", help="separated/complete/sheaf flags")
-    p.add_argument("--topology", default=None, help="bit string (presheaf route)")
-    p.add_argument("--nucleus", default=None, help="nucleus document (fuzzy route)")
-    p.add_argument("--input", required=True, help="presheaf or fuzzy-set document")
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("verify", help="run the verification suites")
-    p.add_argument("--suite", default="all", choices=["all", *SUITES])
-    p.add_argument("--corpus-bound", type=int, default=4, help="max cells per corpus object")
-    p.add_argument("--ambient-bound", type=int, default=2, help="no effect; must be >= 0")
-    p.set_defaults(func=cmd_verify)
+    for name, (func, summary, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        _add_options(p, options)
+        p.set_defaults(func=func)
     return parser
+
+
+def _add_options(parser, options):
+    for o in options:
+        if o.type is FLAG:
+            kwargs = {"action": "store_true"}
+        else:
+            kwargs = {"type": o.type, "choices": o.choices}
+        parser.add_argument(
+            o.flag, dest=o.dest, default=o.default, required=o.required, help=o.help, **kwargs
+        )
+
+
+def parse_args(argv):
+    """The namespace ``build_parser().parse_args(argv)`` gives, for an
+    ``argv`` of the form ``[--max-dim INT] COMMAND (--option VALUE |
+    --flag)...`` with exact option names; None for any other.
+
+    None covers help, every usage error, and the forms argparse reads
+    more loosely: an abbreviated option, ``--option=value``, ``--``, and a
+    value that starts with ``-``.
+    """
+    values = {}
+    i = _read_options(argv, 0, GLOBAL_OPTIONS, values)
+    if i is None or i == len(argv) or argv[i] not in COMMANDS:
+        return None
+    command = argv[i]
+    func, _, options = COMMANDS[command]
+    if _read_options(argv, i + 1, options, values) != len(argv):
+        return None
+    for o in (*GLOBAL_OPTIONS, *options):
+        if o.dest not in values:
+            if o.required:
+                return None
+            values[o.dest] = o.default
+    return SimpleNamespace(command=command, func=func, **values)
+
+
+def _read_options(argv, i, options, values):
+    """Store the values of the ``options`` given from ``argv[i]`` on, up
+    to the first other argument, and return its position; None for a
+    value that is missing, starts with ``-``, or fails its type or
+    choices."""
+    by_flag = {o.flag: o for o in options}
+    while i < len(argv) and argv[i] in by_flag:
+        o = by_flag[argv[i]]
+        if o.type is FLAG:
+            values[o.dest] = True
+            i += 1
+            continue
+        if i + 1 == len(argv) or argv[i + 1].startswith("-"):
+            return None
+        try:
+            value = o.type(argv[i + 1])
+        except ValueError:
+            return None
+        if o.choices is not None and value not in o.choices:
+            return None
+        values[o.dest] = value
+        i += 2
+    return i
 
 
 def main(argv=None, out=None):
     """Run one command with ``argv`` (default ``sys.argv[1:]``), writing to
     ``out`` (default stdout), and return its exit code."""
     out = out if out is not None else sys.stdout
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = parse_args(argv) or build_parser().parse_args(argv)
     try:
         code = _run(args, out)
         out.flush()
@@ -376,7 +471,7 @@ def _run(args, out):
             f"pass --max-dim {exc.dim} to override\n"
         )
         return INPUT_ERROR
-    except (docio.DocumentError, DegeneracyIncompatible, ValueError, OSError, BoundExceeded) as exc:
+    except (ValueError, OSError, BoundExceeded) as exc:
         out.write(f"error: {exc}\n")
         return INPUT_ERROR
 
@@ -388,8 +483,8 @@ def console_entry():
     No output depends on the interpreter's teardown (module cleanup, the
     final garbage collection, freeing every object), so it is skipped;
     ``atexit`` handlers and finalizers do not run.  An exception that
-    escapes ``main``, such as argparse's ``SystemExit``, ends the process
-    the normal way.
+    escapes ``main`` ends the process the normal way: that is how
+    argparse's ``SystemExit`` answers ``--help`` and a usage error.
     """
     code = main()
     sys.stdout.flush()

@@ -7,8 +7,6 @@ their modules' own invariants (functoriality, closure, order laws) before
 they are returned.
 """
 
-import json
-
 from . import lattice
 from .fincat import (
     DEFAULT_MAX_DIM,
@@ -84,11 +82,17 @@ def _object_by_name(category, name):
 
 
 def load_json(path):
+    """The JSON value in the file at ``path``; ``json`` is imported on the
+    first call, so only a command that reads a document loads it."""
+    import json
+
     with open(path, "r", encoding="utf-8") as handle:
         try:
             return json.load(handle)
         except json.JSONDecodeError as exc:
             raise DocumentError(f"{path}: not valid JSON ({exc})") from exc
+        except RecursionError as exc:
+            raise DocumentError(f"{path}: nested too deeply to read ({exc})") from exc
 
 
 def presheaf_from_doc(doc, max_dim=DEFAULT_MAX_DIM):

@@ -1,9 +1,13 @@
 """Command-line surface: output shapes, document handling, exit codes."""
 
+import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
+import random
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -99,15 +103,17 @@ def test_catalog_output_matches_the_recorded_digests():
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == want, key
 
 
-def test_cli_start_up_imports_neither_dataclasses_nor_inspect():
-    # every request is a fresh process, so what importing the CLI pulls in
-    # is paid on each one; dataclasses imports inspect, ast, dis and tokenize
+def modules_a_request_loads(argv):
+    """The first output line of ``main(argv)`` in a fresh process, its exit
+    code, and the modules importing lttop.cli and running it load."""
     program = (
-        "import json, sys\n"
+        "import sys\n"
         "before = set(sys.modules)\n"
         "import lttop.cli\n"
-        "code = lttop.cli.main(['topologies', '--category', 'graph'])\n"
-        "print(json.dumps([code, sorted(set(sys.modules) - before)]))\n"
+        f"code = lttop.cli.main({argv!r})\n"
+        "loaded = sorted(set(sys.modules) - before)\n"
+        "import json\n"
+        "print(json.dumps([code, loaded]))\n"
     )
     src = str(Path(lttop.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
@@ -116,10 +122,24 @@ def test_cli_start_up_imports_neither_dataclasses_nor_inspect():
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[0] == "4 topologies on graph"
     code, loaded = json.loads(lines[-1])
+    return lines[0], code, set(loaded)
+
+
+def test_cli_start_up_imports_neither_dataclasses_nor_inspect(tmp_path):
+    # every request is a fresh process, so what importing the CLI pulls in
+    # is paid on each one; dataclasses imports inspect, ast, dis and tokenize.
+    # A well-formed command line is read without argparse (with gettext and
+    # locale), and json is loaded only by a command that reads a document
+    first, code, loaded = modules_a_request_loads(["topologies", "--category", "graph"])
+    assert first == "4 topologies on graph"
     assert code == 0 and "lttop.cli" in loaded
-    assert "dataclasses" not in loaded and "inspect" not in loaded
+    unwanted = {"dataclasses", "inspect", "argparse", "gettext", "locale", "json"}
+    assert not loaded & unwanted, loaded & unwanted
+    graph = write(tmp_path, "g.json", PATH_GRAPH)
+    first, code, loaded = modules_a_request_loads(["classify", "--topology", "01", "--input", graph])
+    assert (first, code) == ("separated: True", 0)
+    assert "json" in loaded and not loaded & (unwanted - {"json"})
 
 
 @pytest.mark.skipif(not hasattr(fcntl, "F_SETPIPE_SZ"), reason="needs a resizable pipe")
@@ -204,6 +224,12 @@ CATALOG_CATEGORIES = [
         (["omega", "--category", "nosuch"], 2, False),
         (["omega", "--category", "graph", "--bogus"], 2, False),
         (["--help"], 0, False),
+        (["omega", "--help"], 0, False),
+        (["verify", "--suite", "nosuch"], 2, False),
+        (["verify", "--corpus-bound", "x"], 2, False),
+        (["closure", "--topology", "0"], 2, False),
+        (["omega", "--cat", "set"], 0, False),
+        (["omega", "--category=set"], 0, False),
     ],
 )
 def test_the_process_writes_what_main_writes(argv, code, to_file, tmp_path, capsys, monkeypatch):
@@ -263,6 +289,110 @@ def test_the_process_entry_skips_interpreter_teardown(launch, argv, code):
     assert proc.stdout == run(argv)[1].encode("utf-8")
     # a library caller still gets the code back, in a process that goes on
     assert main(argv, out=io.StringIO()) == code
+
+
+# -- the command-line reader against argparse ---------------------------------
+
+ODD_VALUES = ["", "-1", "+3", " 4", "٣", "0", "7", "set", "graph", "01"]
+CHOSEN_VALUES = ["auto", "brute", "constrained", "all", "fuzzy", "counts", "nosuch", "ALL"]
+
+
+def argparse_reads(parser, argv):
+    """``vars`` of argparse's namespace for ``argv``, or None where it
+    writes help or a usage error and exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(parser.parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def argv_corpus():
+    """(argv, plain) pairs: every subcommand with every ordered subset of
+    its options, under seeded odd, chosen and missing values, then each
+    with ``--max-dim`` before it, a repeated option, ``-h`` in several
+    places, ``--``, and an ``=`` or abbreviated option.  ``plain`` marks
+    the command lines that use exact option names and no ``-h`` or
+    ``--``."""
+    from lttop.cli import COMMANDS, FLAG
+
+    rng = random.Random(0)
+    for command, (_, _, options) in COMMANDS.items():
+        for k in range(len(options) + 1):
+            for order in itertools.permutations(options, k):
+                for _ in range(12):
+                    words = [
+                        [o.flag] if o.type is FLAG
+                        else [o.flag, rng.choice(ODD_VALUES + CHOSEN_VALUES)]
+                        for o in order
+                    ]
+                    argv = [command, *itertools.chain(*words)]
+                    yield argv, True
+                    yield ["--max-dim", rng.choice(ODD_VALUES), *argv], True
+                    yield ["--max-dim", "2", "--max-dim", "3", *argv], True
+                    if not words:
+                        continue
+                    yield [*argv, *rng.choice(words)], True
+                    for at in (0, 1, len(argv), rng.randrange(len(argv) + 1)):
+                        yield [*argv[:at], "-h", *argv[at:]], False
+                    yield [*argv, "--", *rng.choice(words)], False
+                    n = rng.randrange(len(words))
+                    flag, *value = words[n]
+                    for form in (
+                        [f"{flag}={value[0]}"] if value else [f"{flag}="],
+                        [flag[:-1], *value],
+                    ):
+                        yield [command, *itertools.chain(*words[:n], form, *words[n + 1:])], False
+
+
+def test_parse_args_reads_what_argparse_reads():
+    from lttop.cli import COMMANDS, GLOBAL_OPTIONS, build_parser, parse_args
+
+    flags = {o.flag for o in GLOBAL_OPTIONS}
+    flags.update(o.flag for _, _, options in COMMANDS.values() for o in options)
+    parser = build_parser()
+    read = fallback = 0
+    for argv, plain in argv_corpus():
+        got = parse_args(argv)
+        if not plain:
+            assert got is None, argv
+            continue
+        want = argparse_reads(parser, argv)
+        if got is not None:
+            assert vars(got) == want, argv
+            read += 1
+        elif want is not None:
+            # argparse reads a value such as "-1" as a value; parse_args
+            # leaves a value that starts with "-" to it
+            assert any(word.startswith("-") and word not in flags for word in argv), argv
+            fallback += 1
+    assert read > 1000 and fallback > 0, (read, fallback)
+
+
+def readme_command_lines():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    argvs = [shlex.split(line.split("#")[0])[1:] for line in block.splitlines()]
+    argvs.append(["--max-dim", "5", "omega", "--category", "simplex:5"])
+    return argvs
+
+
+def test_parse_args_reads_every_documented_and_benchmarked_command_line(tmp_path, monkeypatch):
+    from lttop.cli import build_parser, parse_args
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    argvs = readme_command_lines()
+    assert len(argvs) == 10
+    for workload in ("catalog", "verify", "documents"):
+        argvs += [r.args for r in workloads.build(workload, 1, str(tmp_path))]
+    parser = build_parser()
+    for argv in argvs:
+        got = parse_args(argv)
+        assert got is not None, argv
+        assert vars(got) == argparse_reads(parser, argv), argv
 
 
 def test_max_dim_is_validated_and_named_in_the_cap_error():
@@ -412,6 +542,32 @@ def test_input_errors_exit_2(tmp_path):
     misspelt = write(tmp_path, "misspelt.json", misspelt)
     code, text = run(["classify", "--topology", "01", "--input", misspelt])
     assert code == 2 and "unknown key 'actoins'" in text
+
+
+DEEP_DOCUMENTS = {
+    "objects": '{"a": ' * 3000 + "1" + "}" * 3000,
+    "arrays": "[" * 5000 + "]" * 5000,
+}
+
+
+@pytest.mark.parametrize("shape", DEEP_DOCUMENTS)
+@pytest.mark.parametrize("route", ["classify", "closure", "classify --nucleus"])
+def test_a_deeply_nested_document_is_an_input_error(tmp_path, route, shape):
+    # the JSON decoder runs out of recursion depth: exit 2 with a message,
+    # not a traceback
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP_DOCUMENTS[shape])
+    argv = {
+        "classify": ["classify", "--topology", "01", "--input", str(deep)],
+        "closure": ["closure", "--topology", "01", "--input", write(tmp_path, "g.json", PATH_GRAPH),
+                    "--sub", str(deep)],
+        "classify --nucleus": ["classify", "--nucleus", str(deep),
+                               "--input", write(tmp_path, "high.json", FUZZY_HIGH)],
+    }[route]
+    code, text = run(argv)
+    assert code == 2
+    assert text.startswith(f"error: {deep}: nested too deeply to read (")
+    assert text.count("\n") == 1
 
 
 REFL_POINT = {
