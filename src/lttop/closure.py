@@ -15,12 +15,14 @@ once, one per lane of a single integer (``presheaf.pack_lanes``): every
 subobject shares the presheaf's orbits and closure plan.  A topology acts
 on level c only through m_c, so the chi kernel takes every topology of the
 closures suite at once and computes each (level, m_c) part once per
-presheaf; the recursive route runs once per (presheaf, topology).  The
-level maps of the two enumeration routes are the same kernels run on the
-sieves of the representables, so comparing the closure routes (the
-closures suite) checks that the recursion commutes with pullback on every
-corpus presheaf, and the constrained enumeration agreeing with the brute
-one checks it on the representables.
+presheaf, reading which topologies share it off a plan built once per
+category and topology list (``topology._chi_plan``); the recursive route
+runs once per (presheaf, topology).  The level maps of the two
+enumeration routes are the same kernels run on the sieves of the
+representables, so comparing the closure routes (the closures suite)
+checks that the recursion commutes with pullback on every corpus
+presheaf, and the constrained enumeration agreeing with the brute one
+checks it on the representables.
 
 The classifier decides separated/complete/sheaf from cell counts over
 incidence tuples; ``factorization_checks`` is its counterpart from the
@@ -30,8 +32,12 @@ definition: for every level c and every dense proper sieve S on c
 restriction to S is f, which by Yoneda are the extensions of f along
 S -> y(c) (at most one for separated, exactly one for a sheaf).  Each
 (level, dense sieve) is searched once and shared by every topology that
-reaches it.  The representables suffice, so no corpus of ambient
-presheaves and no size bound is involved.
+reaches it; the search keeps the number of maps f and the first f with no
+extension and the first with two or more, which is all a topology's scan
+reads.  A report builds the witness of such an f only when its witness
+field is read, so a caller that reads only the flags, as the criteria
+suite of ``verify`` does, builds none.  The representables suffice, so no
+corpus of ambient presheaves and no size bound is involved.
 """
 
 import itertools
@@ -504,6 +510,29 @@ class FactorizationReport(Record):
     __slots__ = ("separated", "complete", "separated_witness", "complete_witness")
 
 
+class _BuiltOnRead:
+    """A report field that holds a witness or a call that builds it
+    (``_witness``), and reads the call as the witness it builds."""
+
+    __slots__ = ("slot",)
+
+    def __init__(self, slot):
+        self.slot = slot
+
+    def __get__(self, report, owner=None):
+        if report is None:
+            return self
+        value = self.slot.__get__(report, owner)
+        return value() if callable(value) else value
+
+    def __set__(self, report, value):
+        self.slot.__set__(report, value)
+
+
+FactorizationReport.separated_witness = _BuiltOnRead(FactorizationReport.separated_witness)
+FactorizationReport.complete_witness = _BuiltOnRead(FactorizationReport.complete_witness)
+
+
 def factorization_check(B, j):
     """Decide separated and complete by extending maps along dense sieves:
     the one-topology call of ``factorization_checks``."""
@@ -541,20 +570,26 @@ def factorization_checks(B, topologies):
     map on the sieve extends to A'' plus x exactly as it extends to y(k).
 
     Each topology scans its dense sieves level by level, in sieve order,
-    and stops once it has both witnesses.  Witnesses are (y(c), S, f) and
-    (y(c), S, f, (g1, g2)), with f given by its components on S's cells
-    and g1 != g2 the maps y(c) -> B of the two lowest-indexed cells of
-    B(c) whose restriction to S is f.  More than ``DEFAULT_SEARCH_BUDGET``
-    maps f out of one topology's dense sieves on one c raise
-    ``CorpusTooLarge``.
+    and stops once it has both witnesses.  A search keeps only what that
+    scan reads: the number of maps f, and the first with no extension and
+    the first with two or more, so a topology steps once per dense sieve,
+    not once per map.  Witnesses are (y(c), S, f) and (y(c), S, f,
+    (g1, g2)), with f given by its components on S's cells and g1 != g2
+    the maps y(c) -> B of the two lowest-indexed cells of B(c) whose
+    restriction to S is f.  A report builds each witness when its field is
+    first read, once per call: the topologies that report one map share
+    one witness object.  More than ``DEFAULT_SEARCH_BUDGET`` maps f out of
+    one topology's dense sieves on one c raise ``CorpusTooLarge``.
     """
     budget = DEFAULT_SEARCH_BUDGET
     orbits = B.sieve_orbits()
     memo = {}
 
     def maps_out_of(pos, yc, S, bits):
-        # the first budget + 1 maps f: S -> B, each as the number of maps
-        # y(c) -> B that restrict to it and a call that builds its witness
+        # the first f with no extension and the first with two or more,
+        # each as its position among the maps f: S -> B and its witness, or
+        # None, and the number of maps, up to budget + 1 or up to the one
+        # that completes both, where every scan that reaches S stops
         if (pos, bits) not in memo:
             c = B.category.objects[pos]
             outside = [p for p in range(yc.total_size) if not bits >> p & 1]
@@ -566,13 +601,23 @@ def factorization_checks(B, topologies):
                 for p in outside:
                     f[p] = None
                 extensions.setdefault(tuple(f), []).append(g)
-            memo[pos, bits] = found = []
+            count = 0
+            missing = shared = None
             image = [None] * yc.total_size
             with closing(morphism_search(yc, B, bits)(image)) as search:
-                for _ in itertools.islice(search, budget + 1):
+                for count, _ in enumerate(itertools.islice(search, budget + 1), 1):
                     f = tuple(image)
                     cells = extensions.get(f, ())
-                    found.append((len(cells), _witness(B, yc, S, bits, f, cells)))
+                    if len(cells) == 1:
+                        continue
+                    if not cells:
+                        if missing is None:
+                            missing = count - 1, _witness(B, yc, S, bits, f, cells)
+                    elif shared is None:
+                        shared = count - 1, _witness(B, yc, S, bits, f, cells)
+                    if missing is not None and shared is not None:
+                        break
+            memo[pos, bits] = count, missing, shared
         return memo[pos, bits]
 
     return [_factorization_report(B, j, maps_out_of, budget) for j in topologies]
@@ -611,17 +656,21 @@ def _factorization_report(B, j, maps_out_of, budget):
         for S, bits in zip(sieves[:-1], packed):
             if bits & m != m:
                 continue
-            for extensions, witness in maps_out_of(pos, yc, S, bits):
-                count += 1
-                if count > budget:
-                    message = f"more than {budget} morphisms from dense sieves of {yc} to {B}"
-                    raise CorpusTooLarge(message, count, budget)
-                if extensions == 1:
-                    continue
-                if not extensions and comp_witness is None:
-                    comp_witness = witness()
-                elif extensions and sep_witness is None:
-                    sep_witness = witness()
-                if sep_witness is not None and comp_witness is not None:
-                    return FactorizationReport(False, False, sep_witness, comp_witness)
+            total, missing, shared = maps_out_of(pos, yc, S, bits)
+            # positions of the maps that give this topology a new witness
+            found = []
+            if comp_witness is None and missing is not None:
+                found.append(missing[0])
+                comp_witness = missing[1]
+            if sep_witness is None and shared is not None:
+                found.append(shared[0])
+                sep_witness = shared[1]
+            done = sep_witness is not None and comp_witness is not None
+            # the scan reads every map of S, or stops at its second witness
+            count += max(found) + 1 if done else total
+            if count > budget:
+                message = f"more than {budget} morphisms from dense sieves of {yc} to {B}"
+                raise CorpusTooLarge(message, budget + 1, budget)
+            if done:
+                return FactorizationReport(False, False, sep_witness, comp_witness)
     return FactorizationReport(sep_witness is None, comp_witness is None, sep_witness, comp_witness)

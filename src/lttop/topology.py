@@ -220,31 +220,47 @@ def _closures_bits(leasts, A, bits, lanes=1):
     (``_generator_positions``): the AND of ``bits >> p`` over those orbit
     positions p of x (``FinitePresheaf.sieve_orbits``).  A topology acts on
     level c only through m_c, so each (level, m_c) part is computed once
-    and shared by the topologies with that m_c.
+    and shared by the topologies with that m_c.  The generating sets, and
+    which topologies share each part, are read off the plan of the
+    category and ``leasts`` (``_chi_plan``), built once for every presheaf
+    they close.
     """
-    category = A.category
     # the orbit table is keyed by every cell of A, in level order
     orbits = tuple(A.sieve_orbits().values())
+    plan = _chi_plan(A.category, tuple(leasts))
     closed = [0] * len(leasts)
     start = 0
-    for pos, (level, offset) in enumerate(zip(A.carriers, A.bit_offsets())):
+    for level, offset, groups in zip(A.carriers, A.bit_offsets(), plan):
         cells = orbits[start : start + len(level)]
         start += len(level)
-        parts = {}
-        for t, least in enumerate(leasts):
-            m = least[pos]
-            part = parts.get(m)
-            if part is None:
-                chosen = _generator_positions(category, pos, m)
-                part = 0
-                for x, orbit in enumerate(cells):
-                    keep = lanes
-                    for i in chosen:
-                        keep &= bits >> orbit[i]
-                    part |= keep << offset + x
-                parts[m] = part
-            closed[t] |= part
+        for chosen, shared_by in groups:
+            part = 0
+            for x, orbit in enumerate(cells):
+                keep = lanes
+                for i in chosen:
+                    keep &= bits >> orbit[i]
+                part |= keep << offset + x
+            for t in shared_by:
+                closed[t] |= part
     return closed
+
+
+@lru_cache(maxsize=None)
+def _chi_plan(category, leasts):
+    """Per level c, one pair per distinct m_c among the tuples of least
+    covering sieves ``leasts``: the orbit positions of a generating set of
+    m_c (``_generator_positions``) and the positions in ``leasts`` of the
+    tuples with that m_c, in order of first appearance.  Categories are
+    cached singletons, so a plan is built once per category and list."""
+    plan = []
+    for pos in range(len(category.objects)):
+        shared_by = {}
+        for t, least in enumerate(leasts):
+            shared_by.setdefault(least[pos], []).append(t)
+        plan.append(
+            tuple((_generator_positions(category, pos, m), tuple(ts)) for m, ts in shared_by.items())
+        )
+    return tuple(plan)
 
 
 @lru_cache(maxsize=None)

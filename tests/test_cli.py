@@ -1040,6 +1040,39 @@ def test_first_closure_mismatch_hashes_no_morphism_per_presheaf(monkeypatch, kin
     assert counts[0] == counts[1], counts
 
 
+@pytest.mark.parametrize("kind", ["graph", "reflgraph", "semisimplex:2"])
+def test_first_closure_mismatch_plans_the_chi_kernel_once_per_category(monkeypatch, kind):
+    # which topologies share each (level, m_c) part is planned once for the
+    # category and topologies, so a larger corpus looks up no more
+    # generating sets
+    from lttop import cli, topology
+    from lttop.closure import presheaf_corpus
+    from lttop.fincat import build_index_category
+    from lttop.topology import enumerate_topologies
+
+    category = build_index_category(kind)
+    topologies = enumerate_topologies(category)
+    original = topology._generator_positions
+    looked_up = []
+
+    def counted(*args):
+        looked_up.append(args)
+        return original(*args)
+
+    counts = []
+    for bound in (3, 5):
+        presheaf_corpus(category, bound)
+        topology._chi_plan.cache_clear()
+        looked_up.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(topology, "_generator_positions", counted)
+            checked, mismatch = cli._first_closure_mismatch(category, topologies, bound)
+        assert mismatch is None and checked > 0
+        assert topology._chi_plan.cache_info().misses == 1
+        counts.append(len(looked_up))
+    assert counts[0] == counts[1] > 0, counts
+
+
 def test_criteria_suite_finds_each_level_witness_once_per_presheaf(monkeypatch):
     from collections import Counter
 
@@ -1058,6 +1091,38 @@ def test_criteria_suite_finds_each_level_witness_once_per_presheaf(monkeypatch):
     assert cli._suite_criteria(out, 5)
     assert calls and max(calls.values()) == 1
     assert {name for name, _, _ in calls} == {"_shared_cells", "_unfilled_boundary"}
+
+
+def test_criteria_suite_builds_no_witness_when_the_two_sides_agree(monkeypatch):
+    # the oracle's reports build a witness only when its field is read,
+    # and the suite reads only the flags
+    from lttop import cli, closure
+    from lttop.fincat import build_index_category
+    from lttop.topology import enumerate_topologies
+
+    built = []
+    for name in ("components_of", "PresheafMorphism"):
+        original = getattr(closure, name)
+
+        def counted(*args, name=name, original=original):
+            built.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(closure, name, counted)
+    out = io.StringIO()
+    assert cli._suite_criteria(out, 5)
+    assert built == []
+    # reading a witness field builds it, through the counted calls
+    category = build_index_category("graph")
+    topologies = enumerate_topologies(category)
+    reports = [
+        report
+        for B in closure.presheaf_corpus(category, 5)
+        for report in closure.factorization_checks(B, topologies)
+    ]
+    assert built == []
+    assert any(report.separated_witness for report in reports)
+    assert set(built) == {"components_of", "PresheafMorphism"}
 
 
 def test_omega_refuses_an_oversized_level_before_building_the_larger_ones():

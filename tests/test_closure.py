@@ -15,6 +15,7 @@ from lttop.presheaf import (
     enumerate_morphisms,
     _principal,
     enumerate_subpresheaves,
+    pack_lanes,
     subpresheaf_bits,
     yoneda,
 )
@@ -497,6 +498,32 @@ def test_factorization_budget_is_read_at_call_time(monkeypatch):
     assert caught.value.bound == 3 and caught.value.count > 3
 
 
+def test_an_exceeded_search_budget_builds_no_witness(monkeypatch):
+    # the budget counts the maps a scan reaches, failing or not, and the
+    # scan that exceeds it builds no witness on the way
+    built = []
+    components_of = closure.components_of
+
+    def counted(*args):
+        built.append(args)
+        return components_of(*args)
+
+    monkeypatch.setattr(closure, "components_of", counted)
+    monkeypatch.setattr(closure, "DEFAULT_SEARCH_BUDGET", 3)
+    topologies = enumerate_topologies(GRAPH)
+    with pytest.raises(CorpusTooLarge, match="more than 3 morphisms") as caught:
+        factorization_checks(COMPLETE2, topologies)
+    assert (caught.value.count, caught.value.bound) == (4, 3)
+    raised = 0
+    for B in presheaf_corpus(GRAPH, 5):
+        try:
+            factorization_checks(B, topologies)
+        except CorpusTooLarge as exc:
+            assert (exc.count, exc.bound) == (4, 3), B
+            raised += 1
+    assert raised and built == []
+
+
 @pytest.mark.parametrize("kind,corpus_bound", [
     ("graph", 6),
     ("reflgraph", 6),
@@ -628,6 +655,29 @@ def test_the_shared_chi_kernel_matches_the_all_positions_kernel(
             lanes |= 1 << s * stride
         expected = [closure_bits_reference(least, P, bits, lanes) for least in leasts]
         assert _closures_bits(leasts, P, bits, lanes) == expected, P
+
+
+@pytest.mark.parametrize("kind", ["graph", "reflgraph", "semisimplex:2"])
+def test_the_chi_kernel_answers_in_the_callers_order(kind, closure_bits_reference):
+    # the plan is cached per (category, leasts): a permuted, repeated or
+    # single list of topologies reads its own plan, so a stale or
+    # mis-keyed entry would close some lane under the wrong topology
+    category = build_index_category(kind)
+    leasts = [least_covering_sieves(j) for j in enumerate_topologies(category)]
+    orders = [
+        leasts,
+        leasts[::-1],
+        leasts[1:] + leasts[:1],
+        leasts + leasts[:2],
+        [leasts[-1], leasts[0], leasts[-1]],
+        *([least] for least in leasts),
+    ]
+    for P in presheaf_corpus(category, 4):
+        bits, lanes, _ = pack_lanes(P, subpresheaf_bits(P))
+        expected = {least: closure_bits_reference(least, P, bits, lanes) for least in leasts}
+        for order in orders:
+            got = _closures_bits(order, P, bits, lanes)
+            assert got == [expected[least] for least in order], (P, order)
 
 
 def test_corpus_is_deduplicated_and_valid():
