@@ -51,7 +51,6 @@ from .topology import (
     construct_bitstring_topology,
     degeneracy_compatible,
     enumerate_topologies,
-    topology_by_tag,
     verify_topology,
 )
 from .closure import (

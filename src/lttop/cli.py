@@ -32,13 +32,7 @@ from .fincat import (
 )
 from .omega import classifying_object, hasse_covers, hasse_dot, sieve_label
 from .presheaf import BoundExceeded, Subpresheaf, pack_lanes, subpresheaf_bits
-from .topology import (
-    _closed_bits,
-    _closures_bits,
-    enumerate_topologies,
-    least_covering_sieves,
-    topology_by_tag,
-)
+from .topology import _closed_bits, _closures_bits, enumerate_topologies, least_sieves
 
 OK, VERIFY_FAILED, INPUT_ERROR = 0, 1, 2
 
@@ -88,14 +82,14 @@ def cmd_closure(args, out):
     P = docio.presheaf_from_doc(docio.load_json(args.input), max_dim=args.max_dim)
     category = P.category
     sub = docio.subobject_from_doc(docio.load_json(args.sub), P)
-    j = topology_by_tag(category, args.topology)
-    closed = closure_mod.closure_via_chi(j, sub)
+    # the least covering sieves come off the word or label: no Omega
+    closed = Subpresheaf(P, _closures_bits([least_sieves(category, args.topology)], P, sub.bits)[0])
     for c in category.objects:
         added = closed.level_mask(c) & ~sub.level_mask(c)
         names = ", ".join(str(x) for i, x in enumerate(P.carrier(c)) if added >> i & 1)
         out.write(f"level {c}: added [{names}]\n")
-    if category.family in (FAMILY_SEMI, FAMILY_FULL) and j.tag is not None:
-        if closure_mod.closure_recursive(j.tag, sub) != closed:
+    if category.family in (FAMILY_SEMI, FAMILY_FULL):
+        if closure_mod.closure_recursive(args.topology, sub) != closed:
             out.write("closure mismatch between the two computation routes\n")
             return VERIFY_FAILED
     out.write("dense\n" if closed.is_full else "not dense\n")
@@ -190,14 +184,16 @@ def _first_closure_mismatch(category, topologies, corpus_bound):
     order.  All subobjects of one corpus presheaf P are lanes of one
     integer (``pack_lanes``, whose stride locates the lane of a differing
     bit), so the recursive route runs once per (P, topology) and the chi
-    route once per P, sharing each (level, m_c) part; the first failing
+    route once per P, sharing each (level, m_c) part, with m read off each
+    topology's tag (``topology.least_sieves``), so the suite checks that
+    decoder against the recursion as well; the first failing
     instance of P is the lowest lane that differs under any topology, and
     within that lane the first such topology.  Returns the number of
     instances checked up to and including it and that (n, P, sub, word),
     with n the position of P in ``presheaf_corpus(category, corpus_bound)``,
     or None when they all agree.
     """
-    least = [least_covering_sieves(j) for j in topologies]
+    least = [least_sieves(category, j.tag) for j in topologies]
     checked = 0
     for n, P in enumerate(closure_mod.presheaf_corpus(category, corpus_bound)):
         # every subobject of P is one lane of a single integer

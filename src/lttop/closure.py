@@ -5,10 +5,13 @@ composite of a topology with a characteristic function, while
 ``closure_recursive`` runs the per-dimension recursion driven by the bit
 string (copy a level, or fill every cell whose faces already lie in the
 closed level below).  A topology's covering sieves at c are the sieves
-above its least covering sieve m_c (``topology.least_covering_sieves``),
-so the chi route keeps a cell x of level c iff chi(x) = x*A' >= m_c, that
-is, iff x.g lies in A' for every g of a generating set of m_c (A' is
-action-closed), and looks nothing up in Omega once m is read.  Both
+above its least covering sieve m_c, so the chi route keeps a cell x of
+level c iff chi(x) = x*A' >= m_c, that is, iff x.g lies in A' for every g
+of a generating set of m_c (A' is action-closed), and looks nothing up in
+Omega once m is read.  ``closure_via_chi`` and the dense sieves here read
+m off a topology's level maps (``topology.least_covering_sieves``); the
+``closure`` command and the closures suite read it off the word or label
+(``topology.least_sieves``), and build no Omega at all.  Both
 kernels live in ``topology``, ``_closures_bits`` (chi) and
 ``_closed_bits`` (recursive), and close many subobjects of one presheaf at
 once, one per lane of a single integer (``presheaf.pack_lanes``): every

@@ -3,13 +3,17 @@
 A topology is read through its covering sieves (Mac Lane and Moerdijk,
 Sheaves in Geometry and Logic, III.2 and V.1): J(c) = j^-1(top) is a
 principal filter up(m_c) of Omega(c), J is a subpresheaf of Omega, and j
-is its characteristic map, j_c(S) = {f: l -> c | f*S >= m_l}.
-``least_covering_sieves`` reads m off a topology, one sieve integer per
-level, and every consumer tests ``S & m == m`` on plain integers: the
-closures and the dense sieves of ``closure``, and the tags here, whose bit
-at level c says whether m_c is a proper sieve.  ``verify_topology`` checks
-the axioms on Omega's own tables: j fixes top, is idempotent, sends to top
-exactly up(m), and commutes with every generator action.
+is its characteristic map, j_c(S) = {f: l -> c | f*S >= m_l}.  m is one
+sieve integer per level, and its readers test ``S & m == m`` on plain
+integers.  ``least_sieves`` reads m off a bit string or bicolored label
+with no Omega: m_c is generated by the cells of y(c) at the levels whose
+bit is 0.  The ``closure`` command and the closures suite of ``verify``
+read it there.  ``least_covering_sieves`` reads m off a topology's level
+maps, for ``verify_topology``, the tags here (the bit at level c says
+whether m_c is a proper sieve), and the chi closure and dense sieves of a
+topology in ``closure``.  ``verify_topology`` checks the axioms on
+Omega's own tables: j fixes top, is idempotent, sends to top exactly
+up(m), and commutes with every generator action.
 
 For any topology, j_c(S) is the closure of S as a subobject of y(c)
 (Mac Lane and Moerdijk, V.1-V.2), so both routes below read a level map
@@ -40,10 +44,10 @@ the bit-string tag is metadata only.
 
 import itertools
 from functools import lru_cache, partial, reduce
-from operator import and_
+from operator import and_, or_
 
 from .fincat import FAMILY_BICOLOR, FAMILY_FULL, FAMILY_SEMI, Record, build_index_category
-from .omega import classifying_object
+from .omega import OmegaBoundExceeded, classifying_object
 from .presheaf import _principal, add_degeneracies, pack_lanes, unpack_lanes, yoneda
 
 BICOLOR_LABELS = ("00", "01", "02", "03", "10", "11", "12", "13")
@@ -82,12 +86,10 @@ class TopologyViolation(Record):
 class LTTopology(Record):
     """Per-level endomap of Omega, optionally tagged by its bit string.
 
-    Equality reads ``levels`` only; ``omega`` and ``tag`` are context.  The
-    private ``_least`` slot keeps ``least_covering_sieves`` once read; it
-    is not a field, so equality, hashing and pickling do not see it.
+    Equality reads ``levels`` only; ``omega`` and ``tag`` are context.
     """
 
-    __slots__ = ("omega", "levels", "tag", "_least")
+    __slots__ = ("omega", "levels", "tag")
     _defaults = {"tag": None}
     _compare = ("levels",)
 
@@ -136,20 +138,16 @@ def verify_topology(j):
 
 
 def least_covering_sieves(j):
-    """Per level, the least covering sieve m_c as an integer: the AND of
-    the sieves j_c sends to top, starting from the full sieve.  For a
-    topology J(c) = up(m_c), so the closure of A' in A holds the cells x
-    of level c with x*A' >= m_c.  Read once per topology and kept in
-    its ``_least`` slot."""
-    least = getattr(j, "_least", None)
-    if least is None:
-        omega = j.omega
-        least = tuple(
-            reduce(and_, (packed[s] for s, v in enumerate(mapping) if v == top), packed[top])
-            for mapping, top, packed in zip(j.levels, omega.top, omega.packed)
-        )
-        object.__setattr__(j, "_least", least)
-    return least
+    """Per level, the least covering sieve m_c as an integer, read off
+    j's level maps: the AND of the sieves j_c sends to top, starting from
+    the full sieve.  For a topology J(c) = up(m_c), so the closure of A'
+    in A holds the cells x of level c with x*A' >= m_c.  ``least_sieves``
+    reads the same m off a tag, with no Omega."""
+    omega = j.omega
+    return tuple(
+        reduce(and_, (packed[s] for s, v in enumerate(mapping) if v == top), packed[top])
+        for mapping, top, packed in zip(j.levels, omega.top, omega.packed)
+    )
 
 
 def _naturality_violation(omega, levels, generators):
@@ -186,6 +184,52 @@ def _check_word(category, word):
         raise ValueError(
             f"expected a bit string of length {category.dim + 1} over 0/1, got {word!r}"
         )
+
+
+def _check_tag(category, tag):
+    """Reject a tag that names no topology on the category: a bicolored
+    label outside ``BICOLOR_LABELS``, a malformed bit string, or a word
+    containing "10" on a degeneracy-carrying category.  Such a word's
+    semi-simplicial topology fails naturality with a degeneracy action
+    once transported along ``degeneracy_compatible``, and the failing
+    square is the raised error's witness; when the semi-simplicial Omega is
+    over its sieve bound, the error has no witness."""
+    if category.family != FAMILY_BICOLOR:
+        _check_word(category, tag)
+    elif tag not in BICOLOR_LABELS:
+        raise ValueError(f"no topology labelled {tag!r}; known labels: {BICOLOR_LABELS}")
+    if category.family == FAMILY_FULL and "10" in tag:
+        semi = build_index_category("semisimplex", category.dim, max_dim=category.dim)
+        try:
+            _, square = degeneracy_compatible(construct_bitstring_topology(semi, tag))
+        except OmegaBoundExceeded:
+            square = None
+        raise DegeneracyIncompatible(tag, square)
+
+
+def least_sieves(category, tag):
+    """The least covering sieves m of the topology a bit string or
+    bicolored label names, one sieve integer of y(c) per level c, read off
+    the tag with no Omega.
+
+    A tag's 0 bits are the set T of levels whose m is full, and m_c is the
+    sieve of y(c) generated by its cells at the levels in T: the OR of
+    their principal sieves.  J = up(m) is then a Grothendieck topology,
+    and every topology on these categories is one of them (Johnstone,
+    Sketches of an Elephant, C2.2).  A bicolored label is read as the V
+    bit, then E = bit 0 of its digit and E' = bit 1, the mapping
+    ``tag_topology`` reads in reverse.
+    """
+    _check_tag(category, tag)
+    if category.family == FAMILY_BICOLOR:
+        tag = tag[0] + f"{int(tag[1]):02b}"[::-1]  # the bits of V, E and E'
+    covered = {l for l, bit in zip(category.objects, tag) if bit == "0"}
+    least = []
+    for c in category.objects:
+        orbits = yoneda(category, c).sieve_orbits()
+        cells = [orbit for (l, _), orbit in orbits.items() if l in covered]
+        least.append(reduce(or_, map(_principal, cells), 0))
+    return tuple(least)
 
 
 def _closed_bits(word, A, bits, lanes=1):
@@ -322,16 +366,11 @@ def _bitstring_levels(omega, word):
 def construct_bitstring_topology(category, word):
     """Build the topology whose closure fills exactly the dimensions with bit 1.
 
-    On a degeneracy-carrying category a word containing "10" is rejected:
-    the semi-simplicial topology of the word fails naturality with a
-    degeneracy action once transported along ``degeneracy_compatible``, and
-    the failing square is attached to the raised error as a witness.
+    On a degeneracy-carrying category a word containing "10" is rejected
+    with the failing degeneracy square as its witness (``_check_tag``).
     """
-    _check_word(category, word)
-    if category.family == FAMILY_FULL and "10" in word:
-        semi = build_index_category("semisimplex", category.dim, max_dim=category.dim)
-        _, square = degeneracy_compatible(construct_bitstring_topology(semi, word))
-        raise DegeneracyIncompatible(word, square)
+    _check_word(category, word)  # a bicolored label is no bit string
+    _check_tag(category, word)
     omega = classifying_object(category)
     j = LTTopology(omega, _bitstring_levels(omega, word), tag=word)
     problem = verify_topology(j)
@@ -471,16 +510,6 @@ def enumerate_topologies(category, method="auto"):
     tagged = [tag_topology(j) if j.tag is None else j for j in found]
     tagged.sort(key=lambda j: j.levels)
     return tuple(tagged)
-
-
-def topology_by_tag(category, tag):
-    """Fetch one topology by its bit string or bicolored label."""
-    if category.family == FAMILY_BICOLOR:
-        for j in enumerate_topologies(category):
-            if j.tag == tag:
-                return j
-        raise ValueError(f"no topology labelled {tag!r}; known labels: {BICOLOR_LABELS}")
-    return construct_bitstring_topology(category, tag)
 
 
 # -- compatibility with the degeneracies ---------------------------------

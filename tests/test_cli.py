@@ -641,6 +641,89 @@ def test_degenerate_word_names_its_failing_square(tmp_path):
     )
 
 
+def _closure_documents(tmp_path, kind, top):
+    """A presheaf document of y(top) on ``kind`` and two subobject
+    documents: the empty one, and the one generated by the first cell."""
+    from lttop.docio import presheaf_to_doc
+    from lttop.fincat import build_index_category
+    from lttop.presheaf import generated_subpresheaf, yoneda
+
+    category = build_index_category(kind)
+    y = yoneda(category, top)
+    first = generated_subpresheaf(y, [(category.objects[0], 0)])
+    levels = {str(c): [str(x) for x in first.level_labels(c)] for c in category.objects}
+    return write(tmp_path, "y.json", presheaf_to_doc(y)), [
+        write(tmp_path, "empty.json", {"levels": {}}),
+        write(tmp_path, "first.json", {"levels": levels}),
+    ]
+
+
+@pytest.mark.parametrize(
+    "kind, top",
+    [("graph", 1), ("reflgraph", 1), ("semisimplex:2", 2), ("simplex:2", 2), ("bicolgraph", "E")],
+)
+def test_closure_reads_its_topology_off_the_tag_without_omega(monkeypatch, tmp_path, kind, top):
+    # every valid word or label closes with no Omega, no level map and no
+    # axiom check: its least covering sieves are read off the tag
+    from lttop import omega, topology
+    from lttop.fincat import FAMILY_BICOLOR, FAMILY_FULL, build_index_category
+
+    category = build_index_category(kind)
+    if category.family == FAMILY_BICOLOR:
+        tags = topology.BICOLOR_LABELS
+    else:
+        words = ("".join(bits) for bits in itertools.product("01", repeat=category.dim + 1))
+        tags = [w for w in words if category.family != FAMILY_FULL or "10" not in w]
+    point, subs = _closure_documents(tmp_path, kind, top)
+
+    def unreachable(*args):
+        raise AssertionError("closure built Omega, a level map or an axiom check")
+
+    monkeypatch.setattr(omega, "OmegaObject", unreachable)
+    monkeypatch.setattr(topology, "_level_maps", unreachable)
+    monkeypatch.setattr(topology, "verify_topology", unreachable)
+    before = omega.classifying_object.cache_info()
+    for tag in tags:
+        for sub in subs:
+            code, text = run(["closure", "--topology", tag, "--input", point, "--sub", sub])
+            assert code == 0, (tag, text)
+            assert text.endswith(("\ndense\n", "\nnot dense\n")), (tag, text)
+    after = omega.classifying_object.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+def test_closure_answers_on_a_dimension_four_document(tmp_path):
+    # level 4 of semisimplex:4 has 7580 sieves, above the sieve bound, but
+    # closure reads no Omega
+    from lttop.docio import presheaf_to_doc
+    from lttop.fincat import build_index_category
+    from lttop.presheaf import FinitePresheaf
+
+    category = build_index_category("semisimplex:4")
+    carriers = {k: ("v",) if k == 0 else () for k in category.objects}
+    actions = {g: () if g.target else (0,) for g in category.generators}
+    point = write(tmp_path, "point.json", presheaf_to_doc(FinitePresheaf(category, carriers, actions)))
+    sub = write(tmp_path, "sub.json", {"levels": {}})
+    empty = "".join(f"level {k}: added []\n" for k in range(1, 5))
+    code, text = run(["closure", "--topology", "00000", "--input", point, "--sub", sub])
+    assert (code, text) == (0, "level 0: added []\n" + empty + "not dense\n")
+    code, text = run(["closure", "--topology", "11111", "--input", point, "--sub", sub])
+    assert (code, text) == (0, "level 0: added [v]\n" + empty + "dense\n")
+
+
+def test_a_degenerate_word_at_dimension_four_names_the_word(tmp_path):
+    # the witness square would need semisimplex:4's Omega, which is over
+    # the sieve bound, so the error names the word alone, as classify does
+    point, (sub, _) = _closure_documents(tmp_path, "simplex:4", 0)
+    code, text = run(["closure", "--topology", "01000", "--input", point, "--sub", sub])
+    assert code == 2
+    assert text == (
+        "error: bit string '01000' contains '10'; no topology with this closure "
+        "pattern commutes with the degeneracy actions\n"
+    )
+    assert run(["classify", "--topology", "01000", "--input", point]) == (code, text)
+
+
 def test_classify_takes_one_route(tmp_path):
     graph = write(tmp_path, "g.json", PATH_GRAPH)
     nucleus = write(tmp_path, "nucleus.json", NUCLEUS_DOC)

@@ -823,18 +823,6 @@ def test_classifications_reject_a_bad_word_before_any_level_is_read(monkeypatch)
         classifications(B, ["11", "1"])
 
 
-def test_least_covering_sieves_are_read_once_and_stay_out_of_the_value():
-    import copy
-
-    j = construct_bitstring_topology(SEMI2, "011")
-    least = least_covering_sieves(j)
-    assert least_covering_sieves(j) is least
-    twin = copy.copy(j)
-    assert twin == j and hash(twin) == hash(j)
-    assert getattr(twin, "_least", None) is None
-    assert least_covering_sieves(twin) == least
-
-
 def test_factorization_witnesses_are_shared_by_the_topologies_that_report_them():
     # every topology that reaches a map reports the same witness object
     category = REFL

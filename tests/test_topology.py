@@ -23,8 +23,8 @@ from lttop.topology import (
     degeneracy_compatible,
     enumerate_topologies,
     least_covering_sieves,
+    least_sieves,
     tag_topology,
-    topology_by_tag,
     verify_topology,
 )
 
@@ -361,6 +361,39 @@ def test_least_covering_sieves_are_the_density_criterion(kind):
                 assert (S.bits & m == m) == is_dense_by_bits(word, S), (kind, word, S)
 
 
+@pytest.mark.parametrize("kind", BUILT_INS)
+def test_least_sieves_decode_every_tag(kind):
+    # the sieves read off a tag, with no Omega, are the least covering
+    # sieves of the topology it tags, by both routes
+    category = build_index_category(kind)
+    methods = ["brute"] if category.family == FAMILY_BICOLOR else ["brute", "constrained"]
+    for method in methods:
+        for j in enumerate_topologies(category, method):
+            assert least_sieves(category, j.tag) == least_covering_sieves(j), (method, j.tag)
+
+
+def test_least_sieves_reject_a_tag_that_names_no_topology():
+    with pytest.raises(ValueError) as err:
+        least_sieves(GRAPH, "0x")
+    assert str(err.value) == "expected a bit string of length 2 over 0/1, got '0x'"
+    bic = build_index_category("bicolgraph")
+    for label in ("011", "21"):
+        with pytest.raises(ValueError) as err:
+            least_sieves(bic, label)
+        assert str(err.value) == (
+            f"no topology labelled {label!r}; known labels: "
+            "('00', '01', '02', '03', '10', '11', '12', '13')"
+        )
+    # "10" on the degeneracy side: the error construction raises, square and all
+    with pytest.raises(DegeneracyIncompatible) as decoded:
+        least_sieves(REFL, "10")
+    with pytest.raises(DegeneracyIncompatible) as built:
+        construct_bitstring_topology(REFL, "10")
+    assert decoded.value.witness is not None
+    assert str(decoded.value) == str(built.value)
+    assert "naturality square for (0,0) fails" in str(decoded.value)
+
+
 def test_least_covering_sieves_of_the_bicolored_labels():
     # label vd, read off the level maps: m_V is empty iff v = 1, and m_E
     # (m_E') is proper iff the E (E') bit of d is set
@@ -536,6 +569,8 @@ def test_dimension_four_topologies_verify_and_brute_agrees(lifted_sieve_bound):
         brute = enumerate_topologies(category, "brute")
         assert [j.levels for j in brute] == [j.levels for j in found], kind
         assert [j.tag for j in brute] == [j.tag for j in found], kind
+        for j in (*found, *brute):
+            assert least_sieves(category, j.tag) == least_covering_sieves(j), (kind, j.tag)
 
 
 def test_reflgraph_word_10_is_rejected_with_a_witness():
@@ -613,13 +648,14 @@ def test_equal_topologies_over_different_categories_hash_alike():
 
 
 def test_topology_by_tag_and_serialization():
-    j = topology_by_tag(GRAPH, "01")
-    assert j == construct_bitstring_topology(GRAPH, "01") and j.tag == "01"
+    # a tag names its topology: the sieves decoded from it are the ones
+    # read off that topology's level maps
+    j = construct_bitstring_topology(GRAPH, "01")
+    assert j.tag == "01"
+    assert least_sieves(GRAPH, "01") == least_covering_sieves(j)
     bic = build_index_category("bicolgraph")
-    j12 = topology_by_tag(bic, "12")
-    assert j12.tag == "12"
-    with pytest.raises(ValueError):
-        topology_by_tag(bic, "21")
+    (j12,) = [j for j in enumerate_topologies(bic) if j.tag == "12"]
+    assert least_sieves(bic, "12") == least_covering_sieves(j12)
 
 
 def test_bicolor_level_maps_match_the_two_tables(order_algebra):
