@@ -9,9 +9,9 @@ above its least covering sieve m_c, so the chi route keeps a cell x of
 level c iff chi(x) = x*A' >= m_c, that is, iff x.g lies in A' for every g
 of a generating set of m_c (A' is action-closed), and looks nothing up in
 Omega once m is read.  ``closure_via_chi`` and the dense sieves here read
-m off a topology's level maps (``topology.least_covering_sieves``); the
-``closure`` command and the closures suite read it off the word or label
-(``topology.least_sieves``), and build no Omega at all.  Both
+m off a topology's ``least`` field; the ``closure`` command and the
+closures suite read it off the word or label (``topology.least_sieves``),
+and build no Omega at all.  Both
 kernels live in ``topology``, ``_closures_bits`` (chi) and
 ``_closed_bits`` (recursive), and close many subobjects of one presheaf at
 once, one per lane of a single integer (``presheaf.pack_lanes``): every
@@ -58,13 +58,13 @@ from .presheaf import (
     components_of,
     morphism_search,
     parallel_cells,
+    search_plan,
 )
 from .topology import (
     DegeneracyIncompatible,
     _check_word,
     _closed_bits,
     _closures_bits,
-    least_covering_sieves,
 )
 
 DEFAULT_SEARCH_BUDGET = 200_000
@@ -83,7 +83,7 @@ def closure_via_chi(j, sub):
     if sub.presheaf.category is not j.omega.category:
         raise ValueError("subobject and topology live over different categories")
     A = sub.presheaf
-    return Subpresheaf(A, _closures_bits([least_covering_sieves(j)], A, sub.bits)[0])
+    return Subpresheaf(A, _closures_bits([j.least], A, sub.bits)[0])
 
 
 def closure_recursive(word, sub):
@@ -415,20 +415,72 @@ def _pair_checks(category):
     return checks
 
 
+def _sorted_checks(category):
+    """Per position in the generator order, its pair checks (``_pair_checks``)
+    sorted into entry filters and checks that run per table.
+
+    A check whose two sides are the same word holds for every table and is
+    dropped.  A check in which the position's new table t appears once, as
+    the first map applied on one side, reads A[t[i]] == R[i] for each entry
+    i on its own, A and R composed from tables already assigned; it is kept
+    as the filter (A's word, R's word), each the positions of the tables
+    applied, in order.  Every other check runs per table as a whole.
+    Returns (filters, checks) per position.
+    """
+    sorted_checks = []
+    for pos, checks in enumerate(_pair_checks(category)):
+        filters, rest = [], []
+        for check in checks:
+            pos1, pos2, path, _ = check
+            if path == (pos2, pos1):
+                continue
+            if pos2 == pos and pos not in (pos1, *path):
+                filters.append(((pos1,), path))
+            elif path[:1] == (pos,) and pos not in (pos1, pos2, *path[1:]):
+                filters.append((path[1:], (pos2, pos1)))
+            else:
+                rest.append(check)
+        sorted_checks.append((tuple(filters), tuple(rest)))
+    return sorted_checks
+
+
+def _composed(tables, word, n):
+    # the tables at the positions of ``word``, applied in order to 0 .. n - 1
+    out = range(n)
+    for h in word:
+        out = map(tables[h].__getitem__, out)
+    return tuple(out)
+
+
+def _entry_choices(tables, filters, n_src, n_tgt):
+    """Per entry i of a new table with ``n_tgt`` entries over ``n_src``
+    values, the values v, ascending, with A[v] == R[i] for every filter
+    (A's word, R's word) of ``_sorted_checks``."""
+    choices = [range(n_src)] * n_tgt
+    for apply, expect in filters:
+        A = _composed(tables, apply, n_src)
+        R = _composed(tables, expect, n_tgt)
+        choices = [[v for v in values if A[v] == r] for values, r in zip(choices, R)]
+    return choices
+
+
 def _run_pair_check(tables, check, sizes):
     # X(g2 o g1) = X(g1) o X(g2); the left side comes from the canonical path
     pos1, pos2, path, target = check
-    via = tables[path[0]] if path else range(sizes[target])
-    for h in path[1:]:
-        via = map(tables[h].__getitem__, via)
-    return tuple(via) == tuple(map(tables[pos1].__getitem__, tables[pos2]))
+    n = sizes[target]
+    return _composed(tables, path, n) == _composed(tables, (pos2, pos1), n)
 
 
 def presheaf_corpus(category, max_total):
     """Every presheaf with at most ``max_total`` elements, one per iso class.
 
     Generator tables are assigned one at a time, pruning with every
-    relation that becomes decidable.  Isomorphs are rejected orderly
+    relation that becomes decidable (``_sorted_checks``): a relation that
+    fixes each entry of the new table on its own narrows that entry to its
+    allowed values before the tables are enumerated, and the rest are
+    checked per table.  The product of ascending per-entry value lists
+    visits the accepted tables in the same lexicographic order as the
+    product of all tables would.  Isomorphs are rejected orderly
     (Read 1978; McKay, J. Algorithms 1998), before any presheaf is built:
     for each size vector the tables are visited in lexicographic order of
     their tuple, and the pair checks and functoriality are invariant under
@@ -450,12 +502,13 @@ def presheaf_corpus(category, max_total):
     once per (category, max_total); categories are cached singletons.
 
     The search takes at most ``DEFAULT_CORPUS_BUDGET`` steps, each a table
-    tried or a tie state carried forward, and raises ``CorpusTooLarge``
-    past it.  Tie states count because they can outgrow the tables: n
-    loops at one vertex try 2 tables but carry n! tie states.  Every bound
-    up to 8 fits on the corpus categories of ``verify`` (at most 156 016
-    steps, on semisimplex:2), and the steps grow about fivefold with each
-    step of the bound.
+    tried (one that passes the entry filters) or a tie state carried
+    forward, and raises ``CorpusTooLarge`` past it.  Tie states count
+    because they can outgrow the tables: n loops at one vertex try 2
+    tables but carry n! tie states.  Every bound up to 8 fits on the
+    corpus categories of ``verify`` (at most 128 098 steps, on
+    semisimplex:2), and so does reflgraph at bound 9 (167 899 steps); the
+    steps grow about fivefold with each step of the bound.
     """
     return _presheaf_corpus(category, max_total, DEFAULT_CORPUS_BUDGET)
 
@@ -464,7 +517,7 @@ def presheaf_corpus(category, max_total):
 def _presheaf_corpus(category, max_total, budget):
     gens = list(category.generators)
     ends = _generator_ends(category)
-    checks = _pair_checks(category)
+    checks = _sorted_checks(category)
     corpus = []
     spent = 0
     for sizes in _size_vectors(category, max_total):
@@ -483,12 +536,14 @@ def _presheaf_corpus(category, max_total, budget):
                     pass
                 return
             src, tgt = ends[pos]
-            for table in itertools.product(range(sizes[src]), repeat=sizes[tgt]):
+            filters, rest = checks[pos]
+            choices = _entry_choices(tables, filters, sizes[src], sizes[tgt])
+            for table in itertools.product(*choices):
                 spent += 1
                 if spent > budget:
                     raise _OutOfRoom
                 tables[pos] = table
-                if all(_run_pair_check(tables, check, sizes) for check in checks[pos]):
+                if all(_run_pair_check(tables, check, sizes) for check in rest):
                     ties = _next_ties(states, table, src, tgt, offsets, sizes, budget - spent)
                     if ties is not None:
                         spent += len(ties)
@@ -550,13 +605,15 @@ def factorization_checks(B, topologies):
     every map S -> B out of a covering sieve S on c extends at most once
     (exactly once) along S -> y(c) (Mac Lane & Moerdijk, Sheaves in
     Geometry and Logic, III.4 and V.3-V.4).  The covering sieves are the
-    dense ones, S >= m_c (``least_covering_sieves``); the top sieve needs
+    dense ones, S >= m_c (m the topology's ``least``); the top sieve needs
     no check.  By Yoneda the maps y(c) -> B are the cells b of B(c), so
     the extensions of f are the cells whose restriction b|S is f: one
     Yoneda search (``presheaf.morphism_search``) lists the maps f out of
     S, and each is looked up among the cells of B(c) keyed by their
-    restriction, read off ``B.sieve_orbits()``.  No cell means B is not
-    complete, two or more that it is not separated.  A topology acts on
+    restriction: B's orbit rows (``level_orbits``) read at the positions of
+    S's cells in the search's plan (``presheaf.search_plan``), which is
+    built once per category.  No cell means B is not complete, two or more
+    that it is not separated.  A topology acts on
     level c only through m_c, so each (level, dense sieve) that some
     topology reaches is searched and keyed once, and the topologies share
     it.
@@ -585,7 +642,7 @@ def factorization_checks(B, topologies):
     one topology's dense sieves on one c raise ``CorpusTooLarge``.
     """
     budget = DEFAULT_SEARCH_BUDGET
-    orbits = B.sieve_orbits()
+    rows = B.level_orbits()
     memo = {}
 
     def maps_out_of(pos, yc, S, bits):
@@ -594,25 +651,24 @@ def factorization_checks(B, topologies):
         # None, and the number of maps, up to budget + 1 or up to the one
         # that completes both, where every scan that reaches S stops
         if (pos, bits) not in memo:
-            c = B.category.objects[pos]
-            outside = [p for p in range(yc.total_size) if not bits >> p & 1]
+            # a map f and each cell b of B(c) are keyed by what they send
+            # S's cells to: the map y(c) -> B of b sends y(c)'s bit p to
+            # row[top - p]
+            _, inside = search_plan(yc, bits)
+            top = yc.total_size - 1
+            at = [top - p for p in inside]
             extensions = {}
-            for b in range(len(B.carriers[pos])):
-                # the map y(c) -> B of b sends y(c)'s bit top - i to orbit[i]
-                g = orbits[(c, b)][::-1]
-                f = list(g)
-                for p in outside:
-                    f[p] = None
-                extensions.setdefault(tuple(f), []).append(g)
+            for row in rows[pos]:
+                extensions.setdefault(tuple(map(row.__getitem__, at)), []).append(row)
             count = 0
             missing = shared = None
             image = [None] * yc.total_size
             with closing(morphism_search(yc, B, bits)(image)) as search:
                 for count, _ in enumerate(itertools.islice(search, budget + 1), 1):
-                    f = tuple(image)
-                    cells = extensions.get(f, ())
+                    cells = extensions.get(tuple(map(image.__getitem__, inside)), ())
                     if len(cells) == 1:
                         continue
+                    f = tuple(image)
                     if not cells:
                         if missing is None:
                             missing = count - 1, _witness(B, yc, S, bits, f, cells)
@@ -628,8 +684,9 @@ def factorization_checks(B, topologies):
 
 def _witness(B, yc, S, bits, f, cells):
     """A call that builds, once, the witness of a map f: S -> B with the
-    images ``cells`` of the maps y(c) -> B that restrict to it: (y(c), S,
-    f) when there is none, else (y(c), S, f, (g1, g2)) for the first two."""
+    orbit rows ``cells`` of the cells of B(c) that restrict to it: (y(c),
+    S, f) when there is none, else (y(c), S, f, (g1, g2)) for the maps
+    y(c) -> B of the first two."""
     built = []
 
     def witness():
@@ -640,7 +697,8 @@ def _witness(B, yc, S, bits, f, cells):
             else:
                 full = (1 << yc.total_size) - 1
                 pair = tuple(
-                    PresheafMorphism(yc, B, components_of(yc, B, g, full)) for g in cells[:2]
+                    PresheafMorphism(yc, B, components_of(yc, B, row[::-1], full))
+                    for row in cells[:2]
                 )
                 built.append((yc, S, restricted, pair))
         return built[0]
@@ -653,7 +711,7 @@ def _factorization_report(B, j, maps_out_of, budget):
     sep_witness = None
     comp_witness = None
     for pos, (yc, sieves, packed, m) in enumerate(
-        zip(omega.yonedas, omega.sieves, omega.packed, least_covering_sieves(j))
+        zip(omega.yonedas, omega.sieves, omega.packed, j.least)
     ):
         count = 0
         for S, bits in zip(sieves[:-1], packed):

@@ -58,11 +58,13 @@ class FinitePresheaf:
     category's numbering (``fincat.morphism_plan``): the identities, the
     generator tables as given, and every other action composed from them
     along the morphism's factorization.  Instances are immutable after
-    construction; three derived tables are built on first use and kept:
-    the label index (``label_index``), the orbit table (``sieve_orbits``,
-    in ``_orbit_cache``) and, over a simplex category, the closure plan
-    (``closure_plan``, in ``_plan_cache``) that the recursive closure
-    reads.
+    construction; five derived tables are built on first use and kept:
+    the label index (``label_index``), the orbit rows per level
+    (``level_orbits``, in ``_level_rows``) and keyed by cell
+    (``sieve_orbits``, in ``_orbit_cache``), the source sides of Yoneda
+    searches out of the presheaf (``search_plan``, in ``_search_plans``)
+    and, over a simplex category, the closure plan (``closure_plan``, in
+    ``_plan_cache``) that the recursive closure reads.
     """
 
     def __init__(self, category, carriers, gen_actions, validate=True):
@@ -91,6 +93,8 @@ class FinitePresheaf:
         self._tables = tuple(tables)
         self._label_index = None
         self._orbit_cache = None
+        self._level_rows = None
+        self._search_plans = None
         self._plan_cache = None
         if validate:
             problem = self.functoriality_violation()
@@ -170,9 +174,9 @@ class FinitePresheaf:
         ``bit_offsets()[obj_index(c)] + x``."""
         return self._offsets
 
-    def sieve_orbits(self):
-        """For each element (c, x): the bits of act(f, x) over the cells f
-        of y(c), from y(c)'s highest bit down.
+    def level_orbits(self):
+        """Per level, for each cell x in cell order: the bits of act(f, x)
+        over the cells f of y(c), from y(c)'s highest bit down.
 
         Cached.  The principal subpresheaf of a cell is the OR of its
         orbit, so subpresheaf enumeration and generation are joins of
@@ -181,14 +185,24 @@ class FinitePresheaf:
         (``MorphismPlan.columns``), one shifted action table per morphism,
         read across.
         """
-        if self._orbit_cache is None:
+        if self._level_rows is None:
             plan = morphism_plan(self.category)
             tables = self._tables
             offsets = self._offsets
+            self._level_rows = tuple(
+                tuple(zip(*(map(offsets[l].__add__, tables[p]) for l, p in columns)))
+                for columns in plan.columns
+            )
+        return self._level_rows
+
+    def sieve_orbits(self):
+        """The rows of ``level_orbits`` keyed by element (c, x), in level
+        order.  Cached, and built only for the callers that look a cell up
+        by its key."""
+        if self._orbit_cache is None:
             orbits = {}
-            for c, level, columns in zip(self.category.objects, self.carriers, plan.columns):
-                rows = zip(*(map(offsets[l].__add__, tables[p]) for l, p in columns))
-                orbits.update(zip(zip(repeat(c), range(len(level))), rows))
+            for c, rows in zip(self.category.objects, self.level_orbits()):
+                orbits.update(zip(zip(repeat(c), range(len(rows))), rows))
             self._orbit_cache = orbits
         return self._orbit_cache
 
@@ -337,7 +351,9 @@ def subpresheaf_bits(presheaf):
     total = presheaf.total_size
     if total > DEFAULT_ENUMERATION_BOUND:
         raise EnumerationBoundExceeded(total, DEFAULT_ENUMERATION_BOUND)
-    principals = dict.fromkeys(_principal(orbit) for orbit in presheaf.sieve_orbits().values())
+    principals = dict.fromkeys(
+        _principal(orbit) for rows in presheaf.level_orbits() for orbit in rows
+    )
     found = {0}
     for p in principals:
         found |= {s | p for s in found}
@@ -492,9 +508,40 @@ class PresheafMorphism(Record):
         return None
 
 
+def search_plan(source, bits):
+    """The source side of the Yoneda search over the cells in ``bits``:
+    (steps, positions), one step (bit, orbit, level position) per cell,
+    lowest bit (last level) first, and ``positions`` those cells' bits in
+    the same order.
+
+    Cached on the source per ``bits`` (``_build_search_plan``).  Yoneda
+    objects are cached singletons, so the plan of a sieve of y(c) is built
+    once per category, whatever presheaves the search maps into.
+    """
+    plans = source._search_plans
+    if plans is None:
+        plans = source._search_plans = {}
+    if bits not in plans:
+        plans[bits] = _build_search_plan(source, bits)
+    return plans[bits]
+
+
+def _build_search_plan(source, bits):
+    rows = source.level_orbits()
+    offsets = source.bit_offsets()
+    steps = []
+    for pos in reversed(range(len(rows))):
+        offset = offsets[pos]
+        steps += (
+            (offset + x, row, pos) for x, row in enumerate(rows[pos]) if bits >> offset + x & 1
+        )
+    return tuple(steps), tuple(bit for bit, _, _ in steps)
+
+
 def morphism_search(source, target, bits):
     """The Yoneda search for natural maps source -> target over the source
-    cells whose bits are set in ``bits``, lowest bit (last level) first.
+    cells whose bits are set in ``bits``, in the order of their
+    ``search_plan``.
 
     Returns ``extend(image)``, a generator that yields each time ``image``
     has been extended to a natural map on those cells.  ``image`` holds,
@@ -505,22 +552,13 @@ def morphism_search(source, target, bits):
     to act(f, y) for every f into c (Yoneda), so x's orbit is paired with
     y's bit for bit: ``sieve_orbits`` lists both in y(c)'s order.  A cell
     that an earlier orbit reached is forced; every other cell branches
-    over target(c), keeping each y whose orbit agrees with the image so
-    far.  Each branch undoes its writes in ``finally``, so the shared image
-    is restored even when the caller abandons the search.
+    over target(c)'s rows (``level_orbits``), keeping each y whose orbit
+    agrees with the image so far.  Each branch undoes its writes in
+    ``finally``, so the shared image is restored even when the caller
+    abandons the search.
     """
-    orbits = source.sieve_orbits()
-    targets = target.sieve_orbits()
-    steps = []
-    for c, offset, level in reversed(
-        tuple(zip(source.category.objects, source.bit_offsets(), source.carriers))
-    ):
-        choices = [targets[(c, y)] for y in range(len(target.carrier(c)))]
-        steps += (
-            (offset + x, orbits[(c, x)], choices)
-            for x in range(len(level))
-            if bits >> offset + x & 1
-        )
+    steps, _ = search_plan(source, bits)
+    rows = target.level_orbits()
 
     def extend(image, n=0):
         while n < len(steps) and image[steps[n][0]] is not None:
@@ -528,8 +566,8 @@ def morphism_search(source, target, bits):
         if n == len(steps):
             yield
             return
-        _, orbit, choices = steps[n]
-        for paired in choices:
+        _, orbit, pos = steps[n]
+        for paired in rows[pos]:
             written = []
             try:
                 for a, b in zip(orbit, paired):

@@ -8,12 +8,15 @@ sieve integer per level, and its readers test ``S & m == m`` on plain
 integers.  ``least_sieves`` reads m off a bit string or bicolored label
 with no Omega: m_c is generated by the cells of y(c) at the levels whose
 bit is 0.  The ``closure`` command and the closures suite of ``verify``
-read it there.  ``least_covering_sieves`` reads m off a topology's level
-maps, for ``verify_topology``, the tags here (the bit at level c says
-whether m_c is a proper sieve), and the chi closure and dense sieves of a
-topology in ``closure``.  ``verify_topology`` checks the axioms on
-Omega's own tables: j fixes top, is idempotent, sends to top exactly
-up(m), and commutes with every generator action.
+read it there.  Every ``LTTopology`` carries its m as the field
+``least``: a word's from ``least_sieves``, the brute route's from the
+choice its search made, and a topology built by hand without it from
+``least_covering_sieves``, which reads m off the level maps.  The tags
+here (the bit at level c says whether m_c is a proper sieve), and the chi
+closure and dense sieves of a topology in ``closure``, read the field.
+``verify_topology`` checks the axioms on Omega's own tables: j fixes top,
+is idempotent, sends to top exactly up(m) for the field m, and commutes
+with every generator action.
 
 For any topology, j_c(S) is the closure of S as a subobject of y(c)
 (Mac Lane and Moerdijk, V.1-V.2), so both routes below read a level map
@@ -84,14 +87,23 @@ class TopologyViolation(Record):
 
 
 class LTTopology(Record):
-    """Per-level endomap of Omega, optionally tagged by its bit string.
+    """Per-level endomap of Omega, optionally tagged by its bit string, with
+    its least covering sieves ``least`` (m, one sieve integer per level).
 
-    Equality reads ``levels`` only; ``omega`` and ``tag`` are context.
+    Equality reads ``levels`` only; ``omega``, ``tag`` and ``least`` are
+    context.  A topology built without ``least`` reads it off its level
+    maps (``least_covering_sieves``); ``verify_topology`` checks it against
+    them.
     """
 
-    __slots__ = ("omega", "levels", "tag")
-    _defaults = {"tag": None}
+    __slots__ = ("omega", "levels", "tag", "least")
+    _defaults = {"tag": None, "least": None}
     _compare = ("levels",)
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        if self.least is None:
+            object.__setattr__(self, "least", least_covering_sieves(self))
 
     def level_map(self, c):
         return self.levels[self.omega.category.obj_index(c)]
@@ -107,15 +119,17 @@ def verify_topology(j):
     A topology is a natural j: Omega -> Omega that fixes top, is idempotent
     and preserves meets (Mac Lane and Moerdijk, V.1).  The check reads only
     Omega's tables: j fixes top, j is idempotent, j_c^-1(top) is exactly
-    up(m_c) for the least covering sieves m (``least_covering_sieves``), and
-    j_d(g*S) = g*(j_c(S)) for every generator g: d -> c.  That is exact:
+    up(m_c) for the least covering sieves m that j carries (``j.least``),
+    and j_d(g*S) = g*(j_c(S)) for every generator g: d -> c.  That is exact:
     for f: l -> c, f is in j_c(S) iff f*(j_c(S)) = top iff (naturality)
     j_l(f*S) = top iff f*S >= m_l, so j is the characteristic map of
     up(m), and it preserves meets because f*(S & T) >= m_l iff both
     f*S >= m_l and f*T >= m_l.  Conversely a topology is natural, and its
-    covering sieves form a filter, so up(m) is all of them.  A sieve
-    x >= m_c with j_c(x) != top is reported as (x, j(x)); a failing square
-    as (x, g), x the first failing sieve on g's target.
+    covering sieves form a filter, so up(m) is all of them, and m is the
+    ``least_covering_sieves`` of j.  The first sieve x with x >= m_c but
+    j_c(x) != top, or j_c(x) = top but not x >= m_c, is reported as
+    (x, j(x)), so a wrong m is a covering violation; a failing square as
+    (x, g), x the first failing sieve on g's target.
     """
     omega = j.omega
     cat = omega.category
@@ -125,10 +139,9 @@ def verify_topology(j):
         for x in range(len(mapping)):
             if mapping[mapping[x]] != mapping[x]:
                 return TopologyViolation("idempotent", c, (x,))
-    least = least_covering_sieves(j)
-    for c, mapping, top, packed, m in zip(cat.objects, j.levels, omega.top, omega.packed, least):
+    for c, mapping, top, packed, m in zip(cat.objects, j.levels, omega.top, omega.packed, j.least):
         for x, sieve in enumerate(packed):
-            if sieve & m == m and mapping[x] != top:
+            if (sieve & m == m) != (mapping[x] == top):
                 return TopologyViolation("covering", c, (x, mapping[x]))
     square = _naturality_violation(omega, j.levels, cat.generators)
     if square is not None:
@@ -142,7 +155,8 @@ def least_covering_sieves(j):
     j's level maps: the AND of the sieves j_c sends to top, starting from
     the full sieve.  For a topology J(c) = up(m_c), so the closure of A'
     in A holds the cells x of level c with x*A' >= m_c.  ``least_sieves``
-    reads the same m off a tag, with no Omega."""
+    reads the same m off a tag, with no Omega.  Read once, when a topology
+    is built without its ``least``."""
     omega = j.omega
     return tuple(
         reduce(and_, (packed[s] for s, v in enumerate(mapping) if v == top), packed[top])
@@ -223,13 +237,21 @@ def least_sieves(category, tag):
     _check_tag(category, tag)
     if category.family == FAMILY_BICOLOR:
         tag = tag[0] + f"{int(tag[1]):02b}"[::-1]  # the bits of V, E and E'
-    covered = {l for l, bit in zip(category.objects, tag) if bit == "0"}
-    least = []
-    for c in category.objects:
-        orbits = yoneda(category, c).sieve_orbits()
-        cells = [orbit for (l, _), orbit in orbits.items() if l in covered]
-        least.append(reduce(or_, map(_principal, cells), 0))
-    return tuple(least)
+    covered = [bit == "0" for bit in tag]
+    return tuple(
+        reduce(or_, itertools.compress(levels, covered), 0) for levels in _level_sieves(category)
+    )
+
+
+@lru_cache(maxsize=None)
+def _level_sieves(category):
+    """Per object c and level l, the sieve of y(c) generated by its cells
+    at level l: the OR of their principal sieves.  Categories are cached
+    singletons, so it is built once per category."""
+    return tuple(
+        tuple(reduce(or_, map(_principal, rows), 0) for rows in yoneda(category, c).level_orbits())
+        for c in category.objects
+    )
 
 
 def _closed_bits(word, A, bits, lanes=1):
@@ -262,21 +284,16 @@ def _closures_bits(leasts, A, bits, lanes=1):
     f in m_c.  Every lane is action-closed, x.(g o h) = (x.g).h, so it is
     enough that x.g lies in it for each g of a generating set of m_c
     (``_generator_positions``): the AND of ``bits >> p`` over those orbit
-    positions p of x (``FinitePresheaf.sieve_orbits``).  A topology acts on
+    positions p of x (``FinitePresheaf.level_orbits``).  A topology acts on
     level c only through m_c, so each (level, m_c) part is computed once
     and shared by the topologies with that m_c.  The generating sets, and
     which topologies share each part, are read off the plan of the
     category and ``leasts`` (``_chi_plan``), built once for every presheaf
     they close.
     """
-    # the orbit table is keyed by every cell of A, in level order
-    orbits = tuple(A.sieve_orbits().values())
     plan = _chi_plan(A.category, tuple(leasts))
     closed = [0] * len(leasts)
-    start = 0
-    for level, offset, groups in zip(A.carriers, A.bit_offsets(), plan):
-        cells = orbits[start : start + len(level)]
-        start += len(level)
+    for cells, offset, groups in zip(A.level_orbits(), A.bit_offsets(), plan):
         for chosen, shared_by in groups:
             part = 0
             for x, orbit in enumerate(cells):
@@ -370,9 +387,9 @@ def construct_bitstring_topology(category, word):
     with the failing degeneracy square as its witness (``_check_tag``).
     """
     _check_word(category, word)  # a bicolored label is no bit string
-    _check_tag(category, word)
+    least = least_sieves(category, word)
     omega = classifying_object(category)
-    j = LTTopology(omega, _bitstring_levels(omega, word), tag=word)
+    j = LTTopology(omega, _bitstring_levels(omega, word), word, least)
     problem = verify_topology(j)
     if problem is not None:
         raise RuntimeError(f"constructed map is not a topology: {problem}")
@@ -393,13 +410,13 @@ def tag_topology(j):
     V bit followed by the digit E + 2 E'.
     """
     omega = j.omega
-    proper = [m != packed[-1] for m, packed in zip(least_covering_sieves(j), omega.packed)]
+    proper = [m != packed[-1] for m, packed in zip(j.least, omega.packed)]
     if omega.category.family == FAMILY_BICOLOR:
         v, e, e2 = proper  # the levels V, E, E'
         tag = f"{v:d}{e + 2 * e2}"
     else:
         tag = "".join(f"{p:d}" for p in proper)
-    return LTTopology(omega, j.levels, tag=tag)
+    return LTTopology(omega, j.levels, tag, j.least)
 
 
 # -- enumeration ---------------------------------------------------------
@@ -472,7 +489,7 @@ def _enumerate_covering(omega):
 
     choose(0)
     maps = _level_maps(omega, partial(_closures_bits, choices))
-    found = (LTTopology(omega, levels) for levels in maps)
+    found = (LTTopology(omega, levels, None, least) for levels, least in zip(maps, choices))
     return [j for j in found if verify_topology(j) is None]
 
 

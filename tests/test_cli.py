@@ -1176,6 +1176,38 @@ def test_criteria_suite_finds_each_level_witness_once_per_presheaf(monkeypatch):
     assert {name for name, _, _ in calls} == {"_shared_cells", "_unfilled_boundary"}
 
 
+def test_criteria_suite_plans_each_search_once_per_category(monkeypatch):
+    # the source side of each Yoneda search is planned once per (y(c),
+    # dense sieve) and kept on y(c), so a larger corpus builds no more plans
+    from collections import Counter
+
+    from lttop import cli, presheaf
+    from lttop.closure import presheaf_corpus
+    from lttop.fincat import build_index_category
+
+    categories = [build_index_category(kind) for kind in ("graph", "reflgraph")]
+    original = presheaf._build_search_plan
+    built = Counter()
+
+    def counted(source, bits):
+        built[source.category.kind] += 1
+        return original(source, bits)
+
+    counts = []
+    for bound in (3, 5):
+        for category in categories:
+            presheaf_corpus(category, bound)
+            for c in category.objects:
+                presheaf.yoneda(category, c)._search_plans = None
+        built.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(presheaf, "_build_search_plan", counted)
+            assert cli._suite_criteria(io.StringIO(), bound)
+        counts.append(dict(built))
+    assert counts[0] == counts[1], counts
+    assert set(counts[0]) == {"graph", "reflgraph"} and min(counts[0].values()) > 0
+
+
 def test_criteria_suite_builds_no_witness_when_the_two_sides_agree(monkeypatch):
     # the oracle's reports build a witness only when its field is read,
     # and the suite reads only the flags
@@ -1229,14 +1261,16 @@ def test_omega_refuses_an_oversized_level_before_building_the_larger_ones():
 def test_verify_reports_an_exceeded_corpus_budget(monkeypatch):
     from lttop import closure
 
-    # the graph corpus at bound 4 takes 86 steps, the reflgraph one 112
+    # the graph corpus at bound 4 takes 86 steps, the reflgraph one 85 and
+    # the semisimplex:2 one 285
     monkeypatch.setattr(closure, "DEFAULT_CORPUS_BUDGET", 100)
     code, text = run(["verify", "--suite", "closures"])
     assert code == 2
     lines = text.splitlines()
     assert lines[1].startswith("  closure via characteristic map vs recursive on graph:")
-    assert lines[2:] == [
-        "error: the reflgraph corpus at bound 4 needs more than 100 search steps, "
+    assert lines[2].startswith("  closure via characteristic map vs recursive on reflgraph:")
+    assert lines[3:] == [
+        "error: the semisimplex:2 corpus at bound 4 needs more than 100 search steps, "
         "the corpus budget"
     ]
     assert "Traceback" not in text

@@ -763,6 +763,68 @@ def test_corpus_matches_the_canonical_key_reference(kind, top, corpus_reference)
         assert presheaf_corpus(category, bound) == expected, bound
 
 
+# Per generator (by its printed name), the pair checks that become
+# decidable once its table is assigned: the entry filters as (A's word, R's
+# word), the checks still run per table as (g1, g2, canonical path), and
+# how many were dropped for having the same word on both sides.  On
+# reflgraph the degeneracy (0,0) is a section of both faces, so its entries
+# are filtered by (1)[t[i]] == i and (0)[t[i]] == i, while the checks of
+# (1) o (0,0) and (0) o (0,0), whose canonical words are themselves, drop.
+SORTED_CHECKS = {
+    "reflgraph": {
+        "(0,0)": ([(("(1)",), ()), (("(0)",), ())], [], 2),
+    },
+    "semisimplex:2": {
+        "(0,2)": ([(("(1)",), ("(1,2)", "(1)"))], [], 1),
+        "(0,1)": ([(("(1)",), ("(1,2)", "(0)")), (("(0)",), ("(0,2)", "(0)"))], [], 2),
+    },
+    "simplex:2": {
+        "(0,2)": ([(("(1)",), ("(1,2)", "(1)"))], [], 1),
+        "(0,1)": ([(("(1)",), ("(1,2)", "(0)")), (("(0)",), ("(0,2)", "(0)"))], [], 2),
+        "(0,0)": ([(("(1)",), ()), (("(0)",), ())], [], 2),
+        "(0,0,1)": ([(("(1,2)",), ()), (("(0,2)",), ()), (("(0,1)",), ("(0)", "(0,0)"))], [], 3),
+        # the new table is applied last on the path of (0,0) o (0,0,1)
+        "(0,1,1)": (
+            [(("(1,2)",), ("(1)", "(0,0)")), (("(0,2)",), ()), (("(0,1)",), ())],
+            [("(0,0,1)", "(0,0)", ("(0,0)", "(0,1,1)"))],
+            4,
+        ),
+    },
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SORTED_CHECKS))
+def test_pair_checks_sort_into_entry_filters_and_table_checks(kind):
+    category = build_index_category(kind)
+    names = [str(g) for g in category.generators]
+
+    def word(positions):
+        return tuple(names[p] for p in positions)
+
+    found = {}
+    for pos, (checks, (filters, rest)) in enumerate(
+        zip(closure._pair_checks(category), closure._sorted_checks(category))
+    ):
+        if checks:
+            found[names[pos]] = (
+                [(word(apply), word(expect)) for apply, expect in filters],
+                [(names[pos1], names[pos2], word(path)) for pos1, pos2, path, _ in rest],
+                len(checks) - len(filters) - len(rest),
+            )
+        assert set(rest) <= set(checks), names[pos]
+    assert found == SORTED_CHECKS[kind]
+
+
+def test_entry_filters_shrink_the_corpus_search():
+    # simplex:2 at bound 6 needs 2841 steps with the entry filters (6540
+    # when every table was tried), and reflgraph at bound 9 fits the
+    # default corpus budget
+    category = build_index_category("simplex:2")
+    assert closure._presheaf_corpus(category, 6, 3000) == presheaf_corpus(category, 6)
+    refl = build_index_category("reflgraph")
+    assert len(closure._presheaf_corpus(refl, 9, closure.DEFAULT_CORPUS_BUDGET)) == 122
+
+
 @pytest.mark.parametrize(
     "kind", ["graph", "reflgraph", "semisimplex:2", "simplex:2", "semisimplex:3"]
 )

@@ -59,10 +59,10 @@ CASES = {
                          [("nucleus", NUCLEUS), ("nucleus", NUCLEUS), ("trivial", None)]),
     "QClosureViolation": (QClosureViolation, ("axiom", "context"),
                           [("idempotent", (1,)), ("idempotent", (1,)), ("monotone", (1,))]),
-    "LTTopology": (LTTopology, ("omega", "levels", "tag"),
-                   [(OMEGA, ((0, 1), (0, 1, 2, 3)), "00"),
-                    (OMEGA, ((0, 1), (0, 1, 2, 3)), "00"),
-                    (OMEGA, ((1, 1), (3, 3, 3, 3)), "11")]),
+    "LTTopology": (LTTopology, ("omega", "levels", "tag", "least"),
+                   [(OMEGA, ((0, 1), (0, 1, 2, 3)), "00", (1, 7)),
+                    (OMEGA, ((0, 1), (0, 1, 2, 3)), "00", (1, 7)),
+                    (OMEGA, ((1, 1), (3, 3, 3, 3)), "11", (0, 0))]),
 }
 
 
@@ -141,7 +141,11 @@ def test_defaults():
     assert QClosureOperator.trivial() == QClosureOperator("trivial", None)
     j = LTTopology(OMEGA, ((0, 1), (0, 1, 2, 3)))
     assert j.tag is None
-    assert repr(j) == f"LTTopology(omega={OMEGA!r}, levels=((0, 1), (0, 1, 2, 3)), tag=None)"
+    # least defaults to the least covering sieves read off the level maps
+    assert j.least == (1, 7)
+    assert repr(j) == (
+        f"LTTopology(omega={OMEGA!r}, levels=((0, 1), (0, 1, 2, 3)), tag=None, least=(1, 7))"
+    )
     for name in ("SimplexMorphism", "Subpresheaf", "FuzzySet"):
         cls, fields, args = CASES[name]
         with pytest.raises(TypeError):

@@ -372,6 +372,46 @@ def test_least_sieves_decode_every_tag(kind):
             assert least_sieves(category, j.tag) == least_covering_sieves(j), (method, j.tag)
 
 
+@pytest.mark.parametrize("kind", BUILT_INS)
+def test_every_topology_carries_its_least_covering_sieves(kind, monkeypatch):
+    # a word's topology carries the decoder's m, a brute one the choice its
+    # search made, and tagging keeps it: no route reads m off the level maps
+    category = build_index_category(kind)
+    methods = ["brute"] if category.family == FAMILY_BICOLOR else ["brute", "constrained"]
+    found = {}
+    with monkeypatch.context() as patch:
+        patch.setattr(topology_module, "least_covering_sieves", None)
+        for method in methods:
+            found[method] = enumerate_topologies(category, method)
+    for method, topologies in found.items():
+        for j in topologies:
+            assert j.least == least_sieves(category, j.tag) == least_covering_sieves(j), (
+                method,
+                j.tag,
+            )
+            assert tag_topology(j).least is j.least
+
+
+@pytest.mark.parametrize("kind", ["graph", "reflgraph", "bicolgraph", "semisimplex:2", "simplex:2"])
+def test_verify_reports_a_wrong_least_as_a_covering_violation(kind):
+    # j_c must send exactly the sieves above m_c to top, so any other
+    # sieve in place of one level of m fails at that level
+    category = build_index_category(kind)
+    omega = classifying_object(category)
+    for j in enumerate_topologies(category):
+        assert verify_topology(j) is None
+        for pos, packed in enumerate(omega.packed):
+            for sieve in packed:
+                if sieve == j.least[pos]:
+                    continue
+                wrong = j.least[:pos] + (sieve,) + j.least[pos + 1 :]
+                problem = verify_topology(LTTopology(omega, j.levels, j.tag, wrong))
+                assert problem is not None, (j.tag, pos, sieve)
+                assert (problem.kind, problem.level) == ("covering", category.objects[pos])
+                x, image = problem.witness
+                assert (packed[x] & sieve == sieve) != (image == omega.top[pos])
+
+
 def test_least_sieves_reject_a_tag_that_names_no_topology():
     with pytest.raises(ValueError) as err:
         least_sieves(GRAPH, "0x")
@@ -570,7 +610,8 @@ def test_dimension_four_topologies_verify_and_brute_agrees(lifted_sieve_bound):
         assert [j.levels for j in brute] == [j.levels for j in found], kind
         assert [j.tag for j in brute] == [j.tag for j in found], kind
         for j in (*found, *brute):
-            assert least_sieves(category, j.tag) == least_covering_sieves(j), (kind, j.tag)
+            least = least_sieves(category, j.tag)
+            assert j.least == least == least_covering_sieves(j), (kind, j.tag)
 
 
 def test_reflgraph_word_10_is_rejected_with_a_witness():
