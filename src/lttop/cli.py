@@ -183,8 +183,9 @@ def _first_closure_mismatch(category, topologies, corpus_bound):
     The instances run in corpus order, then subobject order, then topology
     order.  All subobjects of one corpus presheaf P are lanes of one
     integer (``pack_lanes``, whose stride locates the lane of a differing
-    bit), so the recursive route runs once per (P, topology) and the chi
-    route once per P, sharing each (level, m_c) part, with m read off each
+    bit), and each kernel takes every topology at once, so each route runs
+    once per P: the recursive one reads each level's coface masks once,
+    and the chi one shares each (level, m_c) part, with m read off each
     topology's tag (``topology.least_sieves``), so the suite checks that
     decoder against the recursion as well; the first failing
     instance of P is the lowest lane that differs under any topology, and
@@ -193,7 +194,8 @@ def _first_closure_mismatch(category, topologies, corpus_bound):
     with n the position of P in ``presheaf_corpus(category, corpus_bound)``,
     or None when they all agree.
     """
-    least = [least_sieves(category, j.tag) for j in topologies]
+    words = [j.tag for j in topologies]
+    least = [least_sieves(category, word) for word in words]
     checked = 0
     for n, P in enumerate(closure_mod.presheaf_corpus(category, corpus_bound)):
         # every subobject of P is one lane of a single integer
@@ -201,8 +203,9 @@ def _first_closure_mismatch(category, topologies, corpus_bound):
         bits, lanes, stride = pack_lanes(P, subs)
         first = None  # (lane, topology position) of the first mismatch
         chis = _closures_bits(least, P, bits, lanes)
-        for t, (j, chi) in enumerate(zip(topologies, chis)):
-            diff = chi ^ _closed_bits(j.tag, P, bits, lanes)
+        recs = _closed_bits(words, P, bits, lanes)
+        for t, (chi, rec) in enumerate(zip(chis, recs)):
+            diff = chi ^ rec
             if diff:
                 s = ((diff & -diff).bit_length() - 1) // stride
                 if first is None or s < first[0]:
@@ -210,8 +213,8 @@ def _first_closure_mismatch(category, topologies, corpus_bound):
         if first is not None:
             s, t = first
             witness = Subpresheaf(P, subs[s])
-            return checked + s * len(topologies) + t + 1, (n, P, witness, topologies[t].tag)
-        checked += len(subs) * len(topologies)
+            return checked + s * len(words) + t + 1, (n, P, witness, words[t])
+        checked += len(subs) * len(words)
     return checked, None
 
 

@@ -11,21 +11,21 @@ of a generating set of m_c (A' is action-closed), and looks nothing up in
 Omega once m is read.  ``closure_via_chi`` and the dense sieves here read
 m off a topology's ``least`` field; the ``closure`` command and the
 closures suite read it off the word or label (``topology.least_sieves``),
-and build no Omega at all.  Both
-kernels live in ``topology``, ``_closures_bits`` (chi) and
-``_closed_bits`` (recursive), and close many subobjects of one presheaf at
-once, one per lane of a single integer (``presheaf.pack_lanes``): every
-subobject shares the presheaf's orbits and closure plan.  A topology acts
-on level c only through m_c, so the chi kernel takes every topology of the
-closures suite at once and computes each (level, m_c) part once per
-presheaf, reading which topologies share it off a plan built once per
-category and topology list (``topology._chi_plan``); the recursive route
-runs once per (presheaf, topology).  The level maps of the two
-enumeration routes are the same kernels run on the sieves of the
-representables, so comparing the closure routes (the closures suite)
-checks that the recursion commutes with pullback on every corpus
-presheaf, and the constrained enumeration agreeing with the brute one
-checks it on the representables.
+and build no Omega at all.  Both kernels live in ``topology``,
+``_closures_bits`` (chi) and ``_closed_bits`` (recursive), and close many
+subobjects of one presheaf at once, one per lane of a single integer
+(``presheaf.pack_lanes``): every subobject shares the presheaf's orbit
+rows and face tables.  Both kernels take every topology of the closures
+suite at once, so each runs once per corpus presheaf.  A topology acts on
+level c only through m_c, so the chi kernel computes each (level, m_c)
+part once per presheaf, reading which topologies share it off a plan built
+once per category and topology list (``topology._chi_plan``); the
+recursive kernel reads each level's coface masks once per presheaf, for
+every word that fills it.  The level maps of the two enumeration routes
+are the same kernels run on the sieves of the representables, so comparing
+the closure routes (the closures suite) checks that the recursion commutes
+with pullback on every corpus presheaf, and the constrained enumeration
+agreeing with the brute one checks it on the representables.
 
 The classifier decides separated/complete/sheaf from cell counts over
 incidence tuples; ``factorization_checks`` is its counterpart from the
@@ -90,12 +90,12 @@ def closure_recursive(word, sub):
     """Dimension-by-dimension closure: copy on bit 0, fill by faces on bit 1.
 
     A level fills as every cell outside the coface masks of the absent
-    cells one level down (``FinitePresheaf.closure_plan``), by the
-    one-lane call of ``topology._closed_bits``.
+    cells one level down, by the one-word, one-lane call of
+    ``topology._closed_bits``.
     """
     A = sub.presheaf
     _check_recursive_word(A.category, word)
-    return Subpresheaf(A, _closed_bits(word, A, sub.bits))
+    return Subpresheaf(A, _closed_bits([word], A, sub.bits)[0])
 
 
 @lru_cache(maxsize=None)

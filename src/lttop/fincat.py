@@ -295,7 +295,7 @@ class MorphismPlan:
       every f into its source: the squares functoriality is checked on;
     * ``columns``: per level c, the (level l, position of f) pairs over
       l in object order and f in ``reversed(hom(l, c))``, the order of an
-      orbit row (``FinitePresheaf.sieve_orbits``);
+      orbit row (``FinitePresheaf.level_orbits``);
     * ``faces``: over a simplex category, per level k the positions of
       ``face(k, 0)`` ... ``face(k, k)`` (none at level 0); empty otherwise.
 

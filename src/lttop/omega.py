@@ -69,11 +69,12 @@ class OmegaObject:
         self.bottom = (0,) * len(self.sieves)
         carriers = {c: tuple(range(len(level))) for c, level in zip(category.objects, self.sieves)}
         gen_actions = {}
-        for c, yc, level in zip(category.objects, self.yonedas, self.sieves):
+        for c, yc, packed in zip(category.objects, self.yonedas, self.packed):
             # Omega(g)(S) = g*S is chi_S at the cell g: d -> c of y(c)
             gens = [g for g in category.generators if g.target == c]
-            cells = [(g.source, yc.label_index(g.source, g)) for g in gens]
-            pulled = [_chi_at(s, cells) for s in level]
+            rows = yc.level_orbits()
+            orbits = [rows[category.obj_index(g.source)][yc.label_index(g.source, g)] for g in gens]
+            pulled = [_chi_at(s, orbits) for s in packed]
             for n, g in enumerate(gens):
                 index = self._index[category.obj_index(g.source)]
                 gen_actions[g] = tuple(index[row[n]] for row in pulled)
@@ -121,16 +122,14 @@ def classifying_object(category):
 # -- characteristic functions ------------------------------------------
 
 
-def _chi_at(sub, cells):
-    """chi_sub at the given (level, position) cells of its presheaf: for
-    each cell x of level c, the sieve x*sub as an integer in y(c)'s bit
-    layout."""
-    orbits = sub.presheaf.sieve_orbits()
-    bits = sub.bits
+def _chi_at(bits, orbits):
+    """chi of the subpresheaf with integer ``bits`` at the cells with the
+    given orbit rows (``FinitePresheaf.level_orbits``): for each cell x of
+    level c, the sieve x*bits as an integer in y(c)'s bit layout."""
     out = []
-    for cell in cells:
+    for orbit in orbits:
         sieve = 0
-        for p in orbits[cell]:
+        for p in orbit:
             sieve = sieve << 1 | bits >> p & 1
         out.append(sieve)
     return out
@@ -144,14 +143,11 @@ def characteristic_function(sub, omega):
     A = sub.presheaf
     if A.category is not omega.category:
         raise ValueError("subpresheaf and classifying object live over different categories")
-    # the orbit table is keyed by every cell of A, in level order
-    flat = _chi_at(sub, A.sieve_orbits())
-    components = []
-    end = 0
-    for level, index in zip(A.carriers, omega._index):
-        start, end = end, end + len(level)
-        components.append(tuple(map(index.__getitem__, flat[start:end])))
-    return PresheafMorphism(A, omega.as_presheaf(), tuple(components))
+    components = tuple(
+        tuple(map(index.__getitem__, _chi_at(sub.bits, rows)))
+        for rows, index in zip(A.level_orbits(), omega._index)
+    )
+    return PresheafMorphism(A, omega.as_presheaf(), components)
 
 
 def pullback_of_true(chi, omega):
@@ -184,11 +180,11 @@ def hasse_covers(omega, pos):
     to S exactly the class of x: the cells with the same principal.
     """
     y = omega.yonedas[pos]
-    offsets = y.bit_offsets()
     classes = {}  # each principal sieve -> the cells that generate it
-    for (c, x), orbit in y.sieve_orbits().items():
-        principal = _principal(orbit)
-        classes[principal] = classes.get(principal, 0) | 1 << offsets[y.obj_index(c)] + x
+    for offset, rows in zip(y.bit_offsets(), y.level_orbits()):
+        for x, orbit in enumerate(rows):
+            principal = _principal(orbit)
+            classes[principal] = classes.get(principal, 0) | 1 << offset + x
     index = omega._index[pos]
     return sorted(
         (i, index[s | principal])

@@ -16,7 +16,6 @@ generation are read off the cached orbit table.
 """
 
 from functools import lru_cache
-from itertools import repeat
 
 from .fincat import (
     FAMILY_FULL,
@@ -58,13 +57,11 @@ class FinitePresheaf:
     category's numbering (``fincat.morphism_plan``): the identities, the
     generator tables as given, and every other action composed from them
     along the morphism's factorization.  Instances are immutable after
-    construction; five derived tables are built on first use and kept:
+    construction; three derived tables are built on first use and kept:
     the label index (``label_index``), the orbit rows per level
-    (``level_orbits``, in ``_level_rows``) and keyed by cell
-    (``sieve_orbits``, in ``_orbit_cache``), the source sides of Yoneda
-    searches out of the presheaf (``search_plan``, in ``_search_plans``)
-    and, over a simplex category, the closure plan (``closure_plan``, in
-    ``_plan_cache``) that the recursive closure reads.
+    (``level_orbits``, in ``_level_rows``), the one incidence table the
+    package reads, and the source sides of Yoneda searches out of the
+    presheaf (``search_plan``, in ``_search_plans``).
     """
 
     def __init__(self, category, carriers, gen_actions, validate=True):
@@ -92,10 +89,8 @@ class FinitePresheaf:
             tables[p] = out
         self._tables = tuple(tables)
         self._label_index = None
-        self._orbit_cache = None
         self._level_rows = None
         self._search_plans = None
-        self._plan_cache = None
         if validate:
             problem = self.functoriality_violation()
             if problem is not None:
@@ -178,10 +173,11 @@ class FinitePresheaf:
         """Per level, for each cell x in cell order: the bits of act(f, x)
         over the cells f of y(c), from y(c)'s highest bit down.
 
-        Cached.  The principal subpresheaf of a cell is the OR of its
-        orbit, so subpresheaf enumeration and generation are joins of
-        these rows, and a characteristic function reads the sieve of a cell
-        off its orbit one bit at a time.  A level's rows are its columns
+        Cached, and read by level position and cell index,
+        ``level_orbits()[pos][x]``.  The principal subpresheaf of a cell is
+        the OR of its orbit, so subpresheaf enumeration and generation are
+        joins of these rows, and a characteristic function reads the sieve
+        of a cell off its orbit one bit at a time.  A level's rows are its columns
         (``MorphismPlan.columns``), one shifted action table per morphism,
         read across.
         """
@@ -194,45 +190,6 @@ class FinitePresheaf:
                 for columns in plan.columns
             )
         return self._level_rows
-
-    def sieve_orbits(self):
-        """The rows of ``level_orbits`` keyed by element (c, x), in level
-        order.  Cached, and built only for the callers that look a cell up
-        by its key."""
-        if self._orbit_cache is None:
-            orbits = {}
-            for c, rows in zip(self.category.objects, self.level_orbits()):
-                orbits.update(zip(zip(repeat(c), range(len(rows))), rows))
-            self._orbit_cache = orbits
-        return self._orbit_cache
-
-    def closure_plan(self):
-        """Per level k: (offset, full, below, cofaces), where ``offset`` is
-        the bit of cell 0, ``full`` the mask of all level-k cells, ``below``
-        the offset of level k - 1, and ``cofaces`` one mask per level-(k-1)
-        cell y with bit x set when the level-k cell x has y as a face.  At
-        level 0, ``below`` is 0 and ``cofaces`` is empty.
-
-        Cached; simplex categories only.  A level-k cell has all its faces
-        in a set of level-(k-1) cells exactly when it is in none of the
-        coface masks of the cells outside that set.
-        """
-        if self._plan_cache is None:
-            _simplex_faces(self.category)
-            plan = []
-            below = 0
-            for k, offset in zip(self.category.objects, self._offsets):
-                cofaces = []
-                if k:
-                    cofaces = [0] * len(self.carrier(k - 1))
-                    for table in self.face_tables(k):
-                        for x, y in enumerate(table):
-                            cofaces[y] |= 1 << x
-                full = (1 << len(self.carrier(k))) - 1
-                plan.append((offset, full, below, tuple(cofaces)))
-                below = offset
-            self._plan_cache = tuple(plan)
-        return self._plan_cache
 
 
 class Subpresheaf(Record):
@@ -334,10 +291,10 @@ def _principal(orbit):
 def generated_subpresheaf(presheaf, seeds):
     """Least subpresheaf containing ``seeds``, a set of (object, index)
     pairs: the join of their principal subpresheaves."""
-    orbits = presheaf.sieve_orbits()
+    rows = presheaf.level_orbits()
     bits = 0
-    for seed in seeds:
-        bits |= _principal(orbits[seed])
+    for c, x in seeds:
+        bits |= _principal(rows[presheaf.obj_index(c)][x])
     return Subpresheaf(presheaf, bits)
 
 
@@ -550,7 +507,7 @@ def morphism_search(source, target, bits):
 
     Sending a cell x of level c to a cell y of target(c) sends act(f, x)
     to act(f, y) for every f into c (Yoneda), so x's orbit is paired with
-    y's bit for bit: ``sieve_orbits`` lists both in y(c)'s order.  A cell
+    y's bit for bit: ``level_orbits`` lists both in y(c)'s order.  A cell
     that an earlier orbit reached is forced; every other cell branches
     over target(c)'s rows (``level_orbits``), keeping each y whose orbit
     agrees with the image so far.  Each branch undoes its writes in

@@ -19,9 +19,11 @@ is idempotent, sends to top exactly up(m) for the field m, and commutes
 with every generator action.
 
 For any topology, j_c(S) is the closure of S as a subobject of y(c)
-(Mac Lane and Moerdijk, V.1-V.2), so both routes below read a level map
-through a closure kernel on y(c), one call per level: every sieve of y(c)
-is one lane of a single integer (``presheaf.pack_lanes``).  The kernels,
+(Mac Lane and Moerdijk, V.1-V.2), so both routes below read the level
+maps of all their topologies through a closure kernel on y(c), one call
+per level: every sieve of y(c) is one lane of a single integer
+(``presheaf.pack_lanes``), and the kernel takes every topology at once.
+The kernels,
 ``_closures_bits`` (chi) and ``_closed_bits`` (recursive), are the ones
 the closures of ``closure`` run, and comparing the two routes compares
 the two kernels on every representable.  Two independent routes produce
@@ -36,7 +38,8 @@ topologies:
 * ``construct_bitstring_topology`` / ``method="constrained"`` build the
   per-dimension family indexed by a bit string: each level map is the
   recursive closure of each sieve S of y(k) under the word, copy a level
-  on bit 0, fill it by faces on bit 1.
+  on bit 0, fill it by faces on bit 1.  The constrained route reads every
+  word's level maps in one pass.
 
 On a degeneracy-carrying category a word containing "10" has no
 topology: its semi-simplicial topology is transported along the
@@ -254,25 +257,49 @@ def _level_sieves(category):
     )
 
 
-def _closed_bits(word, A, bits, lanes=1):
-    """The closures of subobjects of a simplex presheaf A under the word,
-    one per lane as ``presheaf.pack_lanes`` lays them out (one subobject is
-    one lane, with ``lanes`` = 1): copy a level on bit 0, and on bit 1 keep
-    every cell outside the coface masks of the absent cells one level down
-    (``FinitePresheaf.closure_plan``); level 0 fills completely.  A bit-1
-    level walks every cell y one level down and clears y's coface mask in
-    exactly the lanes that lack y.
+def _closed_bits(words, A, bits, lanes=1):
+    """For each bit string in ``words``, the closures of subobjects of a
+    simplex presheaf A under that word, one per lane as
+    ``presheaf.pack_lanes`` lays them out (one subobject is one lane, with
+    ``lanes`` = 1): copy a level on bit 0, and on bit 1 keep every cell
+    outside the coface masks of the absent cells one level down; level 0
+    fills completely.  A bit-1 level walks every cell y one level down and
+    clears y's coface mask in exactly the lanes that lack y.  Each level's
+    coface masks (``_coface_masks``) are read once per call, for every word
+    that fills it.
     """
-    for bit, (offset, full, below, cofaces) in zip(word, A.closure_plan()):
-        if bit == "0":
-            continue
-        missing = ~bits >> below
-        full *= lanes
-        filled = full
-        for y, coface in enumerate(cofaces):
-            filled &= ~(coface * (missing >> y & lanes))
-        bits = bits & ~(full << offset) | filled << offset
-    return bits
+    filled_levels = {k for word in words for k, bit in enumerate(word) if bit == "1"}
+    cofaces = {k: _coface_masks(A, k) for k in filled_levels}
+    offsets = A.bit_offsets()
+    closed = []
+    for word in words:
+        out = bits
+        for k, bit in enumerate(word):
+            if bit == "0":
+                continue
+            full = ((1 << len(A.carriers[k])) - 1) * lanes
+            filled = full
+            missing = ~out >> offsets[k - 1] if k else 0
+            for y, coface in enumerate(cofaces[k]):
+                filled &= ~(coface * (missing >> y & lanes))
+            out = out & ~(full << offsets[k]) | filled << offsets[k]
+        closed.append(out)
+    return closed
+
+
+def _coface_masks(A, k):
+    """Per level-(k - 1) cell y of a simplex presheaf A, the mask of the
+    level-k cells that have y as a face, read off A's face tables; none at
+    level 0.  A level-k cell has all its faces in a set of level-(k - 1)
+    cells exactly when it is in none of the masks of the cells outside it.
+    """
+    if not k:
+        return []
+    masks = [0] * len(A.carriers[k - 1])
+    for table in A.face_tables(k):
+        for x, y in enumerate(table):
+            masks[y] |= 1 << x
+    return masks
 
 
 def _closures_bits(leasts, A, bits, lanes=1):
@@ -326,7 +353,7 @@ def _chi_plan(category, leasts):
 
 @lru_cache(maxsize=None)
 def _generator_positions(category, pos, m):
-    """The orbit positions (``FinitePresheaf.sieve_orbits``) of a set of
+    """The orbit positions (``FinitePresheaf.level_orbits``) of a set of
     cells of y(c), c the object at ``pos``, whose principal sieves join to
     the sieve m.
 
@@ -338,12 +365,12 @@ def _generator_positions(category, pos, m):
     yc = yoneda(category, category.objects[pos])
     # the orbit lists y(c)'s cells from its highest bit down
     top = yc.total_size - 1
-    offsets = yc.bit_offsets()
     principals = [
-        (offsets[yc.obj_index(l)] + x, _principal(orbit))
-        for (l, x), orbit in yc.sieve_orbits().items()
+        (offset + x, _principal(orbit))
+        for offset, rows in zip(yc.bit_offsets(), yc.level_orbits())
+        for x, orbit in enumerate(rows)
+        if m >> offset + x & 1
     ]
-    principals = [(b, p) for b, p in principals if m >> b & 1]
     principals.sort(key=lambda cell: -cell[1].bit_count())
     covered = 0
     chosen = []
@@ -373,11 +400,11 @@ def _level_maps(omega, kernel):
     return list(zip(*levels))
 
 
-def _bitstring_levels(omega, word):
-    """j_k(S) is the closure of S as a subobject of y(k) under the word, for
-    every sieve S of every level k, one ``_closed_bits`` call per level."""
-    (levels,) = _level_maps(omega, lambda y, bits, lanes: [_closed_bits(word, y, bits, lanes)])
-    return levels
+def _bitstring_levels(omega, words):
+    """Per bit string in ``words``, its level maps: j_k(S) is the closure of
+    S as a subobject of y(k) under the word, for every sieve S of every
+    level k, by one ``_closed_bits`` call per level for all the words."""
+    return _level_maps(omega, partial(_closed_bits, words))
 
 
 def construct_bitstring_topology(category, word):
@@ -387,13 +414,24 @@ def construct_bitstring_topology(category, word):
     with the failing degeneracy square as its witness (``_check_tag``).
     """
     _check_word(category, word)  # a bicolored label is no bit string
-    least = least_sieves(category, word)
+    return _bitstring_topologies(category, [word])[0]
+
+
+def _bitstring_topologies(category, words):
+    """The topologies of the bit strings in ``words``, each checked by
+    ``verify_topology``, with their level maps read in one pass
+    (``_bitstring_levels``).  Every word's tag is checked (``least_sieves``)
+    before Omega is built."""
+    leasts = [least_sieves(category, word) for word in words]
     omega = classifying_object(category)
-    j = LTTopology(omega, _bitstring_levels(omega, word), word, least)
-    problem = verify_topology(j)
-    if problem is not None:
-        raise RuntimeError(f"constructed map is not a topology: {problem}")
-    return j
+    found = []
+    for word, levels, least in zip(words, _bitstring_levels(omega, words), leasts):
+        j = LTTopology(omega, levels, word, least)
+        problem = verify_topology(j)
+        if problem is not None:
+            raise RuntimeError(f"constructed map is not a topology: {problem}")
+        found.append(j)
+    return found
 
 
 # -- tagging -------------------------------------------------------------
@@ -430,21 +468,23 @@ def _transitive_at(omega, m, c):
     Rows are read from the highest level down: those cells reach the
     most, so the loop can stop early."""
     y = omega.yonedas[c]
-    obj_index = omega.category.obj_index
     offsets = y.bit_offsets()
     mc = m[c]
     reach = 0
-    for (level, f), row in reversed(y.sieve_orbits().items()):
-        if not mc & ~reach:
-            break
-        l = obj_index(level)
-        if mc >> offsets[l] + f & 1:
-            ml = m[l]
-            top = len(row) - 1
-            while ml:
-                g = ml.bit_length() - 1
-                reach |= 1 << row[top - g]
-                ml ^= 1 << g
+    orbits = y.level_orbits()
+    for l in reversed(range(len(orbits))):
+        rows = orbits[l]
+        for f in reversed(range(len(rows))):
+            if not mc & ~reach:
+                return True
+            if mc >> offsets[l] + f & 1:
+                ml = m[l]
+                row = rows[f]
+                top = len(row) - 1
+                while ml:
+                    g = ml.bit_length() - 1
+                    reach |= 1 << row[top - g]
+                    ml ^= 1 << g
     return not mc & ~reach
 
 
@@ -467,7 +507,7 @@ def _enumerate_covering(omega):
     n = len(cat.objects)
     packed = omega.packed
     # transitivity at c can be tested once every level l with a cell l -> c is chosen
-    ready_at = [max(cat.obj_index(l) for l, _ in y.sieve_orbits()) for y in omega.yonedas]
+    ready_at = [max(l for l, rows in enumerate(y.level_orbits()) if rows) for y in omega.yonedas]
     gens = [(cat.obj_index(g.source), cat.obj_index(g.target), omega.action_table(g)) for g in cat.generators]
     m = [None] * n  # sieve indices
     bits = [None] * n  # and their integers
@@ -495,16 +535,14 @@ def _enumerate_covering(omega):
 
 def _enumerate_constrained(omega):
     """One topology per bit string, skipping the words with "10" on a
-    degeneracy-carrying category."""
+    degeneracy-carrying category, with every word's level maps read in one
+    pass."""
     cat = omega.category
     if cat.family not in (FAMILY_SEMI, FAMILY_FULL):
         raise ValueError("constrained enumeration needs a simplex category")
     words = ("".join(bits) for bits in itertools.product("01", repeat=cat.dim + 1))
-    return [
-        construct_bitstring_topology(cat, word)
-        for word in words
-        if cat.family == FAMILY_SEMI or "10" not in word
-    ]
+    valid = [word for word in words if cat.family == FAMILY_SEMI or "10" not in word]
+    return _bitstring_topologies(cat, valid)
 
 
 def enumerate_topologies(category, method="auto"):

@@ -251,11 +251,9 @@ def _closure_bits(least, A, bits, lanes=1):
     """The closures of subobjects of A, one per lane, ANDing over every
     orbit position of m_c: the reference for ``topology._closures_bits``,
     which ANDs over the positions of a generating set of m_c only."""
-    # the orbit table is keyed by every cell of A, in level order
-    orbits = iter(A.sieve_orbits().values())
     closed = 0
-    for level, offset, m in zip(A.carriers, A.bit_offsets(), least):
-        for x, orbit in zip(range(len(level)), orbits):
+    for rows, offset, m in zip(A.level_orbits(), A.bit_offsets(), least):
+        for x, orbit in enumerate(rows):
             if not x:
                 # the orbit lists y(c)'s cells from its highest bit down
                 top = len(orbit) - 1
@@ -473,7 +471,7 @@ def reference_ambients():
 def _closure_recursive(word, sub):
     """Copy a level on bit 0; on bit 1 fill every cell whose k + 1 faces,
     read off the face tables, lie in the closed level below: the reference
-    for ``closure_recursive``, which reads the cached closure plan."""
+    for ``closure_recursive``, which reads each level's coface masks."""
     A = sub.presheaf
     cat = A.category
     if cat.family not in (FAMILY_SEMI, FAMILY_FULL):
@@ -633,7 +631,7 @@ def _composed_table(P, f):
 def _orbit_rows(P):
     """The orbit table built one ``act`` per (cell, morphism): for each
     cell (c, x), the bits of X(f)(x) over y(c)'s cells f, from y(c)'s
-    highest bit down.  The reference for ``FinitePresheaf.sieve_orbits``,
+    highest bit down.  The reference for ``FinitePresheaf.level_orbits``,
     which reads the rows across one shifted table per morphism."""
     cat = P.category
     offsets = P.bit_offsets()

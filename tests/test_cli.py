@@ -983,16 +983,17 @@ def _flip_graph_instances(monkeypatch, corpus_bound, flips):
     flipped = {instances[k - 1] for k in flips}
     called = []
 
-    def disagree(word, P, bits, lanes):
-        closed = _closed_bits(word, P, bits, lanes)
+    def disagree(words, P, bits, lanes):
+        closed = _closed_bits(words, P, bits, lanes)
         if P.category is not category:
             return closed
         called.append(P)
         subs = enumerate_subpresheaves(P)
         _, _, stride = pack_lanes(P, [sub.bits for sub in subs])
-        for s, sub in enumerate(subs):
-            if (P, sub.bits, word) in flipped:
-                closed ^= 1 << s * stride
+        for t, word in enumerate(words):
+            for s, sub in enumerate(subs):
+                if (P, sub.bits, word) in flipped:
+                    closed[t] ^= 1 << s * stride
         return closed
 
     monkeypatch.setattr(cli, "_closed_bits", disagree)
@@ -1154,6 +1155,33 @@ def test_first_closure_mismatch_plans_the_chi_kernel_once_per_category(monkeypat
         assert topology._chi_plan.cache_info().misses == 1
         counts.append(len(looked_up))
     assert counts[0] == counts[1] > 0, counts
+
+
+@pytest.mark.parametrize("kind", ["graph", "reflgraph", "semisimplex:2"])
+def test_first_closure_mismatch_calls_the_recursive_kernel_once_per_presheaf(monkeypatch, kind):
+    # the recursive kernel takes every topology's word at once, as the chi
+    # kernel takes every least covering sieve
+    from lttop import cli
+    from lttop.closure import presheaf_corpus
+    from lttop.fincat import build_index_category
+    from lttop.topology import enumerate_topologies
+
+    category = build_index_category(kind)
+    topologies = enumerate_topologies(category)
+    assert len(topologies) > 1
+    original = cli._closed_bits
+    calls = []
+
+    def counted(words, *args):
+        calls.append(list(words))
+        return original(words, *args)
+
+    monkeypatch.setattr(cli, "_closed_bits", counted)
+    checked, mismatch = cli._first_closure_mismatch(category, topologies, 5)
+    assert mismatch is None and checked > 0
+    corpus = presheaf_corpus(category, 5)
+    assert len(calls) == len(corpus)
+    assert calls == [[j.tag for j in topologies]] * len(corpus)
 
 
 def test_criteria_suite_finds_each_level_witness_once_per_presheaf(monkeypatch):

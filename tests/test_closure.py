@@ -17,6 +17,7 @@ from lttop.presheaf import (
     enumerate_subpresheaves,
     pack_lanes,
     subpresheaf_bits,
+    unpack_lanes,
     yoneda,
 )
 from lttop import closure
@@ -165,13 +166,49 @@ def test_each_lane_of_a_batched_closure_is_the_one_lane_closure(kind):
         for j in topologies:
             (chi,) = _closures_bits([least_covering_sieves(j)], P, bits, lanes)
             assert not chi >> len(subs) * stride, (P, j.tag)
-            rec = _closed_bits(j.tag, P, bits, lanes) if simplex else 0
+            rec = _closed_bits([j.tag], P, bits, lanes)[0] if simplex else 0
             assert not rec >> len(subs) * stride, (P, j.tag)
             for s, sub in enumerate(subs):
                 assert chi >> s * stride & lane == closure_via_chi(j, sub).bits, (P, sub, j.tag)
                 if simplex:
                     one = closure_recursive(j.tag, sub).bits
                     assert rec >> s * stride & lane == one, (P, sub, j.tag)
+
+
+def all_words(category):
+    return ["".join(bits) for bits in itertools.product("01", repeat=category.dim + 1)]
+
+
+def assert_one_call_closes_every_word(P, subs):
+    # one call over every word equals one call per word, and each lane of
+    # it is the one-word, one-lane closure of that lane's subobject
+    words = all_words(P.category)
+    bits, lanes, stride = pack_lanes(P, subs)
+    closed = _closed_bits(words, P, bits, lanes)
+    assert closed == [_closed_bits([word], P, bits, lanes)[0] for word in words], P
+    for word, lanes_closed in zip(words, closed):
+        expected = [_closed_bits([word], P, s)[0] for s in subs]
+        assert unpack_lanes(lanes_closed, stride, len(subs)) == expected, (P, word)
+
+
+@pytest.mark.parametrize("kind", ["graph", "reflgraph", "semisimplex:2", "simplex:2"])
+def test_one_recursive_kernel_call_closes_every_word_on_the_corpus(kind):
+    for P in presheaf_corpus(build_index_category(kind), 4):
+        assert_one_call_closes_every_word(P, subpresheaf_bits(P))
+
+
+CATALOG_SIMPLEX = ["set", "graph", "reflgraph"] + [
+    f"{family}:{n}" for family in ("semisimplex", "simplex") for n in (1, 2, 3)
+]
+
+
+@pytest.mark.parametrize("kind", CATALOG_SIMPLEX)
+def test_one_recursive_kernel_call_closes_every_word_on_the_sieves(kind):
+    # the catalog's categories but bicolgraph, which has no recursive
+    # closure: each level of Omega is the sieves of y(c) as lanes
+    omega = classifying_object(build_index_category(kind))
+    for y, packed in zip(omega.yonedas, omega.packed):
+        assert_one_call_closes_every_word(y, packed)
 
 
 @pytest.mark.parametrize("kind", BUILTINS_UP_TO_DIM_3)
@@ -596,10 +633,10 @@ def chosen_cells(category, pos, m):
     of m, c the object at ``pos``."""
     yc = yoneda(category, category.objects[pos])
     top = yc.total_size - 1
-    offsets = yc.bit_offsets()
     principal = {
-        offsets[yc.obj_index(l)] + x: _principal(orbit)
-        for (l, x), orbit in yc.sieve_orbits().items()
+        offset + x: _principal(orbit)
+        for offset, rows in zip(yc.bit_offsets(), yc.level_orbits())
+        for x, orbit in enumerate(rows)
     }
     return [principal[top - i] for i in _generator_positions(category, pos, m)]
 
@@ -625,7 +662,7 @@ def test_cells_that_generate_each_other_keep_one_generator():
     # generate the same sieve, so dropping every cell that lies in another
     # cell's principal sieve would drop both of each pair
     y1 = yoneda(REFL, 1)
-    principals = [_principal(orbit) for orbit in y1.sieve_orbits().values()]
+    principals = [_principal(orbit) for rows in y1.level_orbits() for orbit in rows]
     pairs = [p for p in set(principals) if principals.count(p) == 2]
     assert len(pairs) == 2 and len(set(principals)) == 3
     for p in pairs:

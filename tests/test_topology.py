@@ -485,6 +485,33 @@ def test_brute_route_builds_level_maps_only_for_topologies(kind, dim, calls, mon
     assert len(verified) == len(found) == calls
 
 
+@pytest.mark.parametrize("kind, words", [("semisimplex:3", 16), ("simplex:3", 5), ("reflgraph", 3)])
+def test_constrained_route_reads_every_word_in_one_pass(kind, words, monkeypatch):
+    # one pass over Omega's levels reads the level maps of every word, one
+    # recursive kernel call per level for all the words
+    category = build_index_category(kind)
+    omega = classifying_object(category)
+    passes = []
+    kernel_calls = []
+    level_maps = topology_module._level_maps
+    closed_bits = topology_module._closed_bits
+
+    def counting_passes(omega, kernel):
+        passes.append(omega)
+        return level_maps(omega, kernel)
+
+    def counting_kernel(words, A, bits, lanes=1):
+        kernel_calls.append(len(words))
+        return closed_bits(words, A, bits, lanes)
+
+    monkeypatch.setattr(topology_module, "_level_maps", counting_passes)
+    monkeypatch.setattr(topology_module, "_closed_bits", counting_kernel)
+    found = enumerate_topologies(category, "constrained")
+    assert len(found) == words
+    assert passes == [omega]
+    assert kernel_calls == [words] * len(category.objects)
+
+
 def bit_strings(category):
     return ["".join(bits) for bits in itertools.product("01", repeat=category.dim + 1)]
 
@@ -498,9 +525,8 @@ def test_closed_sieves_match_the_incidence_tuple_reference(bitstring_levels_refe
         for word in bit_strings(category):
             if family == "simplex" and "10" in word:
                 continue
-            assert _bitstring_levels(omega, word) == bitstring_levels_reference(omega, word), (
-                category.kind, word,
-            )
+            expected = bitstring_levels_reference(omega, word)
+            assert _bitstring_levels(omega, [word]) == [expected], (category.kind, word)
     # the words with "10" are rejected with the square the reference maps fail
     checked = 0
     for kind in ("reflgraph", "simplex:2", "simplex:3"):
@@ -549,7 +575,7 @@ def omega_orbit_tables(method, kinds):
     for kind in kinds:
         category = build_index_category(kind)
         enumerate_topologies(category, method)
-        if classifying_object(category).as_presheaf()._orbit_cache is not None:
+        if classifying_object(category).as_presheaf()._level_rows is not None:
             built.append(kind)
     return built
 
@@ -587,8 +613,11 @@ def test_closed_sieves_match_the_reference_in_dimension_four(
     assert omega.level_sizes() == (2, 5, 19, 167, 7580)
     valid = [w for w in bit_strings(category) if family == "semisimplex" or "10" not in w]
     assert len(valid) == words
-    for word in valid:
-        assert _bitstring_levels(omega, word) == bitstring_levels_reference(omega, word), word
+    expected = [bitstring_levels_reference(omega, word) for word in valid]
+    for word, levels in zip(valid, expected):
+        assert _bitstring_levels(omega, [word]) == [levels], word
+    # the constrained route reads every word's level maps in one pass
+    assert _bitstring_levels(omega, valid) == expected
 
 
 def test_dimension_four_topologies_verify_and_brute_agrees(lifted_sieve_bound):
