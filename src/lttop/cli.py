@@ -31,7 +31,7 @@ from .fincat import (
     build_index_category,
 )
 from .omega import classifying_object, hasse_covers, hasse_dot, sieve_label
-from .presheaf import BoundExceeded, Subpresheaf, pack_lanes, subpresheaf_bits
+from .presheaf import BoundExceeded, Subpresheaf, subpresheaf_lanes, subset_lanes
 from .topology import _closed_bits, _closures_bits, enumerate_topologies, least_sieves
 
 OK, VERIFY_FAILED, INPUT_ERROR = 0, 1, 2
@@ -181,40 +181,45 @@ def _first_closure_mismatch(category, topologies, corpus_bound):
     instance up to the first on which they disagree.
 
     The instances run in corpus order, then subobject order, then topology
-    order.  All subobjects of one corpus presheaf P are lanes of one
-    integer (``pack_lanes``, whose stride locates the lane of a differing
-    bit), and each kernel takes every topology at once, so each route runs
-    once per P: the recursive one reads each level's coface masks once,
-    and the chi one shares each (level, m_c) part, with m read off each
-    topology's tag (``topology.least_sieves``), so the suite checks that
-    decoder against the recursion as well; the first failing
-    instance of P is the lowest lane that differs under any topology, and
-    within that lane the first such topology.  Returns the number of
-    instances checked up to and including it and that (n, P, sub, word),
-    with n the position of P in ``presheaf_corpus(category, corpus_bound)``,
-    or None when they all agree.
+    order.  Every subset of the cells of one corpus presheaf P is a lane of
+    one integer, lane s holding the subset s (``presheaf.subset_lanes``,
+    built once per size and shared by every presheaf of that size), and
+    each kernel takes every topology at once, so each route runs once per
+    P: the recursive one reads each level's coface masks once, and the chi
+    one shares each (level, m_c) part, with m read off each topology's tag
+    (``topology.least_sieves``), so the suite checks that decoder against
+    the recursion as well.  Only the lanes that hold a subpresheaf
+    (``presheaf.subpresheaf_lanes``) are instances, in lane order, which is
+    the order of their integers; a difference in any bit of such a lane
+    counts, and one in any other lane is ignored.
+    The first failing instance of P is the lowest such lane that differs
+    under any topology, and within that lane the first such topology.
+    Returns the number of instances checked up to and including it and
+    that (n, P, sub, word), with n the position of P in
+    ``presheaf_corpus(category, corpus_bound)``, or None when they all
+    agree.
     """
     words = [j.tag for j in topologies]
     least = [least_sieves(category, word) for word in words]
     checked = 0
     for n, P in enumerate(closure_mod.presheaf_corpus(category, corpus_bound)):
-        # every subobject of P is one lane of a single integer
-        subs = subpresheaf_bits(P)
-        bits, lanes, stride = pack_lanes(P, subs)
+        bits, lanes, stride = subset_lanes(P)
+        closed = subpresheaf_lanes(P, bits, lanes)
+        kept = closed * ((1 << stride) - 1)  # every bit of those lanes
         first = None  # (lane, topology position) of the first mismatch
         chis = _closures_bits(least, P, bits, lanes)
         recs = _closed_bits(words, P, bits, lanes)
         for t, (chi, rec) in enumerate(zip(chis, recs)):
-            diff = chi ^ rec
+            diff = (chi ^ rec) & kept
             if diff:
                 s = ((diff & -diff).bit_length() - 1) // stride
                 if first is None or s < first[0]:
                     first = (s, t)
         if first is not None:
             s, t = first
-            witness = Subpresheaf(P, subs[s])
-            return checked + s * len(words) + t + 1, (n, P, witness, words[t])
-        checked += len(subs) * len(words)
+            before = (closed & (1 << s * stride) - 1).bit_count()
+            return checked + before * len(words) + t + 1, (n, P, Subpresheaf(P, s), words[t])
+        checked += closed.bit_count() * len(words)
     return checked, None
 
 

@@ -16,7 +16,9 @@ and build no Omega at all.  Both kernels live in ``topology``,
 subobjects of one presheaf at once, one per lane of a single integer
 (``presheaf.pack_lanes``): every subobject shares the presheaf's orbit
 rows and face tables.  Both kernels take every topology of the closures
-suite at once, so each runs once per corpus presheaf.  A topology acts on
+suite at once, so each runs once per corpus presheaf, on every subset of
+its cells (``presheaf.subset_lanes``), of which the suite checks the
+subpresheaves (``presheaf.subpresheaf_lanes``).  A topology acts on
 level c only through m_c, so the chi kernel computes each (level, m_c)
 part once per presheaf, reading which topologies share it off a plan built
 once per category and topology list (``topology._chi_plan``); the
@@ -487,7 +489,10 @@ def presheaf_corpus(category, max_total):
     per-level renaming, so the first member of a class that is reached is
     the least of its orbit.  A candidate is kept exactly when it is that
     least member (``_is_least``), and then gets the full functoriality
-    check.
+    check as it is built: straight from the search's tables, in generator
+    order, over carriers built once per size vector
+    (``FinitePresheaf.from_tables``), since the search has already fixed
+    their lengths and ranges.
 
     The test runs on every prefix of tables, and only a least prefix is
     extended.  That is exact: every table of a size vector has a fixed
@@ -515,7 +520,6 @@ def presheaf_corpus(category, max_total):
 
 @lru_cache(maxsize=None)
 def _presheaf_corpus(category, max_total, budget):
-    gens = list(category.generators)
     ends = _generator_ends(category)
     checks = _sorted_checks(category)
     corpus = []
@@ -524,14 +528,14 @@ def _presheaf_corpus(category, max_total, budget):
         if any(sizes[tgt] > 0 and sizes[src] == 0 for src, tgt in ends):
             continue
         offsets = _level_offsets(sizes)
-        carriers = {c: tuple(range(n)) for c, n in zip(category.objects, sizes)}
-        tables = [None] * len(gens)
+        carriers = tuple(tuple(range(n)) for n in sizes)
+        tables = [None] * len(ends)
 
         def assign(pos, states):
             nonlocal spent
-            if pos == len(gens):
+            if pos == len(ends):
                 try:
-                    corpus.append(FinitePresheaf(category, carriers, dict(zip(gens, tables))))
+                    corpus.append(FinitePresheaf.from_tables(category, carriers, tuple(tables)))
                 except FunctorialityError:
                     pass
                 return

@@ -56,8 +56,12 @@ class FinitePresheaf:
     actions along every morphism are kept as one tuple of tables in the
     category's numbering (``fincat.morphism_plan``): the identities, the
     generator tables as given, and every other action composed from them
-    along the morphism's factorization.  Instances are immutable after
-    construction; three derived tables are built on first use and kept:
+    along the morphism's factorization.  The constructor reads the dicts
+    and checks each generator table's length and range, then takes the
+    step ``from_tables`` takes for tables already in generator order:
+    composing the other tables, and checking functoriality (unless
+    ``validate`` is false).  Instances are immutable after construction; three
+    derived tables are built on first use and kept:
     the label index (``label_index``), the orbit rows per level
     (``level_orbits``, in ``_level_rows``), the one incidence table the
     package reads, and the source sides of Yoneda searches out of the
@@ -65,9 +69,35 @@ class FinitePresheaf:
     """
 
     def __init__(self, category, carriers, gen_actions, validate=True):
+        carriers = tuple(tuple(carriers.get(c, ())) for c in category.objects)
+        gen_tables = []
+        for g, (_, src, tgt) in zip(category.generators, morphism_plan(category).generators):
+            table = tuple(gen_actions[g])
+            if len(table) != len(carriers[tgt]):
+                raise FunctorialityError(f"action table for {g} has the wrong length")
+            if table and (min(table) < 0 or max(table) >= len(carriers[src])):
+                raise FunctorialityError(f"action table for {g} is out of range")
+            gen_tables.append(table)
+        self._assemble(category, carriers, gen_tables, validate)
+
+    @classmethod
+    def from_tables(cls, category, carriers, gen_tables):
+        """The presheaf with ``carriers``, one tuple per object in object
+        order, and ``gen_tables``, one action table per generator in
+        ``category.generators`` order, each a tuple of the right length and
+        range; the constructor less its reading of the dicts, with
+        functoriality checked.  The corpus search builds its presheaves
+        this way, from the tables it has already checked."""
+        presheaf = cls.__new__(cls)
+        presheaf._assemble(category, carriers, gen_tables, True)
+        return presheaf
+
+    def _assemble(self, category, carriers, gen_tables, validate):
+        # the step both constructors share: compose every other table, and
+        # check functoriality when ``validate``
         self.category = category
-        self.carriers = tuple(tuple(carriers.get(c, ())) for c in category.objects)
-        sizes = [len(level) for level in self.carriers]
+        self.carriers = carriers
+        sizes = [len(level) for level in carriers]
         self._offsets = tuple(sum(sizes[pos + 1 :]) for pos in range(len(sizes)))
         self.total_size = sum(sizes)
         plan = morphism_plan(category)
@@ -75,12 +105,8 @@ class FinitePresheaf:
         tables = [None] * len(plan.morphisms)
         for p, n in zip(plan.identities, sizes):
             tables[p] = tuple(range(n))
-        for g, (p, src, tgt) in zip(category.generators, plan.generators):
-            table = tables[p] = tuple(gen_actions[g])
-            if len(table) != sizes[tgt]:
-                raise FunctorialityError(f"action table for {g} has the wrong length")
-            if table and (min(table) < 0 or max(table) >= sizes[src]):
-                raise FunctorialityError(f"action table for {g} is out of range")
+        for (p, _, _), table in zip(plan.generators, gen_tables):
+            tables[p] = table
         for p, word in plan.words:
             # X(g1 o ... o gm) = X(gm) o ... o X(g1)
             out = tables[word[0]]
@@ -332,6 +358,42 @@ def pack_lanes(presheaf, subs):
     bits = int.from_bytes(b"".join(s.to_bytes(width, "little") for s in subs), "little")
     lanes = int.from_bytes((b"\1" + bytes(width - 1)) * len(subs), "little")
     return bits, lanes, 8 * width
+
+
+_SUBSET_LANES = {}  # presheaf size -> subset_lanes' layout
+
+
+def subset_lanes(presheaf):
+    """Every subset of the presheaf's cells, action-closed or not, as the
+    lanes of one integer: lane s holds the integer s, for s in 0 ..
+    2 ** total_size - 1, laid out by ``pack_lanes``.
+
+    Returns (bits, lanes, stride) as ``pack_lanes`` does.  The layout
+    depends on the size alone, so it is built once per size and shared by
+    every presheaf of that size; ``subpresheaf_lanes`` picks out the lanes
+    that are subpresheaves.
+    """
+    total = presheaf.total_size
+    if total not in _SUBSET_LANES:
+        _SUBSET_LANES[total] = pack_lanes(presheaf, range(1 << total))
+    return _SUBSET_LANES[total]
+
+
+def subpresheaf_lanes(presheaf, bits, lanes):
+    """The bases in ``lanes`` of the lanes of ``bits`` that hold a
+    subpresheaf: those where no generator action sends a cell of the lane
+    outside it.  A generator g: a -> b sends cell x of b out of a lane
+    exactly when the lane has x and lacks act(g, x), so the lanes that
+    fail are the OR of ``bits >> (tgt + x) & ~(bits >> (src + act(g, x)))``
+    over g and x, with tgt and src the bits of b's and a's cell 0."""
+    offsets = presheaf._offsets
+    tables = presheaf._tables
+    escapes = 0
+    for p, src, tgt in morphism_plan(presheaf.category).generators:
+        so, to = offsets[src], offsets[tgt]
+        for x, y in enumerate(tables[p]):
+            escapes |= bits >> to + x & ~(bits >> so + y)
+    return lanes & ~escapes
 
 
 def unpack_lanes(bits, stride, count):

@@ -35,10 +35,19 @@ from lttop.presheaf import (
     enumerate_morphisms,
     enumerate_subpresheaves,
     morphism_search,
+    pack_lanes,
     parallel_cells,
+    subpresheaf_bits,
     yoneda,
 )
-from lttop.topology import TopologyViolation, _check_word, least_covering_sieves
+from lttop.topology import (
+    TopologyViolation,
+    _check_word,
+    _closed_bits,
+    _closures_bits,
+    least_covering_sieves,
+    least_sieves,
+)
 
 
 def _sieve_pullback(category, u, sieve):
@@ -268,6 +277,43 @@ def _closure_bits(least, A, bits, lanes=1):
 @pytest.fixture(scope="session")
 def closure_bits_reference():
     return _closure_bits
+
+
+def _first_closure_mismatch(category, topologies, corpus_bound, closed_bits=_closed_bits):
+    """The closures suite's comparison with the subobjects enumerated: the
+    subpresheaves of each corpus presheaf (``subpresheaf_bits``), packed one
+    per lane (``pack_lanes``), closed by both kernels, the first differing
+    lane under any topology taken, and that lane's first such topology.
+    The reference for ``cli._first_closure_mismatch``, which closes every
+    subset of the cells and keeps the lanes that hold a subpresheaf; it
+    returns the same (count, witness).  ``closed_bits`` stands in for the
+    recursive kernel, so a test can inject one fault into both."""
+    words = [j.tag for j in topologies]
+    least = [least_sieves(category, word) for word in words]
+    checked = 0
+    for n, P in enumerate(presheaf_corpus(category, corpus_bound)):
+        subs = subpresheaf_bits(P)
+        bits, lanes, stride = pack_lanes(P, subs)
+        first = None  # (lane, topology position) of the first mismatch
+        chis = _closures_bits(least, P, bits, lanes)
+        recs = closed_bits(words, P, bits, lanes)
+        for t, (chi, rec) in enumerate(zip(chis, recs)):
+            diff = chi ^ rec
+            if diff:
+                s = ((diff & -diff).bit_length() - 1) // stride
+                if first is None or s < first[0]:
+                    first = (s, t)
+        if first is not None:
+            s, t = first
+            witness = Subpresheaf(P, subs[s])
+            return checked + s * len(words) + t + 1, (n, P, witness, words[t])
+        checked += len(subs) * len(words)
+    return checked, None
+
+
+@pytest.fixture(scope="session")
+def closure_mismatch_reference():
+    return _first_closure_mismatch
 
 
 def _covering_sieves(omega, least):

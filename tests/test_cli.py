@@ -960,16 +960,16 @@ def _flip_graph_instances(monkeypatch, corpus_bound, flips):
     instances at the given 1-based positions of the suite's order (corpus
     presheaf, then subobject, then topology), one cell flipped in each.
 
-    The suite closes every subobject of a presheaf at once, one lane each,
-    so the injection flips the cell at the base of the instance's lane, at
-    the stride ``pack_lanes`` lays the lanes out with.
+    The suite closes every subset of a presheaf's cells at once, lane s
+    holding the subset s, so the injection flips the cell at the base of
+    lane ``sub.bits``, at the stride of that layout (``subset_lanes``).
     Returns the graph instances as (P, bits, word) in that order and the
     presheaves the recursive route was called on.
     """
     from lttop import cli
     from lttop.closure import presheaf_corpus
     from lttop.fincat import build_index_category
-    from lttop.presheaf import enumerate_subpresheaves, pack_lanes
+    from lttop.presheaf import enumerate_subpresheaves, subset_lanes
     from lttop.topology import _closed_bits, enumerate_topologies
 
     category = build_index_category("graph")
@@ -988,12 +988,11 @@ def _flip_graph_instances(monkeypatch, corpus_bound, flips):
         if P.category is not category:
             return closed
         called.append(P)
-        subs = enumerate_subpresheaves(P)
-        _, _, stride = pack_lanes(P, [sub.bits for sub in subs])
+        _, _, stride = subset_lanes(P)
         for t, word in enumerate(words):
-            for s, sub in enumerate(subs):
+            for sub in enumerate_subpresheaves(P):
                 if (P, sub.bits, word) in flipped:
-                    closed[t] ^= 1 << s * stride
+                    closed[t] ^= 1 << sub.bits * stride
         return closed
 
     monkeypatch.setattr(cli, "_closed_bits", disagree)
@@ -1182,6 +1181,179 @@ def test_first_closure_mismatch_calls_the_recursive_kernel_once_per_presheaf(mon
     corpus = presheaf_corpus(category, 5)
     assert len(calls) == len(corpus)
     assert calls == [[j.tag for j in topologies]] * len(corpus)
+
+
+def _faulty_kernel(fault):
+    """``topology._closed_bits`` with one bit flipped in each lane and word
+    for which ``fault(P, subset, word)`` gives a bit position.  The subset
+    is read off the lane itself, so the fault hits the same instances
+    whatever subsets a caller packs into its lanes."""
+    from lttop.presheaf import pack_lanes, unpack_lanes
+    from lttop.topology import _closed_bits
+
+    def kernel(words, P, bits, lanes=1):
+        closed = _closed_bits(words, P, bits, lanes)
+        _, _, stride = pack_lanes(P, [])
+        subsets = unpack_lanes(bits, stride, lanes.bit_count())
+        for t, word in enumerate(words):
+            for s, subset in enumerate(subsets):
+                bit = fault(P, subset, word)
+                if bit is not None:
+                    closed[t] ^= 1 << s * stride + bit
+        return closed
+
+    return kernel
+
+
+def _is_subpresheaf():
+    """A test whether a subset of a presheaf's cells is a subpresheaf,
+    caching each presheaf's subpresheaves by identity (presheaves of one
+    size vector share a hash)."""
+    from lttop.presheaf import subpresheaf_bits
+
+    found = {}
+
+    def test(P, subset):
+        if id(P) not in found:
+            found[id(P)] = P, frozenset(subpresheaf_bits(P))
+        return subset in found[id(P)][1]
+
+    return test
+
+
+@pytest.mark.parametrize("kind", ["graph", "semisimplex:2"])
+@pytest.mark.parametrize("fault", ["late", "sparse", "past the cells", "middle"])
+def test_first_closure_mismatch_matches_the_enumerating_reference(
+    monkeypatch, kind, fault, closure_mismatch_reference
+):
+    # the suite closes every subset of the cells and keeps the subpresheaf
+    # lanes; under the same fault it reports what closing the enumerated
+    # subpresheaves reports, count and witness
+    from lttop import cli
+    from lttop.closure import presheaf_corpus
+    from lttop.fincat import build_index_category
+    from lttop.presheaf import subpresheaf_bits
+    from lttop.topology import enumerate_topologies
+
+    category = build_index_category(kind)
+    topologies = enumerate_topologies(category)
+    words = [j.tag for j in topologies]
+    corpus = presheaf_corpus(category, 6)
+    is_sub = _is_subpresheaf()
+    middle = corpus[len(corpus) // 2]
+    middle_subs = subpresheaf_bits(middle)
+    middle_sub, middle_word = middle_subs[len(middle_subs) // 2], words[len(words) // 2]
+
+    def late(P, subset, word):
+        # the full subobject of the last presheaf, under the last word
+        full = subset == (1 << P.total_size) - 1
+        return 0 if P is corpus[-1] and full and word == words[-1] else None
+
+    def sparse(P, subset, word):
+        # the top cell of every 3-cell subobject under the second word, and
+        # of every 4-cell one under the first
+        picked = word == words[1] and subset.bit_count() == 3
+        picked = picked or word == words[0] and subset.bit_count() == 4
+        return subset.bit_length() - 1 if picked and is_sub(P, subset) else None
+
+    def past_the_cells(P, subset, word):
+        # the first bit above the cells, inside the lane
+        picked = P.total_size in (3, 5) and word == words[-2]
+        return P.total_size if picked and is_sub(P, subset) else None
+
+    def in_the_middle(P, subset, word):
+        return 0 if P is middle and subset == middle_sub and word == middle_word else None
+
+    faults = {
+        "late": late,
+        "sparse": sparse,
+        "past the cells": past_the_cells,
+        "middle": in_the_middle,
+    }
+    kernel = _faulty_kernel(faults[fault])
+    monkeypatch.setattr(cli, "_closed_bits", kernel)
+    got = cli._first_closure_mismatch(category, topologies, 6)
+    want = closure_mismatch_reference(category, topologies, 6, closed_bits=kernel)
+    assert want[1] is not None
+    assert got == want
+
+
+def test_a_fault_outside_the_subpresheaf_lanes_leaves_the_closures_suite_passing(monkeypatch):
+    # the suite also closes subsets that are not subpresheaves; a difference
+    # in their lanes is no instance, and the counts stay those of the
+    # subpresheaves
+    from lttop import cli
+
+    is_sub = _is_subpresheaf()
+
+    def outside(P, subset, word):
+        return None if is_sub(P, subset) else (subset ^ len(word)) % (P.total_size or 1)
+
+    monkeypatch.setattr(cli, "_closed_bits", _faulty_kernel(outside))
+    code, text = run(["verify", "--suite", "closures", "--corpus-bound", "6"])
+    assert code == 0
+    assert text.splitlines() == [
+        "suite closures:",
+        "  closure via characteristic map vs recursive on graph: 8624 instances PASS",
+        "  closure via characteristic map vs recursive on reflgraph: 327 instances PASS",
+        "  closure via characteristic map vs recursive on semisimplex:2: 46568 instances PASS",
+        "closures suite — PASS",
+        "verification: PASS",
+    ]
+
+
+def test_the_closures_suite_neither_enumerates_nor_packs_subobjects_per_presheaf(monkeypatch):
+    # every presheaf of one size shares one all-subsets layout, so the
+    # suite packs once per size and enumerates no corpus subobjects
+    from lttop import cli, presheaf
+    from lttop.fincat import build_index_category
+    from lttop.topology import enumerate_topologies
+
+    def refuse(*args):
+        raise AssertionError("the closures suite enumerated or packed subobjects")
+
+    # Omega, which enumerates the sieves of each y(c), is built and cached first
+    for kind in ("graph", "reflgraph", "semisimplex:2"):
+        enumerate_topologies(build_index_category(kind))
+    monkeypatch.setattr(cli, "subpresheaf_bits", refuse, raising=False)
+    monkeypatch.setattr(cli, "pack_lanes", refuse, raising=False)
+    monkeypatch.setattr(presheaf, "subpresheaf_bits", refuse)
+    packed = []
+    pack = presheaf.pack_lanes
+
+    def counted(P, subs):
+        packed.append(P.total_size)
+        return pack(P, subs)
+
+    monkeypatch.setattr(presheaf, "pack_lanes", counted)
+    monkeypatch.setattr(presheaf, "_SUBSET_LANES", {})
+    code, text = run(["verify", "--suite", "closures", "--corpus-bound", "6"])
+    assert code == 0, text
+    assert text.splitlines()[-2:] == ["closures suite — PASS", "verification: PASS"]
+    assert sorted(packed) == list(range(7))
+
+
+def test_the_corpus_budget_bounds_the_all_subsets_lanes():
+    # at bound 9 the graph corpus has presheaves of 9 cells, 512 lanes;
+    # the suite closes them and reflgraph's, and semisimplex:2's corpus
+    # then exceeds the corpus budget: no bound of its own is needed
+    from lttop.closure import DEFAULT_CORPUS_BUDGET, presheaf_corpus
+    from lttop.fincat import build_index_category
+    from lttop.presheaf import subset_lanes
+
+    code, text = run(["verify", "--suite", "closures", "--corpus-bound", "9"])
+    assert code == 2
+    assert text.splitlines() == [
+        "suite closures:",
+        "  closure via characteristic map vs recursive on graph: 894392 instances PASS",
+        "  closure via characteristic map vs recursive on reflgraph: 8940 instances PASS",
+        f"error: the semisimplex:2 corpus at bound 9 needs more than {DEFAULT_CORPUS_BUDGET} "
+        "search steps, the corpus budget",
+    ]
+    largest = max(presheaf_corpus(build_index_category("graph"), 9), key=lambda P: P.total_size)
+    _, lanes, stride = subset_lanes(largest)
+    assert largest.total_size == 9
+    assert lanes.bit_count() == 512 and stride == 16
 
 
 def test_criteria_suite_finds_each_level_witness_once_per_presheaf(monkeypatch):

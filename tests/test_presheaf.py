@@ -19,6 +19,8 @@ from lttop.presheaf import (
     pack_lanes,
     strip_degeneracies,
     subpresheaf_bits,
+    subpresheaf_lanes,
+    subset_lanes,
     unpack_lanes,
     yoneda,
 )
@@ -325,6 +327,53 @@ def test_unpacked_lanes_give_back_the_packed_subobjects():
         assert stride % 8 == 0 and stride - 8 < max(P.total_size, 1) <= stride, P
         assert lanes == sum(1 << s * stride for s in range(len(subs))), P
         assert unpack_lanes(bits, stride, len(subs)) == subs, P
+
+
+@pytest.mark.parametrize(
+    "kind, bound", [("graph", 6), ("reflgraph", 6), ("semisimplex:2", 6), ("simplex:2", 5)]
+)
+def test_the_subpresheaf_lanes_of_all_subsets_are_the_subpresheaves(kind, bound):
+    # lane s of the all-subsets layout holds the subset s, and the lanes
+    # kept are exactly the enumerated subpresheaves, in order
+    from lttop.closure import presheaf_corpus
+
+    corpus = presheaf_corpus(build_index_category(kind), bound)
+    empty = FinitePresheaf(corpus[0].category, {}, {g: () for g in corpus[0].category.generators})
+    for P in (empty, *corpus):
+        count = 1 << P.total_size
+        bits, lanes, stride = subset_lanes(P)
+        assert (bits, lanes, stride) == pack_lanes(P, range(count)), P
+        assert unpack_lanes(bits, stride, count) == list(range(count)), P
+        closed = subpresheaf_lanes(P, bits, lanes)
+        assert closed & ~lanes == 0, P
+        assert [s for s in range(count) if closed >> s * stride & 1] == subpresheaf_bits(P), P
+    assert empty.total_size == 0
+    assert subset_lanes(empty) == (0, 1, 8)
+    assert subpresheaf_lanes(empty, 0, 1) == 1
+
+
+def test_presheaves_from_tables_equal_those_read_from_dicts():
+    # the corpus builds its presheaves from position-ordered tables; the
+    # dict constructor gives the same presheaf, and both check functoriality
+    from lttop.closure import presheaf_corpus
+
+    for kind in ("graph", "reflgraph", "semisimplex:2", "simplex:2"):
+        category = build_index_category(kind)
+        for P in presheaf_corpus(category, 4):
+            carriers = dict(zip(category.objects, P.carriers))
+            tables = {g: P.action_table(g) for g in category.generators}
+            assert FinitePresheaf(category, carriers, tables) == P
+            rebuilt = FinitePresheaf.from_tables(
+                category, P.carriers, tuple(tables[g] for g in category.generators)
+            )
+            assert rebuilt == P and rebuilt.total_size == P.total_size
+            assert rebuilt.bit_offsets() == P.bit_offsets()
+    # the collapse of v must be a loop at v, not the edge u -> v
+    bad = {face(1, 1): (0,), face(1, 0): (1,), REFL.hom(1, 0)[0]: (0, 0)}
+    with pytest.raises(FunctorialityError):
+        FinitePresheaf.from_tables(
+            REFL, (("u", "v"), ("e",)), tuple(bad[g] for g in REFL.generators)
+        )
 
 
 def test_functoriality_validation_catches_bad_actions():
