@@ -128,6 +128,10 @@ def _classify_fuzzy(args, out):
 
 
 def _suite_counts(out):
+    """Count the topologies on each category by every route, and check the
+    counts and that the routes agree.  A route that raises is a failed
+    check, reported as a FAIL line naming the category and the route; an
+    exceeded bound still propagates."""
     ok = True
     expected = {
         "set": 2,
@@ -142,8 +146,18 @@ def _suite_counts(out):
         category = build_index_category(kind)
         methods = ["brute"] if category.family == FAMILY_BICOLOR else ["constrained", "brute"]
         found = {}
+        raised = False
         for method in methods:
-            found[method] = enumerate_topologies(category, method=method)
+            try:
+                found[method] = enumerate_topologies(category, method=method)
+            except BoundExceeded:
+                raise
+            except Exception as exc:
+                raised = True
+                out.write(f"  topology count on {kind}: the {method} route {_raised(exc)} FAIL\n")
+        if raised:
+            ok = False
+            continue
         counts = {m: len(v) for m, v in found.items()}
         agree = len({tuple(sorted(j.levels for j in v)) for v in found.values()}) == 1
         good = agree and all(c == want for c in counts.values())
@@ -291,6 +305,15 @@ SUITES = {
 }
 
 
+def _raised(exc):
+    """What a route raised, for a FAIL line: the exception's type, the
+    function it was raised in, and its message."""
+    where = exc.__traceback__
+    while where.tb_next is not None:
+        where = where.tb_next
+    return f"raised {type(exc).__name__} in {where.tb_frame.f_code.co_name}: {exc}"
+
+
 def cmd_verify(args, out):
     bounds = {"--corpus-bound": args.corpus_bound, "--ambient-bound": args.ambient_bound}
     for flag, bound in bounds.items():
@@ -304,7 +327,15 @@ def cmd_verify(args, out):
     all_ok = True
     for name in names:
         out.write(f"suite {name}:\n")
-        all_ok = SUITES[name](out, **kwargs.get(name, {})) and all_ok
+        try:
+            good = SUITES[name](out, **kwargs.get(name, {}))
+        except (BoundExceeded, OSError):
+            raise  # an exceeded bound, or output that cannot be written
+        except Exception as exc:
+            # a route that crashes has failed its check
+            out.write(f"  the {name} suite {_raised(exc)} FAIL\n{name} suite — FAIL\n")
+            good = False
+        all_ok = good and all_ok
     out.write("verification: PASS\n" if all_ok else "verification: FAIL\n")
     return OK if all_ok else VERIFY_FAILED
 

@@ -64,8 +64,12 @@ class FinitePresheaf:
     derived tables are built on first use and kept:
     the label index (``label_index``), the orbit rows per level
     (``level_orbits``, in ``_level_rows``), the one incidence table the
-    package reads, and the source sides of Yoneda searches out of the
-    presheaf (``search_plan``, in ``_search_plans``).
+    package keeps, and the source sides of Yoneda searches out of the
+    presheaf (``search_plan``, in ``_search_plans``).  The closure kernels
+    and ``subpresheaf_lanes`` read the action tables (``tables``) instead,
+    so a corpus presheaf that only the closures suite reads never builds
+    its orbit rows.  The hash reads the carriers and the tables, as
+    equality does, and is computed once.
     """
 
     def __init__(self, category, carriers, gen_actions, validate=True):
@@ -117,6 +121,7 @@ class FinitePresheaf:
         self._label_index = None
         self._level_rows = None
         self._search_plans = None
+        self._hash = None
         if validate:
             problem = self.functoriality_violation()
             if problem is not None:
@@ -162,6 +167,13 @@ class FinitePresheaf:
     def action_table(self, f):
         return self._tables[self._index[f]]
 
+    @property
+    def tables(self):
+        """Every action table in the category's numbering
+        (``fincat.morphism_plan``): ``tables[p]`` is the action of the
+        morphism at position p."""
+        return self._tables
+
     def face_tables(self, k):
         """The actions of face(k, 0), ..., face(k, k); simplex categories
         only, k >= 1."""
@@ -182,7 +194,11 @@ class FinitePresheaf:
         )
 
     def __hash__(self):
-        return hash((id(self.category), self.carriers))
+        # the tables too, so presheaves on the same carriers (every corpus
+        # presheaf of one size vector) hash apart; computed once
+        if self._hash is None:
+            self._hash = hash((id(self.category), self.carriers, self._tables))
+        return self._hash
 
     def __repr__(self):
         sizes = ",".join(str(len(level)) for level in self.carriers)

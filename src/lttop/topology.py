@@ -52,7 +52,14 @@ import itertools
 from functools import lru_cache, partial, reduce
 from operator import and_, or_
 
-from .fincat import FAMILY_BICOLOR, FAMILY_FULL, FAMILY_SEMI, Record, build_index_category
+from .fincat import (
+    FAMILY_BICOLOR,
+    FAMILY_FULL,
+    FAMILY_SEMI,
+    Record,
+    build_index_category,
+    morphism_plan,
+)
 from .omega import OmegaBoundExceeded, classifying_object
 from .presheaf import _principal, add_degeneracies, pack_lanes, unpack_lanes, yoneda
 
@@ -263,25 +270,31 @@ def _closed_bits(words, A, bits, lanes=1):
     ``presheaf.pack_lanes`` lays them out (one subobject is one lane, with
     ``lanes`` = 1): copy a level on bit 0, and on bit 1 keep every cell
     outside the coface masks of the absent cells one level down; level 0
-    fills completely.  A bit-1 level walks every cell y one level down and
-    clears y's coface mask in exactly the lanes that lack y.  Each level's
-    coface masks (``_coface_masks``) are read once per call, for every word
-    that fills it.
+    fills completely.  A bit-1 level reads which lanes lack each cell y one
+    level down; when no lane lacks any, the level fills completely, as
+    level 1 does after a filled level 0.  Otherwise it walks every such y
+    and clears y's coface mask in exactly the lanes that lack y.  Each
+    level's coface masks (``_coface_masks``) are read once per call, for
+    every word that fills it.
     """
     filled_levels = {k for word in words for k, bit in enumerate(word) if bit == "1"}
     cofaces = {k: _coface_masks(A, k) for k in filled_levels}
     offsets = A.bit_offsets()
+    sizes = [len(level) for level in A.carriers]
     closed = []
     for word in words:
         out = bits
         for k, bit in enumerate(word):
             if bit == "0":
                 continue
-            full = ((1 << len(A.carriers[k])) - 1) * lanes
+            full = ((1 << sizes[k]) - 1) * lanes
             filled = full
-            missing = ~out >> offsets[k - 1] if k else 0
-            for y, coface in enumerate(cofaces[k]):
-                filled &= ~(coface * (missing >> y & lanes))
+            if k:
+                below = ((1 << sizes[k - 1]) - 1) * lanes
+                missing = ~out >> offsets[k - 1] & below
+                if missing:
+                    for y, coface in enumerate(cofaces[k]):
+                        filled &= ~(coface * (missing >> y & lanes))
             out = out & ~(full << offsets[k]) | filled << offsets[k]
         closed.append(out)
     return closed
@@ -310,24 +323,38 @@ def _closures_bits(leasts, A, bits, lanes=1):
     A cell x of level c stays in a lane iff x.f lies in that lane for every
     f in m_c.  Every lane is action-closed, x.(g o h) = (x.g).h, so it is
     enough that x.g lies in it for each g of a generating set of m_c
-    (``_generator_positions``): the AND of ``bits >> p`` over those orbit
-    positions p of x (``FinitePresheaf.level_orbits``).  A topology acts on
-    level c only through m_c, so each (level, m_c) part is computed once
-    and shared by the topologies with that m_c.  The generating sets, and
-    which topologies share each part, are read off the plan of the
-    category and ``leasts`` (``_chi_plan``), built once for every presheaf
-    they close.
+    (``_generator_positions``): the AND of ``bits >> p`` over the bits p of
+    those x.g, read off each g's action table.  Two parts need no loop over
+    the cells: m_c = top is generated by the identity, x.1 = x, so the part
+    is the lanes' own level-c cells, and m_c empty keeps the whole level.
+    A topology acts on level c only through m_c, so each (level, m_c) part
+    is computed once and shared by the topologies with that m_c.  The
+    generating sets, and which topologies share each part, are read off the
+    plan of the category and ``leasts`` (``_chi_plan``), built once for
+    every presheaf they close.
     """
     plan = _chi_plan(A.category, tuple(leasts))
+    identities = morphism_plan(A.category).identities
+    tables = A.tables
+    offsets = A.bit_offsets()
     closed = [0] * len(leasts)
-    for cells, offset, groups in zip(A.level_orbits(), A.bit_offsets(), plan):
+    for pos, (level, offset, groups) in enumerate(zip(A.carriers, offsets, plan)):
+        n = len(level)
+        full = ((1 << n) - 1) * lanes << offset
+        top = ((pos, identities[pos]),)
         for chosen, shared_by in groups:
-            part = 0
-            for x, orbit in enumerate(cells):
-                keep = lanes
-                for i in chosen:
-                    keep &= bits >> orbit[i]
-                part |= keep << offset + x
+            if not chosen:
+                part = full
+            elif chosen == top:
+                part = bits & full
+            else:
+                reads = [(offsets[l], tables[p]) for l, p in chosen]
+                part = 0
+                for x in range(n):
+                    keep = lanes
+                    for base, table in reads:
+                        keep &= bits >> base + table[x]
+                    part |= keep << offset + x
             for t in shared_by:
                 closed[t] |= part
     return closed
@@ -336,17 +363,23 @@ def _closures_bits(leasts, A, bits, lanes=1):
 @lru_cache(maxsize=None)
 def _chi_plan(category, leasts):
     """Per level c, one pair per distinct m_c among the tuples of least
-    covering sieves ``leasts``: the orbit positions of a generating set of
-    m_c (``_generator_positions``) and the positions in ``leasts`` of the
-    tuples with that m_c, in order of first appearance.  Categories are
-    cached singletons, so a plan is built once per category and list."""
+    covering sieves ``leasts``: the columns (level l, morphism position;
+    ``MorphismPlan.columns``) of a generating set of m_c
+    (``_generator_positions``), the identity alone for the top sieve and
+    none for the empty one, and the positions in ``leasts`` of the tuples
+    with that m_c, in order of first appearance.  Categories are cached
+    singletons, so a plan is built once per category and list."""
+    columns = morphism_plan(category).columns
     plan = []
     for pos in range(len(category.objects)):
         shared_by = {}
         for t, least in enumerate(leasts):
             shared_by.setdefault(least[pos], []).append(t)
         plan.append(
-            tuple((_generator_positions(category, pos, m), tuple(ts)) for m, ts in shared_by.items())
+            tuple(
+                (tuple(columns[pos][i] for i in _generator_positions(category, pos, m)), tuple(ts))
+                for m, ts in shared_by.items()
+            )
         )
     return tuple(plan)
 

@@ -498,6 +498,28 @@ def is_least_reference():
     return _is_least_reference
 
 
+def _next_ties(states, table, src, tgt, offsets, sizes, room=None):
+    """The tie states of a table prefix extended by ``table``, with every
+    state extended by the recursive search ``closure._tie``: the reference
+    for ``closure._next_ties``, which extends a state that already names
+    every cell of the table's target level in one pass."""
+    if not table:
+        return states
+    so, to, n = offsets[src], offsets[tgt], sizes[tgt]
+    ties = []
+    for name, cell, given in states:
+        if closure._tie(
+            table, 0, src, tgt, so, to, n, list(name), list(cell), list(given), ties, room
+        ):
+            return None
+    return ties
+
+
+@pytest.fixture(scope="session")
+def next_ties_reference():
+    return _next_ties
+
+
 def _reference_ambients(category, max_total):
     """The corpus up to ``max_total`` elements plus every Yoneda object: the
     ambients of the key-table factorization reference."""

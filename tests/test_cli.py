@@ -797,6 +797,114 @@ def test_verify_counts_suite():
     assert "counts suite:" in text and "PASS" in text
 
 
+def _tag_read_reversed(topology):
+    least_sieves = topology.least_sieves
+    return "least_sieves", lambda category, tag: least_sieves(category, tag[::-1])
+
+
+def _last_coface_mask_dropped(topology):
+    coface_masks = topology._coface_masks
+    return "_coface_masks", lambda A, k: coface_masks(A, k)[:-1]
+
+
+@pytest.mark.parametrize("fault, raised", [
+    (_tag_read_reversed, "RuntimeError in _bitstring_topologies: constructed map is not a topology"),
+    (_last_coface_mask_dropped, "KeyError"),
+])
+def test_a_route_that_raises_is_a_failed_check(monkeypatch, fault, raised):
+    # a faulty route crashes the constrained enumeration; the counts suite
+    # reports it per category and route, every other suite that runs into
+    # it reports it as its own failure, and verify exits 1
+    from lttop import topology
+
+    monkeypatch.setattr(topology, *fault(topology))
+    code, text = run(["verify", "--suite", "all"])
+    assert code == 1
+    assert "Traceback" not in text
+    lines = text.splitlines()
+    routes = [line for line in lines if " route raised " in line]
+    assert [line.split(": the constrained route raised ")[0] for line in routes] == [
+        f"  topology count on {kind}" for kind in ("graph", "reflgraph", "semisimplex:2", "simplex:2")
+    ]
+    assert all(raised in line and line.endswith(" FAIL") for line in routes), routes
+    # set has no level 1 and bicolgraph no constrained route: both pass
+    assert lines[1] == VERIFY_ALL[1] and lines[4] == VERIFY_ALL[4]
+    assert "counts suite — FAIL" in lines
+    for suite in ("closures", "criteria"):
+        failed = [line for line in lines if line.startswith(f"  the {suite} suite raised ")]
+        assert len(failed) == 1 and failed[0].endswith(" FAIL"), text
+        assert f"{suite} suite — FAIL" in lines
+    assert "fuzzy suite — PASS" in lines
+    assert lines[-1] == "verification: FAIL"
+
+
+def test_an_exceeded_bound_in_the_counts_suite_still_exits_2(monkeypatch):
+    from lttop import cli
+    from lttop.presheaf import BoundExceeded
+
+    def over(category, method="auto"):
+        raise BoundExceeded(f"{category.kind} needs more than 0 sieves", 1, 0)
+
+    monkeypatch.setattr(cli, "enumerate_topologies", over)
+    code, text = run(["verify", "--suite", "counts"])
+    assert (code, text) == (2, "suite counts:\nerror: set needs more than 0 sieves\n")
+
+
+def test_the_closures_suite_reads_no_orbit_rows_of_a_corpus_presheaf(monkeypatch):
+    # both kernels and the subpresheaf lanes read the action tables; only
+    # the representables' orbit rows are read (by the topologies)
+    from lttop import presheaf
+    from lttop.closure import presheaf_corpus
+    from lttop.fincat import build_index_category
+
+    corpus = {
+        id(P)
+        for kind in ("graph", "reflgraph", "semisimplex:2")
+        for P in presheaf_corpus(build_index_category(kind), 6)
+    }
+    level_orbits = presheaf.FinitePresheaf.level_orbits
+
+    def refuse_corpus(P):
+        if id(P) in corpus:
+            raise AssertionError(f"orbit rows read for corpus presheaf {P!r}")
+        return level_orbits(P)
+
+    monkeypatch.setattr(presheaf.FinitePresheaf, "level_orbits", refuse_corpus)
+    code, text = run(["verify", "--suite", "closures", "--corpus-bound", "6"])
+    assert (code, text.splitlines()) == (0, [
+        "suite closures:",
+        "  closure via characteristic map vs recursive on graph: 8624 instances PASS",
+        "  closure via characteristic map vs recursive on reflgraph: 327 instances PASS",
+        "  closure via characteristic map vs recursive on semisimplex:2: 46568 instances PASS",
+        "closures suite — PASS",
+        "verification: PASS",
+    ])
+
+
+def test_no_command_hashes_a_presheaf_or_subobject(monkeypatch):
+    # presheaves and subobjects are compared, never keyed, on the product
+    # paths: hashing one would read every action table
+    from lttop.presheaf import FinitePresheaf
+
+    hashed = []
+
+    def counted(self):
+        hashed.append(self)
+        raise AssertionError("hashed")
+
+    monkeypatch.setattr(FinitePresheaf, "__hash__", counted)
+    monkeypatch.setattr(Subpresheaf, "__hash__", counted)
+    for argv in (
+        ["verify", "--suite", "all", "--corpus-bound", "6"],
+        ["topologies", "--category", "simplex:3"],
+        ["topologies", "--category", "semisimplex:3", "--method", "brute"],
+        ["topologies", "--category", "bicolgraph"],
+        ["omega", "--category", "semisimplex:3"],
+    ):
+        code, _ = run(argv)
+        assert code == 0 and hashed == [], argv
+
+
 VERIFY_ALL = [
     "suite counts:",
     "  topology count on set: expected 2, got {'constrained': 2, 'brute': 2} (methods agree) PASS",

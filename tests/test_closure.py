@@ -17,6 +17,8 @@ from lttop.presheaf import (
     enumerate_subpresheaves,
     pack_lanes,
     subpresheaf_bits,
+    subpresheaf_lanes,
+    subset_lanes,
     unpack_lanes,
     yoneda,
 )
@@ -694,6 +696,66 @@ def test_the_shared_chi_kernel_matches_the_all_positions_kernel(
         assert _closures_bits(leasts, P, bits, lanes) == expected, P
 
 
+KERNEL_CORPUS_KINDS = [
+    "set", "graph", "reflgraph", "bicolgraph", "semisimplex:2", "simplex:2", "semisimplex:3",
+    "simplex:3",
+]
+
+
+def kernel_layouts(category, corpus_bound):
+    """(P, bits, lanes, stride, kept): every subset of the cells of each
+    corpus presheaf up to ``corpus_bound``, as the closures suite lays them
+    out, then the sieves of each representable packed one per lane; kept
+    has every bit of the lanes that hold a subpresheaf."""
+    for P in presheaf_corpus(category, corpus_bound):
+        bits, lanes, stride = subset_lanes(P)
+        kept = subpresheaf_lanes(P, bits, lanes) * ((1 << stride) - 1)
+        yield P, bits, lanes, stride, kept
+    for c in category.objects:
+        yc = yoneda(category, c)
+        sieves = subpresheaf_bits(yc)
+        bits, lanes, stride = pack_lanes(yc, sieves)
+        yield yc, bits, lanes, stride, (1 << len(sieves) * stride) - 1
+
+
+@pytest.mark.parametrize("kind", KERNEL_CORPUS_KINDS)
+def test_the_chi_kernel_matches_the_all_positions_kernel_on_every_subset(
+    kind, closure_bits_reference
+):
+    # on the lanes that hold a subpresheaf, for every topology; the top
+    # and the empty m_c, which the kernel reads without a loop over cells,
+    # both occur
+    category = build_index_category(kind)
+    leasts = [j.least for j in enumerate_topologies(category)]
+    fulls = [(1 << yoneda(category, c).total_size) - 1 for c in category.objects]
+    assert any(m == full for least in leasts for m, full in zip(least, fulls))
+    assert any(m == 0 < full for least in leasts for m, full in zip(least, fulls))
+    for P, bits, lanes, _, kept in kernel_layouts(category, 5):
+        closed = _closures_bits(leasts, P, bits, lanes)
+        for least, got in zip(leasts, closed):
+            expected = closure_bits_reference(least, P, bits, lanes)
+            assert not (got ^ expected) & kept, (P, least)
+
+
+@pytest.mark.parametrize("kind", [k for k in KERNEL_CORPUS_KINDS if k != "bicolgraph"])
+def test_the_recursive_kernel_matches_the_face_reference_on_every_subset(
+    kind, closure_recursive_reference
+):
+    # on every lane, subpresheaf or not, for every topology's word; words
+    # that fill level 0 (and so level 1, which the kernel fills without a
+    # walk) occur on every category with a level 1
+    category = build_index_category(kind)
+    words = [j.tag for j in enumerate_topologies(category)]
+    assert "1" * len(category.objects) in words
+    assert category.dim < 1 or any(word.startswith("11") for word in words)
+    for P, bits, lanes, stride, _ in kernel_layouts(category, 5):
+        count = lanes.bit_count()
+        subsets = unpack_lanes(bits, stride, count)
+        for word, closed in zip(words, _closed_bits(words, P, bits, lanes)):
+            expected = [closure_recursive_reference(word, Subpresheaf(P, s)).bits for s in subsets]
+            assert unpack_lanes(closed, stride, count) == expected, (P, word)
+
+
 @pytest.mark.parametrize("kind", ["graph", "reflgraph", "semisimplex:2"])
 def test_the_chi_kernel_answers_in_the_callers_order(kind, closure_bits_reference):
     # the plan is cached per (category, leasts): a permuted, repeated or
@@ -779,6 +841,53 @@ def test_tie_states_give_the_whole_search_verdict_on_every_prefix(
         for pos in range(len(tables) + 1):
             expected = is_least_reference(category, sizes, tables[:pos])
             assert closure._is_least(category, sizes, tables[:pos]) == expected, (P, pos)
+
+
+def _ties_or_out_of_room(next_ties, call, room):
+    try:
+        return next_ties(*call, room)
+    except closure._OutOfRoom:
+        return "out of room"
+
+
+@pytest.mark.parametrize("kind,bound", [
+    ("graph", 6), ("reflgraph", 6), ("semisimplex:2", 6),
+    ("bicolgraph", 5), ("simplex:2", 5), ("semisimplex:3", 5),
+])
+def test_forced_tie_states_extend_as_the_recursive_search_does(
+    monkeypatch, kind, bound, next_ties_reference
+):
+    # every (states, table) the corpus search reaches: the one-pass
+    # extension of the states that name every target cell gives the same
+    # ties in the same order, and runs out of room where the reference does
+    category = build_index_category(kind)
+    next_ties = closure._next_ties
+    reached = []
+
+    def recorded(*args):
+        reached.append(args)
+        return next_ties(*args)
+
+    monkeypatch.setattr(closure, "_next_ties", recorded)
+    closure._presheaf_corpus.__wrapped__(category, bound, closure.DEFAULT_CORPUS_BUDGET)
+    forced = branching = 0
+    for states, table, src, tgt, offsets, sizes, room in reached:
+        call = (states, table, src, tgt, offsets, sizes)
+        expected = next_ties_reference(*call)
+        assert next_ties(*call) == expected, call
+        for given in (given for _, _, given in states if table):
+            if given[tgt] == sizes[tgt]:
+                forced += 1
+            else:
+                branching += 1
+        rooms = {room, 0, 1}
+        if expected:
+            rooms |= {len(expected) - 1, len(expected)}
+        for small in rooms:
+            want = _ties_or_out_of_room(next_ties_reference, call, small)
+            assert _ties_or_out_of_room(next_ties, call, small) == want, (call, small)
+    # both paths ran
+    assert forced and branching, (forced, branching)
 
 
 def test_every_presheaf_has_its_class_in_the_deduplicated_corpus(canonical_key, raw_corpus):

@@ -376,6 +376,22 @@ def test_presheaves_from_tables_equal_those_read_from_dicts():
         )
 
 
+def test_the_hash_reads_the_action_tables():
+    # every corpus presheaf of one size vector has the same carriers, so a
+    # hash of the carriers alone would put them all in one bucket; equal
+    # presheaves built apart hash alike
+    from lttop.closure import presheaf_corpus
+
+    corpus = presheaf_corpus(SEMI2, 6)
+    assert len(corpus) == 362
+    assert len({hash(P) for P in corpus}) == 362
+    for P in corpus:
+        carriers = dict(zip(SEMI2.objects, P.carriers))
+        rebuilt = FinitePresheaf(SEMI2, carriers, {g: P.action_table(g) for g in SEMI2.generators})
+        assert rebuilt == P and hash(rebuilt) == hash(P)
+    assert len(dict.fromkeys(corpus)) == 362
+
+
 def test_functoriality_validation_catches_bad_actions():
     # the collapse of v must be a loop at v, not the edge u -> v
     with pytest.raises(FunctorialityError):
